@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,6 +18,7 @@ from .datasets import (
     build_cycle_dataset,
     read_corpus,
     read_dataset,
+    read_graph_file,
     split_dataset,
     write_dataset,
 )
@@ -30,21 +30,12 @@ from .descriptors import (
     cycle_count,
     edge_descriptor_value,
 )
-from .graphs import GraphError, GraphParseError, NamedGraphSpec, generate_named, parse_graph
-from .neural import ModelSpec, params_to_json_obj, train_classifier
+from .graphs import GraphError, GraphParseError, NamedGraphSpec, generate_named
+from .neural import DEFAULT_BATCH_SIZE, ModelSpec, params_to_json_obj, train_classifier
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DESCRIPTOR = 2
-
-THREADS_ENV = "UNIONSUB_THREADS"
-
-
-def _read_graph(path):
-    try:
-        return parse_graph(Path(path).read_text(encoding="ascii"))
-    except OSError as exc:
-        raise GraphParseError(f"cannot read {path}: {exc}") from None
 
 
 def _write_output(text, out_path):
@@ -55,7 +46,7 @@ def _write_output(text, out_path):
 
 
 def cmd_coeffs(args):
-    g = _read_graph(args.graph)
+    g = read_graph_file(args.graph)
     kind = Descriptor.parse(args.kind)
     encoding = Encoding.parse(args.enc)
     table = coefficient_table(g, kind, encoding)
@@ -68,8 +59,8 @@ def cmd_coeffs(args):
 
 
 def cmd_distinguish(args):
-    g1 = _read_graph(args.graph1)
-    g2 = _read_graph(args.graph2)
+    g1 = read_graph_file(args.graph1)
+    g2 = read_graph_file(args.graph2)
     kind = Descriptor.parse(args.kind)
     encoding = Encoding.parse(args.enc)
     verdict = wl.distinguish_pair(g1, g2, kind, encoding)
@@ -132,46 +123,18 @@ def _time_kind(kind, graphs, encoding):
     return time.perf_counter() - start
 
 
-def _time_kind_parallel(kind, graphs, encoding, threads):
-    from concurrent.futures import ThreadPoolExecutor
-
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        if kind.kind == "cycle-count":
-            list(pool.map(lambda g: cycle_count(g, kind.cycle_len), graphs))
-        else:
-            jobs = [(g, v, u) for g in graphs for v, u in g.edges]
-            list(
-                pool.map(
-                    lambda job: edge_descriptor_value(
-                        job[0], job[1], job[2], kind, encoding
-                    ),
-                    jobs,
-                )
-            )
-    return time.perf_counter() - start
-
-
-def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM, parallel=False):
+def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM):
     """Median-of-repeats wall times per kind on the identical corpus."""
-    threads = int(os.environ.get(THREADS_ENV, "4"))
     total_edges = sum(g.num_edges for g in graphs)
     report = {
         "graphs": len(graphs),
         "edges": total_edges,
         "repeats": repeats,
-        "parallel": parallel,
         "kinds": {},
     }
     for kind_text in kinds:
         kind = Descriptor.parse(kind_text)
-        times = []
-        for _ in range(repeats):
-            if parallel:
-                times.append(_time_kind_parallel(kind, graphs, encoding, threads))
-            else:
-                times.append(_time_kind(kind, graphs, encoding))
-        times.sort()
+        times = sorted(_time_kind(kind, graphs, encoding) for _ in range(repeats))
         median = times[len(times) // 2]
         report["kinds"][kind_text] = {
             "seconds": median,
@@ -184,9 +147,7 @@ def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM, parallel=False)
 def cmd_bench(args):
     graphs = read_corpus(args.corpus)
     kinds = args.kinds.split(",") if args.kinds else list(BENCH_KINDS)
-    report = run_bench(
-        graphs, kinds, args.repeats, Encoding.parse(args.enc), args.parallel
-    )
+    report = run_bench(graphs, kinds, args.repeats, Encoding.parse(args.enc))
     text = json.dumps(report, indent=2) + "\n"
     _write_output(text, args.out)
     return EXIT_OK
@@ -261,8 +222,6 @@ def build_parser():
     p.add_argument("--kinds", help="comma-separated descriptor kinds")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--enc", default="svd-sum")
-    p.add_argument("--parallel", action="store_true",
-                   help=f"parallel over edges ({THREADS_ENV} sets thread count)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
@@ -273,7 +232,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)
 

@@ -11,7 +11,7 @@ import csv
 import random
 from pathlib import Path
 
-from .graphs import Graph, GraphError, four_cycle_pair, parse_graph
+from .graphs import GraphError, GraphParseError, four_cycle_pair, parse_graph
 
 
 def write_dataset(directory, graphs, labels):
@@ -30,17 +30,36 @@ def write_dataset(directory, graphs, labels):
         writer.writerows(rows)
 
 
+def read_graph_file(path):
+    """Parse one graph file; unreadable files raise GraphParseError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise GraphParseError(f"cannot read {path}: {exc}") from None
+    return parse_graph(data)
+
+
 def read_dataset(directory):
     """Load (graph, label) pairs in labels.csv order."""
     directory = Path(directory)
     labels_path = directory / "labels.csv"
     if not labels_path.exists():
         raise GraphError(f"no labels.csv in {directory}")
+    try:
+        with open(labels_path, newline="", encoding="ascii") as fh:
+            rows = list(csv.DictReader(fh))
+    except UnicodeDecodeError:
+        raise GraphParseError(f"{labels_path} is not ASCII text") from None
     dataset = []
-    with open(labels_path, newline="", encoding="ascii") as fh:
-        for row in csv.DictReader(fh):
-            g = parse_graph((directory / row["filename"]).read_text("ascii"))
-            dataset.append((g, int(row["label"])))
+    for line, row in enumerate(rows, start=2):
+        try:
+            name, label = row["filename"], int(row["label"])
+        except (KeyError, TypeError, ValueError):
+            raise GraphParseError(
+                f"{labels_path}: expected 'filename,label' with an integer label",
+                line=line,
+            ) from None
+        dataset.append((read_graph_file(directory / name), label))
     return dataset
 
 
@@ -51,7 +70,7 @@ def read_corpus(directory):
     for path in sorted(directory.iterdir()):
         if path.name == "labels.csv" or path.is_dir():
             continue
-        graphs.append(parse_graph(path.read_text("ascii")))
+        graphs.append(read_graph_file(path))
     if not graphs:
         raise GraphError(f"no graph files in {directory}")
     return graphs

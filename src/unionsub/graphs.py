@@ -63,7 +63,10 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adjacency))
         if features is not None:
-            features = np.array(features, dtype=float)
+            try:
+                features = np.array(features, dtype=float)
+            except (TypeError, ValueError):
+                raise GraphError("features must be a matrix of numbers") from None
             if features.ndim != 2 or features.shape[0] != num_nodes or features.shape[1] < 1:
                 raise GraphError("features must be a (num_nodes, d) matrix with d >= 1")
             if not np.isfinite(features).all():
@@ -208,7 +211,12 @@ def parse_graph(text):
     JSON format: {"num_nodes": n, "edges": [[u, v], ...], "features": [[...], ...]}.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(
+                f"not ASCII text: byte 0x{text[exc.start]:02x} at offset {exc.start}"
+            ) from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(text)
@@ -257,6 +265,11 @@ def _parse_edge_list(text):
     return Graph(n, edges)
 
 
+def _is_json_int(x):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(text):
     try:
         obj = json.loads(text)
@@ -265,12 +278,16 @@ def _parse_json(text):
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph must contain 'num_nodes' and 'edges'")
     n = obj["num_nodes"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_json_int(n) or n < 0:
         raise GraphParseError("'num_nodes' must be a non-negative integer")
+    if not isinstance(obj["edges"], list):
+        raise GraphParseError("'edges' must be a list of pairs")
     edges = []
     for k, pair in enumerate(obj["edges"]):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphParseError(f"edge #{k} is not a pair")
+        if not (_is_json_int(pair[0]) and _is_json_int(pair[1])):
+            raise GraphParseError(f"edge #{k} node ids must be integers")
         edges.append((pair[0], pair[1]))
     features = obj.get("features")
     try:

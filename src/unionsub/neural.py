@@ -2,8 +2,10 @@
 
 Coefficient tables enter the layers through a small Trans MLP whose
 per-channel outputs are softmax-normalized over each node's neighbors.
-Everything is plain numpy; gradients are verified against central finite
-differences (see grad_check).
+Every layer runs on one engine: a batch of graphs is stacked as one
+disjoint union (``_Batch``), and a single graph is a batch of one.
+Everything is plain numpy; the engine's gradients are verified against
+central finite differences (see grad_check).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .descriptors import Encoding, UNION_PATH_SVD, coefficient_table
 from .graphs import GraphError
 
 TRANS_HIDDEN = 16  # Trans MLP is 1 -> 16 -> channels, ReLU inside
+DEFAULT_BATCH_SIZE = 32  # graphs per Adam step
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +39,6 @@ class Mlp:
             out.append(w)
             out.append(b)
         return out
-
-    @property
-    def in_dim(self):
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self):
-        return self.weights[-1].shape[1]
 
 
 def glorot_uniform(rng, fan_in, fan_out):
@@ -85,76 +80,7 @@ def mlp_backward(mlp, caches, dout):
 
 
 # ---------------------------------------------------------------------------
-# Graph wiring
-# ---------------------------------------------------------------------------
-
-def directed_pairs(g):
-    """Directed pair arrays (center, neighbor) grouped by center node.
-
-    Returns (center, nbr, seg) where pairs seg[v]:seg[v+1] are the pairs
-    whose center is v.
-    """
-    center, nbr = [], []
-    seg = [0]
-    for v in range(g.num_nodes):
-        for u in g.neighbors(v):
-            center.append(v)
-            nbr.append(u)
-        seg.append(len(center))
-    return np.array(center, dtype=int), np.array(nbr, dtype=int), seg
-
-
-# ---------------------------------------------------------------------------
-# Trans: coefficient -> per-channel neighbor weights
-# ---------------------------------------------------------------------------
-
-def trans_forward(trans_mlp, g, coeffs):
-    """Per-directed-pair channel weights t(v, u), softmaxed over N(v).
-
-    Returns (t, pairs, cache): t has one row per directed pair, and for every
-    non-isolated v each channel of t sums to 1 over v's neighbors.
-    """
-    center, nbr, seg = directed_pairs(g)
-    x = np.empty((len(center), 1))
-    for i in range(len(center)):
-        key = (int(center[i]), int(nbr[i]))
-        if key not in coeffs.normalized:
-            raise GraphError(f"missing coefficient for directed pair {key}")
-        x[i, 0] = coeffs.normalized[key]
-    z, mlp_cache = mlp_forward(trans_mlp, x)
-    t = np.empty_like(z)
-    for v in range(g.num_nodes):
-        lo, hi = seg[v], seg[v + 1]
-        if lo == hi:
-            continue
-        block = z[lo:hi]
-        e = np.exp(block - block.max(axis=0))
-        t[lo:hi] = e / e.sum(axis=0)
-    return t, (center, nbr, seg), (mlp_cache, t, seg)
-
-
-def trans_backward(trans_mlp, cache, dt):
-    mlp_cache, t, seg = cache
-    dz = np.empty_like(dt)
-    for v in range(len(seg) - 1):
-        lo, hi = seg[v], seg[v + 1]
-        if lo == hi:
-            continue
-        s = t[lo:hi]
-        block = dt[lo:hi]
-        dz[lo:hi] = s * (block - (block * s).sum(axis=0))
-    _, grads = mlp_backward(trans_mlp, mlp_cache, dz)
-    return grads
-
-
-def trans_table(trans_mlp, g, coeffs):
-    """Dict view {(v, u): weight vector}; errors on isolated-node queries."""
-    t, (center, nbr, _), _ = trans_forward(trans_mlp, g, coeffs)
-    return {(int(v), int(u)): t[i] for i, (v, u) in enumerate(zip(center, nbr))}
-
-
-# ---------------------------------------------------------------------------
-# Layers
+# Layer parameters
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -187,10 +113,19 @@ class GcnLayerParams:
         return out
 
 
-def union_layer_params(in_dim, out_dim, rng, with_trans=True, mlp_dims=None):
-    dims = mlp_dims or (in_dim, out_dim)
+@dataclass
+class AttentionParams:
+    wq: np.ndarray
+    wk: np.ndarray
+    trans: Mlp  # output reduced per pair by channel mean
+
+    def arrays(self):
+        return [self.wq, self.wk] + self.trans.arrays()
+
+
+def union_layer_params(in_dim, out_dim, rng, with_trans=True):
     trans = mlp_init((1, TRANS_HIDDEN, in_dim), rng) if with_trans else None
-    return UnionLayerParams(np.zeros(()), mlp_init(dims, rng), trans)
+    return UnionLayerParams(np.zeros(()), mlp_init((in_dim, out_dim), rng), trans)
 
 
 def gcn_layer_params(in_dim, out_dim, rng, with_trans=False):
@@ -198,120 +133,6 @@ def gcn_layer_params(in_dim, out_dim, rng, with_trans=False):
     return GcnLayerParams(
         glorot_uniform(rng, in_dim, out_dim), np.zeros(out_dim), trans
     )
-
-
-def _neighbor_weights(params, g, coeffs, pairs):
-    """Trans weights per pair, or None for unit weights."""
-    if params.trans is None:
-        return None, None
-    if coeffs is None:
-        raise GraphError("layer has a Trans MLP but no coefficients were given")
-    t, _, tcache = trans_forward(params.trans, g, coeffs)
-    return t, tcache
-
-
-def union_layer_forward(params, g, h, coeffs=None):
-    """h'_v = MLP((1 + eps) h_v + sum_u t(v,u) * h_u), elementwise products.
-
-    Isolated nodes keep only the (1 + eps) self term.
-    """
-    if h.shape[0] != g.num_nodes:
-        raise GraphError("feature rows must match num_nodes")
-    center, nbr, seg = directed_pairs(g)
-    t, tcache = _neighbor_weights(params, g, coeffs, (center, nbr, seg))
-    msg = h[nbr] if t is None else t * h[nbr]
-    agg = (1.0 + float(params.epsilon)) * h
-    np.add.at(agg, center, msg)
-    out, mlp_cache = mlp_forward(params.mlp, agg)
-    return out, (g, h, center, nbr, t, tcache, mlp_cache)
-
-
-def union_layer_backward(params, cache, dout):
-    g, h, center, nbr, t, tcache, mlp_cache = cache
-    d_agg, mlp_grads = mlp_backward(params.mlp, mlp_cache, dout)
-    d_eps = np.array(float((d_agg * h).sum()))
-    dh = (1.0 + float(params.epsilon)) * d_agg
-    d_msg = d_agg[center]
-    if t is None:
-        np.add.at(dh, nbr, d_msg)
-        trans_grads = None
-    else:
-        np.add.at(dh, nbr, t * d_msg)
-        dt = d_msg * h[nbr]
-        trans_grads = trans_backward(params.trans, tcache, dt)
-    grads = UnionLayerParams(d_eps, mlp_grads, trans_grads)
-    return dh, grads
-
-
-def gcn_layer_forward(params, g, h, coeffs=None):
-    """h' = relu((sum_u t(v,u) * h_u / sqrt(d_v d_u)) W + b)."""
-    if h.shape[0] != g.num_nodes:
-        raise GraphError("feature rows must match num_nodes")
-    center, nbr, seg = directed_pairs(g)
-    t, tcache = _neighbor_weights(params, g, coeffs, (center, nbr, seg))
-    degs = np.array([max(1, g.degree(v)) for v in range(g.num_nodes)], dtype=float)
-    norm = 1.0 / np.sqrt(degs[center] * degs[nbr])
-    msg = h[nbr] * norm[:, None] if t is None else t * h[nbr] * norm[:, None]
-    agg = np.zeros_like(h)
-    np.add.at(agg, center, msg)
-    z = agg @ params.weight + params.bias
-    out = np.maximum(z, 0.0)
-    return out, (g, h, center, nbr, norm, t, tcache, agg, z)
-
-
-def gcn_layer_backward(params, cache, dout):
-    g, h, center, nbr, norm, t, tcache, agg, z = cache
-    dz = dout * (z > 0)
-    d_w = agg.T @ dz
-    d_b = dz.sum(axis=0)
-    d_agg = dz @ params.weight.T
-    d_msg = d_agg[center] * norm[:, None]
-    dh = np.zeros_like(h)
-    if t is None:
-        np.add.at(dh, nbr, d_msg)
-        trans_grads = None
-    else:
-        np.add.at(dh, nbr, t * d_msg)
-        dt = d_msg * h[nbr]
-        trans_grads = trans_backward(params.trans, tcache, dt)
-    grads = GcnLayerParams(d_w, d_b, trans_grads)
-    return dh, grads
-
-
-def plugin_mpnn_forward(base, params, g, h, coeffs=None):
-    """Base aggregation with messages pre-multiplied by Trans weights.
-
-    base is "gcn" (symmetric-degree-normalized sum, linear + ReLU) or "gin"
-    ((1 + eps) self term plus sum, then MLP).  With unit weights (no Trans)
-    this is exactly the unmodified base layer.
-    """
-    if base == "gcn":
-        return gcn_layer_forward(params, g, h, coeffs)
-    if base == "gin":
-        return union_layer_forward(params, g, h, coeffs)
-    raise GraphError(f"unknown base layer {base!r}")
-
-
-def plugin_mpnn_backward(base, params, cache, dout):
-    if base == "gcn":
-        return gcn_layer_backward(params, cache, dout)
-    if base == "gin":
-        return union_layer_backward(params, cache, dout)
-    raise GraphError(f"unknown base layer {base!r}")
-
-
-# ---------------------------------------------------------------------------
-# Attention with coefficient bias
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AttentionParams:
-    wq: np.ndarray
-    wk: np.ndarray
-    trans: Mlp  # shared across layers; output reduced per pair by channel mean
-
-    def arrays(self):
-        return [self.wq, self.wk] + self.trans.arrays()
 
 
 def attention_params(dim, rng):
@@ -322,36 +143,205 @@ def attention_params(dim, rng):
     )
 
 
-def attention_bias_forward(params, g, h, coeffs):
+# ---------------------------------------------------------------------------
+# Batched engine (disjoint-union vectorization)
+# ---------------------------------------------------------------------------
+# A batch of graphs is stacked as one disjoint union, so a layer is a handful
+# of array ops over every directed pair of the batch instead of thousands of
+# tiny per-graph ones.
+
+class _PreparedGraph:
+    """Cached wiring arrays for one (graph, coefficient-table) pair.
+
+    Directed pairs (center, nbr) are grouped by center node; ``coeff`` holds
+    each pair's normalized coefficient as a column, or is None without a
+    table.
+    """
+
+    __slots__ = ("num_nodes", "center", "nbr", "norm", "coeff", "features")
+
+    def __init__(self, g, coeffs):
+        if g.num_nodes == 0:
+            raise GraphError("a graph with no nodes has no mean-pooled embedding")
+        self.num_nodes = g.num_nodes
+        degs = np.array([len(a) for a in g.adjacency], dtype=int)
+        self.center = np.repeat(np.arange(g.num_nodes), degs)
+        self.nbr = np.array([u for a in g.adjacency for u in a], dtype=int)
+        unit = np.maximum(degs, 1).astype(float)
+        self.norm = 1.0 / np.sqrt(unit[self.center] * unit[self.nbr])
+        self.features = g.feature_matrix()
+        if coeffs is None:
+            self.coeff = None
+        else:
+            pairs = zip(self.center.tolist(), self.nbr.tolist())
+            self.coeff = np.array(
+                [coeffs.normalized[pair] for pair in pairs], dtype=float
+            ).reshape(-1, 1)
+
+
+class _Batch:
+    """A disjoint union of prepared graphs with offset pair/node indexing.
+
+    Pair arrays are sorted by center node (within and across graphs), so
+    per-node segments are contiguous runs usable with reduceat.
+    """
+
+    __slots__ = (
+        "h0", "center", "nbr", "norm", "coeff", "num_nodes",
+        "node_sizes", "pool_starts", "seg_starts", "seg_expand",
+    )
+
+    def __init__(self, prepared):
+        offsets = np.cumsum([0] + [p.num_nodes for p in prepared])
+        self.num_nodes = int(offsets[-1])
+        self.h0 = np.concatenate([p.features for p in prepared], axis=0)
+        self.center = np.concatenate(
+            [p.center + off for p, off in zip(prepared, offsets)]
+        )
+        self.nbr = np.concatenate([p.nbr + off for p, off in zip(prepared, offsets)])
+        self.norm = np.concatenate([p.norm for p in prepared])
+        if prepared[0].coeff is not None:
+            self.coeff = np.concatenate([p.coeff for p in prepared], axis=0)
+        else:
+            self.coeff = None
+        self.node_sizes = np.array([p.num_nodes for p in prepared])
+        self.pool_starts = offsets[:-1]
+        # contiguous runs of equal center: segment starts and per-pair run ids
+        first = np.diff(self.center, prepend=-1) != 0
+        self.seg_starts = np.flatnonzero(first)
+        self.seg_expand = np.cumsum(first) - 1
+
+
+def _scatter_rows(values, index, num_rows):
+    """Row-wise scatter-add via bincount per channel (fast, deterministic)."""
+    out = np.empty((num_rows, values.shape[1]))
+    for c in range(values.shape[1]):
+        out[:, c] = np.bincount(index, weights=values[:, c], minlength=num_rows)
+    return out
+
+
+def _segment_softmax(z, batch):
+    """Softmax of z rows grouped by center node, per channel."""
+    big = np.maximum.reduceat(z, batch.seg_starts, axis=0)
+    e = np.exp(z - big[batch.seg_expand])
+    sums = np.add.reduceat(e, batch.seg_starts, axis=0)
+    return e / sums[batch.seg_expand]
+
+
+def _segment_softmax_backward(t, dt, batch):
+    inner = np.add.reduceat(dt * t, batch.seg_starts, axis=0)
+    return t * (dt - inner[batch.seg_expand])
+
+
+def _batched_trans(trans, batch):
+    """Per-directed-pair channel weights t(v, u), softmaxed over N(v).
+
+    Rows align with ``batch.center``/``batch.nbr``; for every non-isolated v
+    each channel of t sums to 1 over v's neighbors.  Returns (t, cache).
+    """
+    z, mlp_cache = mlp_forward(trans, batch.coeff)
+    return _segment_softmax(z, batch), mlp_cache
+
+
+def _trans_backward(trans, batch, t, mlp_cache, dt):
+    dz = _segment_softmax_backward(t, dt, batch)
+    return mlp_backward(trans, mlp_cache, dz)[1]
+
+
+def _aggregate(h, batch, t, norm=None):
+    """Per node v: sum over u in N(v) of norm(v, u) * t(v, u) * h_u.
+
+    A missing norm or t is a unit weight; products are elementwise.
+    """
+    msg = h[batch.nbr]
+    if norm is not None:
+        msg = msg * norm[:, None]
+    if t is not None:
+        msg = msg * t
+    return _scatter_rows(msg, batch.center, batch.num_nodes)
+
+
+def _aggregate_backward(trans, batch, h, t, tcache, d_agg, norm=None):
+    """Gradients of _aggregate: (dh, Trans grads or None)."""
+    d_msg = d_agg[batch.center]
+    if norm is not None:
+        d_msg = d_msg * norm[:, None]
+    if t is None:
+        return _scatter_rows(d_msg, batch.nbr, batch.num_nodes), None
+    dh = _scatter_rows(t * d_msg, batch.nbr, batch.num_nodes)
+    dt = d_msg * h[batch.nbr]
+    return dh, _trans_backward(trans, batch, t, tcache, dt)
+
+
+def _layer_forward(layer, batch, h):
+    """One message-passing layer over the batch; returns (h', cache).
+
+    GCN: h' = relu((sum_u t(v,u) * h_u / sqrt(d_v d_u)) W + b).
+    GIN/union: h' = MLP((1 + eps) h_v + sum_u t(v,u) * h_u), so isolated
+    nodes keep only the self term.  Without a Trans MLP, t is 1.
+    """
+    t, tcache = (None, None) if layer.trans is None else _batched_trans(layer.trans, batch)
+    if isinstance(layer, GcnLayerParams):
+        agg = _aggregate(h, batch, t, batch.norm)
+        z = agg @ layer.weight + layer.bias
+        return np.maximum(z, 0.0), (h, t, tcache, agg, z)
+    agg = (1.0 + float(layer.epsilon)) * h
+    agg += _aggregate(h, batch, t)
+    out, mlp_cache = mlp_forward(layer.mlp, agg)
+    return out, (h, t, tcache, mlp_cache)
+
+
+def _layer_backward(layer, batch, cache, dout):
+    """Returns (dh, grads shaped like the layer's params)."""
+    if isinstance(layer, GcnLayerParams):
+        h, t, tcache, agg, z = cache
+        dz = dout * (z > 0)
+        d_agg = dz @ layer.weight.T
+        dh, trans_grads = _aggregate_backward(
+            layer.trans, batch, h, t, tcache, d_agg, batch.norm
+        )
+        return dh, GcnLayerParams(agg.T @ dz, dz.sum(axis=0), trans_grads)
+    h, t, tcache, mlp_cache = cache
+    d_agg, mlp_grads = mlp_backward(layer.mlp, mlp_cache, dout)
+    d_eps = np.array(float((d_agg * h).sum()))
+    dh, trans_grads = _aggregate_backward(layer.trans, batch, h, t, tcache, d_agg)
+    dh += (1.0 + float(layer.epsilon)) * d_agg
+    return dh, UnionLayerParams(d_eps, mlp_grads, trans_grads)
+
+
+def attention_bias_forward(params, batch, h):
     """A_vu = (h_v Wq)(h_u Wk)^T / sqrt(d) + mean(Trans(coeff_vu)).
 
-    The bias applies to adjacent ordered pairs only; elsewhere it is zero.
-    Returns the full attention logit matrix.
+    A Graphormer-style spatial bias: it applies to adjacent ordered pairs
+    only and is zero elsewhere.  Returns the logit matrix over all nodes of
+    the batch; pairs in different graphs are -inf, so a row softmax attends
+    within the node's own graph.
     """
     n, d = h.shape
+    if n != batch.num_nodes:
+        raise GraphError("feature rows must match the batch's node count")
     if params.wq.shape != (d, d) or params.wk.shape != (d, d):
         raise GraphError("Wq and Wk must be d x d for d-channel features")
+    graph_of = np.repeat(np.arange(len(batch.node_sizes)), batch.node_sizes)
+    same = graph_of[:, None] == graph_of[None, :]
     q = h @ params.wq
     k = h @ params.wk
-    scores = (q @ k.T) / math.sqrt(d)
-    t, (center, nbr, seg), tcache = trans_forward(params.trans, g, coeffs)
-    bias = np.zeros((n, n))
-    bias[center, nbr] = t.mean(axis=1)
-    return scores + bias, (g, h, q, k, center, nbr, t, tcache)
+    logits = np.where(same, (q @ k.T) / math.sqrt(d), -np.inf)
+    t, tcache = _batched_trans(params.trans, batch)
+    logits[batch.center, batch.nbr] += t.mean(axis=1)
+    return logits, (h, q, k, same, t, tcache)
 
 
-def attention_bias_backward(params, cache, dout):
-    g, h, q, k, center, nbr, t, tcache = cache
-    n, d = h.shape
-    scale = 1.0 / math.sqrt(d)
+def attention_bias_backward(params, batch, cache, dout):
+    h, q, k, same, t, tcache = cache
+    dout = np.where(same, dout, 0.0)
+    scale = 1.0 / math.sqrt(h.shape[1])
     dq = dout @ k * scale
     dk = dout.T @ q * scale
-    d_wq = h.T @ dq
-    d_wk = h.T @ dk
     dh = dq @ params.wq.T + dk @ params.wk.T
-    dt = np.repeat(dout[center, nbr][:, None], t.shape[1], axis=1) / t.shape[1]
-    trans_grads = trans_backward(params.trans, tcache, dt)
-    return dh, AttentionParams(d_wq, d_wk, trans_grads)
+    dt = np.repeat(dout[batch.center, batch.nbr][:, None], t.shape[1], axis=1) / t.shape[1]
+    trans_grads = _trans_backward(params.trans, batch, t, tcache, dt)
+    return dh, AttentionParams(h.T @ dq, h.T @ dk, trans_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +376,6 @@ def grad_check(loss_and_grads, arrays, step=1e-5):
             rel = abs(ga - fd) / max(1.0, abs(ga), abs(fd))
             worst = max(worst, rel)
     return worst
-
-
-def pooled_mse_head(forward, backward, target):
-    """Wrap a layer in a mean-pool + MSE loss for gradient checking.
-
-    ``forward()`` -> (out, cache); ``backward(cache, dout)`` -> grads list.
-    """
-
-    def loss_and_grads(value_only=False):
-        out, cache = forward()
-        pooled = out.mean(axis=0)
-        diff = pooled - target
-        loss = float((diff * diff).mean())
-        if value_only:
-            return loss
-        dpooled = 2.0 * diff / diff.size
-        dout = np.tile(dpooled / out.shape[0], (out.shape[0], 1))
-        grads = backward(cache, dout)
-        return loss, grads
-
-    return loss_and_grads
 
 
 # ---------------------------------------------------------------------------
@@ -489,261 +458,38 @@ class Classifier:
 
 def init_classifier(spec, in_dim, num_classes, rng):
     dims = [in_dim, spec.hidden, spec.hidden]
-    layers = []
-    for i in range(2):
-        if spec.base == "gcn":
-            layers.append(
-                gcn_layer_params(dims[i], dims[i + 1], rng, with_trans=spec.use_coeffs)
-            )
-        else:
-            layers.append(
-                union_layer_params(
-                    dims[i], dims[i + 1], rng, with_trans=spec.use_coeffs
-                )
-            )
+    make = gcn_layer_params if spec.base == "gcn" else union_layer_params
+    layers = [
+        make(dims[i], dims[i + 1], rng, with_trans=spec.use_coeffs) for i in range(2)
+    ]
     head_w = glorot_uniform(rng, spec.hidden, num_classes)
     head_b = np.zeros(num_classes)
     return Classifier(spec, layers, head_w, head_b)
 
 
-def classifier_forward(model, g, coeffs):
-    h = g.feature_matrix()
-    caches = []
-    for layer in model.layers:
-        h, cache = plugin_mpnn_forward(model.spec.base, layer, g, h, coeffs)
-        caches.append(cache)
-    pooled = h.mean(axis=0)
-    logits = pooled @ model.head_w + model.head_b
-    return logits, (caches, h.shape[0], pooled)
-
-
-def classifier_backward(model, cache, dlogits):
-    caches, num_nodes, pooled = cache
-    d_head_w = np.outer(pooled, dlogits)
-    d_head_b = dlogits.copy()
-    dpooled = model.head_w @ dlogits
-    dh = np.tile(dpooled / num_nodes, (num_nodes, 1))
-    layer_grads = []
-    for layer, layer_cache in zip(reversed(model.layers), reversed(caches)):
-        dh, grads = plugin_mpnn_backward(model.spec.base, layer, layer_cache, dh)
-        layer_grads.append(grads)
-    layer_grads.reverse()
-    out = []
-    for grads in layer_grads:
-        out += grads.arrays()
-    out += [d_head_w, d_head_b]
-    return out
-
-
-def cross_entropy(logits, label):
-    shifted = logits - logits.max()
-    logsumexp = math.log(np.exp(shifted).sum())
-    loss = logsumexp - shifted[label]
-    probs = np.exp(shifted - logsumexp)
-    dlogits = probs
-    dlogits[label] -= 1.0
-    return float(loss), dlogits
-
-
-def evaluate(model, dataset, coeff_cache):
-    if not dataset:
-        return 0.0
-    hits = 0
-    for i, (g, label) in enumerate(dataset):
-        logits, _ = classifier_forward(model, g, coeff_cache[i])
-        hits += int(np.argmax(logits) == label)
-    return hits / len(dataset)
-
-
-@dataclass
-class TrainReport:
-    model: Classifier
-    train_acc: float
-    val_acc: float
-    test_acc: float
-    loss_curve: list  # (epoch, train_loss, val_acc)
-
-
-def _coeff_tables(spec, dataset):
-    if not spec.use_coeffs:
-        return [None] * len(dataset)
-    return [
-        coefficient_table(g, spec.descriptor, spec.encoding) for g, _ in dataset
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Batched training engine (disjoint-union vectorization)
-# ---------------------------------------------------------------------------
-# Training stacks a batch of graphs as one disjoint union so each epoch is a
-# handful of array ops instead of thousands of tiny ones.  The per-graph layer
-# functions above stay the reference semantics; tests pin the two paths to
-# each other.
-
-class _PreparedGraph:
-    """Cached wiring arrays for one (graph, coefficient-table) pair."""
-
-    __slots__ = ("num_nodes", "center", "nbr", "norm", "coeff", "features")
-
-    def __init__(self, g, coeffs):
-        self.num_nodes = g.num_nodes
-        center, nbr, _ = directed_pairs(g)
-        self.center = center
-        self.nbr = nbr
-        degs = np.array(
-            [max(1, g.degree(v)) for v in range(g.num_nodes)], dtype=float
-        )
-        self.norm = 1.0 / np.sqrt(degs[center] * degs[nbr])
-        self.features = g.feature_matrix()
-        if coeffs is None:
-            self.coeff = None
-        else:
-            self.coeff = np.array(
-                [[coeffs.normalized[(int(v), int(u))]] for v, u in zip(center, nbr)]
-            )
-
-
-class _Batch:
-    """A disjoint union of prepared graphs with offset pair/node indexing.
-
-    Pair arrays are sorted by center node (within and across graphs), so
-    per-node segments are contiguous runs usable with reduceat.
-    """
-
-    __slots__ = (
-        "h0", "center", "nbr", "norm", "coeff", "num_nodes",
-        "node_sizes", "pool_starts", "seg_starts", "seg_expand",
-    )
-
-    def __init__(self, prepared):
-        offsets = np.cumsum([0] + [p.num_nodes for p in prepared])
-        self.num_nodes = int(offsets[-1])
-        self.h0 = np.concatenate([p.features for p in prepared], axis=0)
-        self.center = np.concatenate(
-            [p.center + off for p, off in zip(prepared, offsets)]
-        ).astype(int)
-        self.nbr = np.concatenate(
-            [p.nbr + off for p, off in zip(prepared, offsets)]
-        ).astype(int)
-        self.norm = np.concatenate([p.norm for p in prepared])
-        if prepared[0].coeff is not None:
-            self.coeff = np.concatenate([p.coeff for p in prepared], axis=0)
-        else:
-            self.coeff = None
-        self.node_sizes = np.array([p.num_nodes for p in prepared], dtype=float)
-        self.pool_starts = offsets[:-1]
-        # contiguous runs of equal center: segment starts and per-pair run ids
-        change = np.nonzero(np.diff(self.center))[0] + 1
-        self.seg_starts = np.concatenate([[0], change])
-        counts = np.diff(np.concatenate([self.seg_starts, [len(self.center)]]))
-        self.seg_expand = np.repeat(np.arange(len(self.seg_starts)), counts)
-
-
-def _scatter_rows(values, index, num_rows):
-    """Row-wise scatter-add via bincount per channel (fast, deterministic)."""
-    out = np.empty((num_rows, values.shape[1]))
-    for c in range(values.shape[1]):
-        out[:, c] = np.bincount(index, weights=values[:, c], minlength=num_rows)
-    return out
-
-
-def _segment_softmax(z, batch):
-    """Softmax of z rows grouped by center node, per channel."""
-    big = np.maximum.reduceat(z, batch.seg_starts, axis=0)
-    e = np.exp(z - big[batch.seg_expand])
-    sums = np.add.reduceat(e, batch.seg_starts, axis=0)
-    return e / sums[batch.seg_expand]
-
-
-def _segment_softmax_backward(t, dt, batch):
-    inner = np.add.reduceat(dt * t, batch.seg_starts, axis=0)
-    return t * (dt - inner[batch.seg_expand])
-
-
-def _batched_trans(trans, batch):
-    z, mlp_cache = mlp_forward(trans, batch.coeff)
-    t = _segment_softmax(z, batch)
-    return t, (mlp_cache, t)
-
-
 def _batched_forward(model, batch):
+    """Per-graph class logits for every graph of the batch."""
     h = batch.h0
     caches = []
     for layer in model.layers:
-        if layer.trans is not None:
-            t, tcache = _batched_trans(layer.trans, batch)
-        else:
-            t, tcache = None, None
-        if model.spec.base == "gcn":
-            msg = h[batch.nbr] * batch.norm[:, None]
-            if t is not None:
-                msg = msg * t
-            agg = _scatter_rows(msg, batch.center, batch.num_nodes)
-            z = agg @ layer.weight + layer.bias
-            new_h = np.maximum(z, 0.0)
-            caches.append(("gcn", h, t, tcache, agg, z))
-        else:
-            msg = h[batch.nbr] if t is None else t * h[batch.nbr]
-            agg = (1.0 + float(layer.epsilon)) * h
-            agg += _scatter_rows(msg, batch.center, batch.num_nodes)
-            new_h, mlp_cache = mlp_forward(layer.mlp, agg)
-            caches.append(("gin", h, t, tcache, mlp_cache))
-        h = new_h
+        h, cache = _layer_forward(layer, batch, h)
+        caches.append(cache)
     pooled = np.add.reduceat(h, batch.pool_starts, axis=0)
     pooled /= batch.node_sizes[:, None]
     logits = pooled @ model.head_w + model.head_b
-    return logits, (caches, h, pooled)
+    return logits, (caches, pooled)
 
 
 def _batched_backward(model, batch, cache, dlogits):
-    caches, h_last, pooled = cache
-    d_head_w = pooled.T @ dlogits
-    d_head_b = dlogits.sum(axis=0)
+    """Gradients aligned with ``model.arrays()``."""
+    caches, pooled = cache
+    grads = [pooled.T @ dlogits, dlogits.sum(axis=0)]
     dpooled = dlogits @ model.head_w.T
-    dh = np.repeat(
-        dpooled / batch.node_sizes[:, None], batch.node_sizes.astype(int), axis=0
-    )
-    layer_grads = []
+    dh = np.repeat(dpooled / batch.node_sizes[:, None], batch.node_sizes, axis=0)
     for layer, layer_cache in zip(reversed(model.layers), reversed(caches)):
-        kind = layer_cache[0]
-        if kind == "gcn":
-            _, h_in, t, tcache, agg, z = layer_cache
-            dz = dh * (z > 0)
-            d_w = agg.T @ dz
-            d_b = dz.sum(axis=0)
-            d_agg = dz @ layer.weight.T
-            d_msg = d_agg[batch.center] * batch.norm[:, None]
-            dh = np.zeros_like(h_in)
-            if t is None:
-                np.add.at(dh, batch.nbr, d_msg)
-                trans_grads = None
-            else:
-                np.add.at(dh, batch.nbr, t * d_msg)
-                dt = d_msg * h_in[batch.nbr]
-                dz_t = _segment_softmax_backward(t, dt, batch)
-                _, trans_grads = mlp_backward(layer.trans, tcache[0], dz_t)
-            layer_grads.append(GcnLayerParams(d_w, d_b, trans_grads))
-        else:
-            _, h_in, t, tcache, mlp_cache = layer_cache
-            d_agg, mlp_grads = mlp_backward(layer.mlp, mlp_cache, dh)
-            d_eps = np.array(float((d_agg * h_in).sum()))
-            dh = (1.0 + float(layer.epsilon)) * d_agg
-            d_msg = d_agg[batch.center]
-            if t is None:
-                np.add.at(dh, batch.nbr, d_msg)
-                trans_grads = None
-            else:
-                np.add.at(dh, batch.nbr, t * d_msg)
-                dt = d_msg * h_in[batch.nbr]
-                dz_t = _segment_softmax_backward(t, dt, batch)
-                _, trans_grads = mlp_backward(layer.trans, tcache[0], dz_t)
-            layer_grads.append(UnionLayerParams(d_eps, mlp_grads, trans_grads))
-    layer_grads.reverse()
-    out = []
-    for grads in layer_grads:
-        out += grads.arrays()
-    out += [d_head_w, d_head_b]
-    return out
+        dh, layer_grads = _layer_backward(layer, batch, layer_cache, dh)
+        grads[:0] = layer_grads.arrays()
+    return grads
 
 
 def _batched_cross_entropy(logits, labels):
@@ -767,21 +513,45 @@ def _batched_accuracy(model, prepared, labels, chunk=256):
     return hits / len(prepared)
 
 
+@dataclass
+class TrainReport:
+    model: Classifier
+    train_acc: float
+    val_acc: float
+    test_acc: float
+    loss_curve: list  # (epoch, train_loss, val_acc)
+
+
+def _coeff_tables(spec, dataset):
+    if not spec.use_coeffs:
+        return [None] * len(dataset)
+    return [
+        coefficient_table(g, spec.descriptor, spec.encoding) for g, _ in dataset
+    ]
+
+
 def train_classifier(
-    train, val, test, spec, epochs, seed, lr=1e-3, batch_size=32, num_classes=2
+    train, val, test, spec, epochs, seed, lr=1e-3, batch_size=DEFAULT_BATCH_SIZE,
+    num_classes=2,
 ):
     """Train the 2-layer classifier with Adam; deterministic given the seed.
 
-    Labels must lie in 0..num_classes-1.  Returns a TrainReport; with
-    epochs=0 the untrained model is evaluated directly.
+    Labels must lie in 0..num_classes-1, and every graph needs at least one
+    node and as many feature channels as the first training graph.  Returns a TrainReport; with epochs=0 the untrained model is
+    evaluated directly.
     """
     if not train:
         raise GraphError("empty training dataset")
-    for _, label in list(train) + list(val) + list(test):
+    in_dim = train[0][0].feature_matrix().shape[1]
+    for g, label in list(train) + list(val) + list(test):
         if not 0 <= label < num_classes:
             raise GraphError(f"label {label} outside 0..{num_classes - 1}")
+        width = g.feature_matrix().shape[1]
+        if width != in_dim:
+            raise GraphError(
+                f"a graph has {width} feature channels, the first training graph {in_dim}"
+            )
     rng = np.random.default_rng(seed)
-    in_dim = train[0][0].feature_matrix().shape[1]
     model = init_classifier(spec, in_dim, num_classes, rng)
     prep = {
         name: [

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 
@@ -5,7 +6,7 @@ import pytest
 
 from unionsub.cli import main, run_bench
 from unionsub.datasets import read_corpus, read_dataset
-from unionsub.graphs import complete_graph, parse_graph
+from unionsub.graphs import GraphParseError, complete_graph, parse_graph
 
 
 @pytest.fixture
@@ -57,6 +58,19 @@ class TestCoeffsCommand:
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["coeffs", "/nonexistent/graph.txt"]) == 1
+
+    @pytest.mark.parametrize("content", [
+        b"3 1\n0 1\xe2\x80\x8b\n",
+        b'{"num_nodes": 3, "edges": [["0", 1]]}',
+        b'{"num_nodes": 3, "edges": [[0.0, 1]]}',
+        b'{"num_nodes": true, "edges": []}',
+        b'{"num_nodes": 3, "edges": [[true, false]]}',
+    ])
+    def test_hostile_input_exit_1(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        assert main(["coeffs", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("parse error:")
 
     def test_betweenness_c6(self, c6_file, capsys):
         assert main(["coeffs", c6_file, "--kind", "betweenness"]) == 0
@@ -129,6 +143,32 @@ class TestGenCommand:
         assert all(10 <= g.num_nodes <= 20 for g in graphs)
 
 
+class TestDatasetFiles:
+    @pytest.fixture
+    def data(self, tmp_path):
+        out = tmp_path / "data"
+        main(["gen", "four-cycle-pair:4", "--count", "4", "--seed", "2",
+              "--out", str(out)])
+        return out
+
+    def test_non_ascii_graph_file(self, data, capsys):
+        (data / "graph_0001.txt").write_bytes(b"2 1\n0 1 \xc3\xa9\n")
+        with pytest.raises(GraphParseError, match="not ASCII"):
+            read_dataset(data)
+        with pytest.raises(GraphParseError, match="not ASCII"):
+            read_corpus(data)
+        assert main(["train", str(data), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize("labels", [
+        "filename,label\ngraph_0000.txt,\xe9\n", "filename,label\ngraph_0000.txt,x\n",
+    ])
+    def test_bad_labels_csv(self, data, labels):
+        (data / "labels.csv").write_bytes(labels.encode("latin-1"))
+        with pytest.raises(GraphParseError, match="labels.csv"):
+            read_dataset(data)
+
+
 class TestBenchCommand:
     def test_report_shape_and_ordering_smoke(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -154,19 +194,6 @@ class TestBenchCommand:
         edges = {stats["edges"] for stats in report["kinds"].values()}
         assert edges == {sum(g.num_edges for g in graphs)}
 
-    def test_parallel_mode(self, tmp_path, capsys, monkeypatch):
-        corpus = tmp_path / "corpus"
-        main(["gen", "er:10-12:2.5", "--count", "3", "--seed", "4",
-              "--out", str(corpus)])
-        os.remove(corpus / "labels.csv")
-        monkeypatch.setenv("UNIONSUB_THREADS", "2")
-        assert main(
-            ["bench", str(corpus), "--kinds", "count-ne", "--repeats", "1",
-             "--parallel"]
-        ) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert obj["parallel"] is True
-
 
 class TestTrainCommand:
     def test_epochs_zero_no_crash(self, tmp_path, capsys):
@@ -183,6 +210,23 @@ class TestTrainCommand:
         assert (out / "checkpoint.json").exists()
         log = (out / "training_log.csv").read_text().strip().split("\n")
         assert log[0] == "epoch,train_loss,val_acc"
+
+    def test_graph_without_nodes_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen", "four-cycle-pair:4", "--count", "8", "--seed", "5",
+              "--out", str(data)])
+        (data / "graph_0003.txt").write_text("0 0\n", encoding="ascii")
+        assert main(["train", str(data), "--epochs", "1", "--out",
+                     str(tmp_path / "run")]) == 1
+        assert "no nodes" in capsys.readouterr().err
+
+    def test_batch_size_default_is_the_library_default(self):
+        from unionsub.cli import build_parser
+        from unionsub.neural import DEFAULT_BATCH_SIZE, train_classifier
+
+        args = build_parser().parse_args(["train", "data"])
+        default = inspect.signature(train_classifier).parameters["batch_size"].default
+        assert args.batch_size == default == DEFAULT_BATCH_SIZE
 
     def test_short_training_writes_artifacts(self, tmp_path, capsys):
         data = tmp_path / "data"

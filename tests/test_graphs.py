@@ -115,6 +115,19 @@ class TestParsing:
         g = rook_graph_4x4()
         assert parse_graph(g.to_edge_list_text()) == g
 
+    @pytest.mark.parametrize("text, message", [
+        (b"2 1\n0 1\xff\n", "not ASCII"),
+        ('{"num_nodes": 3, "edges": [["0", 1]]}', "integers"),
+        ('{"num_nodes": 3, "edges": [[0.0, 1.5]]}', "integers"),
+        ('{"num_nodes": true, "edges": []}', "num_nodes"),
+        ('{"num_nodes": 3, "edges": [[true, false]]}', "integers"),
+        ('{"num_nodes": 3, "edges": 5}', "list"),
+        ('{"num_nodes": 2, "edges": [], "features": [[1.0], ["x"]]}', "features"),
+    ])
+    def test_hostile_input_raises_parse_error(self, text, message):
+        with pytest.raises(GraphParseError, match=message):
+            parse_graph(text)
+
 
 class TestNeighborhoods:
     def test_complete_graph(self):

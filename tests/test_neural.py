@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unionsub.descriptors import UNION_PATH_SVD, coefficient_table
-from unionsub.graphs import Graph, complete_graph, cycle_graph, random_graph
+from unionsub.graphs import Graph, GraphError, complete_graph, cycle_graph, parse_graph, random_graph
 from unionsub import neural as nn
 
 
@@ -16,6 +16,97 @@ def connected_random_graph(seed, n=6, p=0.5):
         g = random_graph(n, p, rng)
         if is_connected(g) and g.num_edges >= n - 1:
             return g
+
+
+def make_batch(graphs, with_coeffs=True):
+    return nn._Batch([
+        nn._PreparedGraph(g, coefficient_table(g, UNION_PATH_SVD) if with_coeffs else None)
+        for g in graphs
+    ])
+
+
+def with_features(g, rng, dim=3):
+    return Graph(g.num_nodes, g.edges, rng.normal(size=(g.num_nodes, dim)))
+
+
+def mixed_graphs(rng):
+    """Six featured graphs of mixed sizes: an isolated node and an edgeless one."""
+    graphs = [connected_random_graph(s, n=n) for s, n in ((1, 3), (2, 5), (3, 6), (4, 8))]
+    graphs.append(Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3)]))  # node 4 isolated
+    graphs.append(Graph(2, []))
+    return [with_features(g, rng) for g in graphs]
+
+
+def dense_trans(trans, g, coeffs):
+    """Oracle Trans weights as an (n, n, channels) array, zero off the edges."""
+    n = g.num_nodes
+    out = np.zeros((n, n, trans.weights[-1].shape[1]))
+    for v in range(n):
+        nbrs = list(g.neighbors(v))
+        if not nbrs:
+            continue
+        x = np.array([[coeffs.normalized[(v, u)]] for u in nbrs])
+        z, _ = nn.mlp_forward(trans, x)
+        e = np.exp(z - z.max(axis=0))
+        out[v, nbrs] = e / e.sum(axis=0)
+    return out
+
+
+def dense_logits(model, g, coeffs):
+    """Oracle classifier forward on n x n matrices of one graph."""
+    n = g.num_nodes
+    adj = np.zeros((n, n))
+    for v, u in g.edges:
+        adj[v, u] = adj[u, v] = 1.0
+    deg = np.maximum(adj.sum(axis=1), 1.0)
+    gcn = model.spec.base == "gcn"
+    weights = adj / np.sqrt(np.outer(deg, deg)) if gcn else adj
+    h = g.feature_matrix()
+    for layer in model.layers:
+        if layer.trans is None:
+            agg = weights @ h
+        else:
+            t = dense_trans(layer.trans, g, coeffs)
+            agg = np.einsum("vu,vuc,uc->vc", weights, t, h)
+        if gcn:
+            h = np.maximum(agg @ layer.weight + layer.bias, 0.0)
+        else:
+            h, _ = nn.mlp_forward(layer.mlp, (1.0 + float(layer.epsilon)) * h + agg)
+    return h.mean(axis=0) @ model.head_w + model.head_b
+
+
+def pooled_mse_head(forward, backward, target):
+    """Mean-pool + MSE loss around a layer, in grad_check's calling form.
+
+    ``forward()`` -> (out, cache); ``backward(cache, dout)`` -> grads list.
+    """
+
+    def loss_and_grads(value_only=False):
+        out, cache = forward()
+        pooled = out.mean(axis=0)
+        diff = pooled - target
+        loss = float((diff * diff).mean())
+        if value_only:
+            return loss
+        dpooled = 2.0 * diff / diff.size
+        dout = np.tile(dpooled / out.shape[0], (out.shape[0], 1))
+        return loss, backward(cache, dout)
+
+    return loss_and_grads
+
+
+def classifier_loss(model, batch, labels):
+    """The mean cross-entropy that train_classifier minimizes, for grad_check."""
+
+    def loss_and_grads(value_only=False):
+        logits, cache = nn._batched_forward(model, batch)
+        losses, dlogits = nn._batched_cross_entropy(logits, labels)
+        if value_only:
+            return float(losses.mean())
+        grads = nn._batched_backward(model, batch, cache, dlogits / len(labels))
+        return float(losses.mean()), grads
+
+    return loss_and_grads
 
 
 class TestMlp:
@@ -36,85 +127,79 @@ class TestMlp:
 
 class TestTrans:
     def test_softmax_sums_to_one(self):
-        g = connected_random_graph(2, n=7)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
+        graphs = [connected_random_graph(2, n=7), Graph(4, [(0, 1), (1, 2)])]
+        batch = make_batch(graphs)
         rng = np.random.default_rng(3)
-        trans = nn.mlp_init((1, 16, 5), rng)
-        t, (center, nbr, seg), _ = nn.trans_forward(trans, g, coeffs)
-        for v in range(g.num_nodes):
-            lo, hi = seg[v], seg[v + 1]
-            if lo < hi:
-                assert np.allclose(t[lo:hi].sum(axis=0), 1.0, atol=1e-7)
+        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 5), rng), batch)
+        for v in range(batch.num_nodes):
+            rows = t[batch.center == v]
+            if len(rows):
+                assert np.allclose(rows.sum(axis=0), 1.0, atol=1e-7)
 
     def test_singleton_neighbor_gives_ones(self):
-        k2 = complete_graph(2)
-        coeffs = coefficient_table(k2, UNION_PATH_SVD)
         rng = np.random.default_rng(4)
-        t, _, _ = nn.trans_forward(nn.mlp_init((1, 16, 3), rng), k2, coeffs)
+        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 3), rng), make_batch([complete_graph(2)]))
         assert np.allclose(t, 1.0)
 
     def test_equal_coefficients_give_uniform(self):
-        g = cycle_graph(6)  # every normalized coefficient is 0.5
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
+        # every normalized coefficient of C6 is 0.5
         rng = np.random.default_rng(5)
-        t, _, _ = nn.trans_forward(nn.mlp_init((1, 16, 4), rng), g, coeffs)
+        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 4), rng), make_batch([cycle_graph(6)]))
         assert np.allclose(t, 0.5)
 
     def test_table_view(self):
-        g = connected_random_graph(6)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
+        # every directed pair of every graph gets exactly one weight row
+        graphs = [connected_random_graph(6), cycle_graph(4)]
+        batch = make_batch(graphs)
         rng = np.random.default_rng(7)
-        trans = nn.mlp_init((1, 16, 2), rng)
-        table = nn.trans_table(trans, g, coeffs)
-        assert set(table) == {
-            (v, u) for v in range(g.num_nodes) for u in g.neighbors(v)
-        }
+        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 2), rng), batch)
+        table = dict(zip(zip(batch.center.tolist(), batch.nbr.tolist()), t))
+        expected = set()
+        offset = 0
+        for g in graphs:
+            expected |= {
+                (v + offset, u + offset) for v in range(g.num_nodes) for u in g.neighbors(v)
+            }
+            offset += g.num_nodes
+        assert set(table) == expected and len(t) == len(expected)
 
 
 class TestUnionLayer:
     def test_isolated_identity(self):
-        g = Graph(1, [])
         params = nn.UnionLayerParams(
             np.zeros(()), nn.Mlp([np.eye(3)], [np.zeros(3)]), None
         )
         h = np.array([[1.0, 2.0, 3.0]])
-        out, _ = nn.union_layer_forward(params, g, h)
+        out, _ = nn._layer_forward(params, make_batch([Graph(1, [])], False), h)
         assert np.allclose(out, h)
 
     def test_k2_doubling(self):
-        k2 = complete_graph(2)
-        coeffs = coefficient_table(k2, UNION_PATH_SVD)
         rng = np.random.default_rng(8)
         params = nn.UnionLayerParams(
             np.zeros(()), nn.Mlp([np.eye(1)], [np.zeros(1)]),
             nn.mlp_init((1, 16, 1), rng),
         )
-        out, _ = nn.union_layer_forward(params, k2, np.ones((2, 1)), coeffs)
+        out, _ = nn._layer_forward(params, make_batch([complete_graph(2)]), np.ones((2, 1)))
         assert np.allclose(out, 2.0)
 
     def test_c6_rows_equal(self):
-        g = cycle_graph(6)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
         rng = np.random.default_rng(9)
         params = nn.union_layer_params(1, 4, rng)
-        out, _ = nn.union_layer_forward(params, g, np.ones((6, 1)), coeffs)
+        out, _ = nn._layer_forward(params, make_batch([cycle_graph(6)]), np.ones((6, 1)))
         assert np.allclose(out, out[0])
 
     def test_permutation_equivariance(self):
         g = connected_random_graph(10, n=7)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
         rng = np.random.default_rng(11)
         params = nn.union_layer_params(3, 4, rng)
         h = rng.normal(size=(7, 3))
-        out, _ = nn.union_layer_forward(params, g, h, coeffs)
+        out, _ = nn._layer_forward(params, make_batch([g]), h)
         perm = list(range(7))
         random.Random(12).shuffle(perm)
-        g2 = g.relabel(perm)
-        coeffs2 = coefficient_table(g2, UNION_PATH_SVD)
         h2 = np.empty_like(h)
         for v in range(7):
             h2[perm[v]] = h[v]
-        out2, _ = nn.union_layer_forward(params, g2, h2, coeffs2)
+        out2, _ = nn._layer_forward(params, make_batch([g.relabel(perm)]), h2)
         for v in range(7):
             assert np.allclose(out2[perm[v]], out[v], atol=1e-9)
 
@@ -124,24 +209,22 @@ class TestPlugins:
         # on a perfect matching every node has one neighbor, so the channel
         # softmax is exactly 1 and the plugin must equal the unmodified base
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
         rng = np.random.default_rng(14)
         with_trans = nn.gcn_layer_params(3, 4, rng, with_trans=True)
         base = nn.GcnLayerParams(with_trans.weight, with_trans.bias, None)
         h = rng.normal(size=(6, 3))
-        out_base, _ = nn.plugin_mpnn_forward("gcn", base, g, h)
-        out_plugin, _ = nn.plugin_mpnn_forward("gcn", with_trans, g, h, coeffs)
+        out_base, _ = nn._layer_forward(base, make_batch([g], False), h)
+        out_plugin, _ = nn._layer_forward(with_trans, make_batch([g]), h)
         assert np.allclose(out_plugin, out_base, atol=1e-9)
 
     def test_equal_coefficients_match_degree_mean_base(self):
         # all normalized coefficients equal: softmax collapses to uniform,
         # matching the base configured with degree-mean message weighting
         g = cycle_graph(6)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
         rng = np.random.default_rng(15)
         params = nn.gcn_layer_params(2, 3, rng, with_trans=True)
         h = rng.normal(size=(6, 2))
-        out, _ = nn.plugin_mpnn_forward("gcn", params, g, h, coeffs)
+        out, _ = nn._layer_forward(params, make_batch([g]), h)
         degs = np.array([g.degree(v) for v in range(6)], dtype=float)
         manual_agg = np.zeros_like(h)
         for v in range(6):
@@ -150,31 +233,16 @@ class TestPlugins:
         expected = np.maximum(manual_agg @ params.weight + params.bias, 0.0)
         assert np.allclose(out, expected, atol=1e-9)
 
-    def test_gin_plugin_equals_union_layer(self):
-        g = connected_random_graph(16)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
-        rng = np.random.default_rng(17)
-        params = nn.union_layer_params(3, 5, rng)
-        h = rng.normal(size=(g.num_nodes, 3))
-        out_union, _ = nn.union_layer_forward(params, g, h, coeffs)
-        out_plugin, _ = nn.plugin_mpnn_forward("gin", params, g, h, coeffs)
-        assert np.allclose(out_union, out_plugin)
-
-    def test_unknown_base_rejected(self):
-        with pytest.raises(Exception):
-            nn.plugin_mpnn_forward("gat", None, cycle_graph(3), np.ones((3, 1)))
-
 
 class TestAttention:
     def test_zero_weights_pure_bias(self):
         g = connected_random_graph(18, n=5)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
         rng = np.random.default_rng(19)
         params = nn.attention_params(3, rng)
         params.wq[...] = 0.0
         params.wk[...] = 0.0
         h = rng.normal(size=(5, 3))
-        logits, _ = nn.attention_bias_forward(params, g, h, coeffs)
+        logits, _ = nn.attention_bias_forward(params, make_batch([g]), h)
         for v in range(5):
             for u in range(5):
                 if not g.has_edge(v, u):
@@ -184,7 +252,6 @@ class TestAttention:
 
     def test_identity_weights_orthonormal_rows(self):
         g = complete_graph(4)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
         rng = np.random.default_rng(20)
         params = nn.attention_params(4, rng)
         params.wq[...] = np.eye(4)
@@ -194,9 +261,9 @@ class TestAttention:
         for b in params.trans.biases:
             b[...] = 0.0
         h = np.eye(4)  # orthonormal rows
-        logits, _ = nn.attention_bias_forward(params, g, h, coeffs)
-        # scores = I/sqrt(4); bias = 0 after zeroing trans? softmax of zeros
-        # is uniform, giving mean 1/deg per adjacent pair
+        logits, _ = nn.attention_bias_forward(params, make_batch([g]), h)
+        # scores = I/sqrt(4); with Trans zeroed the softmax is uniform,
+        # giving a bias of 1/deg per adjacent pair
         scores = np.eye(4) / 2.0
         bias = np.zeros((4, 4))
         for v in range(4):
@@ -205,131 +272,113 @@ class TestAttention:
         assert np.allclose(logits, scores + bias)
 
     def test_matches_dense_oracle(self):
-        g = connected_random_graph(21, n=5)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
+        graphs = [connected_random_graph(21, n=5), cycle_graph(4)]
         rng = np.random.default_rng(22)
         params = nn.attention_params(4, rng)
-        h = rng.normal(size=(5, 4))
-        logits, _ = nn.attention_bias_forward(params, g, h, coeffs)
-        t = nn.trans_table(params.trans, g, coeffs)
-        oracle = (h @ params.wq) @ (h @ params.wk).T / 2.0
-        for (v, u), vec in t.items():
-            oracle[v, u] += vec.mean()
+        h = rng.normal(size=(9, 4))
+        logits, _ = nn.attention_bias_forward(params, make_batch(graphs), h)
+        oracle = np.full((9, 9), -np.inf)
+        offset = 0
+        for g in graphs:
+            block = slice(offset, offset + g.num_nodes)
+            hg = h[block]
+            t = dense_trans(params.trans, g, coefficient_table(g, UNION_PATH_SVD))
+            oracle[block, block] = (hg @ params.wq) @ (hg @ params.wk).T / 2.0
+            oracle[block, block] += t.mean(axis=2)
+            offset += g.num_nodes
+        assert np.array_equal(np.isinf(logits), np.isinf(oracle))
         assert np.allclose(logits, oracle, atol=1e-10)
 
 
 class TestGradients:
     def _check(self, kind, seed):
         rng = np.random.default_rng(seed)
-        g = connected_random_graph(seed, n=6)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
-        h = rng.normal(size=(6, 4))
         if kind == "trans":
+            batch = make_batch([connected_random_graph(seed, n=6), cycle_graph(5)])
             trans = nn.mlp_init((1, 16, 4), rng)
-            target = rng.normal(size=4)
 
             def forward():
-                t, _, cache = nn.trans_forward(trans, g, coeffs)
-                return t, cache
+                t, mlp_cache = nn._batched_trans(trans, batch)
+                return t, (t, mlp_cache)
 
             def backward(cache, dout):
-                return nn.trans_backward(trans, cache, dout).arrays()
+                return nn._trans_backward(trans, batch, *cache, dout).arrays()
 
-            arrays = trans.arrays()
-        elif kind == "union":
-            params = nn.union_layer_params(4, 3, rng)
-            target = rng.normal(size=3)
-
-            def forward():
-                return nn.union_layer_forward(params, g, h, coeffs)
-
-            def backward(cache, dout):
-                return nn.union_layer_backward(params, cache, dout)[1].arrays()
-
-            arrays = params.arrays()
-        elif kind == "gcn":
-            params = nn.gcn_layer_params(4, 3, rng, with_trans=True)
-            target = rng.normal(size=3)
-
-            def forward():
-                return nn.plugin_mpnn_forward("gcn", params, g, h, coeffs)
-
-            def backward(cache, dout):
-                return nn.plugin_mpnn_backward("gcn", params, cache, dout)[1].arrays()
-
-            arrays = params.arrays()
-        elif kind == "gin":
-            params = nn.union_layer_params(4, 3, rng, with_trans=False)
-            target = rng.normal(size=3)
-
-            def forward():
-                return nn.plugin_mpnn_forward("gin", params, g, h)
-
-            def backward(cache, dout):
-                return nn.plugin_mpnn_backward("gin", params, cache, dout)[1].arrays()
-
-            arrays = params.arrays()
-        else:
+            loss = pooled_mse_head(forward, backward, rng.normal(size=4))
+            return nn.grad_check(loss, trans.arrays())
+        if kind == "attention":
+            graphs = [connected_random_graph(seed, n=6), connected_random_graph(seed + 9, n=4)]
+            batch = make_batch(graphs)
             params = nn.attention_params(4, rng)
-            target = rng.normal(size=6)
+            h = rng.normal(size=(batch.num_nodes, 4))
 
             def forward():
-                return nn.attention_bias_forward(params, g, h, coeffs)
+                # pairs in different graphs are -inf; hold them at 0
+                logits, cache = nn.attention_bias_forward(params, batch, h)
+                return np.where(np.isfinite(logits), logits, 0.0), cache
 
             def backward(cache, dout):
-                return nn.attention_bias_backward(params, cache, dout)[1].arrays()
+                return nn.attention_bias_backward(params, batch, cache, dout)[1].arrays()
 
-            arrays = params.arrays()
-        loss = nn.pooled_mse_head(forward, backward, target)
-        return nn.grad_check(loss, arrays)
+            loss = pooled_mse_head(forward, backward, rng.normal(size=batch.num_nodes))
+            return nn.grad_check(loss, params.arrays())
+        # the full classifier loss on a multi-graph batch ("union" is union-gin)
+        spec = nn.ModelSpec.parse(kind, hidden=4)
+        graphs = mixed_graphs(rng)
+        batch = make_batch(graphs, spec.use_coeffs)
+        model = nn.init_classifier(spec, 3, 2, rng)
+        for layer in model.layers:
+            if spec.base == "gcn":
+                # zero biases put isolated nodes exactly on the ReLU kink,
+                # where central differences see half a slope
+                layer.bias[...] = rng.normal(size=layer.bias.shape)
+            else:
+                layer.epsilon[...] = rng.normal()
+        labels = rng.integers(0, 2, size=len(graphs))
+        return nn.grad_check(classifier_loss(model, batch, labels), model.arrays())
 
-    @pytest.mark.parametrize("kind", ["trans", "union", "gcn", "gin", "attention"])
+    @pytest.mark.parametrize(
+        "kind", ["trans", "union", "gcn", "gin", "attention", "union-gcn"]
+    )
     def test_five_seeds_under_tolerance(self, kind):
         for seed in range(5):
             assert self._check(kind, seed) < 1e-4
 
     def test_identity_linear_configuration_is_exact(self):
-        g = complete_graph(2)
         params = nn.UnionLayerParams(
             np.zeros(()), nn.Mlp([np.eye(2)], [np.zeros(2)]), None
         )
+        batch = make_batch([complete_graph(2)], False)
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        target = np.zeros(2)
 
         def forward():
-            return nn.union_layer_forward(params, g, h)
+            return nn._layer_forward(params, batch, h)
 
         def backward(cache, dout):
-            return nn.union_layer_backward(params, cache, dout)[1].arrays()
+            return nn._layer_backward(params, batch, cache, dout)[1].arrays()
 
-        loss = nn.pooled_mse_head(forward, backward, target)
+        loss = pooled_mse_head(forward, backward, np.zeros(2))
         assert nn.grad_check(loss, params.arrays()) < 1e-9
 
 
 class TestBatchedEngineConsistency:
     def test_batched_matches_per_graph(self):
         rng = np.random.default_rng(23)
-        graphs = [connected_random_graph(s, n=6) for s in range(6)]
+        graphs = mixed_graphs(rng)
         for spec_name in ("gcn", "union-gcn", "gin", "union-gin"):
             spec = nn.ModelSpec.parse(spec_name, hidden=5)
-            model = nn.init_classifier(spec, 1, 2, rng)
-            tables = [
-                coefficient_table(g, UNION_PATH_SVD) if spec.use_coeffs else None
-                for g in graphs
-            ]
-            prepared = [
-                nn._PreparedGraph(g, c) for g, c in zip(graphs, tables)
-            ]
-            batch = nn._Batch(prepared)
-            batched, _ = nn._batched_forward(model, batch)
-            for i, (g, c) in enumerate(zip(graphs, tables)):
-                single, _ = nn.classifier_forward(model, g, c)
-                assert np.allclose(single, batched[i], atol=1e-10)
+            model = nn.init_classifier(spec, 3, 2, rng)
+            for layer in model.layers:
+                if spec.base == "gin":
+                    layer.epsilon[...] = rng.normal()
+            batched, _ = nn._batched_forward(model, make_batch(graphs, spec.use_coeffs))
+            for i, g in enumerate(graphs):
+                coeffs = coefficient_table(g, UNION_PATH_SVD) if spec.use_coeffs else None
+                assert np.allclose(batched[i], dense_logits(model, g, coeffs), atol=1e-10)
 
 
 class TestTraining:
     def test_constant_label_dataset_reaches_full_accuracy(self):
-        rng = random.Random(24)
         graphs = [connected_random_graph(s, n=5) for s in range(8)]
         data = [(g, 0) for g in graphs]
         spec = nn.ModelSpec.parse("gcn", hidden=8)
@@ -353,6 +402,32 @@ class TestTraining:
         assert a.loss_curve == b.loss_curve  # bit-identical
         for x, y in zip(a.model.arrays(), b.model.arrays()):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("name", ["union-gcn", "union-gin"])
+    def test_edgeless_graphs_train(self, name):
+        spec = nn.ModelSpec.parse(name, hidden=4)
+        mixed = [(connected_random_graph(s, n=5), s % 2) for s in range(3)]
+        mixed += [(Graph(3, []), 0), (Graph(1, []), 1)]
+        edgeless = [(Graph(n, []), n % 2) for n in (1, 2, 3, 4)]
+        for data in (mixed, edgeless):
+            report = nn.train_classifier(data, data, data, spec, epochs=2, seed=0, batch_size=4)
+            assert all(np.isfinite(loss) for _, loss, _ in report.loss_curve)
+
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_graph_without_nodes_rejected(self, position):
+        data = [(connected_random_graph(s, n=5), s % 2) for s in range(2)]
+        data.insert(position, (parse_graph("0 0"), 0))
+        spec = nn.ModelSpec.parse("gcn", hidden=4)
+        with pytest.raises(GraphError, match="no nodes"):
+            nn.train_classifier(data, data, data, spec, epochs=1, seed=0, batch_size=3)
+
+    def test_mixed_feature_widths_rejected(self):
+        rng = np.random.default_rng(26)
+        g = connected_random_graph(3, n=5)
+        data = [(with_features(g, rng, 1), 0), (with_features(g, rng, 2), 1)]
+        spec = nn.ModelSpec.parse("gcn", hidden=4)
+        with pytest.raises(GraphError, match="feature channels"):
+            nn.train_classifier(data, data, data, spec, epochs=1, seed=0)
 
     def test_bad_labels_rejected(self):
         graphs = [(connected_random_graph(1, n=5), 2)]
