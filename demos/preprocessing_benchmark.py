@@ -1,10 +1,10 @@
 """Relative preprocessing cost of the descriptor kinds.
 
-Times one full pass of each per-edge descriptor over an identical synthetic
-corpus (per-edge computation is self-contained, no caching).  The expected
-ordering: node/edge counting is cheapest, the path-matrix singular-value sum
-costs a bit more, exact-transport curvature costs several times that, and
-6-cycle counting dwarfs them all.
+Times one coefficient table per graph for each per-edge descriptor, and one
+6-cycle count per graph, over an identical synthetic corpus.  The paper's
+expected ordering: node/edge counting is cheapest, the path-matrix
+singular-value sum costs a bit more, exact-transport curvature costs several
+times that, and 6-cycle counting dwarfs them all.
 """
 
 import json

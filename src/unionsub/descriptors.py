@@ -1,7 +1,9 @@
 """Per-edge structural descriptors, matrix encodings, and coefficient tables.
 
 The flagship descriptor turns an edge's union subgraph into its shortest-path
-matrix and encodes it as the singular-value sum (nuclear norm).  Rival
+matrix and encodes it as the singular-value sum (nuclear norm).  Coefficient
+tables build every edge's local matrix in closed form and encode the matrices
+of one size with a single batched ``eigvalsh``.  Rival
 descriptors (edge betweenness, node/edge count, Ollivier-Ricci curvature with
 exact optimal transport, Laplacian spectrum, cycle counting) share the same
 coefficient-table plumbing so they can be swapped per edge.
@@ -23,11 +25,13 @@ from .graphs import (
     closed_neighborhood,
     count_simple_cycles,
 )
-from .linalg import max_abs_eigenvalue, nuclear_norm_symmetric
-from .substructure import overlap_subgraph, union_minus_subgraph, union_subgraph
+from .substructure import union_subgraph
 from .transport import wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
+# matrix entries stacked before a batch is encoded; bounds the memory of a
+# table on a large graph
+BATCH_ENTRIES = 1 << 20
 
 
 class DescriptorError(ValueError):
@@ -171,14 +175,77 @@ def encode_matrix(matrix, encoding):
         raise DescriptorError("matrix entries must be finite")
     if encoding is Encoding.MATRIX_SUM:
         return float(m.sum())
-    try:
-        if encoding is Encoding.EIGEN_MAX:
-            return max_abs_eigenvalue(m)
-        if encoding is Encoding.SVD_SUM:
-            return nuclear_norm_symmetric(m)
-    except ValueError as exc:
-        raise DescriptorError(str(exc)) from None
+    if not np.allclose(m, m.T, atol=1e-9):
+        raise DescriptorError("matrix must be symmetric")
+    return float(_encode_stack(((m + m.T) / 2.0)[None], encoding)[0])
+
+
+def _encode_stack(stack, encoding):
+    """Encode a (B, k, k) stack of symmetric matrices, one value per matrix.
+
+    Singular values of a symmetric matrix are its absolute eigenvalues, so
+    both spectral encodings need only ``eigvalsh``.
+    """
+    if encoding is Encoding.MATRIX_SUM:
+        return stack.sum(axis=(1, 2))
+    if encoding is Encoding.SVD_SUM:
+        return np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+    if encoding is Encoding.EIGEN_MAX:
+        return np.abs(np.linalg.eigvalsh(stack)).max(axis=1, initial=0.0)
     raise DescriptorError(f"unknown encoding {encoding!r}")
+
+
+def matrix_descriptor_values(g, edges, kind, encoding):
+    """Encoded local matrices of a matrix kind for ``edges`` of g, in order.
+
+    Local nodes are N[v] | N[u] (N[v] & N[u] for overlap); union-minus drops
+    the edges between v's and u's exclusive neighbours.  Every local node is
+    v, u or adjacent to one of them, and v ~ u, so the diameter is at most 3:
+    off the diagonal the path matrix is 1 on edges, 2 where A^2 > 0, else 3.
+    Matrices of one size are stacked and encoded by one batched call.
+    """
+    adj = g.adjacency
+    minus = kind.kind == "minus-path"
+    values = np.empty(len(edges))
+    groups = {}  # size k -> (positions in edges, flat indices of local edges)
+    pending = 0
+    for pos, (v, u) in enumerate(edges):
+        nv, nu = {v, *adj[v]}, {u, *adj[u]}
+        nodes = sorted(nv & nu if kind.kind == "overlap-path" else nv | nu)
+        k = len(nodes)
+        index = {p: i for i, p in enumerate(nodes)}
+        members, flat = groups.setdefault(k, ([], []))
+        offset = len(members) * k * k
+        members.append(pos)
+        for i, p in enumerate(nodes):
+            for q in adj[p]:
+                j = index.get(q)
+                if j is None:
+                    continue
+                if minus and not (p in nv and q in nv or p in nu and q in nu):
+                    continue  # joins an exclusive neighbour of v to one of u
+                flat.append(offset + i * k + j)
+        pending += k * k
+        if pending >= BATCH_ENTRIES or pos == len(edges) - 1:
+            for size, (at, cells) in groups.items():
+                a = np.zeros((len(at), size, size))
+                a.reshape(-1)[cells] = 1.0
+                values[at] = _encode_stack(_local_matrices(a, kind), encoding)
+            groups.clear()
+            pending = 0
+    return values
+
+
+def _local_matrices(a, kind):
+    """Laplacian or closed-form path matrices of a (B, k, k) adjacency stack."""
+    diag = np.arange(a.shape[1])
+    if kind.kind == "laplacian":
+        m = -a
+        m[:, diag, diag] = a.sum(axis=2)
+    else:
+        m = np.where(a > 0, 1.0, np.where(a @ a > 0, 2.0, 3.0))
+        m[:, diag, diag] = 0.0
+    return m
 
 
 def laplacian_matrix(s):
@@ -335,17 +402,11 @@ class CoefficientTable:
 
 
 def edge_descriptor_value(g, v, u, kind, encoding=Encoding.SVD_SUM):
-    """Raw descriptor value of one edge; self-contained per edge (no caching)."""
-    if kind.kind == "union-path":
-        return encode_matrix(path_matrix(union_subgraph(g, v, u)).entries, encoding)
-    if kind.kind == "overlap-path":
-        return encode_matrix(path_matrix(overlap_subgraph(g, v, u)).entries, encoding)
-    if kind.kind == "minus-path":
-        return encode_matrix(
-            path_matrix(union_minus_subgraph(g, v, u)).entries, encoding
-        )
-    if kind.kind == "laplacian":
-        return encode_matrix(laplacian_matrix(union_subgraph(g, v, u)), encoding)
+    """Raw descriptor value of one edge, computed as coefficient_table does."""
+    if kind.kind in Descriptor.MATRIX_KINDS:
+        if u not in g.neighbors(v):
+            raise GraphError(f"({v}, {u}) is not an edge")
+        return float(matrix_descriptor_values(g, [(v, u)], kind, encoding)[0])
     if kind.kind == "betweenness":
         return edge_betweenness_descriptor(union_subgraph(g, v, u), v, u)
     if kind.kind == "count-ne":
@@ -363,12 +424,16 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     """
     if kind.kind == "cycle-count":
         raise DescriptorError("cycle-count is graph-global, not a per-edge kind")
-    raw = {}
-    for v, u in g.edges:
-        try:
-            raw[(v, u)] = float(edge_descriptor_value(g, v, u, kind, encoding))
-        except (DescriptorError, GraphError, RuntimeError) as exc:
-            raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
+    if kind.kind in Descriptor.MATRIX_KINDS:
+        values = matrix_descriptor_values(g, g.edges, kind, encoding)
+        raw = dict(zip(g.edges, values.tolist()))
+    else:
+        raw = {}
+        for v, u in g.edges:
+            try:
+                raw[(v, u)] = float(edge_descriptor_value(g, v, u, kind, encoding))
+            except (DescriptorError, GraphError, RuntimeError) as exc:
+                raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
     normalized = {}
     for v in range(g.num_nodes):
         neighbors = g.neighbors(v)

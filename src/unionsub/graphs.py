@@ -205,7 +205,7 @@ class Subgraph:
 # ---------------------------------------------------------------------------
 
 def parse_graph(text):
-    """Parse a graph from edge-list or JSON text (bytes or str).
+    """Parse a graph from edge-list or JSON text (ASCII bytes or str).
 
     Edge-list format: first line "n m", then m lines "u v" with 0-based ids.
     JSON format: {"num_nodes": n, "edges": [[u, v], ...], "features": [[...], ...]}.
@@ -217,6 +217,12 @@ def parse_graph(text):
             raise GraphParseError(
                 f"not ASCII text: byte 0x{text[exc.start]:02x} at offset {exc.start}"
             ) from None
+    if not text.isascii():
+        # int() would read any Unicode digit, such as a full-width 3
+        offset = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise GraphParseError(
+            f"not ASCII text: U+{ord(text[offset]):04X} at offset {offset}"
+        )
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(text)

@@ -142,6 +142,14 @@ class TestGenCommand:
         assert len(graphs) == 5
         assert all(10 <= g.num_nodes <= 20 for g in graphs)
 
+    @pytest.mark.parametrize("spec", [
+        "er:1-1", "er:x", "er:5-x", "er:9-5", "er:5-9:x", "er:5-9:0", "er:5-9:-2",
+        "er:5-9:nan", "er:5-9:3:1",
+    ])
+    def test_bad_er_spec_exit_1(self, spec, tmp_path, capsys):
+        assert main(["gen", spec, "--count", "1", "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err.startswith("parse error:")
+
 
 class TestDatasetFiles:
     @pytest.fixture
@@ -193,6 +201,19 @@ class TestBenchCommand:
         report = run_bench(graphs, ["count-ne", "cycle-count:6"], repeats=1)
         edges = {stats["edges"] for stats in report["kinds"].values()}
         assert edges == {sum(g.num_edges for g in graphs)}
+
+    def test_per_edge_kinds_time_one_table_per_graph(self, monkeypatch):
+        from unionsub import cli
+        from unionsub.graphs import cycle_graph
+
+        tabled = []
+        table = cli.coefficient_table
+        monkeypatch.setattr(
+            cli, "coefficient_table", lambda g, *args: tabled.append(g) or table(g, *args)
+        )
+        graphs = [cycle_graph(6), cycle_graph(8)]
+        run_bench(graphs, ["union-path", "curvature", "cycle-count:6"], repeats=2)
+        assert tabled == graphs * 4
 
 
 class TestTrainCommand:

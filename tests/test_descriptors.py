@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from unionsub import descriptors
 from unionsub.descriptors import (
     BETWEENNESS,
     COUNT_NE,
@@ -20,6 +22,7 @@ from unionsub.descriptors import (
     count_ne_descriptor,
     cycle_count,
     edge_betweenness_descriptor,
+    edge_descriptor_value,
     encode_matrix,
     laplacian_matrix,
     path_matrix,
@@ -28,6 +31,7 @@ from unionsub.descriptors import (
 )
 from unionsub.graphs import (
     Graph,
+    GraphError,
     bfs_distances,
     closed_neighborhood,
     complete_graph,
@@ -35,11 +39,12 @@ from unionsub.graphs import (
     induced_subgraph,
     path_graph,
     random_graph,
+    rook_graph_4x4,
+    shrikhande_graph,
     star_graph,
     two_triangles_graph,
 )
-from unionsub.linalg import ConvergenceError, jacobi_eigenvalues, nuclear_norm_symmetric
-from unionsub.substructure import union_subgraph
+from unionsub.substructure import overlap_subgraph, union_minus_subgraph, union_subgraph
 from unionsub.transport import solve_transport, wasserstein_discrete
 
 
@@ -170,16 +175,96 @@ class TestJacobiEncodings:
         with pytest.raises(DescriptorError, match="symmetric"):
             encode_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]), Encoding.SVD_SUM)
 
-    def test_convergence_cap(self):
-        with pytest.raises(ConvergenceError):
-            jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+    def test_encodings_match_scipy_oracle(self):
+        from scipy.linalg import eigvalsh, svdvals
 
-    def test_jacobi_tolerance_is_tight(self):
         rng = np.random.default_rng(9)
-        m = rng.normal(size=(8, 8))
-        m = m + m.T
-        eig = jacobi_eigenvalues(m)
-        assert np.allclose(eig, np.linalg.eigvalsh(m), atol=1e-9)
+        for dim in (0, 1, 2, 5, 8, 13):
+            m = rng.normal(size=(dim, dim))
+            m = m + m.T
+            svd = svdvals(m).sum() if dim else 0.0
+            top = np.abs(eigvalsh(m)).max() if dim else 0.0
+            assert encode_matrix(m, Encoding.SVD_SUM) == pytest.approx(svd, rel=1e-12)
+            assert encode_matrix(m, Encoding.EIGEN_MAX) == pytest.approx(top, rel=1e-12)
+
+
+def _graph_with_isolated_nodes():
+    # a triangle with a pendant, a disjoint path and two isolated nodes
+    return Graph(11, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6), (6, 7), (7, 8)])
+
+
+def _random_reference_graph(seed):
+    rng = random.Random(seed)
+    return random_graph(rng.randint(5, 16), rng.uniform(0.15, 0.6), rng)
+
+
+REFERENCE_GRAPHS = {
+    "c6": cycle_graph(6),
+    "two-triangles": two_triangles_graph(),
+    "k2": complete_graph(2),
+    "star": star_graph(5),
+    "rook4x4": rook_graph_4x4(),
+    "shrikhande": shrikhande_graph(),
+    "isolated-and-components": _graph_with_isolated_nodes(),
+    **{f"random-{seed}": _random_reference_graph(seed) for seed in range(8)},
+}
+MATRIX_SUBGRAPHS = {
+    "union-path": union_subgraph,
+    "overlap-path": overlap_subgraph,
+    "minus-path": union_minus_subgraph,
+    "laplacian": union_subgraph,
+}
+
+
+def _reference_value(g, v, u, kind, encoding):
+    sub = MATRIX_SUBGRAPHS[kind](g, v, u)
+    if kind == "laplacian":
+        return encode_matrix(laplacian_matrix(sub), encoding)
+    return encode_matrix(path_matrix(sub).entries, encoding)
+
+
+class TestBatchedMatrixKinds:
+    """Tables of the matrix kinds against per-edge BFS path matrices."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+    def test_table_matches_bfs_reference(self, name):
+        g = REFERENCE_GRAPHS[name]
+        for kind in Descriptor.MATRIX_KINDS:
+            for encoding in Encoding:
+                with warnings.catch_warnings():
+                    # laplacian matrix sums are 0, so normalization falls back
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    table = coefficient_table(g, Descriptor(kind), encoding)
+                assert set(table.raw) == set(g.edges)
+                for (v, u), value in table.raw.items():
+                    ref = _reference_value(g, v, u, kind, encoding)
+                    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (
+                        kind, encoding, v, u)
+
+    def test_single_edge_equals_table(self):
+        g = REFERENCE_GRAPHS["random-3"]
+        for kind in Descriptor.MATRIX_KINDS:
+            table = coefficient_table(g, Descriptor(kind), Encoding.EIGEN_MAX)
+            for (v, u), value in table.raw.items():
+                assert edge_descriptor_value(
+                    g, u, v, Descriptor(kind), Encoding.EIGEN_MAX
+                ) == pytest.approx(value, rel=1e-12)
+
+    def test_single_edge_rejects_non_edge(self):
+        with pytest.raises(GraphError, match="not an edge"):
+            edge_descriptor_value(path_graph(3), 0, 2, UNION_PATH_SVD)
+
+    def test_small_batches_match_one_batch(self, monkeypatch):
+        g = REFERENCE_GRAPHS["rook4x4"]
+        whole = coefficient_table(g, MINUS_PATH_SVD)
+        monkeypatch.setattr(descriptors, "BATCH_ENTRIES", 1)
+        assert coefficient_table(g, MINUS_PATH_SVD).raw == pytest.approx(
+            whole.raw, rel=1e-12
+        )
+
+    def test_edgeless_graph(self):
+        table = coefficient_table(Graph(3, []), UNION_PATH_SVD)
+        assert table.raw == {} and table.normalized == {}
 
 
 class TestBetweenness:

@@ -117,6 +117,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text, message", [
         (b"2 1\n0 1\xff\n", "not ASCII"),
+        ("\uff13 1\n0 1\n", "not ASCII"),  # a full-width 3
         ('{"num_nodes": 3, "edges": [["0", 1]]}', "integers"),
         ('{"num_nodes": 3, "edges": [[0.0, 1.5]]}', "integers"),
         ('{"num_nodes": true, "edges": []}', "num_nodes"),
