@@ -49,9 +49,7 @@ from .descriptors import (
     Encoding,
     PathMatrix,
     coefficient_table,
-    count_ne_descriptor,
     cycle_count,
-    edge_betweenness_descriptor,
     encode_matrix,
     path_matrix,
     reconstruct_subgraph,

@@ -2,10 +2,11 @@
 
 The flagship descriptor turns an edge's union subgraph into its shortest-path
 matrix and encodes it as the singular-value sum (nuclear norm).  Coefficient
-tables build every edge's local matrix in closed form and encode the matrices
-of one size with a single batched ``eigvalsh``.  Rival
-descriptors (edge betweenness, node/edge count, Ollivier-Ricci curvature with
-exact optimal transport, Laplacian spectrum, cycle counting) share the same
+tables build every edge's local adjacency matrix and stack the matrices of
+one size: path matrices come in closed form and are encoded by one batched
+``eigvalsh``, and the rival edge betweenness and node/edge count come from
+the same stacks.  The other rivals (Ollivier-Ricci curvature with exact
+optimal transport, Laplacian spectrum, cycle counting) share the same
 coefficient-table plumbing so they can be swapped per edge.
 """
 
@@ -25,7 +26,6 @@ from .graphs import (
     closed_neighborhood,
     count_simple_cycles,
 )
-from .substructure import union_subgraph
 from .transport import wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
@@ -67,9 +67,10 @@ class Descriptor:
     alpha: float = 0.5
     cycle_len: int = 6
 
-    MATRIX_KINDS = ("union-path", "overlap-path", "minus-path", "laplacian")
-    SCALAR_KINDS = ("betweenness", "count-ne", "curvature")
-    KINDS = MATRIX_KINDS + SCALAR_KINDS + ("cycle-count",)
+    KINDS = (
+        "union-path", "overlap-path", "minus-path", "laplacian",
+        "betweenness", "count-ne", "curvature", "cycle-count",
+    )
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -195,28 +196,30 @@ def _encode_stack(stack, encoding):
     raise DescriptorError(f"unknown encoding {encoding!r}")
 
 
-def matrix_descriptor_values(g, edges, kind, encoding):
-    """Encoded local matrices of a matrix kind for ``edges`` of g, in order.
+def local_descriptor_values(g, edges, kind, encoding):
+    """Values of every per-edge kind but curvature for ``edges`` of g, in order.
 
     Local nodes are N[v] | N[u] (N[v] & N[u] for overlap); union-minus drops
     the edges between v's and u's exclusive neighbours.  Every local node is
     v, u or adjacent to one of them, and v ~ u, so the diameter is at most 3:
     off the diagonal the path matrix is 1 on edges, 2 where A^2 > 0, else 3.
-    Matrices of one size are stacked and encoded by one batched call.
+    Local adjacency matrices of one size are stacked and evaluated together.
     """
     adj = g.adjacency
     minus = kind.kind == "minus-path"
     values = np.empty(len(edges))
-    groups = {}  # size k -> (positions in edges, flat indices of local edges)
+    # size k -> (positions in edges, flat indices of local edges, local (v, u))
+    groups = {}
     pending = 0
     for pos, (v, u) in enumerate(edges):
         nv, nu = {v, *adj[v]}, {u, *adj[u]}
         nodes = sorted(nv & nu if kind.kind == "overlap-path" else nv | nu)
         k = len(nodes)
         index = {p: i for i, p in enumerate(nodes)}
-        members, flat = groups.setdefault(k, ([], []))
+        members, flat, ends = groups.setdefault(k, ([], [], []))
         offset = len(members) * k * k
         members.append(pos)
+        ends.append((index[v], index[u]))
         for i, p in enumerate(nodes):
             for q in adj[p]:
                 j = index.get(q)
@@ -227,25 +230,44 @@ def matrix_descriptor_values(g, edges, kind, encoding):
                 flat.append(offset + i * k + j)
         pending += k * k
         if pending >= BATCH_ENTRIES or pos == len(edges) - 1:
-            for size, (at, cells) in groups.items():
+            for size, (at, cells, local_ends) in groups.items():
                 a = np.zeros((len(at), size, size))
                 a.reshape(-1)[cells] = 1.0
-                values[at] = _encode_stack(_local_matrices(a, kind), encoding)
+                values[at] = _stack_values(a, np.array(local_ends), kind, encoding)
             groups.clear()
             pending = 0
     return values
 
 
-def _local_matrices(a, kind):
-    """Laplacian or closed-form path matrices of a (B, k, k) adjacency stack."""
-    diag = np.arange(a.shape[1])
+def _stack_values(a, ends, kind, encoding):
+    """One value per matrix of a (B, k, k) local adjacency stack.
+
+    Row i of the (B, 2) array ``ends`` holds the local indices of matrix i's
+    edge endpoints v and u.
+    """
+    batch, k, _ = a.shape
+    if kind.kind == "count-ne":
+        return a.sum(axis=(1, 2)) / 2 / (k * (k - 1)) * k ** kind.lam
+    diag = np.arange(k)
     if kind.kind == "laplacian":
         m = -a
         m[:, diag, diag] = a.sum(axis=2)
-    else:
-        m = np.where(a > 0, 1.0, np.where(a @ a > 0, 2.0, 3.0))
-        m[:, diag, diag] = 0.0
-    return m
+        return _encode_stack(m, encoding)
+    a2 = a @ a
+    d = np.where(a > 0, 1.0, np.where(a2 > 0, 2.0, 3.0))
+    d[:, diag, diag] = 0.0
+    if kind.kind != "betweenness":
+        return _encode_stack(d, encoding)
+    # shortest-path counts; at distance <= 3 every shortest walk is a path
+    sigma = np.where(a > 0, 1.0, np.where(a2 > 0, a2, a2 @ a))
+    sigma[:, diag, diag] = 1.0
+    # the ordered pair (x, y) counts its shortest paths x ... v - u ... y and
+    # (y, x) those through u - v, so each unordered pair sees both directions
+    rows = np.arange(batch)
+    da, db = d[rows, ends[:, 0]], d[rows, ends[:, 1]]
+    sa, sb = sigma[rows, ends[:, 0]], sigma[rows, ends[:, 1]]
+    on_path = da[:, :, None] + 1.0 + db[:, None, :] == d
+    return (on_path * sa[:, :, None] * sb[:, None, :] / sigma).sum(axis=(1, 2))
 
 
 def laplacian_matrix(s):
@@ -264,66 +286,15 @@ def laplacian_matrix(s):
 # Rival descriptors
 # ---------------------------------------------------------------------------
 
-def _local_graph_and_edge(s, v, u):
-    if isinstance(s, Subgraph):
-        return s.local, s.local_index(v), s.local_index(u)
-    return s, v, u
-
-
-def edge_betweenness_descriptor(s, v, u):
-    """Fraction of all-pairs shortest paths passing through edge (v, u).
-
-    Pairs are unordered and include the endpoints' own pair, which always
-    contributes 1 through its own edge.
-    """
-    g, a, b = _local_graph_and_edge(s, v, u)
-    if not g.has_edge(a, b):
-        raise DescriptorError(f"({v}, {u}) is not an edge of the subgraph")
-    n = g.num_nodes
-    dist = []
-    sigma = []
-    for src in range(n):
-        d = bfs_distances(g, src)
-        if min(d) < 0:
-            raise DescriptorError("betweenness requires a connected subgraph")
-        counts = [0] * n
-        counts[src] = 1
-        for x in sorted(range(n), key=d.__getitem__):
-            for y in g.neighbors(x):
-                if d[y] == d[x] + 1:
-                    counts[y] += counts[x]
-        dist.append(d)
-        sigma.append(counts)
-    total = 0.0
-    for x in range(n):
-        for y in range(x + 1, n):
-            through = 0
-            if dist[x][a] + 1 + dist[b][y] == dist[x][y]:
-                through += sigma[x][a] * sigma[b][y]
-            if dist[x][b] + 1 + dist[a][y] == dist[x][y]:
-                through += sigma[x][b] * sigma[a][y]
-            total += through / sigma[x][y]
-    return total
-
-
-def count_ne_descriptor(s, lam=2):
-    """Edge-density times node-count power: |E| / (|V|(|V|-1)) * |V|**lam."""
-    if lam not in (1, 2):
-        raise DescriptorError("lambda must be 1 or 2")
-    g = s.local if isinstance(s, Subgraph) else s
-    n = g.num_nodes
-    if n < 2:
-        raise DescriptorError("count-ne needs at least 2 nodes")
-    return g.num_edges / (n * (n - 1)) * n ** lam
-
-
 def ricci_curvature(g, v, u, alpha=0.5):
     """Lazy-random-walk Ricci curvature of an edge, with exact transport.
 
     Each endpoint keeps mass alpha and spreads (1 - alpha) uniformly over
     its neighbors; the curvature is 1 - W(mu_v, mu_u) / d(v, u) with d = 1
     for adjacent nodes.  Supports and ground distances live in the full
-    graph, not the union subgraph.
+    graph, not the union subgraph: as v ~ u, a support node x of v and y of
+    u lie at distance 0 (x = y), 1 (x ~ y), 2 (a common neighbour, which may
+    sit outside the union subgraph) or 3.
     """
     if not 0.0 <= alpha < 1.0:
         raise DescriptorError("alpha must lie in [0, 1)")
@@ -339,13 +310,17 @@ def ricci_curvature(g, v, u, alpha=0.5):
 
     mu = np.array([mass(v, x) for x in support_v])
     nu = np.array([mass(u, y) for y in support_u])
+    adj = g.adjacency
     ground = np.empty((len(support_v), len(support_u)))
     for i, x in enumerate(support_v):
-        dist = bfs_distances(g, x)
+        near = set(adj[x])
         for j, y in enumerate(support_u):
-            if dist[y] < 0:
-                raise DescriptorError("supports are not mutually reachable")
-            ground[i, j] = dist[y]
+            if x == y:
+                ground[i, j] = 0.0
+            elif y in near:
+                ground[i, j] = 1.0
+            else:
+                ground[i, j] = 2.0 if near.intersection(adj[y]) else 3.0
     wass = wasserstein_discrete(mu, nu, ground)
     return 1.0 - wass / 1.0
 
@@ -403,17 +378,17 @@ class CoefficientTable:
 
 def edge_descriptor_value(g, v, u, kind, encoding=Encoding.SVD_SUM):
     """Raw descriptor value of one edge, computed as coefficient_table does."""
-    if kind.kind in Descriptor.MATRIX_KINDS:
-        if u not in g.neighbors(v):
-            raise GraphError(f"({v}, {u}) is not an edge")
-        return float(matrix_descriptor_values(g, [(v, u)], kind, encoding)[0])
-    if kind.kind == "betweenness":
-        return edge_betweenness_descriptor(union_subgraph(g, v, u), v, u)
-    if kind.kind == "count-ne":
-        return count_ne_descriptor(union_subgraph(g, v, u), kind.lam)
+    _require_per_edge(kind)
     if kind.kind == "curvature":
         return ricci_curvature(g, v, u, kind.alpha)
-    raise DescriptorError(f"{kind.kind!r} has no per-edge value")
+    if not g.has_edge(v, u):
+        raise GraphError(f"({v}, {u}) is not an edge")
+    return float(local_descriptor_values(g, [(v, u)], kind, encoding)[0])
+
+
+def _require_per_edge(kind):
+    if kind.kind == "cycle-count":
+        raise DescriptorError("cycle-count is graph-global, not a per-edge kind")
 
 
 def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
@@ -422,18 +397,17 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     Deterministic regardless of node labeling.  cycle-count is graph-global
     and rejected here (it exists for the preprocessing benchmark only).
     """
-    if kind.kind == "cycle-count":
-        raise DescriptorError("cycle-count is graph-global, not a per-edge kind")
-    if kind.kind in Descriptor.MATRIX_KINDS:
-        values = matrix_descriptor_values(g, g.edges, kind, encoding)
-        raw = dict(zip(g.edges, values.tolist()))
-    else:
+    _require_per_edge(kind)
+    if kind.kind == "curvature":
         raw = {}
         for v, u in g.edges:
             try:
-                raw[(v, u)] = float(edge_descriptor_value(g, v, u, kind, encoding))
-            except (DescriptorError, GraphError, RuntimeError) as exc:
+                raw[(v, u)] = float(ricci_curvature(g, v, u, kind.alpha))
+            except (DescriptorError, RuntimeError) as exc:
                 raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
+    else:
+        values = local_descriptor_values(g, g.edges, kind, encoding)
+        raw = dict(zip(g.edges, values.tolist()))
     normalized = {}
     for v in range(g.num_nodes):
         neighbors = g.neighbors(v)

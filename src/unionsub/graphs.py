@@ -6,6 +6,7 @@ sorted tuples.  Everything here is a pure function over immutable data.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
@@ -93,11 +94,11 @@ class Graph:
         return tuple(sorted(len(a) for a in self.adjacency))
 
     def has_edge(self, u, v):
-        return _normalize_edge(u, v) in self._edge_set()
-
-    def _edge_set(self):
-        # edges tuple is small; build a set on demand
-        return set(self.edges)
+        if not 0 <= u < self.num_nodes:
+            return False
+        row = self.adjacency[u]
+        i = bisect.bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def _check_node(self, v):
         if not (0 <= v < self.num_nodes):
@@ -317,9 +318,11 @@ def induced_subgraph(g, nodes):
     for v in parent_ids:
         g._check_node(v)
     index = {p: i for i, p in enumerate(parent_ids)}
-    member = set(parent_ids)
     local_edges = [
-        (index[u], index[v]) for u, v in g.edges if u in member and v in member
+        (i, index[q])
+        for i, p in enumerate(parent_ids)
+        for q in g.adjacency[p]
+        if q > p and q in index
     ]
     features = None
     if g.features is not None and parent_ids:

@@ -19,9 +19,7 @@ from unionsub.descriptors import (
     DescriptorError,
     Encoding,
     coefficient_table,
-    count_ne_descriptor,
     cycle_count,
-    edge_betweenness_descriptor,
     edge_descriptor_value,
     encode_matrix,
     laplacian_matrix,
@@ -214,9 +212,42 @@ MATRIX_SUBGRAPHS = {
     "minus-path": union_minus_subgraph,
     "laplacian": union_subgraph,
 }
+MATRIX_KINDS = tuple(MATRIX_SUBGRAPHS)
+
+
+def betweenness_oracle(g, a, b):
+    """Edge betweenness of (a, b) in g by enumerating every shortest path."""
+    total = 0.0
+    for x in range(g.num_nodes):
+        dist = bfs_distances(g, x)
+        for y in range(x + 1, g.num_nodes):
+            paths = []
+            stack = [(x, [x])]
+            while stack:
+                node, path = stack.pop()
+                if node == y:
+                    paths.append(path)
+                    continue
+                for w in g.neighbors(node):
+                    if dist[w] == dist[node] + 1 and dist[w] <= dist[y]:
+                        stack.append((w, path + [w]))
+            through = sum(
+                1
+                for p in paths
+                if any({p[i], p[i + 1]} == {a, b} for i in range(len(p) - 1))
+            )
+            total += through / len(paths)
+    return total
 
 
 def _reference_value(g, v, u, kind, encoding):
+    if kind == "betweenness":
+        sub = union_subgraph(g, v, u)
+        return betweenness_oracle(sub.local, sub.local_index(v), sub.local_index(u))
+    if kind == "count-ne":
+        sub = union_subgraph(g, v, u)
+        n = sub.num_nodes
+        return sub.num_edges / (n * (n - 1)) * n ** COUNT_NE.lam
     sub = MATRIX_SUBGRAPHS[kind](g, v, u)
     if kind == "laplacian":
         return encode_matrix(laplacian_matrix(sub), encoding)
@@ -224,26 +255,27 @@ def _reference_value(g, v, u, kind, encoding):
 
 
 class TestBatchedMatrixKinds:
-    """Tables of the matrix kinds against per-edge BFS path matrices."""
+    """Tables of the local kinds against per-edge BFS and counting references."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
     def test_table_matches_bfs_reference(self, name):
         g = REFERENCE_GRAPHS[name]
-        for kind in Descriptor.MATRIX_KINDS:
-            for encoding in Encoding:
-                with warnings.catch_warnings():
-                    # laplacian matrix sums are 0, so normalization falls back
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    table = coefficient_table(g, Descriptor(kind), encoding)
-                assert set(table.raw) == set(g.edges)
-                for (v, u), value in table.raw.items():
-                    ref = _reference_value(g, v, u, kind, encoding)
-                    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (
-                        kind, encoding, v, u)
+        cases = [(kind, encoding) for kind in MATRIX_KINDS for encoding in Encoding]
+        cases += [("betweenness", Encoding.SVD_SUM), ("count-ne", Encoding.SVD_SUM)]
+        for kind, encoding in cases:
+            with warnings.catch_warnings():
+                # laplacian matrix sums are 0, so normalization falls back
+                warnings.simplefilter("ignore", RuntimeWarning)
+                table = coefficient_table(g, Descriptor(kind), encoding)
+            assert set(table.raw) == set(g.edges)
+            for (v, u), value in table.raw.items():
+                ref = _reference_value(g, v, u, kind, encoding)
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (
+                    kind, encoding, v, u)
 
     def test_single_edge_equals_table(self):
         g = REFERENCE_GRAPHS["random-3"]
-        for kind in Descriptor.MATRIX_KINDS:
+        for kind in MATRIX_KINDS + ("betweenness", "count-ne"):
             table = coefficient_table(g, Descriptor(kind), Encoding.EIGEN_MAX)
             for (v, u), value in table.raw.items():
                 assert edge_descriptor_value(
@@ -255,12 +287,15 @@ class TestBatchedMatrixKinds:
             edge_descriptor_value(path_graph(3), 0, 2, UNION_PATH_SVD)
 
     def test_small_batches_match_one_batch(self, monkeypatch):
-        g = REFERENCE_GRAPHS["rook4x4"]
-        whole = coefficient_table(g, MINUS_PATH_SVD)
+        cases = [
+            (REFERENCE_GRAPHS[name], kind)
+            for name in ("rook4x4", "random-3")
+            for kind in (MINUS_PATH_SVD, BETWEENNESS)
+        ]
+        whole = [coefficient_table(g, kind).raw for g, kind in cases]
         monkeypatch.setattr(descriptors, "BATCH_ENTRIES", 1)
-        assert coefficient_table(g, MINUS_PATH_SVD).raw == pytest.approx(
-            whole.raw, rel=1e-12
-        )
+        for (g, kind), raw in zip(cases, whole):
+            assert coefficient_table(g, kind).raw == pytest.approx(raw, rel=1e-12)
 
     def test_edgeless_graph(self):
         table = coefficient_table(Graph(3, []), UNION_PATH_SVD)
@@ -268,81 +303,64 @@ class TestBatchedMatrixKinds:
 
 
 class TestBetweenness:
+    """Each graph equals its own union subgraph for the edge (0, 1)."""
+
     def test_p3(self):
-        assert edge_betweenness_descriptor(
-            full_subgraph(path_graph(3)), 0, 1
+        assert edge_descriptor_value(
+            path_graph(3), 0, 1, BETWEENNESS
         ) == pytest.approx(2.0)
 
     def test_k3(self):
-        assert edge_betweenness_descriptor(
-            full_subgraph(complete_graph(3)), 0, 1
+        assert edge_descriptor_value(
+            complete_graph(3), 0, 1, BETWEENNESS
         ) == pytest.approx(1.0)
 
     def test_star(self):
-        assert edge_betweenness_descriptor(
-            full_subgraph(star_graph(3)), 0, 1
+        assert edge_descriptor_value(
+            star_graph(3), 0, 1, BETWEENNESS
         ) == pytest.approx(3.0)
 
     def test_edge_absent(self):
-        with pytest.raises(DescriptorError):
-            edge_betweenness_descriptor(full_subgraph(path_graph(3)), 0, 2)
+        with pytest.raises(GraphError, match="not an edge"):
+            edge_descriptor_value(path_graph(3), 0, 2, BETWEENNESS)
 
     def test_against_path_enumeration_oracle(self):
-        def oracle(g, a, b):
-            # enumerate all shortest paths per pair by BFS-layered DFS
-            total = 0.0
-            for x in range(g.num_nodes):
-                dist = bfs_distances(g, x)
-                for y in range(x + 1, g.num_nodes):
-                    paths = []
-                    stack = [(x, [x])]
-                    while stack:
-                        node, path = stack.pop()
-                        if node == y:
-                            paths.append(path)
-                            continue
-                        for w in g.neighbors(node):
-                            if dist[w] == dist[node] + 1 and dist[w] <= dist[y]:
-                                stack.append((w, path + [w]))
-                    through = sum(
-                        1
-                        for p in paths
-                        if any(
-                            {p[i], p[i + 1]} == {a, b} for i in range(len(p) - 1)
-                        )
-                    )
-                    total += through / len(paths)
-            return total
-
         rng = random.Random(2)
         checked = 0
         while checked < 30:
-            g = random_graph(7, 0.45, rng)
-            from unionsub.graphs import is_connected
-
-            if not is_connected(g) or not g.edges:
+            g = random_graph(rng.randint(6, 12), rng.uniform(0.2, 0.5), rng)
+            if not g.edges:
                 continue
             v, u = g.edges[rng.randrange(g.num_edges)]
-            mine = edge_betweenness_descriptor(full_subgraph(g), v, u)
-            assert mine == pytest.approx(oracle(g, v, u))
+            sub = union_subgraph(g, v, u)
+            expected = betweenness_oracle(
+                sub.local, sub.local_index(v), sub.local_index(u)
+            )
+            mine = edge_descriptor_value(g, v, u, BETWEENNESS)
+            assert mine == pytest.approx(expected, rel=1e-12)
             checked += 1
 
 
 class TestCountNe:
     def test_k3_values(self):
-        assert count_ne_descriptor(full_subgraph(complete_graph(3)), 2) == 4.5
-        assert count_ne_descriptor(full_subgraph(complete_graph(3)), 1) == 1.5
+        assert edge_descriptor_value(complete_graph(3), 0, 1, COUNT_NE) == 4.5
+        assert edge_descriptor_value(
+            complete_graph(3), 0, 1, Descriptor("count-ne", lam=1)
+        ) == 1.5
 
     def test_p3(self):
-        assert count_ne_descriptor(full_subgraph(path_graph(3)), 2) == 3.0
+        assert edge_descriptor_value(path_graph(3), 0, 1, COUNT_NE) == 3.0
 
     def test_tiny_rejected(self):
-        with pytest.raises(DescriptorError):
-            count_ne_descriptor(full_subgraph(Graph(1, [])), 2)
+        # a one-node graph has no edge, hence no union subgraph to count
+        with pytest.raises(GraphError, match="not an edge"):
+            edge_descriptor_value(Graph(1, []), 0, 0, COUNT_NE)
 
     def test_bad_lambda(self):
+        with pytest.raises(DescriptorError, match="lambda must be 1 or 2"):
+            Descriptor("count-ne", lam=3)
         with pytest.raises(DescriptorError):
-            count_ne_descriptor(full_subgraph(complete_graph(3)), 3)
+            Descriptor.parse("count-ne:3")
 
 
 def exact_ot_oracle(g, v, u, alpha=0.5):
@@ -399,10 +417,6 @@ class TestRicciCurvature:
             if not g.edges:
                 continue
             v, u = g.edges[rng.randrange(g.num_edges)]
-            from unionsub.graphs import is_connected
-
-            if not is_connected(g):
-                continue
             mine = ricci_curvature(g, v, u, 0.5)
             assert abs(mine - exact_ot_oracle(g, v, u, 0.5)) < 1e-8
             checked += 1
@@ -567,13 +581,14 @@ class TestCoefficientTable:
         assert table.normalized[(2, 1)] == pytest.approx(0.5)
         assert table.normalized[(2, 3)] == pytest.approx(0.5)
 
-    def test_errors_carry_edge_identity(self):
+    def test_errors_carry_edge_identity(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("transport failed")
+
+        monkeypatch.setattr(descriptors, "wasserstein_discrete", fail)
         g = Graph(4, [(0, 1), (2, 3)])
-        # curvature works on disconnected components; force a failure via
-        # betweenness on a disconnected union subgraph is impossible, so use
-        # a descriptor error from count-ne on a K2 component instead
-        table = coefficient_table(g, UNION_PATH_SVD)  # fine: unions connected
-        assert len(table.raw) == 2
+        with pytest.raises(DescriptorError, match=r"edge \(0, 1\): transport failed"):
+            coefficient_table(g, RICCI_CURVATURE)
 
     def test_laplacian_kind(self):
         g = complete_graph(3)

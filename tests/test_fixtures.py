@@ -5,9 +5,10 @@ import pytest
 
 from unionsub import fixtures
 from unionsub.descriptors import (
+    BETWEENNESS,
+    COUNT_NE,
     Encoding,
-    count_ne_descriptor,
-    edge_betweenness_descriptor,
+    edge_descriptor_value,
     encode_matrix,
     path_matrix,
 )
@@ -48,12 +49,10 @@ class TestSizeAwarenessWitness:
 
     def test_betweenness_blind_to_the_extra_edge(self):
         v, u = fixtures.FOCAL_EDGE
-        without = edge_betweenness_descriptor(
-            induced_subgraph(fixtures.SIZE_AWARENESS_WITHOUT_E4, range(5)), v, u
+        without = edge_descriptor_value(
+            fixtures.SIZE_AWARENESS_WITHOUT_E4, v, u, BETWEENNESS
         )
-        with_e4 = edge_betweenness_descriptor(
-            induced_subgraph(fixtures.SIZE_AWARENESS_WITH_E4, range(5)), v, u
-        )
+        with_e4 = edge_descriptor_value(fixtures.SIZE_AWARENESS_WITH_E4, v, u, BETWEENNESS)
         assert without == pytest.approx(6.0, abs=1e-12)
         assert with_e4 == pytest.approx(6.0, abs=1e-12)
 
@@ -74,12 +73,9 @@ class TestConnectivityAwarenessWitness:
         assert not is_isomorphic_small(a, b)
 
     def test_count_ne_blind(self):
-        a = count_ne_descriptor(
-            induced_subgraph(fixtures.CONNECTIVITY_AWARENESS_A, range(5)), 2
-        )
-        b = count_ne_descriptor(
-            induced_subgraph(fixtures.CONNECTIVITY_AWARENESS_B, range(5)), 2
-        )
+        v, u = fixtures.FOCAL_EDGE
+        a = edge_descriptor_value(fixtures.CONNECTIVITY_AWARENESS_A, v, u, COUNT_NE)
+        b = edge_descriptor_value(fixtures.CONNECTIVITY_AWARENESS_B, v, u, COUNT_NE)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_path_coefficient_separates(self):

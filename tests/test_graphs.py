@@ -47,6 +47,13 @@ class TestGraphInvariants:
         assert g.edges == ((0, 1), (0, 2), (1, 3))
         assert g.has_edge(1, 0) and not g.has_edge(2, 3)
 
+    def test_has_edge_out_of_range_is_false(self):
+        g = path_graph(3)
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert not g.has_edge(0, 2)
+        for u, v in ((0, -1), (-1, 0), (0, 3), (3, 0), (2, -1), (-1, 2)):
+            assert not g.has_edge(u, v), (u, v)
+
     def test_immutable(self):
         g = complete_graph(3)
         with pytest.raises(AttributeError):
