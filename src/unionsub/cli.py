@@ -139,6 +139,8 @@ def _time_kind(kind, graphs, encoding):
 
 def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM):
     """Median-of-repeats wall times per kind on the identical corpus."""
+    if repeats < 1:
+        raise GraphError(f"repeats must be at least 1, got {repeats}")
     total_edges = sum(g.num_edges for g in graphs)
     report = {
         "graphs": len(graphs),

@@ -88,16 +88,16 @@ class Descriptor:
         kind, _, param = text.partition(":")
         if not param:
             return cls(kind)
+        fields = {"count-ne": ("lam", int), "curvature": ("alpha", float),
+                  "cycle-count": ("cycle_len", int)}
+        if kind not in fields:
+            raise DescriptorError(f"descriptor {kind!r} takes no parameter")
+        name, convert = fields[kind]
         try:
-            if kind == "count-ne":
-                return cls(kind, lam=int(param))
-            if kind == "curvature":
-                return cls(kind, alpha=float(param))
-            if kind == "cycle-count":
-                return cls(kind, cycle_len=int(param))
+            value = convert(param)
         except ValueError:
             raise DescriptorError(f"invalid parameter in {text!r}") from None
-        raise DescriptorError(f"descriptor {kind!r} takes no parameter")
+        return cls(kind, **{name: value})
 
 
 UNION_PATH_SVD = Descriptor("union-path")
@@ -350,9 +350,6 @@ class CoefficientTable:
 
     def raw_value(self, v, u):
         return self.raw[(v, u) if v < u else (u, v)]
-
-    def normalized_value(self, v, u):
-        return self.normalized[(v, u)]
 
     def raw_multiset(self, scale=1e9):
         """Sorted tuple of quantized raw values (labeling-independent view)."""

@@ -331,20 +331,16 @@ def induced_subgraph(g, nodes):
     return Subgraph(local, parent_ids)
 
 
-def bfs_distances(g, source, restrict=None):
-    """BFS distances from source; unreachable nodes get -1.
-
-    ``restrict``, when given, limits the search to that node set.
-    """
+def bfs_distances(g, source):
+    """BFS distances from source; unreachable nodes get -1."""
     dist = [-1] * g.num_nodes
     dist[source] = 0
     queue = [source]
-    allowed = None if restrict is None else set(restrict)
     while queue:
         nxt = []
         for x in queue:
             for y in g.neighbors(x):
-                if dist[y] < 0 and (allowed is None or y in allowed):
+                if dist[y] < 0:
                     dist[y] = dist[x] + 1
                     nxt.append(y)
         queue = nxt
@@ -442,32 +438,6 @@ def count_simple_cycles(g, k):
         path = [root]
         dfs(root, root, 1, {root})
     return count
-
-
-def find_simple_cycle(g, k):
-    """Some simple k-cycle as a node tuple, or None if the graph has none."""
-
-    def dfs(root, current, depth, on_path, path):
-        if depth == k:
-            if root in g.neighbors(current):
-                return tuple(path)
-            return None
-        for nxt in g.neighbors(current):
-            if nxt > root and nxt not in on_path:
-                on_path.add(nxt)
-                path.append(nxt)
-                found = dfs(root, nxt, depth + 1, on_path, path)
-                if found is not None:
-                    return found
-                path.pop()
-                on_path.discard(nxt)
-        return None
-
-    for root in range(g.num_nodes):
-        found = dfs(root, root, 1, {root}, [root])
-        if found is not None:
-            return found
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,10 @@ class ModelSpec:
 
     NAMES = ("gcn", "gin", "union-gcn", "union-gin", "union")
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise GraphError(f"hidden width must be at least 1, got {self.hidden}")
+
     @classmethod
     def parse(cls, name, hidden=16):
         if name == "gcn":
@@ -536,12 +540,15 @@ def train_classifier(
 ):
     """Train the 2-layer classifier with Adam; deterministic given the seed.
 
-    Labels must lie in 0..num_classes-1, and every graph needs at least one
-    node and as many feature channels as the first training graph.  Returns a TrainReport; with epochs=0 the untrained model is
-    evaluated directly.
+    Labels must lie in 0..num_classes-1, batch_size must be at least 1, and
+    every graph needs at least one node and as many feature channels as the
+    first training graph.  Returns a TrainReport; with epochs=0 the untrained
+    model is evaluated directly.
     """
     if not train:
         raise GraphError("empty training dataset")
+    if batch_size < 1:
+        raise GraphError(f"batch size must be at least 1, got {batch_size}")
     in_dim = train[0][0].feature_matrix().shape[1]
     for g, label in list(train) + list(val) + list(test):
         if not 0 <= label < num_classes:

@@ -1,9 +1,15 @@
 """Exact solver for small balanced transportation problems.
 
-Classic transportation simplex: northwest-corner start, potentials from the
-spanning-tree basis, most-negative reduced cost entering, stepping-stone
-pivot.  Instances here are tiny (supports of probability distributions), so
-no sparsity tricks are needed.
+Classic transportation simplex: northwest-corner start, most-negative reduced
+cost entering, stepping-stone pivot.  The basis is a spanning tree on the
+m + n nodes rows 0..m-1 and columns m..m+n-1, one edge per basic cell.  Each
+pivot walks that tree once from row 0; the walk gives every node its
+potential (u_i + v_j = c_ij on basic cells, u_0 = 0), its parent and its
+depth.  The potentials price the non-basic cells, and the parent pointers
+give the pivot cycle: the tree path from the entering cell's row to its
+column.  Instances here are tiny (supports of probability distributions),
+so the plan and costs are plain Python lists and no sparsity tricks are
+needed.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ def solve_transport(supply, demand, cost):
     """
     a = np.asarray(supply, dtype=float).copy()
     b = np.asarray(demand, dtype=float).copy()
-    c = np.asarray(cost, dtype=float)
-    m, n = c.shape
+    cost = np.asarray(cost, dtype=float)
+    m, n = cost.shape
     if a.shape != (m,) or b.shape != (n,):
         raise ValueError("cost shape must be (len(supply), len(demand))")
     if (a < -1e-12).any() or (b < -1e-12).any():
@@ -37,16 +43,18 @@ def solve_transport(supply, demand, cost):
         raise ValueError(f"unbalanced instance (residual {imbalance:.3e})")
     b[-1] += imbalance
 
-    plan = np.zeros((m, n))
+    c = cost.tolist()
+    plan = [[0.0] * n for _ in range(m)]
     basis = set()
     # northwest-corner initial basic feasible solution: exactly m+n-1 cells
+    # forming a spanning tree
     i = j = 0
-    remaining_a = a.copy()
-    remaining_b = b.copy()
+    remaining_a = a.tolist()
+    remaining_b = b.tolist()
     while True:
         basis.add((i, j))
         amount = min(remaining_a[i], remaining_b[j])
-        plan[i, j] = amount
+        plan[i][j] = amount
         remaining_a[i] -= amount
         remaining_b[j] -= amount
         if i == m - 1 and j == n - 1:
@@ -58,102 +66,65 @@ def solve_transport(supply, demand, cost):
 
     max_iter = 200 * (m + n) * max(m, n)
     for _ in range(max_iter):
-        u, v = _potentials(m, n, c, basis)
+        tree = [[] for _ in range(m + n)]
+        for i, j in basis:
+            tree[i].append(m + j)
+            tree[m + j].append(i)
+        potential = [0.0] * (m + n)
+        parent = [-1] * (m + n)
+        link = [None] * (m + n)  # the basic cell joining a node to its parent
+        depth = [0] * (m + n)
+        order = [0]
+        for x in order:  # breadth-first; the list grows while it is read
+            for y in tree[x]:
+                if y != parent[x]:
+                    parent[y] = x
+                    i, j = link[y] = (x, y - m) if x < m else (y, x - m)
+                    depth[y] = depth[x] + 1
+                    potential[y] = c[i][j] - potential[x]
+                    order.append(y)
+
         entering = None
         best = -PIVOT_TOL
         for r in range(m):
+            u_r = potential[r]
+            c_r = c[r]
             for s in range(n):
-                if (r, s) in basis:
-                    continue
-                reduced = c[r, s] - u[r] - v[s]
-                if reduced < best:
+                reduced = c_r[s] - u_r - potential[m + s]
+                if reduced < best and (r, s) not in basis:
                     best = reduced
                     entering = (r, s)
         if entering is None:
-            objective = float((plan * c).sum())
-            return plan, objective
-        cycle = _find_cycle(basis, entering)
-        # odd positions along the cycle lose flow
-        minus_cells = cycle[1::2]
-        theta = min(plan[cell] for cell in minus_cells)
-        leaving = min(
-            (cell for cell in minus_cells if plan[cell] <= theta + 1e-15),
-        )
-        for idx, cell in enumerate(cycle):
-            plan[cell] += theta if idx % 2 == 0 else -theta
-        plan[leaving] = 0.0
+            plan = np.array(plan)
+            return plan, float((plan * cost).sum())
+
+        # tree path from row r to column s: step the deeper end up until the
+        # ends meet.  Counted from either end, the cells alternate between
+        # losing and gaining flow, starting with a losing one.
+        r, s = entering
+        x, y = r, m + s
+        from_row, from_col = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                from_row.append(link[x])
+                x = parent[x]
+            else:
+                from_col.append(link[y])
+                y = parent[y]
+        losing = from_row[::2] + from_col[::2]
+        theta = min(plan[i][j] for i, j in losing)
+        # of the cells tied at theta the smallest leaves; this fixes which
+        # optimal plan a degenerate instance returns
+        leaving = min(cell for cell in losing if plan[cell[0]][cell[1]] <= theta + 1e-15)
+        for i, j in losing:
+            plan[i][j] -= theta
+        for i, j in from_row[1::2] + from_col[1::2]:
+            plan[i][j] += theta
+        plan[r][s] += theta
+        plan[leaving[0]][leaving[1]] = 0.0
         basis.remove(leaving)
         basis.add(entering)
     raise TransportError("transportation simplex exceeded its iteration cap")
-
-
-def _potentials(m, n, c, basis):
-    """Solve u_i + v_j = c_ij on the basis tree, rooted at u_0 = 0."""
-    u = [None] * m
-    v = [None] * n
-    u[0] = 0.0
-    by_row = {}
-    by_col = {}
-    for (i, j) in basis:
-        by_row.setdefault(i, []).append(j)
-        by_col.setdefault(j, []).append(i)
-    stack = [("r", 0)]
-    while stack:
-        kind, idx = stack.pop()
-        if kind == "r":
-            for j in by_row.get(idx, ()):
-                if v[j] is None:
-                    v[j] = c[idx, j] - u[idx]
-                    stack.append(("c", j))
-        else:
-            for i in by_col.get(idx, ()):
-                if u[i] is None:
-                    u[i] = c[i, idx] - v[idx]
-                    stack.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
-        raise TransportError("basis is not a spanning tree")
-    return u, v
-
-
-def _find_cycle(basis, entering):
-    """Unique alternating cycle formed by the basis tree plus the entering cell.
-
-    Returned as a cell list starting at the entering cell, alternating
-    row-moves and column-moves; even positions gain flow, odd positions lose.
-    """
-    i0, j0 = entering
-    by_row = {}
-    by_col = {}
-    for (i, j) in basis:
-        by_row.setdefault(i, []).append(j)
-        by_col.setdefault(j, []).append(i)
-
-    # path from row i0 to column j0 through basis cells
-    def search(kind, idx, target, visited, path):
-        if kind == "c" and idx == target:
-            return path
-        if kind == "r":
-            for j in by_row.get(idx, ()):
-                if ("c", j) not in visited:
-                    found = search(
-                        "c", j, target, visited | {("c", j)}, path + [(idx, j)]
-                    )
-                    if found is not None:
-                        return found
-        else:
-            for i in by_col.get(idx, ()):
-                if ("r", i) not in visited:
-                    found = search(
-                        "r", i, target, visited | {("r", i)}, path + [(i, idx)]
-                    )
-                    if found is not None:
-                        return found
-        return None
-
-    path = search("r", i0, j0, {("r", i0)}, [])
-    if path is None:
-        raise TransportError("entering cell closes no cycle; basis corrupt")
-    return [entering] + path
 
 
 def wasserstein_discrete(mu, nu, distances):

@@ -56,6 +56,10 @@ class TestCoeffsCommand:
         assert main(["coeffs", k3_file, "--kind", "bogus"]) == 2
         assert "descriptor error" in capsys.readouterr().err
 
+    def test_bad_kind_parameter_names_its_rule(self, k3_file, capsys):
+        assert main(["coeffs", k3_file, "--kind", "count-ne:3"]) == 2
+        assert "lambda must be 1 or 2" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["coeffs", "/nonexistent/graph.txt"]) == 1
 
@@ -215,6 +219,16 @@ class TestBenchCommand:
         run_bench(graphs, ["union-path", "curvature", "cycle-count:6"], repeats=2)
         assert tabled == graphs * 4
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_exit_1(self, repeats, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["gen", "cycle:6", "--count", "1", "--out", str(corpus)])
+        capsys.readouterr()
+        assert main(["bench", str(corpus), "--kinds", "count-ne",
+                     "--repeats", repeats]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeats must be at least 1" in err
+
 
 class TestTrainCommand:
     def test_epochs_zero_no_crash(self, tmp_path, capsys):
@@ -240,6 +254,23 @@ class TestTrainCommand:
         assert main(["train", str(data), "--epochs", "1", "--out",
                      str(tmp_path / "run")]) == 1
         assert "no nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--batch-size", "0", "batch size must be at least 1"),
+        ("--batch-size", "-3", "batch size must be at least 1"),
+        ("--hidden", "0", "hidden width must be at least 1"),
+    ])
+    def test_bad_numeric_option_exit_1(self, option, value, message, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen", "four-cycle-pair:4", "--count", "8", "--seed", "5",
+              "--out", str(data)])
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", str(data), "--epochs", "1", option, value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
 
     def test_batch_size_default_is_the_library_default(self):
         from unionsub.cli import build_parser

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unionsub import descriptors
 from unionsub.descriptors import (
@@ -430,6 +432,37 @@ class TestRicciCurvature:
             ricci_curvature(path_graph(3), 0, 2)
 
 
+def linprog_transport(supply, demand, cost):
+    """Optimal transport cost from scipy's linear program."""
+    from scipy.optimize import linprog
+
+    m, n = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([supply, demand]),
+                  bounds=(0, None), method="highs")
+    return res.fun
+
+
+@st.composite
+def balanced_instances(draw):
+    """Balanced instances, m and n in 1..8, integer costs 0..3.
+
+    Masses are either uniform or small integers split into the same total;
+    the integer ones tie exactly, so northwest-corner bases are often
+    degenerate (basic cells with zero flow).
+    """
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cost = np.array(draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)),
+                    dtype=float).reshape(m, n)
+    if draw(st.booleans()):
+        return np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost
+    supply = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    total = sum(supply)
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    demand = np.diff([0, *cuts, total])
+    return np.array(supply, dtype=float), demand.astype(float), cost
+
+
 class TestTransportSolver:
     def test_simple_instance(self):
         plan, cost = solve_transport(
@@ -439,8 +472,6 @@ class TestTransportSolver:
         assert np.allclose(plan, np.eye(2))
 
     def test_against_linprog(self):
-        from scipy.optimize import linprog
-
         rng = np.random.default_rng(11)
         for _ in range(40):
             m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
@@ -449,23 +480,27 @@ class TestTransportSolver:
             demand *= supply.sum() / demand.sum()
             cost = rng.integers(0, 5, size=(m, n)).astype(float)
             _, mine = solve_transport(supply, demand, cost)
-            a_eq = []
-            for i in range(m):
-                row = np.zeros((m, n))
-                row[i, :] = 1
-                a_eq.append(row.ravel())
-            for j in range(n):
-                row = np.zeros((m, n))
-                row[:, j] = 1
-                a_eq.append(row.ravel())
-            res = linprog(
-                cost.ravel(),
-                A_eq=np.array(a_eq),
-                b_eq=np.concatenate([supply, demand]),
-                bounds=(0, None),
-                method="highs",
-            )
-            assert abs(mine - res.fun) < 1e-9
+            assert abs(mine - linprog_transport(supply, demand, cost)) < 1e-9
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(instance=balanced_instances())
+    def test_optimal_feasible_plan(self, instance):
+        supply, demand, cost = instance
+        plan, objective = solve_transport(supply, demand, cost)
+        assert abs(objective - linprog_transport(supply, demand, cost)) < 1e-9
+        assert plan.shape == cost.shape and (plan >= 0).all()
+        assert np.allclose(plan.sum(axis=1), supply, rtol=0, atol=1e-12)
+        assert np.allclose(plan.sum(axis=0), demand, rtol=0, atol=1e-12)
+        assert objective == (plan * cost).sum()
+
+    def test_tie_break_picks_the_optimal_plan(self):
+        # two optimal plans cost 4; the smallest tied leaving cell selects this one
+        plan, objective = solve_transport(
+            [2.0, 2.0, 2.0], [1.0, 2.0, 3.0],
+            np.array([[0.0, 3.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+        )
+        assert objective == 4.0
+        assert plan.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]]
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError, match="unbalanced"):
@@ -624,6 +659,14 @@ class TestDescriptorParsing:
             Descriptor("curvature", alpha=-0.1)
         with pytest.raises(DescriptorError):
             Descriptor.parse("union-path:2")
+        for text, message in (
+            ("count-ne:3", "lambda must be 1 or 2"),
+            ("curvature:1.5", "alpha"),
+            ("cycle-count:9", "cycle length"),
+            ("count-ne:x", "invalid parameter"),
+        ):
+            with pytest.raises(DescriptorError, match=message):
+                Descriptor.parse(text)
 
     def test_encoding_parse(self):
         assert Encoding.parse("svd-sum") is Encoding.SVD_SUM

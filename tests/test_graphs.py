@@ -13,7 +13,6 @@ from unionsub.graphs import (
     complete_graph,
     count_simple_cycles,
     cycle_graph,
-    find_simple_cycle,
     four_cycle_pair,
     generate_named,
     induced_subgraph,
@@ -255,18 +254,6 @@ class TestCycleCounting:
             g = random_graph(7, 0.5, rng)
             for k in (3, 4, 5):
                 assert count_simple_cycles(g, k) == oracle(g, k)
-
-    def test_find_simple_cycle_agrees(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            g = random_graph(8, 0.3, rng)
-            cycle = find_simple_cycle(g, 4)
-            if count_simple_cycles(g, 4) > 0:
-                assert cycle is not None and len(cycle) == 4
-                for i in range(4):
-                    assert g.has_edge(cycle[i], cycle[(i + 1) % 4])
-            else:
-                assert cycle is None
 
 
 class TestNamedGenerators:
