@@ -109,6 +109,8 @@ def _gen_graphs(spec_text, count, seed):
 
 
 def cmd_gen(args):
+    if args.count < 1:
+        raise GraphError(f"count must be at least 1, got {args.count}")
     graphs, labels = _gen_graphs(args.spec, args.count, args.seed)
     write_dataset(args.out, graphs, labels)
     sys.stderr.write(f"wrote {len(graphs)} graphs to {args.out}\n")

@@ -23,7 +23,6 @@ from .graphs import (
     GraphError,
     Subgraph,
     bfs_distances,
-    closed_neighborhood,
     count_simple_cycles,
 )
 from .transport import wasserstein_discrete
@@ -286,43 +285,52 @@ def laplacian_matrix(s):
 # Rival descriptors
 # ---------------------------------------------------------------------------
 
-def ricci_curvature(g, v, u, alpha=0.5):
-    """Lazy-random-walk Ricci curvature of an edge, with exact transport.
+def curvature_values(g, edges, alpha):
+    """Ollivier-Ricci curvature 1 - W1(mu_v, mu_u) of ``edges`` of g, in order.
 
-    Each endpoint keeps mass alpha and spreads (1 - alpha) uniformly over
-    its neighbors; the curvature is 1 - W(mu_v, mu_u) / d(v, u) with d = 1
-    for adjacent nodes.  Supports and ground distances live in the full
-    graph, not the union subgraph: as v ~ u, a support node x of v and y of
-    u lie at distance 0 (x = y), 1 (x ~ y), 2 (a common neighbour, which may
-    sit outside the union subgraph) or 3.
+    Each endpoint keeps mass alpha and spreads 1 - alpha evenly over its
+    neighbours.  W1 depends only on mu_v - mu_u, so the mass both measures
+    put on v, u and their common neighbours cancels before transport.  The
+    points left (x of v, y of u, x != y) lie at distance 1 (x ~ y), 2 (a
+    common neighbour anywhere in g, not only in the union subgraph) or 3.
     """
+    adj = g.adjacency
+    near = [set(row) for row in adj]
+    spread = [(1.0 - alpha) / max(len(row), 1) for row in adj]
+
+    def left(center, other):
+        """Points of center's measure that keep mass after cancelling, and that mass."""
+        points, mass = [], []
+        for x in sorted((center, *adj[center])):
+            m = alpha if x == center else spread[center]
+            shared = alpha if x == other else spread[other] if x in near[other] else 0.0
+            if m > shared:
+                points.append(x)
+                mass.append(m - shared)
+        return points, mass
+
+    values = []
+    for v, u in edges:
+        (rows, mu), (cols, nu) = left(v, u), left(u, v)
+        w1 = 0.0  # if one side keeps no mass, the other holds only rounding residue
+        if rows and cols:
+            distances = [[1.0 if y in near[x] else 3.0 if near[x].isdisjoint(near[y])
+                          else 2.0 for y in cols] for x in rows]
+            try:
+                w1 = wasserstein_discrete(mu, nu, distances)
+            except (DescriptorError, RuntimeError) as exc:
+                raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
+        values.append(1.0 - w1)
+    return values
+
+
+def ricci_curvature(g, v, u, alpha=0.5):
+    """Lazy-random-walk Ricci curvature of one edge, as coefficient_table has it."""
     if not 0.0 <= alpha < 1.0:
         raise DescriptorError("alpha must lie in [0, 1)")
     if not g.has_edge(v, u):
         raise DescriptorError(f"({v}, {u}) is not an edge")
-    support_v = sorted(closed_neighborhood(g, v))
-    support_u = sorted(closed_neighborhood(g, u))
-
-    def mass(center, node):
-        if node == center:
-            return alpha
-        return (1.0 - alpha) / g.degree(center)
-
-    mu = np.array([mass(v, x) for x in support_v])
-    nu = np.array([mass(u, y) for y in support_u])
-    adj = g.adjacency
-    ground = np.empty((len(support_v), len(support_u)))
-    for i, x in enumerate(support_v):
-        near = set(adj[x])
-        for j, y in enumerate(support_u):
-            if x == y:
-                ground[i, j] = 0.0
-            elif y in near:
-                ground[i, j] = 1.0
-            else:
-                ground[i, j] = 2.0 if near.intersection(adj[y]) else 3.0
-    wass = wasserstein_discrete(mu, nu, ground)
-    return 1.0 - wass / 1.0
+    return curvature_values(g, [(min(v, u), max(v, u))], alpha)[0]
 
 
 def cycle_count(g, k):
@@ -396,15 +404,10 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     """
     _require_per_edge(kind)
     if kind.kind == "curvature":
-        raw = {}
-        for v, u in g.edges:
-            try:
-                raw[(v, u)] = float(ricci_curvature(g, v, u, kind.alpha))
-            except (DescriptorError, RuntimeError) as exc:
-                raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
+        values = curvature_values(g, g.edges, kind.alpha)
     else:
-        values = local_descriptor_values(g, g.edges, kind, encoding)
-        raw = dict(zip(g.edges, values.tolist()))
+        values = local_descriptor_values(g, g.edges, kind, encoding).tolist()
+    raw = dict(zip(g.edges, values))
     normalized = {}
     for v in range(g.num_nodes):
         neighbors = g.neighbors(v)

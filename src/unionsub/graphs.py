@@ -417,16 +417,17 @@ def count_simple_cycles(g, k):
     """
     if k < 3:
         raise GraphError("cycle length must be at least 3")
+    adj = g.adjacency
     count = 0
     path = []
 
     def dfs(root, current, depth, on_path):
         nonlocal count
         if depth == k:
-            if root in g.neighbors(current) and path[1] < path[-1]:
+            if root in adj[current] and path[1] < path[-1]:
                 count += 1
             return
-        for nxt in g.neighbors(current):
+        for nxt in adj[current]:
             if nxt > root and nxt not in on_path:
                 path.append(nxt)
                 on_path.add(nxt)

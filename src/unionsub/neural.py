@@ -540,15 +540,17 @@ def train_classifier(
 ):
     """Train the 2-layer classifier with Adam; deterministic given the seed.
 
-    Labels must lie in 0..num_classes-1, batch_size must be at least 1, and
-    every graph needs at least one node and as many feature channels as the
-    first training graph.  Returns a TrainReport; with epochs=0 the untrained
-    model is evaluated directly.
+    Labels must lie in 0..num_classes-1, epochs must be at least 0 and
+    batch_size at least 1, and every graph needs at least one node and as
+    many feature channels as the first training graph.  Returns a
+    TrainReport; with epochs=0 the untrained model is evaluated directly.
     """
     if not train:
         raise GraphError("empty training dataset")
     if batch_size < 1:
         raise GraphError(f"batch size must be at least 1, got {batch_size}")
+    if epochs < 0:
+        raise GraphError(f"epochs must be at least 0, got {epochs}")
     in_dim = train[0][0].feature_matrix().shape[1]
     for g, label in list(train) + list(val) + list(test):
         if not 0 <= label < num_classes:

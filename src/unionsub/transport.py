@@ -7,9 +7,10 @@ pivot walks that tree once from row 0; the walk gives every node its
 potential (u_i + v_j = c_ij on basic cells, u_0 = 0), its parent and its
 depth.  The potentials price the non-basic cells, and the parent pointers
 give the pivot cycle: the tree path from the entering cell's row to its
-column.  Instances here are tiny (supports of probability distributions),
-so the plan and costs are plain Python lists and no sparsity tricks are
-needed.
+column.  Instances here are tiny: curvature cancels the mass its two
+measures share before it transports the rest, which leaves a few points a
+side.  Inputs are read as plain sequences and solved on Python lists; only
+the returned plan is an array.
 """
 
 from __future__ import annotations
@@ -26,40 +27,44 @@ class TransportError(RuntimeError):
 def solve_transport(supply, demand, cost):
     """Minimize sum(cost * plan) over nonnegative plans with given marginals.
 
-    Returns (plan, objective).  Supply and demand must balance to within
+    Inputs may be plain sequences or arrays.  Returns (plan, objective) with
+    plan an array.  Supply and demand must be non-empty and balance to within
     1e-9; the residual is folded into the last demand entry so the simplex
     sees an exactly balanced instance.
     """
-    a = np.asarray(supply, dtype=float).copy()
-    b = np.asarray(demand, dtype=float).copy()
-    cost = np.asarray(cost, dtype=float)
-    m, n = cost.shape
-    if a.shape != (m,) or b.shape != (n,):
+    try:
+        a = [float(x) for x in supply]
+        b = [float(x) for x in demand]
+        c = [[float(x) for x in row] for row in cost]
+        shaped = len(c) == len(a) and all(len(row) == len(b) for row in c)
+    except TypeError:  # a number where a sequence belongs, or the reverse
+        shaped = False
+    if not shaped:
         raise ValueError("cost shape must be (len(supply), len(demand))")
-    if (a < -1e-12).any() or (b < -1e-12).any():
+    m, n = len(a), len(b)
+    if not m or not n:
+        raise ValueError("supply and demand must be non-empty")
+    if min(a) < -1e-12 or min(b) < -1e-12:
         raise ValueError("supplies and demands must be non-negative")
-    imbalance = a.sum() - b.sum()
+    imbalance = sum(a) - sum(b)
     if abs(imbalance) > 1e-9:
         raise ValueError(f"unbalanced instance (residual {imbalance:.3e})")
     b[-1] += imbalance
 
-    c = cost.tolist()
     plan = [[0.0] * n for _ in range(m)]
     basis = set()
     # northwest-corner initial basic feasible solution: exactly m+n-1 cells
-    # forming a spanning tree
+    # forming a spanning tree; a and b become what is left to place
     i = j = 0
-    remaining_a = a.tolist()
-    remaining_b = b.tolist()
     while True:
         basis.add((i, j))
-        amount = min(remaining_a[i], remaining_b[j])
+        amount = min(a[i], b[j])
         plan[i][j] = amount
-        remaining_a[i] -= amount
-        remaining_b[j] -= amount
+        a[i] -= amount
+        b[j] -= amount
         if i == m - 1 and j == n - 1:
             break
-        if i < m - 1 and (remaining_a[i] <= remaining_b[j] or j == n - 1):
+        if i < m - 1 and (a[i] <= b[j] or j == n - 1):
             i += 1
         else:
             j += 1
@@ -96,7 +101,7 @@ def solve_transport(supply, demand, cost):
                     entering = (r, s)
         if entering is None:
             plan = np.array(plan)
-            return plan, float((plan * cost).sum())
+            return plan, float((plan * np.array(c)).sum())
 
         # tree path from row r to column s: step the deeper end up until the
         # ends meet.  Counted from either end, the cells alternate between
@@ -130,17 +135,17 @@ def solve_transport(supply, demand, cost):
 def wasserstein_discrete(mu, nu, distances):
     """Exact 1-Wasserstein distance between small discrete distributions.
 
-    ``distances[i, j]`` is the ground metric between support point i of mu
-    and support point j of nu.  Zero-mass support points are dropped first.
+    ``distances[i][j]`` is the ground metric between support point i of mu
+    and support point j of nu; plain lists and arrays are both read.
+    Zero-mass support points are dropped first.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    distances = np.asarray(distances, dtype=float)
-    keep_i = np.nonzero(mu > 0)[0]
-    keep_j = np.nonzero(nu > 0)[0]
-    if keep_i.size == 0 or keep_j.size == 0:
+    keep_i = [i for i, x in enumerate(mu) if x > 0]
+    keep_j = [j for j, x in enumerate(nu) if x > 0]
+    if not keep_i or not keep_j:
         raise ValueError("distributions must carry positive mass")
     _, objective = solve_transport(
-        mu[keep_i], nu[keep_j], distances[np.ix_(keep_i, keep_j)]
+        [mu[i] for i in keep_i],
+        [nu[j] for j in keep_j],
+        [[distances[i][j] for j in keep_j] for i in keep_i],
     )
     return objective

@@ -154,6 +154,15 @@ class TestGenCommand:
         assert main(["gen", spec, "--count", "1", "--out", str(tmp_path / "d")]) == 1
         assert capsys.readouterr().err.startswith("parse error:")
 
+    @pytest.mark.parametrize("spec", ["er", "four-cycle-pair:4", "rook4x4"])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exit_1(self, spec, count, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen", spec, "--count", count, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "count must be at least 1" in err
+        assert not out.exists()
+
 
 class TestDatasetFiles:
     @pytest.fixture
@@ -259,6 +268,7 @@ class TestTrainCommand:
         ("--batch-size", "0", "batch size must be at least 1"),
         ("--batch-size", "-3", "batch size must be at least 1"),
         ("--hidden", "0", "hidden width must be at least 1"),
+        ("--epochs", "-3", "epochs must be at least 0"),
     ])
     def test_bad_numeric_option_exit_1(self, option, value, message, tmp_path, capsys):
         data = tmp_path / "data"

@@ -37,6 +37,7 @@ from unionsub.graphs import (
     complete_graph,
     cycle_graph,
     induced_subgraph,
+    is_connected,
     path_graph,
     random_graph,
     rook_graph_4x4,
@@ -373,9 +374,8 @@ def exact_ot_oracle(g, v, u, alpha=0.5):
     su = sorted(closed_neighborhood(g, u))
     mu = np.array([alpha if x == v else (1 - alpha) / g.degree(v) for x in sv])
     nu = np.array([alpha if y == u else (1 - alpha) / g.degree(u) for y in su])
-    dist = np.array(
-        [[bfs_distances(g, x)[y] for y in su] for x in sv], dtype=float
-    )
+    rows = [bfs_distances(g, x) for x in sv]
+    dist = np.array([[row[y] for y in su] for row in rows], dtype=float)
     m, n = dist.shape
     a_eq = []
     for i in range(m):
@@ -430,6 +430,59 @@ class TestRicciCurvature:
     def test_edge_required(self):
         with pytest.raises(DescriptorError):
             ricci_curvature(path_graph(3), 0, 2)
+
+
+def random_graphs(seed, count):
+    """Small G(n, p) graphs with at least one edge, connected or not."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(rng.randint(4, 10), rng.uniform(0.15, 0.6), rng)
+        if g.edges:
+            graphs.append(g)
+    return graphs
+
+
+class TestCurvatureTable:
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5])
+    def test_matches_linprog_oracle(self, alpha):
+        graphs = random_graphs(8, 20)
+        assert any(is_connected(g) for g in graphs)
+        assert not all(is_connected(g) for g in graphs)
+        kind = Descriptor("curvature", alpha=alpha)
+        for g in graphs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                table = coefficient_table(g, kind)
+            for (v, u), value in table.raw.items():
+                assert abs(value - exact_ot_oracle(g, v, u, alpha)) < 1e-9
+
+    def test_k2_components_cancel_without_transport(self, monkeypatch):
+        # at alpha = 1/2 both endpoints of a lone edge put 1/2 on each end
+        def fail(*args):
+            raise AssertionError("no mass is left to transport")
+
+        monkeypatch.setattr(descriptors, "wasserstein_discrete", fail)
+        g = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        table = coefficient_table(g, Descriptor("curvature", alpha=0.5))
+        assert table.raw == {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0}
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_complete_graph_at_alpha_one_over_n(self, n):
+        # both measures are uniform on all n nodes, so W1 = 0; what the
+        # cancellation leaves is rounding residue and must not raise
+        table = coefficient_table(complete_graph(n), Descriptor("curvature", alpha=1.0 / n))
+        assert all(value == pytest.approx(1.0, abs=1e-15) for value in table.raw.values())
+
+    def test_ricci_curvature_equals_the_table(self):
+        for alpha in (0.0, 0.2, 0.5):
+            for g in random_graphs(9, 10) + [rook_graph_4x4(), star_graph(7)]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    table = coefficient_table(g, Descriptor("curvature", alpha=alpha))
+                for (v, u), value in table.raw.items():
+                    assert ricci_curvature(g, v, u, alpha) == value
+                    assert ricci_curvature(g, u, v, alpha) == value
 
 
 def linprog_transport(supply, demand, cost):
@@ -505,6 +558,24 @@ class TestTransportSolver:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError, match="unbalanced"):
             solve_transport([1.0], [2.0], np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("supply, cost", [
+        ([0.5, 0.5], [[0.0, 1.0], [1.0]]),
+        ([0.5, 0.5], [0.0, 1.0]),
+        ([0.5, 0.5], np.zeros((2, 3))),
+        ([[0.5], [0.5]], np.zeros((2, 2))),
+    ])
+    def test_shapes_checked(self, supply, cost):
+        with pytest.raises(ValueError, match="cost shape"):
+            solve_transport(supply, [0.5, 0.5], cost)
+
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_transport([1.5, -0.5], [1.0], [[0.0], [1.0]])
+
+    def test_empty_instance_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            solve_transport([], [], np.zeros((0, 0)))
 
     def test_zero_mass_support_dropped(self):
         w = wasserstein_discrete(
@@ -621,7 +692,9 @@ class TestCoefficientTable:
             raise RuntimeError("transport failed")
 
         monkeypatch.setattr(descriptors, "wasserstein_discrete", fail)
-        g = Graph(4, [(0, 1), (2, 3)])
+        # on P4 mass is left on both sides of edge (0, 1) once the shared
+        # mass is cancelled, so that edge reaches the solver
+        g = path_graph(4)
         with pytest.raises(DescriptorError, match=r"edge \(0, 1\): transport failed"):
             coefficient_table(g, RICCI_CURVATURE)
 
