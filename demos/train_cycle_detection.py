@@ -6,8 +6,7 @@ coefficient-driven message weighting.  The plain model has nothing to hold
 on to (positives and negatives share node count, edge count, and degree
 sequence) while the coefficient path learns the task.
 
-The full-scale protocol lives in the acceptance suite; this demo uses a
-smaller dataset and fewer epochs to finish in about two minutes.
+It uses a small dataset and few epochs to finish in about two minutes.
 """
 
 import time

@@ -88,8 +88,14 @@ def _parse_er_spec(spec_text):
 
 
 def _gen_graphs(spec_text, count, seed):
+    """Graphs and labels for a spec; count None takes the spec's default.
+
+    `er` and `four-cycle-pair` make `count` graphs (default 2); a fixed named
+    spec makes its own graphs and accepts only their number as `count`.
+    """
     import random
 
+    made = 2 if count is None else count
     if spec_text.split(":")[0] == "er":
         # synthetic benchmark corpus: er[:NMIN-NMAX[:AVGDEG]]
         lo, hi, avg_degree = _parse_er_spec(spec_text)
@@ -97,19 +103,24 @@ def _gen_graphs(spec_text, count, seed):
         from .graphs import random_graph
 
         graphs = []
-        for _ in range(count):
+        for _ in range(made):
             n = rng.randint(lo, hi)
             graphs.append(random_graph(n, min(1.0, avg_degree / (n - 1)), rng))
         return graphs, [0] * len(graphs)
     spec = NamedGraphSpec.parse(spec_text)
     if spec.kind == "four-cycle-pair":
-        return build_cycle_dataset(spec.param, count, seed)
+        return build_cycle_dataset(spec.param, made, seed)
     graphs = generate_named(spec, seed=seed)
+    if count is not None and count != len(graphs):
+        raise GraphError(
+            f"{spec_text} makes {len(graphs)} graph(s); --count must be "
+            f"{len(graphs)} or omitted, got {count}"
+        )
     return graphs, [0] * len(graphs)
 
 
 def cmd_gen(args):
-    if args.count < 1:
+    if args.count is not None and args.count < 1:
         raise GraphError(f"count must be at least 1, got {args.count}")
     graphs, labels = _gen_graphs(args.spec, args.count, args.seed)
     write_dataset(args.out, graphs, labels)
@@ -230,7 +241,9 @@ def build_parser():
     p.add_argument("spec", help="cycle:N | complete:N | path:N | rook4x4 | "
                                 "shrikhande | two-triangles-vs-c6 | "
                                 "four-cycle-pair:K | er[:LO-HI[:DEG]]")
-    p.add_argument("--count", type=int, default=2)
+    p.add_argument("--count", type=int,
+                   help="graphs to make; default 2 for er and four-cycle-pair, "
+                        "fixed by the spec otherwise")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

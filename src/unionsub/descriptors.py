@@ -269,18 +269,6 @@ def _stack_values(a, ends, kind, encoding):
     return (on_path * sa[:, :, None] * sb[:, None, :] / sigma).sum(axis=(1, 2))
 
 
-def laplacian_matrix(s):
-    """Combinatorial Laplacian D - A of a subgraph's local graph."""
-    g = s.local
-    n = g.num_nodes
-    lap = np.zeros((n, n))
-    for i, j in g.edges:
-        lap[i, j] = lap[j, i] = -1.0
-    for v in range(n):
-        lap[v, v] = g.degree(v)
-    return lap
-
-
 # ---------------------------------------------------------------------------
 # Rival descriptors
 # ---------------------------------------------------------------------------

@@ -413,7 +413,9 @@ def count_simple_cycles(g, k):
 
     Paths are rooted at their smallest node; intermediate nodes must exceed
     the root, and each cycle's two traversal directions are deduplicated by
-    requiring path[1] < path[-1].
+    requiring path[1] < path[-1].  The last node is counted, not visited:
+    at depth k - 1 every neighbour off the path that exceeds path[1] and is
+    a neighbour of the root closes one cycle.
     """
     if k < 3:
         raise GraphError("cycle length must be at least 3")
@@ -423,9 +425,11 @@ def count_simple_cycles(g, k):
 
     def dfs(root, current, depth, on_path):
         nonlocal count
-        if depth == k:
-            if root in adj[current] and path[1] < path[-1]:
-                count += 1
+        if depth == k - 1:
+            first = path[1]
+            for nxt in adj[current]:
+                if nxt > first and nxt in closing and nxt not in on_path:
+                    count += 1
             return
         for nxt in adj[current]:
             if nxt > root and nxt not in on_path:
@@ -437,6 +441,7 @@ def count_simple_cycles(g, k):
 
     for root in range(g.num_nodes):
         path = [root]
+        closing = set(adj[root])
         dfs(root, root, 1, {root})
     return count
 

@@ -1,6 +1,6 @@
 """Exact solver for small balanced transportation problems.
 
-Classic transportation simplex: northwest-corner start, most-negative reduced
+Classic transportation simplex: least-cost start, most-negative reduced
 cost entering, stepping-stone pivot.  The basis is a spanning tree on the
 m + n nodes rows 0..m-1 and columns m..m+n-1, one edge per basic cell.  Each
 pivot walks that tree once from row 0; the walk gives every node its
@@ -53,21 +53,33 @@ def solve_transport(supply, demand, cost):
 
     plan = [[0.0] * n for _ in range(m)]
     basis = set()
-    # northwest-corner initial basic feasible solution: exactly m+n-1 cells
-    # forming a spanning tree; a and b become what is left to place
-    i = j = 0
-    while True:
+    # least-cost initial basic feasible solution.  Cells are visited by
+    # (cost, i, j); each one in a live row and column becomes basic, takes
+    # min(a[i], b[j]) and crosses out one line: its row if a[i] <= b[j], else
+    # its column, but never the last row or column left.  The final cell
+    # crosses out both, so exactly m+n-1 cells form a spanning tree; a and b
+    # become what is left to place.
+    flat = [x for row in c for x in row]
+    rows_left, cols_left = m, n
+    row_out, col_out = [False] * m, [False] * n
+    for k in sorted(range(m * n), key=flat.__getitem__):  # stable: ties row-major
+        i, j = divmod(k, n)
+        if row_out[i] or col_out[j]:
+            continue
         basis.add((i, j))
         amount = min(a[i], b[j])
         plan[i][j] = amount
+        cross_row = rows_left > 1 and (a[i] <= b[j] or cols_left == 1)
         a[i] -= amount
         b[j] -= amount
-        if i == m - 1 and j == n - 1:
+        if rows_left == cols_left == 1:
             break
-        if i < m - 1 and (a[i] <= b[j] or j == n - 1):
-            i += 1
+        if cross_row:
+            row_out[i] = True
+            rows_left -= 1
         else:
-            j += 1
+            col_out[j] = True
+            cols_left -= 1
 
     max_iter = 200 * (m + n) * max(m, n)
     for _ in range(max_iter):

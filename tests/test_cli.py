@@ -163,6 +163,27 @@ class TestGenCommand:
         assert err.count("\n") == 1 and "count must be at least 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, count", [
+        ("cycle:6", "5"), ("rook4x4", "2"), ("two-triangles-vs-c6", "1"),
+        ("two-triangles-vs-c6", "3"),
+    ])
+    def test_fixed_spec_other_count_exit_1(self, spec, count, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen", spec, "--count", count, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--count must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, count, made", [
+        ("cycle:6", None, 1), ("cycle:6", "1", 1), ("two-triangles-vs-c6", "2", 2),
+        ("er:10-12", None, 2), ("four-cycle-pair:4", None, 2),
+    ])
+    def test_count_default_and_fixed(self, spec, count, made, tmp_path):
+        out = tmp_path / "d"
+        argv = ["gen", spec, "--out", str(out)]
+        assert main(argv + (["--count", count] if count else [])) == 0
+        assert len(read_corpus(out)) == made
+
 
 class TestDatasetFiles:
     @pytest.fixture

@@ -24,7 +24,6 @@ from unionsub.descriptors import (
     cycle_count,
     edge_descriptor_value,
     encode_matrix,
-    laplacian_matrix,
     path_matrix,
     reconstruct_subgraph,
     ricci_curvature,
@@ -51,6 +50,18 @@ from unionsub.transport import solve_transport, wasserstein_discrete
 
 def full_subgraph(g):
     return induced_subgraph(g, range(g.num_nodes))
+
+
+def laplacian_matrix(s):
+    """Combinatorial Laplacian D - A of a subgraph's local graph."""
+    g = s.local
+    n = g.num_nodes
+    lap = np.zeros((n, n))
+    for i, j in g.edges:
+        lap[i, j] = lap[j, i] = -1.0
+    for v in range(n):
+        lap[v, v] = g.degree(v)
+    return lap
 
 
 class TestPathMatrix:
@@ -501,8 +512,8 @@ def balanced_instances(draw):
     """Balanced instances, m and n in 1..8, integer costs 0..3.
 
     Masses are either uniform or small integers split into the same total;
-    the integer ones tie exactly, so northwest-corner bases are often
-    degenerate (basic cells with zero flow).
+    the integer ones tie exactly, so starting bases are often degenerate
+    (basic cells with zero flow).
     """
     m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     cost = np.array(draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)),
@@ -514,6 +525,39 @@ def balanced_instances(draw):
     cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
     demand = np.diff([0, *cuts, total])
     return np.array(supply, dtype=float), demand.astype(float), cost
+
+
+@st.composite
+def float_mass_instances(draw):
+    """Balanced instances whose masses are floats that do not tie exactly.
+
+    Each side carries one unit, either split as curvature lays out a
+    measure (alpha on one point, (1 - alpha) / deg on each of deg others)
+    or as random weights scaled to sum to one.  Costs are integers 0..3.
+    """
+
+    def unit_mass():
+        if draw(st.booleans()):
+            alpha = draw(st.sampled_from([0.0, 0.2, 0.3, 0.5]) | st.floats(0.0, 1.0))
+            deg = draw(st.integers(1, 7))
+            return np.array([alpha] + [(1.0 - alpha) / deg] * deg)
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8)))
+        return weights / weights.sum()
+
+    supply, demand = unit_mass(), unit_mass()
+    m, n = len(supply), len(demand)
+    cost = np.array(draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)),
+                    dtype=float).reshape(m, n)
+    return supply, demand, cost
+
+
+def assert_optimal_feasible(supply, demand, cost):
+    plan, objective = solve_transport(supply, demand, cost)
+    assert abs(objective - linprog_transport(supply, demand, cost)) < 1e-9
+    assert plan.shape == cost.shape and (plan >= 0).all()
+    assert np.allclose(plan.sum(axis=1), supply, rtol=0, atol=1e-12)
+    assert np.allclose(plan.sum(axis=0), demand, rtol=0, atol=1e-12)
+    assert objective == (plan * cost).sum()
 
 
 class TestTransportSolver:
@@ -538,22 +582,43 @@ class TestTransportSolver:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(instance=balanced_instances())
     def test_optimal_feasible_plan(self, instance):
-        supply, demand, cost = instance
-        plan, objective = solve_transport(supply, demand, cost)
-        assert abs(objective - linprog_transport(supply, demand, cost)) < 1e-9
-        assert plan.shape == cost.shape and (plan >= 0).all()
-        assert np.allclose(plan.sum(axis=1), supply, rtol=0, atol=1e-12)
-        assert np.allclose(plan.sum(axis=0), demand, rtol=0, atol=1e-12)
-        assert objective == (plan * cost).sum()
+        assert_optimal_feasible(*instance)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(instance=float_mass_instances())
+    def test_optimal_feasible_plan_float_masses(self, instance):
+        assert_optimal_feasible(*instance)
 
     def test_tie_break_picks_the_optimal_plan(self):
-        # two optimal plans cost 4; the smallest tied leaving cell selects this one
+        # the least-cost start [[2,0,0],[1,0,0],[0,1,1]] costs 6 and holds a
+        # zero-flow basic cell, so a pivot has tied leaving cells; of the
+        # optimal plans of cost 3 the smallest tied cell selects this one
         plan, objective = solve_transport(
-            [2.0, 2.0, 2.0], [1.0, 2.0, 3.0],
-            np.array([[0.0, 3.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+            [2.0, 1.0, 2.0], [3.0, 1.0, 1.0],
+            np.array([[0.0, 2.0, 2.0], [0.0, 1.0, 1.0], [0.0, 3.0, 3.0]]),
         )
-        assert objective == 4.0
-        assert plan.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]]
+        assert objective == 3.0
+        assert plan.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_zero_cost_permutation(self, k):
+        # every zero-cost cell empties its row and its column at once, so the
+        # start is degenerate at each step; it must still be the optimal plan
+        rng = random.Random(k)
+        perm = rng.sample(range(k), k)
+        cost = np.array([[rng.randint(1, 3) for _ in range(k)] for _ in range(k)], float)
+        cost[range(k), perm] = 0.0
+        plan, objective = solve_transport([1.0] * k, [1.0] * k, cost)
+        assert objective == 0.0
+        assert plan.tolist() == np.eye(k)[perm].tolist()
+
+    def test_single_row_and_column(self):
+        # one line takes everything; dyadic masses keep the sums exact
+        masses = [0.25, 0.25, 0.5]
+        plan, objective = solve_transport([1.0], masses, [[3.0, 1.0, 2.0]])
+        assert plan.tolist() == [masses] and objective == 2.0
+        plan, objective = solve_transport(masses, [1.0], [[3.0], [1.0], [2.0]])
+        assert plan.tolist() == [[x] for x in masses] and objective == 2.0
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError, match="unbalanced"):
