@@ -1,8 +1,11 @@
 """Dataset directories: one graph file per graph plus labels.csv.
 
 The cycle-detection dataset pairs k-cycle-containing positives with
-degree-matched k-cycle-free negatives (see graphs.four_cycle_pair) and is
-fully determined by its seed.
+degree-matched k-cycle-free negatives and is fully determined by its seed.
+Each pair comes from graphs.four_cycle_pair: a double-edge-swap chain from a
+G(14, 18) base graph keeps degrees and simplicity, is sampled every 42
+attempted swaps (about 18 accepted), and its first sample with a k-cycle and
+first without one form the pair.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def read_corpus(directory):
     return graphs
 
 
-def build_cycle_dataset(k, count, seed, num_nodes=14, num_edges=18):
+def build_cycle_dataset(k, count, seed):
     """`count` graphs with balanced labels: label 1 iff a k-cycle is present.
 
     Graphs come in degree-matched positive/negative pairs, interleaved so
@@ -87,9 +90,7 @@ def build_cycle_dataset(k, count, seed, num_nodes=14, num_edges=18):
     rng = random.Random(seed)
     graphs, labels = [], []
     for _ in range(count // 2):
-        pos, neg = four_cycle_pair(
-            k, rng, num_nodes=num_nodes, num_edges=num_edges
-        )
+        pos, neg = four_cycle_pair(k, rng)
         graphs += [pos, neg]
         labels += [1, 0]
     return graphs, labels

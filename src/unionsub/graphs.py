@@ -544,55 +544,91 @@ def random_graph(n, p, rng):
     return Graph(n, edges)
 
 
-def random_graph_with_degrees(degree_seq, rng, tries=400):
-    """Simple graph with the exact degree sequence (pairing model), or None."""
-    stubs = [v for v, d in enumerate(degree_seq) for _ in range(d)]
-    if len(stubs) % 2 != 0:
-        raise GraphError("degree sequence must have even sum")
-    for _ in range(tries):
-        rng.shuffle(stubs)
-        seen = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            e = _normalize_edge(u, v)
-            if e in seen:
-                ok = False
-                break
-            seen.add(e)
-        if ok:
-            return Graph(len(degree_seq), sorted(seen))
-    return None
+# four_cycle_pair: graph size, G(n, m) bases drawn before giving up, graphs
+# sampled from one base, and swap attempts between samples (about 43% are
+# accepted on these graphs, so about PAIR_EDGES swaps are made)
+PAIR_NODES = 14
+PAIR_EDGES = 18
+PAIR_BASES = 200
+PAIR_SAMPLES = 120
+PAIR_SWAP_ATTEMPTS = 42
 
 
-def four_cycle_pair(k, rng, num_nodes=14, num_edges=18, max_tries=200):
+def double_edge_swap(edges, adjacency, rng):
+    """Try one double-edge swap in place; True if it was made.
+
+    Picks edges (a, b) and (c, d), flips the second at random, and rewires
+    them to (a, d) and (c, b) unless that makes a self-loop or an existing
+    edge.  ``edges`` is a list of pairs and ``adjacency`` a list of
+    neighbour sets; degrees are kept either way.
+    """
+    m = len(edges)
+    i, j = int(rng.random() * m), int(rng.random() * m)
+    (a, b), (c, d) = edges[i], edges[j]
+    if rng.random() < 0.5:
+        c, d = d, c
+    if i == j or a == d or c == b or d in adjacency[a] or b in adjacency[c]:
+        return False
+    adjacency[a].remove(b)
+    adjacency[b].remove(a)
+    adjacency[c].remove(d)
+    adjacency[d].remove(c)
+    adjacency[a].add(d)
+    adjacency[d].add(a)
+    adjacency[c].add(b)
+    adjacency[b].add(c)
+    edges[i], edges[j] = (a, d), (c, b)
+    return True
+
+
+def has_four_cycle(adjacency):
+    """True iff a graph has a 4-cycle: some off-diagonal entry of A² is >= 2.
+
+    ``adjacency`` holds each node's neighbours (``Graph.adjacency`` or
+    sets).  Such an entry is a pair of nodes that is the neighbour pair of
+    two distinct centres.
+    """
+    seen = set()
+    for neighbours in adjacency:
+        for pair in itertools.combinations(sorted(neighbours), 2):
+            if pair in seen:
+                return True
+            seen.add(pair)
+    return False
+
+
+def four_cycle_pair(k, rng):
     """One positive/negative pair for k-cycle detection.
 
-    Samples a degree sequence from G(n, m), then draws two graphs with that
-    exact degree sequence: one containing a simple k-cycle, one containing
-    none.  Sharing node count, edge count, and degree sequence strips the
-    class signal out of degree statistics while leaving the natural local
-    structure of k-cycle-free versus k-cycle-bearing graphs intact.
+    Walks a double-edge-swap chain from a G(n, m) base graph, sampling the
+    base and then every ``PAIR_SWAP_ATTEMPTS`` attempted swaps, and returns
+    the first sample with a simple k-cycle and the first with none; a new
+    base is drawn after ``PAIR_SAMPLES`` samples.  Sharing node count, edge
+    count and degree sequence strips the class signal out of degree
+    statistics.  The base is uniform over the simple graphs with its degree
+    sequence, and so is every sample: a rejected swap stays put and each
+    swap is undone by one equally likely swap (counting accepted swaps
+    instead would favour graphs that accept more of them).
     """
     if not 3 <= k <= 8:
         raise GraphError("cycle length must lie in 3..8")
-    population = list(itertools.combinations(range(num_nodes), 2))
-    for _ in range(max_tries):
-        base = Graph(num_nodes, rng.sample(population, num_edges))
-        degrees = [base.degree(v) for v in range(num_nodes)]
+    population = list(itertools.combinations(range(PAIR_NODES), 2))
+    for _ in range(PAIR_BASES):
+        edges = rng.sample(population, PAIR_EDGES)
+        adjacency = [set(a) for a in Graph(PAIR_NODES, edges).adjacency]
         positive = negative = None
-        for _ in range(120):
-            g = random_graph_with_degrees(degrees, rng)
-            if g is None:
-                break
-            if count_simple_cycles(g, k) > 0:
-                if positive is None:
-                    positive = g
-            elif negative is None:
-                negative = g
+        for sample in range(PAIR_SAMPLES):
+            if sample:
+                for _ in range(PAIR_SWAP_ATTEMPTS):
+                    double_edge_swap(edges, adjacency, rng)
+            if k == 4:
+                found = has_four_cycle(adjacency)
+            else:
+                found = count_simple_cycles(Graph(PAIR_NODES, edges), k) > 0
+            if found and positive is None:
+                positive = Graph(PAIR_NODES, edges)
+            elif not found and negative is None:
+                negative = Graph(PAIR_NODES, edges)
             if positive is not None and negative is not None:
                 return positive, negative
     raise GraphError(f"could not sample a {k}-cycle pair (k may be too easy/hard)")

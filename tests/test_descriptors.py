@@ -443,6 +443,15 @@ class TestRicciCurvature:
             ricci_curvature(path_graph(3), 0, 2)
 
 
+@st.composite
+def relabeled_graphs(draw):
+    """A random graph (possibly disconnected) and a permutation of its nodes."""
+    n = draw(st.integers(2, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return Graph(n, edges), draw(st.permutations(range(n)))
+
+
 def random_graphs(seed, count):
     """Small G(n, p) graphs with at least one edge, connected or not."""
     rng = random.Random(seed)
@@ -738,6 +747,32 @@ class TestCoefficientTable:
                     assert relabeled.raw_value(perm[v], perm[u]) == pytest.approx(
                         value, abs=1e-9
                     )
+
+    @pytest.mark.filterwarnings("ignore:coefficients around node")
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=relabeled_graphs())
+    def test_permutation_invariance_every_kind(self, case):
+        # raw values map edge for edge within 1e-12 relative, under every
+        # encoding for the matrix kinds; cycle-count is a per-graph count.
+        # Curvature is 1 - W with W of order 1, so a curvature of 0 may come
+        # out as a rounding error of 1e-16: errors are relative to max(|x|, 1)
+        g, perm = case
+        relabeled = g.relabel(perm)
+        for name in Descriptor.KINDS:
+            kind = Descriptor(name)
+            if name == "cycle-count":
+                assert cycle_count(relabeled, kind.cycle_len) == cycle_count(
+                    g, kind.cycle_len
+                )
+                continue
+            matrix_kind = name.endswith(("path", "laplacian"))
+            for encoding in Encoding if matrix_kind else [Encoding.SVD_SUM]:
+                base = coefficient_table(g, kind, encoding).raw
+                moved = coefficient_table(relabeled, kind, encoding)
+                for (v, u), value in base.items():
+                    other = moved.raw_value(perm[v], perm[u])
+                    scale = max(abs(value), 1.0)
+                    assert abs(other - value) <= 1e-12 * scale, (name, encoding)
 
     def test_cycle_count_not_a_table_kind(self):
         with pytest.raises(DescriptorError, match="graph-global"):

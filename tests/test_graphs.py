@@ -1,8 +1,13 @@
+import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unionsub import graphs
 from unionsub.graphs import (
     Graph,
     GraphError,
@@ -13,8 +18,10 @@ from unionsub.graphs import (
     complete_graph,
     count_simple_cycles,
     cycle_graph,
+    double_edge_swap,
     four_cycle_pair,
     generate_named,
+    has_four_cycle,
     induced_subgraph,
     is_isomorphic_small,
     parse_graph,
@@ -327,3 +334,118 @@ class TestNamedGenerators:
         a = generate_named(NamedGraphSpec.parse("four-cycle-pair:4"), seed=7)
         b = generate_named(NamedGraphSpec.parse("four-cycle-pair:4"), seed=7)
         assert a == b
+
+
+def has_cycle_networkx(g, k):
+    nx_graph = nx.Graph(list(g.edges))
+    return any(len(c) == k for c in nx.simple_cycles(nx_graph, length_bound=k))
+
+
+@st.composite
+def graphs_and_swap_seeds(draw):
+    n = draw(st.integers(4, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=2, unique=True))
+    return n, edges, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFourCyclePairSampler:
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_pairs_share_counts_and_degrees(self, k):
+        for seed in range(3):
+            rng = random.Random(seed)
+            for _ in range(3):
+                pos, neg = four_cycle_pair(k, rng)
+                assert pos.num_nodes == neg.num_nodes
+                assert pos.num_edges == neg.num_edges
+                assert pos.degree_sequence() == neg.degree_sequence()
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_labels_match_networkx(self, k):
+        rng = random.Random(20 + k)
+        for _ in range(4):
+            pos, neg = four_cycle_pair(k, rng)
+            assert has_cycle_networkx(pos, k)
+            assert not has_cycle_networkx(neg, k)
+
+    def test_common_neighbour_test_matches_count(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_graph(rng.randrange(1, 11), rng.random() * 0.6, rng)
+            assert has_four_cycle(g.adjacency) == (count_simple_cycles(g, 4) > 0)
+            sets = [set(row) for row in g.adjacency]
+            assert has_four_cycle(sets) == has_four_cycle(g.adjacency)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=graphs_and_swap_seeds())
+    def test_swap_keeps_degrees_and_simplicity(self, case):
+        # an accepted swap is networkx.double_edge_swap's move:
+        # (a, b), (c, d) -> (a, d), (c, b) on four distinct nodes
+        n, edges, seed = case
+        rng = random.Random(seed)
+        edges = list(edges)
+        g = Graph(n, edges)
+        adjacency = [set(a) for a in g.adjacency]
+        for _ in range(20):
+            before = set(g.edges)
+            made = double_edge_swap(edges, adjacency, rng)
+            g = Graph(n, edges)  # raises on a self-loop or a duplicate edge
+            assert [len(a) for a in adjacency] == [g.degree(v) for v in range(n)]
+            assert [set(a) for a in g.adjacency] == adjacency
+            removed, added = before - set(g.edges), set(g.edges) - before
+            if not made:
+                assert not removed and not added
+                continue
+            assert len(removed) == len(added) == 2
+            (a, b), (c, d) = removed
+            assert len({a, b, c, d}) == 4
+            assert added in ({(min(a, d), max(a, d)), (min(c, b), max(c, b))},
+                             {(min(a, c), max(a, c)), (min(b, d), max(b, d))})
+            nx_before = nx.Graph(list(before))
+            nx_after = nx.Graph(list(g.edges))
+            assert dict(nx_before.degree()) == dict(nx_after.degree())
+
+    def test_swap_chain_is_symmetric(self):
+        # from every graph reachable from the start, each graph is entered by
+        # as many (edge i, edge j, flip) draws as leave it back the other way,
+        # so the uniform law on a degree sequence is kept
+        class Draws:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        def moves(x, n):
+            m = len(x)
+            out = {}
+            for i, j, flip in itertools.product(range(m), range(m), (0.25, 0.75)):
+                edges, adjacency = list(x), [set(a) for a in Graph(n, x).adjacency]
+                double_edge_swap(edges, adjacency, Draws([(i + .5) / m, (j + .5) / m, flip]))
+                y = Graph(n, edges).edges
+                out[y] = out.get(y, 0) + 1
+            return out
+
+        rng = random.Random(3)
+        for _ in range(3):
+            g = random_graph(7, 0.45, rng)
+            kernel, todo = {}, [g.edges]
+            while todo:
+                x = todo.pop()
+                if x not in kernel:
+                    kernel[x] = moves(x, g.num_nodes)
+                    todo.extend(kernel[x])
+            assert len(kernel) > 1
+            for x, out in kernel.items():
+                for y, count in out.items():
+                    assert kernel[y][x] == count
+
+    def test_cycle_length_checked(self):
+        with pytest.raises(GraphError, match="cycle length"):
+            four_cycle_pair(9, random.Random(0))
+
+    def test_no_pair_raises(self, monkeypatch):
+        monkeypatch.setattr(graphs, "PAIR_BASES", 2)
+        monkeypatch.setattr(graphs, "has_four_cycle", lambda adjacency: True)
+        with pytest.raises(GraphError, match="could not sample a 4-cycle pair"):
+            four_cycle_pair(4, random.Random(0))
