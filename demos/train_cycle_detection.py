@@ -2,9 +2,11 @@
 
 Generates a degree-matched 4-cycle detection dataset, then trains a plain
 degree-normalized message-passing classifier and the same model with
-coefficient-driven message weighting.  The plain model has nothing to hold
+coefficient-driven message weighting.  The plain model has little to hold
 on to (positives and negatives share node count, edge count, and degree
-sequence) while the coefficient path learns the task.
+sequence); the coefficients carry local cycle structure, and at this small
+scale they give the injected model a modest gap over the plain one, not a
+clean separation of the classes.
 
 It uses a small dataset and few epochs to finish in under a minute.
 """
@@ -31,5 +33,6 @@ for model_name, epochs in (("gcn", 300), ("union-gcn", 300)):
         f"test {report.test_acc:.3f}   [{time.time() - start:.0f}s]"
     )
 
-print("\nThe coefficient-injected model separates the classes; the plain")
-print("model hovers near chance because degree statistics carry no signal.")
+print("\nDegree statistics carry no signal, so the plain model stays close to chance;")
+print("the coefficient-injected model usually does modestly better, short of")
+print("separating the classes.")

@@ -1,11 +1,13 @@
 """Per-edge structural descriptors, matrix encodings, and coefficient tables.
 
 The flagship descriptor turns an edge's union subgraph into its shortest-path
-matrix and encodes it as the singular-value sum (nuclear norm).  Coefficient
-tables build every edge's local adjacency matrix and stack the matrices of
-one size: path matrices come in closed form and are encoded by one batched
-``eigvalsh``, and the rival edge betweenness and node/edge count come from
-the same stacks.  The other rivals (Ollivier-Ricci curvature with exact
+matrix and encodes it as the singular-value sum (nuclear norm).  One routine
+gives shortest-path lengths, to ``path_matrix`` and to every table: a pair's
+length is the first power of the adjacency matrix A that reaches it.  Tables
+stack the local adjacency matrices of one size; a union subgraph has
+diameter at most 3, so they stop after A^2.  One batched ``eigvalsh``
+encodes a stack, and the rival edge betweenness and node/edge count come
+from the same stacks.  The other rivals (Ollivier-Ricci curvature with exact
 optimal transport, Laplacian spectrum, cycle counting) share the same
 coefficient-table plumbing so they can be swapped per edge.
 """
@@ -13,6 +15,7 @@ coefficient-table plumbing so they can be swapped per edge.
 from __future__ import annotations
 
 import enum
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +25,6 @@ from .graphs import (
     Graph,
     GraphError,
     Subgraph,
-    bfs_distances,
     count_simple_cycles,
 )
 from .transport import wasserstein_discrete
@@ -138,20 +140,15 @@ class PathMatrix:
 
 
 def path_matrix(s):
-    """Shortest-path matrix of a connected subgraph via all-pairs BFS."""
-    g = s.local
-    n = g.num_nodes
-    entries = np.zeros((n, n), dtype=int)
-    for v in range(n):
-        dist = bfs_distances(g, v)
-        if min(dist, default=0) < 0:
-            raise DescriptorError("subgraph is disconnected; path matrix undefined")
-        entries[v] = dist
-    return PathMatrix(entries, tuple(s.parent_ids))
+    """Shortest-path matrix of a connected subgraph."""
+    a = np.zeros((1, s.num_nodes, s.num_nodes))
+    for i, j in s.local.edges:
+        a[0, i, j] = a[0, j, i] = 1.0
+    return PathMatrix(_path_lengths(a)[0].astype(int), tuple(s.parent_ids))
 
 
 def reconstruct_subgraph(p):
-    """Invert path_matrix: edges are exactly the distance-1 entries."""
+    """Invert path_matrix; p must be the path matrix of the graph of its 1 entries."""
     entries = np.asarray(p.entries)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DescriptorError("path matrix must be square")
@@ -161,9 +158,43 @@ def reconstruct_subgraph(p):
         raise DescriptorError("path matrix must be symmetric")
     if np.diag(entries).any():
         raise DescriptorError("path matrix diagonal must be zero")
-    n = entries.shape[0]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if entries[i, j] == 1]
-    return Subgraph(Graph(n, edges), p.order)
+    a = entries == 1
+    if not np.array_equal(_path_lengths(a[None] * 1.0)[0], entries):
+        raise DescriptorError("entries are not the shortest-path lengths of their graph")
+    return Subgraph(Graph(len(a), np.argwhere(np.triu(a)).tolist()), p.order)
+
+
+def _path_lengths(a, bound=None, counts=False):
+    """Shortest-path lengths of a (B, k, k) stack of adjacency matrices.
+
+    The length of (x, y) is the least d with (A^d)[x, y] > 0.  Products run
+    until one reaches no new pair; a pair never reached raises
+    DescriptorError.  A caller that knows no length exceeds ``bound`` stops at
+    A^(bound - 1), the pairs left getting ``bound``.  ``counts`` also returns
+    those entries of A^d, the shortest-path counts (shortest walks are paths).
+    """
+    diag = np.arange(a.shape[1])
+    # 0 marks a pair not reached; the diagonal, set last, is reached by A^2
+    lengths = paths = walks = a
+    for step in itertools.count(2):
+        walks = walks @ a
+        rest = bound if step + 1 == bound else 0.0
+        known = lengths > 0
+        grown = np.where(known, lengths, np.where(walks > 0, step, rest))
+        if counts:  # the pairs left at the bound are reached by one product more
+            new = np.where(walks > 0, walks, walks @ a) if rest else walks
+            paths = np.where(known, paths, new)
+        elif bound is None:
+            np.minimum(walks, 1.0, out=walks)  # keeps only the support, so no overflow
+        if rest or grown.all() or len(diag) == 1:
+            grown[:, diag, diag] = 0.0
+            if not counts:
+                return grown
+            paths[:, diag, diag] = 1.0
+            return grown, paths
+        if np.array_equal(grown, lengths):
+            raise DescriptorError("subgraph is disconnected; path matrix undefined")
+        lengths = grown
 
 
 def encode_matrix(matrix, encoding):
@@ -200,8 +231,8 @@ def local_descriptor_values(g, edges, kind, encoding):
 
     Local nodes are N[v] | N[u] (N[v] & N[u] for overlap); union-minus drops
     the edges between v's and u's exclusive neighbours.  Every local node is
-    v, u or adjacent to one of them, and v ~ u, so the diameter is at most 3:
-    off the diagonal the path matrix is 1 on edges, 2 where A^2 > 0, else 3.
+    v, u or adjacent to one of them, and v ~ u, so the diameter is at most 3
+    and the path lengths stop after A^2: 1 on edges, 2 where A^2 > 0, else 3.
     Local adjacency matrices of one size are stacked and evaluated together.
     """
     adj = g.adjacency
@@ -247,19 +278,14 @@ def _stack_values(a, ends, kind, encoding):
     batch, k, _ = a.shape
     if kind.kind == "count-ne":
         return a.sum(axis=(1, 2)) / 2 / (k * (k - 1)) * k ** kind.lam
-    diag = np.arange(k)
     if kind.kind == "laplacian":
+        diag = np.arange(k)
         m = -a
         m[:, diag, diag] = a.sum(axis=2)
         return _encode_stack(m, encoding)
-    a2 = a @ a
-    d = np.where(a > 0, 1.0, np.where(a2 > 0, 2.0, 3.0))
-    d[:, diag, diag] = 0.0
     if kind.kind != "betweenness":
-        return _encode_stack(d, encoding)
-    # shortest-path counts; at distance <= 3 every shortest walk is a path
-    sigma = np.where(a > 0, 1.0, np.where(a2 > 0, a2, a2 @ a))
-    sigma[:, diag, diag] = 1.0
+        return _encode_stack(_path_lengths(a, bound=3), encoding)
+    d, sigma = _path_lengths(a, bound=3, counts=True)
     # the ordered pair (x, y) counts its shortest paths x ... v - u ... y and
     # (y, x) those through u - v, so each unordered pair sees both directions
     rows = np.arange(batch)

@@ -331,26 +331,14 @@ def induced_subgraph(g, nodes):
     return Subgraph(local, parent_ids)
 
 
-def bfs_distances(g, source):
-    """BFS distances from source; unreachable nodes get -1."""
-    dist = [-1] * g.num_nodes
-    dist[source] = 0
-    queue = [source]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in g.neighbors(x):
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        queue = nxt
-    return dist
-
-
 def is_connected(g):
-    if g.num_nodes == 0:
-        return True
-    return all(d >= 0 for d in bfs_distances(g, 0))
+    """Whether a flood fill from node 0 reaches every node; True with no nodes."""
+    frontier = {0} if g.num_nodes else set()
+    seen = set(frontier)
+    while frontier:
+        frontier = {y for x in frontier for y in g.adjacency[x]} - seen
+        seen |= frontier
+    return len(seen) == g.num_nodes
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Per-edge local substructures and neighborhood isomorphism tests.
 
-For an edge (v, u): the overlap subgraph intersects the two closed
-neighborhoods, the union-minus subgraph unions them as graphs, and the union
-subgraph induces on the unioned node set (capturing cross-exclusive edges
-that the graph union misses).
+For an edge (v, u): the overlap subgraph induces on the intersection of the
+two closed neighborhoods, the union subgraph on their union, and the
+union-minus subgraph is the union subgraph without its cross-exclusive edges
+(the graph union of the two closed-neighborhood subgraphs, which misses
+them).
 """
 
 from __future__ import annotations
@@ -35,33 +36,19 @@ def union_subgraph(g, v, u):
 
 
 def overlap_subgraph(g, v, u):
-    """Graph intersection of the closed-neighborhood subgraphs of v and u."""
+    """Induced subgraph on N[v] & N[u]: the graph intersection of the
+    closed-neighborhood subgraphs of v and u."""
     _require_edge(g, v, u)
-    sv = induced_subgraph(g, closed_neighborhood(g, v))
-    su = induced_subgraph(g, closed_neighborhood(g, u))
-    nodes = set(sv.parent_ids) & set(su.parent_ids)
-    shared = set(sv.parent_edges()) & set(su.parent_edges())
-    parent_ids = sorted(nodes)
-    index = {p: i for i, p in enumerate(parent_ids)}
-    local = Graph(len(parent_ids), [(index[a], index[b]) for a, b in shared])
-    return Subgraph(local, parent_ids)
+    return induced_subgraph(g, closed_neighborhood(g, v) & closed_neighborhood(g, u))
 
 
 def union_minus_subgraph(g, v, u):
-    """Graph union of the closed-neighborhood subgraphs of v and u.
-
-    Same node set as the union subgraph, but edges between exclusive
-    neighbors on opposite sides (type E3) are absent.
-    """
-    _require_edge(g, v, u)
-    sv = induced_subgraph(g, closed_neighborhood(g, v))
-    su = induced_subgraph(g, closed_neighborhood(g, u))
-    nodes = set(sv.parent_ids) | set(su.parent_ids)
-    merged = set(sv.parent_edges()) | set(su.parent_edges())
-    parent_ids = sorted(nodes)
-    index = {p: i for i, p in enumerate(parent_ids)}
-    local = Graph(len(parent_ids), [(index[a], index[b]) for a, b in merged])
-    return Subgraph(local, parent_ids)
+    """The union subgraph without its cross-exclusive (E3) edges: the graph
+    union of the closed-neighborhood subgraphs of v and u."""
+    s = union_subgraph(g, v, u)
+    cross, ids = classify_edge_types(g, v, u).e3, s.parent_ids
+    kept = [(i, j) for i, j in s.local.edges if (ids[i], ids[j]) not in cross]
+    return Subgraph(Graph(s.num_nodes, kept, s.local.features), ids)
 
 
 @dataclass(frozen=True)
@@ -89,8 +76,6 @@ def classify_edge_types(g, v, u):
     nv = closed_neighborhood(g, v)
     nu = closed_neighborhood(g, u)
     common = nv & nu
-    excl_v = nv - common
-    excl_u = nu - common
     e1, e2, e3, e4, spokes = set(), set(), set(), set(), set()
     for a, b in union_subgraph(g, v, u).parent_edges():
         if v in (a, b) or u in (a, b):
@@ -99,7 +84,7 @@ def classify_edge_types(g, v, u):
             e1.add((a, b))
         elif (a in common) != (b in common):
             e2.add((a, b))
-        elif (a in excl_v and b in excl_u) or (a in excl_u and b in excl_v):
+        elif (a in nv) != (b in nv):  # both exclusive, on opposite sides
             e3.add((a, b))
         else:
             e4.add((a, b))

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from unionsub.descriptors import (
 from unionsub.graphs import (
     Graph,
     GraphError,
-    bfs_distances,
     closed_neighborhood,
     complete_graph,
     cycle_graph,
@@ -90,6 +90,44 @@ class TestPathMatrix:
         with pytest.raises(DescriptorError, match="disconnected"):
             path_matrix(s)
 
+    @pytest.mark.parametrize("g", [
+        Graph(2, []),
+        Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]),
+        Graph(6, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+    ], ids=["two-isolated", "two-paths", "k5-and-isolated"])
+    def test_disconnected_subgraphs_raise(self, g):
+        with pytest.raises(DescriptorError, match="disconnected"):
+            path_matrix(full_subgraph(g))
+
+    def test_one_node(self):
+        assert path_matrix(full_subgraph(Graph(1, []))).entries.tolist() == [[0]]
+
+    @pytest.mark.parametrize("g, diameter",
+                             [(path_graph(n), n - 1) for n in range(5, 13)]
+                             + [(cycle_graph(n), n // 2) for n in range(7, 13)],
+                             ids=[f"p{n}" for n in range(5, 13)]
+                             + [f"c{n}" for n in range(7, 13)])
+    def test_long_paths_and_cycles_match_networkx(self, g, diameter):
+        s = full_subgraph(g)
+        pm = path_matrix(s)
+        assert pm.entries.max() == diameter
+        assert np.array_equal(pm.entries, nx_path_matrix(s))
+
+    def test_random_connected_graphs_match_networkx(self):
+        rng = random.Random(11)
+        checked = deep = 0
+        while checked < 40:
+            g = random_graph(rng.randint(6, 18), rng.uniform(0.08, 0.3), rng)
+            if not is_connected(g):
+                continue
+            s = full_subgraph(g)
+            pm = path_matrix(s)
+            assert pm.entries.dtype.kind == "i"
+            assert np.array_equal(pm.entries, nx_path_matrix(s))
+            deep += pm.entries.max() > 3
+            checked += 1
+        assert deep >= 10
+
     def test_union_entries_at_most_3(self):
         rng = random.Random(0)
         for _ in range(25):
@@ -138,6 +176,26 @@ class TestReconstruction:
             reconstruct_subgraph(
                 PathMatrix(np.array([[0, -1], [-1, 0]]), (0, 1))
             )
+
+    def test_rejects_edgeless_matrix(self):
+        # no 1 entries: the graph they define is edgeless, so disconnected
+        from unionsub.descriptors import PathMatrix
+
+        with pytest.raises(DescriptorError, match="disconnected"):
+            reconstruct_subgraph(PathMatrix(np.array([[0, 0], [0, 0]]), (0, 1)))
+
+    def test_rejects_lengths_of_no_graph(self):
+        # the 1 entries make a P3, whose end-to-end length is 2, not 5
+        from unionsub.descriptors import PathMatrix
+
+        entries = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        with pytest.raises(DescriptorError, match="shortest-path lengths"):
+            reconstruct_subgraph(PathMatrix(entries, (0, 1, 2)))
+
+    def test_round_trip_on_long_cycles(self):
+        for n in range(7, 13):
+            pm = path_matrix(full_subgraph(cycle_graph(n)))
+            assert reconstruct_subgraph(pm).local == cycle_graph(n)
 
 
 class TestJacobiEncodings:
@@ -229,28 +287,30 @@ MATRIX_SUBGRAPHS = {
 MATRIX_KINDS = tuple(MATRIX_SUBGRAPHS)
 
 
+def nx_graph(g):
+    h = nx.empty_graph(g.num_nodes)
+    h.add_edges_from(g.edges)
+    return h
+
+
+def nx_path_matrix(s):
+    """Shortest-path matrix of a connected subgraph, in local order, by networkx."""
+    lengths = dict(nx.all_pairs_shortest_path_length(nx_graph(s.local)))
+    return np.array([[lengths[x][y] for y in range(s.num_nodes)] for x in range(s.num_nodes)])
+
+
 def betweenness_oracle(g, a, b):
-    """Edge betweenness of (a, b) in g by enumerating every shortest path."""
+    """Edge betweenness of (a, b) in connected g by enumerating every shortest path."""
+    h = nx_graph(g)
     total = 0.0
-    for x in range(g.num_nodes):
-        dist = bfs_distances(g, x)
-        for y in range(x + 1, g.num_nodes):
-            paths = []
-            stack = [(x, [x])]
-            while stack:
-                node, path = stack.pop()
-                if node == y:
-                    paths.append(path)
-                    continue
-                for w in g.neighbors(node):
-                    if dist[w] == dist[node] + 1 and dist[w] <= dist[y]:
-                        stack.append((w, path + [w]))
-            through = sum(
-                1
-                for p in paths
-                if any({p[i], p[i + 1]} == {a, b} for i in range(len(p) - 1))
-            )
-            total += through / len(paths)
+    for x, y in itertools.combinations(range(g.num_nodes), 2):
+        paths = list(nx.all_shortest_paths(h, x, y))
+        through = sum(
+            1
+            for p in paths
+            if any({p[i], p[i + 1]} == {a, b} for i in range(len(p) - 1))
+        )
+        total += through / len(paths)
     return total
 
 
@@ -265,11 +325,11 @@ def _reference_value(g, v, u, kind, encoding):
     sub = MATRIX_SUBGRAPHS[kind](g, v, u)
     if kind == "laplacian":
         return encode_matrix(laplacian_matrix(sub), encoding)
-    return encode_matrix(path_matrix(sub).entries, encoding)
+    return encode_matrix(nx_path_matrix(sub), encoding)
 
 
 class TestBatchedMatrixKinds:
-    """Tables of the local kinds against per-edge BFS and counting references."""
+    """Tables of the local kinds against per-edge networkx and counting references."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
     def test_table_matches_bfs_reference(self, name):
@@ -385,8 +445,8 @@ def exact_ot_oracle(g, v, u, alpha=0.5):
     su = sorted(closed_neighborhood(g, u))
     mu = np.array([alpha if x == v else (1 - alpha) / g.degree(v) for x in sv])
     nu = np.array([alpha if y == u else (1 - alpha) / g.degree(u) for y in su])
-    rows = [bfs_distances(g, x) for x in sv]
-    dist = np.array([[row[y] for y in su] for row in rows], dtype=float)
+    lengths = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    dist = np.array([[lengths[x][y] for y in su] for x in sv], dtype=float)
     m, n = dist.shape
     a_eq = []
     for i in range(m):

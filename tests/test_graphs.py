@@ -158,6 +158,25 @@ class TestNeighborhoods:
             closed_neighborhood(complete_graph(3), 3)
 
 
+class TestIsConnected:
+    def test_empty_and_one_node(self):
+        assert graphs.is_connected(Graph(0, []))
+        assert graphs.is_connected(Graph(1, []))
+
+    def test_matches_networkx_with_isolated_nodes(self):
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(2, 14)
+            g = random_graph(n, rng.uniform(0.05, 0.5), rng)
+            h = nx.empty_graph(n)
+            h.add_edges_from(g.edges)
+            assert graphs.is_connected(g) == nx.is_connected(h)
+            seen.add((nx.is_connected(h), min(g.degree_sequence()) == 0))
+        # connected graphs, and disconnected ones with and without isolated nodes
+        assert seen >= {(True, False), (False, True), (False, False)}
+
+
 class TestInducedSubgraph:
     def test_c6_piece_is_path(self):
         s = induced_subgraph(cycle_graph(6), {0, 1, 2})

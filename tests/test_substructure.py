@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from unionsub.graphs import (
@@ -91,6 +92,19 @@ class TestUnionMinusSubgraph:
         assert (2, 3) in union.parent_edges()
         assert (2, 3) not in minus.parent_edges()
 
+    def test_oracle_graph_union(self):
+        rng = random.Random(5)
+        from unionsub.graphs import closed_neighborhood, induced_subgraph
+
+        for _ in range(30):
+            g = random_graph(9, 0.4, rng)
+            for v, u in g.edges:
+                s = union_minus_subgraph(g, v, u)
+                sv = induced_subgraph(g, closed_neighborhood(g, v))
+                su = induced_subgraph(g, closed_neighborhood(g, u))
+                assert set(s.parent_ids) == set(sv.parent_ids) | set(su.parent_ids)
+                assert set(s.parent_edges()) == set(sv.parent_edges()) | set(su.parent_edges())
+
     def test_nesting_chain(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -106,15 +120,21 @@ class TestUnionMinusSubgraph:
 
     def test_union_diameter_at_most_3(self):
         rng = random.Random(3)
-        from unionsub.graphs import bfs_distances
-
         for _ in range(30):
             g = random_graph(10, 0.3, rng)
             for v, u in g.edges:
                 s = union_subgraph(g, v, u)
-                for x in range(s.num_nodes):
-                    dist = bfs_distances(s.local, x)
-                    assert max(dist) <= 3
+                h = nx.empty_graph(s.num_nodes)
+                h.add_edges_from(s.local.edges)
+                assert nx.diameter(h) <= 3
+
+
+def test_local_subgraphs_carry_parent_features():
+    features = [[float(i), 10.0 * i] for i in range(4)]
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], features)
+    for build in (union_subgraph, overlap_subgraph, union_minus_subgraph):
+        s = build(g, 0, 1)
+        assert s.local.features.tolist() == [features[p] for p in s.parent_ids]
 
 
 class TestEdgeTypePartition:
