@@ -4,7 +4,8 @@ Builds per-edge local substructures (overlap / union-minus / union
 subgraphs), encodes them through shortest-path matrices and singular-value
 sums, compares against rival descriptors, verifies expressiveness against
 1-WL color refinement, and injects the coefficients into toy message-passing
-and attention layers.
+layers, where Trans(coefficient) scales each message with no second
+normalization.  Injection into Transformer models is not reproduced.
 """
 
 from .graphs import (

@@ -258,8 +258,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a toy graph classifier on a dataset")
     p.add_argument("dataset")
-    p.add_argument("--model", default="union-gcn",
-                   choices=("gcn", "gin", "union-gcn", "union-gin", "union"))
+    p.add_argument("--model", default="union-gcn", choices=ModelSpec.NAMES)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", type=int, default=32)

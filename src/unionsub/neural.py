@@ -1,7 +1,9 @@
 """Toy differentiable graph layers with hand-rolled backprop.
 
-Coefficient tables enter the layers through a small Trans MLP whose
-per-channel outputs are softmax-normalized over each node's neighbors.
+Coefficient tables enter the layers through a small Trans MLP: its
+per-channel output Trans(a_vu) on the row-normalized coefficient a_vu
+scales the message from u to v directly, with no second normalization over
+v's neighbors.  Injection into Transformer models is not reproduced.
 Every layer runs on one engine: a batch of graphs is stacked as one
 disjoint union (``_Batch``), and a single graph is a batch of one.
 Everything is plain numpy; the engine's gradients are verified against
@@ -113,16 +115,6 @@ class GcnLayerParams:
         return out
 
 
-@dataclass
-class AttentionParams:
-    wq: np.ndarray
-    wk: np.ndarray
-    trans: Mlp  # output reduced per pair by channel mean
-
-    def arrays(self):
-        return [self.wq, self.wk] + self.trans.arrays()
-
-
 def union_layer_params(in_dim, out_dim, rng, with_trans=True):
     trans = mlp_init((1, TRANS_HIDDEN, in_dim), rng) if with_trans else None
     return UnionLayerParams(np.zeros(()), mlp_init((in_dim, out_dim), rng), trans)
@@ -132,14 +124,6 @@ def gcn_layer_params(in_dim, out_dim, rng, with_trans=False):
     trans = mlp_init((1, TRANS_HIDDEN, in_dim), rng) if with_trans else None
     return GcnLayerParams(
         glorot_uniform(rng, in_dim, out_dim), np.zeros(out_dim), trans
-    )
-
-
-def attention_params(dim, rng):
-    return AttentionParams(
-        glorot_uniform(rng, dim, dim),
-        glorot_uniform(rng, dim, dim),
-        mlp_init((1, TRANS_HIDDEN, dim), rng),
     )
 
 
@@ -182,13 +166,13 @@ class _PreparedGraph:
 class _Batch:
     """A disjoint union of prepared graphs with offset pair/node indexing.
 
-    Pair arrays are sorted by center node (within and across graphs), so
-    per-node segments are contiguous runs usable with reduceat.
+    Each graph's nodes are a contiguous run starting at ``pool_starts``, so
+    per-graph pooling is one reduceat.
     """
 
     __slots__ = (
         "h0", "center", "nbr", "norm", "coeff", "num_nodes",
-        "node_sizes", "pool_starts", "seg_starts", "seg_expand",
+        "node_sizes", "pool_starts",
     )
 
     def __init__(self, prepared):
@@ -206,10 +190,6 @@ class _Batch:
             self.coeff = None
         self.node_sizes = np.array([p.num_nodes for p in prepared])
         self.pool_starts = offsets[:-1]
-        # contiguous runs of equal center: segment starts and per-pair run ids
-        first = np.diff(self.center, prepend=-1) != 0
-        self.seg_starts = np.flatnonzero(first)
-        self.seg_expand = np.cumsum(first) - 1
 
 
 def _scatter_rows(values, index, num_rows):
@@ -218,34 +198,6 @@ def _scatter_rows(values, index, num_rows):
     for c in range(values.shape[1]):
         out[:, c] = np.bincount(index, weights=values[:, c], minlength=num_rows)
     return out
-
-
-def _segment_softmax(z, batch):
-    """Softmax of z rows grouped by center node, per channel."""
-    big = np.maximum.reduceat(z, batch.seg_starts, axis=0)
-    e = np.exp(z - big[batch.seg_expand])
-    sums = np.add.reduceat(e, batch.seg_starts, axis=0)
-    return e / sums[batch.seg_expand]
-
-
-def _segment_softmax_backward(t, dt, batch):
-    inner = np.add.reduceat(dt * t, batch.seg_starts, axis=0)
-    return t * (dt - inner[batch.seg_expand])
-
-
-def _batched_trans(trans, batch):
-    """Per-directed-pair channel weights t(v, u), softmaxed over N(v).
-
-    Rows align with ``batch.center``/``batch.nbr``; for every non-isolated v
-    each channel of t sums to 1 over v's neighbors.  Returns (t, cache).
-    """
-    z, mlp_cache = mlp_forward(trans, batch.coeff)
-    return _segment_softmax(z, batch), mlp_cache
-
-
-def _trans_backward(trans, batch, t, mlp_cache, dt):
-    dz = _segment_softmax_backward(t, dt, batch)
-    return mlp_backward(trans, mlp_cache, dz)[1]
 
 
 def _aggregate(h, batch, t, norm=None):
@@ -270,7 +222,7 @@ def _aggregate_backward(trans, batch, h, t, tcache, d_agg, norm=None):
         return _scatter_rows(d_msg, batch.nbr, batch.num_nodes), None
     dh = _scatter_rows(t * d_msg, batch.nbr, batch.num_nodes)
     dt = d_msg * h[batch.nbr]
-    return dh, _trans_backward(trans, batch, t, tcache, dt)
+    return dh, mlp_backward(trans, tcache, dt)[1]
 
 
 def _layer_forward(layer, batch, h):
@@ -278,9 +230,10 @@ def _layer_forward(layer, batch, h):
 
     GCN: h' = relu((sum_u t(v,u) * h_u / sqrt(d_v d_u)) W + b).
     GIN/union: h' = MLP((1 + eps) h_v + sum_u t(v,u) * h_u), so isolated
-    nodes keep only the self term.  Without a Trans MLP, t is 1.
+    nodes keep only the self term.  t(v,u) = Trans(coeff_vu) per channel;
+    without a Trans MLP, t is 1.
     """
-    t, tcache = (None, None) if layer.trans is None else _batched_trans(layer.trans, batch)
+    t, tcache = (None, None) if layer.trans is None else mlp_forward(layer.trans, batch.coeff)
     if isinstance(layer, GcnLayerParams):
         agg = _aggregate(h, batch, t, batch.norm)
         z = agg @ layer.weight + layer.bias
@@ -307,41 +260,6 @@ def _layer_backward(layer, batch, cache, dout):
     dh, trans_grads = _aggregate_backward(layer.trans, batch, h, t, tcache, d_agg)
     dh += (1.0 + float(layer.epsilon)) * d_agg
     return dh, UnionLayerParams(d_eps, mlp_grads, trans_grads)
-
-
-def attention_bias_forward(params, batch, h):
-    """A_vu = (h_v Wq)(h_u Wk)^T / sqrt(d) + mean(Trans(coeff_vu)).
-
-    A Graphormer-style spatial bias: it applies to adjacent ordered pairs
-    only and is zero elsewhere.  Returns the logit matrix over all nodes of
-    the batch; pairs in different graphs are -inf, so a row softmax attends
-    within the node's own graph.
-    """
-    n, d = h.shape
-    if n != batch.num_nodes:
-        raise GraphError("feature rows must match the batch's node count")
-    if params.wq.shape != (d, d) or params.wk.shape != (d, d):
-        raise GraphError("Wq and Wk must be d x d for d-channel features")
-    graph_of = np.repeat(np.arange(len(batch.node_sizes)), batch.node_sizes)
-    same = graph_of[:, None] == graph_of[None, :]
-    q = h @ params.wq
-    k = h @ params.wk
-    logits = np.where(same, (q @ k.T) / math.sqrt(d), -np.inf)
-    t, tcache = _batched_trans(params.trans, batch)
-    logits[batch.center, batch.nbr] += t.mean(axis=1)
-    return logits, (h, q, k, same, t, tcache)
-
-
-def attention_bias_backward(params, batch, cache, dout):
-    h, q, k, same, t, tcache = cache
-    dout = np.where(same, dout, 0.0)
-    scale = 1.0 / math.sqrt(h.shape[1])
-    dq = dout @ k * scale
-    dk = dout.T @ q * scale
-    dh = dq @ params.wq.T + dk @ params.wk.T
-    dt = np.repeat(dout[batch.center, batch.nbr][:, None], t.shape[1], axis=1) / t.shape[1]
-    trans_grads = _trans_backward(params.trans, batch, t, tcache, dt)
-    return dh, AttentionParams(h.T @ dq, h.T @ dk, trans_grads)
 
 
 # ---------------------------------------------------------------------------

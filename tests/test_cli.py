@@ -311,18 +311,30 @@ class TestTrainCommand:
         default = inspect.signature(train_classifier).parameters["batch_size"].default
         assert args.batch_size == default == DEFAULT_BATCH_SIZE
 
-    def test_short_training_writes_artifacts(self, tmp_path, capsys):
+    @staticmethod
+    def train_small(tmp_path, capsys, model, epochs):
+        """Train on a 12-graph dataset; returns (metrics, checkpoint, log lines)."""
         data = tmp_path / "data"
         main(["gen", "four-cycle-pair:4", "--count", "12", "--seed", "6",
               "--out", str(data)])
         out = tmp_path / "run"
         assert main(
-            ["train", str(data), "--model", "union-gcn", "--epochs", "2",
+            ["train", str(data), "--model", model, "--epochs", str(epochs),
              "--seed", "1", "--hidden", "8", "--out", str(out)]
         ) == 0
         metrics = json.loads(capsys.readouterr().out)
-        assert metrics["epochs"] == 2
         ckpt = json.loads((out / "checkpoint.json").read_text())
-        assert ckpt["model"]["base"] == "gcn" and ckpt["model"]["use_coeffs"]
         lines = (out / "training_log.csv").read_text().strip().split("\n")
+        return metrics, ckpt, lines
+
+    def test_short_training_writes_artifacts(self, tmp_path, capsys):
+        metrics, ckpt, lines = self.train_small(tmp_path, capsys, "union-gcn", 2)
+        assert metrics["epochs"] == 2
+        assert ckpt["model"]["base"] == "gcn" and ckpt["model"]["use_coeffs"]
         assert len(lines) == 3
+
+    def test_union_gin_training_writes_artifacts(self, tmp_path, capsys):
+        metrics, ckpt, lines = self.train_small(tmp_path, capsys, "union-gin", 1)
+        assert metrics["model"] == "union-gin" and metrics["epochs"] == 1
+        assert ckpt["model"]["base"] == "gin" and ckpt["model"]["use_coeffs"]
+        assert len(lines) == 2

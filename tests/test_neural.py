@@ -46,10 +46,22 @@ def dense_trans(trans, g, coeffs):
         if not nbrs:
             continue
         x = np.array([[coeffs.normalized[(v, u)]] for u in nbrs])
-        z, _ = nn.mlp_forward(trans, x)
-        e = np.exp(z - z.max(axis=0))
-        out[v, nbrs] = e / e.sum(axis=0)
+        out[v, nbrs], _ = nn.mlp_forward(trans, x)
     return out
+
+
+def unit_trans(channels):
+    """A Trans MLP that outputs exactly 1 on every channel."""
+    return nn.Mlp(
+        [np.zeros((1, nn.TRANS_HIDDEN)), np.zeros((nn.TRANS_HIDDEN, channels))],
+        [np.zeros(nn.TRANS_HIDDEN), np.ones(channels)],
+    )
+
+
+def layer_weights(layer, batch, h):
+    """The per-pair Trans weights t that one layer forward applies."""
+    _, cache = nn._layer_forward(layer, batch, h)
+    return cache[1]
 
 
 def dense_logits(model, g, coeffs):
@@ -126,33 +138,23 @@ class TestMlp:
 
 
 class TestTrans:
-    def test_softmax_sums_to_one(self):
-        graphs = [connected_random_graph(2, n=7), Graph(4, [(0, 1), (1, 2)])]
-        batch = make_batch(graphs)
-        rng = np.random.default_rng(3)
-        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 5), rng), batch)
-        for v in range(batch.num_nodes):
-            rows = t[batch.center == v]
-            if len(rows):
-                assert np.allclose(rows.sum(axis=0), 1.0, atol=1e-7)
-
-    def test_singleton_neighbor_gives_ones(self):
-        rng = np.random.default_rng(4)
-        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 3), rng), make_batch([complete_graph(2)]))
-        assert np.allclose(t, 1.0)
-
     def test_equal_coefficients_give_uniform(self):
-        # every normalized coefficient of C6 is 0.5
+        # every normalized coefficient of C6 is 0.5, so every pair gets the
+        # same weight row, Trans(0.5)
         rng = np.random.default_rng(5)
-        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 4), rng), make_batch([cycle_graph(6)]))
-        assert np.allclose(t, 0.5)
+        layer = nn.union_layer_params(4, 4, rng)
+        t = layer_weights(layer, make_batch([cycle_graph(6)]), np.ones((6, 4)))
+        expected, _ = nn.mlp_forward(layer.trans, np.array([[0.5]]))
+        assert t.shape == (12, 4)
+        assert np.allclose(t, expected[0], atol=1e-12)
 
     def test_table_view(self):
         # every directed pair of every graph gets exactly one weight row
         graphs = [connected_random_graph(6), cycle_graph(4)]
         batch = make_batch(graphs)
         rng = np.random.default_rng(7)
-        t, _ = nn._batched_trans(nn.mlp_init((1, 16, 2), rng), batch)
+        layer = nn.union_layer_params(2, 2, rng)
+        t = layer_weights(layer, batch, np.ones((batch.num_nodes, 2)))
         table = dict(zip(zip(batch.center.tolist(), batch.nbr.tolist()), t))
         expected = set()
         offset = 0
@@ -174,10 +176,8 @@ class TestUnionLayer:
         assert np.allclose(out, h)
 
     def test_k2_doubling(self):
-        rng = np.random.default_rng(8)
         params = nn.UnionLayerParams(
-            np.zeros(()), nn.Mlp([np.eye(1)], [np.zeros(1)]),
-            nn.mlp_init((1, 16, 1), rng),
+            np.zeros(()), nn.Mlp([np.eye(1)], [np.zeros(1)]), unit_trans(1)
         )
         out, _ = nn._layer_forward(params, make_batch([complete_graph(2)]), np.ones((2, 1)))
         assert np.allclose(out, 2.0)
@@ -206,88 +206,32 @@ class TestUnionLayer:
 
 class TestPlugins:
     def test_unit_weights_equal_base_gcn(self):
-        # on a perfect matching every node has one neighbor, so the channel
-        # softmax is exactly 1 and the plugin must equal the unmodified base
-        g = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        # a Trans that outputs exactly 1 must equal the unmodified base
+        g = connected_random_graph(14, n=6)
         rng = np.random.default_rng(14)
-        with_trans = nn.gcn_layer_params(3, 4, rng, with_trans=True)
-        base = nn.GcnLayerParams(with_trans.weight, with_trans.bias, None)
+        base = nn.gcn_layer_params(3, 4, rng)
+        with_trans = nn.GcnLayerParams(base.weight, base.bias, unit_trans(3))
         h = rng.normal(size=(6, 3))
         out_base, _ = nn._layer_forward(base, make_batch([g], False), h)
         out_plugin, _ = nn._layer_forward(with_trans, make_batch([g]), h)
         assert np.allclose(out_plugin, out_base, atol=1e-9)
 
-    def test_equal_coefficients_match_degree_mean_base(self):
-        # all normalized coefficients equal: softmax collapses to uniform,
-        # matching the base configured with degree-mean message weighting
+    def test_equal_coefficients_match_scaled_base(self):
+        # all normalized coefficients of C6 are 0.5, so every message of the
+        # base GCN is scaled by the same row Trans(0.5)
         g = cycle_graph(6)
         rng = np.random.default_rng(15)
         params = nn.gcn_layer_params(2, 3, rng, with_trans=True)
         h = rng.normal(size=(6, 2))
         out, _ = nn._layer_forward(params, make_batch([g]), h)
+        row, _ = nn.mlp_forward(params.trans, np.array([[0.5]]))
         degs = np.array([g.degree(v) for v in range(6)], dtype=float)
         manual_agg = np.zeros_like(h)
         for v in range(6):
             for u in g.neighbors(v):
-                manual_agg[v] += h[u] / (degs[v] * np.sqrt(degs[v] * degs[u]))
+                manual_agg[v] += row[0] * h[u] / np.sqrt(degs[v] * degs[u])
         expected = np.maximum(manual_agg @ params.weight + params.bias, 0.0)
         assert np.allclose(out, expected, atol=1e-9)
-
-
-class TestAttention:
-    def test_zero_weights_pure_bias(self):
-        g = connected_random_graph(18, n=5)
-        rng = np.random.default_rng(19)
-        params = nn.attention_params(3, rng)
-        params.wq[...] = 0.0
-        params.wk[...] = 0.0
-        h = rng.normal(size=(5, 3))
-        logits, _ = nn.attention_bias_forward(params, make_batch([g]), h)
-        for v in range(5):
-            for u in range(5):
-                if not g.has_edge(v, u):
-                    assert logits[v, u] == 0.0
-                else:
-                    assert logits[v, u] != 0.0
-
-    def test_identity_weights_orthonormal_rows(self):
-        g = complete_graph(4)
-        rng = np.random.default_rng(20)
-        params = nn.attention_params(4, rng)
-        params.wq[...] = np.eye(4)
-        params.wk[...] = np.eye(4)
-        for w in params.trans.weights:
-            w[...] = 0.0
-        for b in params.trans.biases:
-            b[...] = 0.0
-        h = np.eye(4)  # orthonormal rows
-        logits, _ = nn.attention_bias_forward(params, make_batch([g]), h)
-        # scores = I/sqrt(4); with Trans zeroed the softmax is uniform,
-        # giving a bias of 1/deg per adjacent pair
-        scores = np.eye(4) / 2.0
-        bias = np.zeros((4, 4))
-        for v in range(4):
-            for u in g.neighbors(v):
-                bias[v, u] = 1.0 / g.degree(v)
-        assert np.allclose(logits, scores + bias)
-
-    def test_matches_dense_oracle(self):
-        graphs = [connected_random_graph(21, n=5), cycle_graph(4)]
-        rng = np.random.default_rng(22)
-        params = nn.attention_params(4, rng)
-        h = rng.normal(size=(9, 4))
-        logits, _ = nn.attention_bias_forward(params, make_batch(graphs), h)
-        oracle = np.full((9, 9), -np.inf)
-        offset = 0
-        for g in graphs:
-            block = slice(offset, offset + g.num_nodes)
-            hg = h[block]
-            t = dense_trans(params.trans, g, coefficient_table(g, UNION_PATH_SVD))
-            oracle[block, block] = (hg @ params.wq) @ (hg @ params.wk).T / 2.0
-            oracle[block, block] += t.mean(axis=2)
-            offset += g.num_nodes
-        assert np.array_equal(np.isinf(logits), np.isinf(oracle))
-        assert np.allclose(logits, oracle, atol=1e-10)
 
 
 class TestGradients:
@@ -298,30 +242,13 @@ class TestGradients:
             trans = nn.mlp_init((1, 16, 4), rng)
 
             def forward():
-                t, mlp_cache = nn._batched_trans(trans, batch)
-                return t, (t, mlp_cache)
+                return nn.mlp_forward(trans, batch.coeff)
 
             def backward(cache, dout):
-                return nn._trans_backward(trans, batch, *cache, dout).arrays()
+                return nn.mlp_backward(trans, cache, dout)[1].arrays()
 
             loss = pooled_mse_head(forward, backward, rng.normal(size=4))
             return nn.grad_check(loss, trans.arrays())
-        if kind == "attention":
-            graphs = [connected_random_graph(seed, n=6), connected_random_graph(seed + 9, n=4)]
-            batch = make_batch(graphs)
-            params = nn.attention_params(4, rng)
-            h = rng.normal(size=(batch.num_nodes, 4))
-
-            def forward():
-                # pairs in different graphs are -inf; hold them at 0
-                logits, cache = nn.attention_bias_forward(params, batch, h)
-                return np.where(np.isfinite(logits), logits, 0.0), cache
-
-            def backward(cache, dout):
-                return nn.attention_bias_backward(params, batch, cache, dout)[1].arrays()
-
-            loss = pooled_mse_head(forward, backward, rng.normal(size=batch.num_nodes))
-            return nn.grad_check(loss, params.arrays())
         # the full classifier loss on a multi-graph batch ("union" is union-gin)
         spec = nn.ModelSpec.parse(kind, hidden=4)
         graphs = mixed_graphs(rng)
@@ -338,7 +265,7 @@ class TestGradients:
         return nn.grad_check(classifier_loss(model, batch, labels), model.arrays())
 
     @pytest.mark.parametrize(
-        "kind", ["trans", "union", "gcn", "gin", "attention", "union-gcn"]
+        "kind", ["trans", "union", "gcn", "gin", "union-gcn"]
     )
     def test_five_seeds_under_tolerance(self, kind):
         for seed in range(5):
@@ -375,6 +302,38 @@ class TestBatchedEngineConsistency:
             for i, g in enumerate(graphs):
                 coeffs = coefficient_table(g, UNION_PATH_SVD) if spec.use_coeffs else None
                 assert np.allclose(batched[i], dense_logits(model, g, coeffs), atol=1e-10)
+
+
+class TestCoefficientsReachTheLoss:
+    """Trans(coeff) must act on featureless graphs, whose one feature
+    column is constant: a weighting renormalized over N(v) would average
+    equal rows, and the coefficients would not reach the logits."""
+
+    def featureless_batch(self):
+        graphs = [connected_random_graph(s, n=n) for s, n in ((30, 5), (31, 7), (32, 8))]
+        graphs.append(Graph(4, [(0, 1), (1, 2)]))  # node 3 isolated
+        return make_batch(graphs), np.array([0, 1, 1, 0])
+
+    def test_rescaled_coefficients_change_union_gin_logits(self):
+        batch, _ = self.featureless_batch()
+        model = nn.init_classifier(nn.ModelSpec.parse("union-gin", hidden=4), 1, 2,
+                                   np.random.default_rng(33))
+        before, _ = nn._batched_forward(model, batch)
+        batch.coeff = batch.coeff * np.random.default_rng(34).uniform(
+            0.2, 3.0, size=batch.coeff.shape
+        )
+        after, _ = nn._batched_forward(model, batch)
+        assert np.abs(after - before).max() > 1e-6
+
+    @pytest.mark.parametrize("name", ["union-gin", "union-gcn"])
+    def test_last_trans_bias_gets_a_gradient(self, name):
+        batch, labels = self.featureless_batch()
+        model = nn.init_classifier(nn.ModelSpec.parse(name, hidden=4), 1, 2,
+                                   np.random.default_rng(35))
+        _, grads = classifier_loss(model, batch, labels)()
+        by_array = {id(a): g for a, g in zip(model.arrays(), grads)}
+        for layer in model.layers:
+            assert np.abs(by_array[id(layer.trans.biases[-1])]).max() > 1e-6
 
 
 class TestTraining:
