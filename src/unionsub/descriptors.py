@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    GraphError,
-    Subgraph,
-    count_simple_cycles,
-)
+from .graphs import Graph, Subgraph, count_simple_cycles
 from .transport import wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
@@ -395,28 +390,14 @@ class CoefficientTable:
         return "\n".join(lines) + "\n"
 
 
-def edge_descriptor_value(g, v, u, kind, encoding=Encoding.SVD_SUM):
-    """Raw descriptor value of one edge, computed as coefficient_table does."""
-    _require_per_edge(kind)
-    if kind.kind == "curvature":
-        return ricci_curvature(g, v, u, kind.alpha)
-    if not g.has_edge(v, u):
-        raise GraphError(f"({v}, {u}) is not an edge")
-    return float(local_descriptor_values(g, [(v, u)], kind, encoding)[0])
-
-
-def _require_per_edge(kind):
-    if kind.kind == "cycle-count":
-        raise DescriptorError("cycle-count is graph-global, not a per-edge kind")
-
-
 def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     """Raw and normalized structural coefficients for every edge of g.
 
     Deterministic regardless of node labeling.  cycle-count is graph-global
     and rejected here (it exists for the preprocessing benchmark only).
     """
-    _require_per_edge(kind)
+    if kind.kind == "cycle-count":
+        raise DescriptorError("cycle-count is graph-global, not a per-edge kind")
     if kind.kind == "curvature":
         values = curvature_values(g, g.edges, kind.alpha)
     else:

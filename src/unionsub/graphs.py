@@ -180,12 +180,6 @@ class Subgraph:
     def num_edges(self):
         return self.local.num_edges
 
-    def local_index(self, parent_id):
-        try:
-            return self.parent_ids.index(parent_id)
-        except ValueError:
-            raise GraphError(f"parent id {parent_id} not in subgraph") from None
-
     def parent_edges(self):
         return tuple(
             _normalize_edge(self.parent_ids[i], self.parent_ids[j])
@@ -277,11 +271,17 @@ def _is_json_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_json_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_json(text):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except RecursionError:
+        raise GraphParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph must contain 'num_nodes' and 'edges'")
     n = obj["num_nodes"]
@@ -297,6 +297,11 @@ def _parse_json(text):
             raise GraphParseError(f"edge #{k} node ids must be integers")
         edges.append((pair[0], pair[1]))
     features = obj.get("features")
+    if features is not None and not (
+        isinstance(features, list)
+        and all(isinstance(row, list) and all(map(_is_json_number, row)) for row in features)
+    ):
+        raise GraphParseError("'features' must be a list of rows of numbers")
     try:
         return Graph(n, edges, features)
     except GraphError as exc:

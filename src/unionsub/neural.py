@@ -4,6 +4,8 @@ Coefficient tables enter the layers through a small Trans MLP: its
 per-channel output Trans(a_vu) on the row-normalized coefficient a_vu
 scales the message from u to v directly, with no second normalization over
 v's neighbors.  Injection into Transformer models is not reproduced.
+GCN and GIN/union are one layer type (``LayerParams``): GCN is the
+epsilon-free case with a degree norm on messages and a ReLU on the output.
 Every layer runs on one engine: a batch of graphs is stacked as one
 disjoint union (``_Batch``), and a single graph is a batch of one.
 Everything is plain numpy; the engine's gradients are verified against
@@ -36,11 +38,7 @@ class Mlp:
     biases: list
 
     def arrays(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
 
 def glorot_uniform(rng, fan_in, fan_out):
@@ -86,45 +84,29 @@ def mlp_backward(mlp, caches, dout):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class UnionLayerParams:
-    """(1 + eps) self-term plus Trans-weighted neighbor sum through an MLP."""
+class LayerParams:
+    """One message-passing layer; ``epsilon`` None makes it a GCN layer.
 
-    epsilon: np.ndarray  # 0-d array, trainable
+    GIN/union layers carry a trainable (1 + eps) self term and an MLP; a GCN
+    layer has a one-layer ``mlp`` with a ReLU after it.
+    """
+
+    epsilon: np.ndarray | None  # 0-d array, trainable; None for GCN
     mlp: Mlp
-    trans: Mlp | None  # None means unit weights (plain GIN-like base)
+    trans: Mlp | None  # None means unit weights (plain base)
 
     def arrays(self):
-        out = [self.epsilon] + self.mlp.arrays()
+        out = [] if self.epsilon is None else [self.epsilon]
+        out += self.mlp.arrays()
         if self.trans is not None:
             out += self.trans.arrays()
         return out
 
 
-@dataclass
-class GcnLayerParams:
-    """Symmetric-degree-normalized sum, then linear + ReLU."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-    trans: Mlp | None
-
-    def arrays(self):
-        out = [self.weight, self.bias]
-        if self.trans is not None:
-            out += self.trans.arrays()
-        return out
-
-
-def union_layer_params(in_dim, out_dim, rng, with_trans=True):
+def layer_params(in_dim, out_dim, rng, gin, with_trans):
     trans = mlp_init((1, TRANS_HIDDEN, in_dim), rng) if with_trans else None
-    return UnionLayerParams(np.zeros(()), mlp_init((in_dim, out_dim), rng), trans)
-
-
-def gcn_layer_params(in_dim, out_dim, rng, with_trans=False):
-    trans = mlp_init((1, TRANS_HIDDEN, in_dim), rng) if with_trans else None
-    return GcnLayerParams(
-        glorot_uniform(rng, in_dim, out_dim), np.zeros(out_dim), trans
-    )
+    epsilon = np.zeros(()) if gin else None
+    return LayerParams(epsilon, mlp_init((in_dim, out_dim), rng), trans)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +166,8 @@ class _Batch:
         )
         self.nbr = np.concatenate([p.nbr + off for p, off in zip(prepared, offsets)])
         self.norm = np.concatenate([p.norm for p in prepared])
-        if prepared[0].coeff is not None:
-            self.coeff = np.concatenate([p.coeff for p in prepared], axis=0)
-        else:
-            self.coeff = None
+        coeffs = [p.coeff for p in prepared]
+        self.coeff = None if coeffs[0] is None else np.concatenate(coeffs, axis=0)
         self.node_sizes = np.array([p.num_nodes for p in prepared])
         self.pool_starts = offsets[:-1]
 
@@ -200,66 +180,49 @@ def _scatter_rows(values, index, num_rows):
     return out
 
 
-def _aggregate(h, batch, t, norm=None):
-    """Per node v: sum over u in N(v) of norm(v, u) * t(v, u) * h_u.
-
-    A missing norm or t is a unit weight; products are elementwise.
-    """
-    msg = h[batch.nbr]
-    if norm is not None:
-        msg = msg * norm[:, None]
-    if t is not None:
-        msg = msg * t
-    return _scatter_rows(msg, batch.center, batch.num_nodes)
-
-
-def _aggregate_backward(trans, batch, h, t, tcache, d_agg, norm=None):
-    """Gradients of _aggregate: (dh, Trans grads or None)."""
-    d_msg = d_agg[batch.center]
-    if norm is not None:
-        d_msg = d_msg * norm[:, None]
-    if t is None:
-        return _scatter_rows(d_msg, batch.nbr, batch.num_nodes), None
-    dh = _scatter_rows(t * d_msg, batch.nbr, batch.num_nodes)
-    dt = d_msg * h[batch.nbr]
-    return dh, mlp_backward(trans, tcache, dt)[1]
-
-
 def _layer_forward(layer, batch, h):
     """One message-passing layer over the batch; returns (h', cache).
 
-    GCN: h' = relu((sum_u t(v,u) * h_u / sqrt(d_v d_u)) W + b).
+    GCN: h' = relu(MLP(sum_u t(v,u) * h_u / sqrt(d_v d_u))).
     GIN/union: h' = MLP((1 + eps) h_v + sum_u t(v,u) * h_u), so isolated
     nodes keep only the self term.  t(v,u) = Trans(coeff_vu) per channel;
     without a Trans MLP, t is 1.
     """
+    gcn = layer.epsilon is None
     t, tcache = (None, None) if layer.trans is None else mlp_forward(layer.trans, batch.coeff)
-    if isinstance(layer, GcnLayerParams):
-        agg = _aggregate(h, batch, t, batch.norm)
-        z = agg @ layer.weight + layer.bias
-        return np.maximum(z, 0.0), (h, t, tcache, agg, z)
-    agg = (1.0 + float(layer.epsilon)) * h
-    agg += _aggregate(h, batch, t)
+    msg = h[batch.nbr]
+    if gcn:
+        msg = msg * batch.norm[:, None]
+    if t is not None:
+        msg = msg * t
+    agg = _scatter_rows(msg, batch.center, batch.num_nodes)
+    if not gcn:
+        agg += (1.0 + float(layer.epsilon)) * h
     out, mlp_cache = mlp_forward(layer.mlp, agg)
+    if gcn:
+        out = np.maximum(out, 0.0)
     return out, (h, t, tcache, mlp_cache)
 
 
 def _layer_backward(layer, batch, cache, dout):
-    """Returns (dh, grads shaped like the layer's params)."""
-    if isinstance(layer, GcnLayerParams):
-        h, t, tcache, agg, z = cache
-        dz = dout * (z > 0)
-        d_agg = dz @ layer.weight.T
-        dh, trans_grads = _aggregate_backward(
-            layer.trans, batch, h, t, tcache, d_agg, batch.norm
-        )
-        return dh, GcnLayerParams(agg.T @ dz, dz.sum(axis=0), trans_grads)
+    """Returns (dh, grads as LayerParams shaped like ``layer``)."""
     h, t, tcache, mlp_cache = cache
+    gcn = layer.epsilon is None
+    if gcn:
+        dout = dout * (mlp_cache[-1][1] > 0)
     d_agg, mlp_grads = mlp_backward(layer.mlp, mlp_cache, dout)
-    d_eps = np.array(float((d_agg * h).sum()))
-    dh, trans_grads = _aggregate_backward(layer.trans, batch, h, t, tcache, d_agg)
-    dh += (1.0 + float(layer.epsilon)) * d_agg
-    return dh, UnionLayerParams(d_eps, mlp_grads, trans_grads)
+    d_msg = d_agg[batch.center]
+    if gcn:
+        d_msg = d_msg * batch.norm[:, None]
+    dh = _scatter_rows(d_msg if t is None else t * d_msg, batch.nbr, batch.num_nodes)
+    trans_grads = None
+    if t is not None:
+        trans_grads = mlp_backward(layer.trans, tcache, d_msg * h[batch.nbr])[1]
+    d_eps = None
+    if not gcn:
+        d_eps = np.array(float((d_agg * h).sum()))
+        dh += (1.0 + float(layer.epsilon)) * d_agg
+    return dh, LayerParams(d_eps, mlp_grads, trans_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +304,15 @@ class ModelSpec:
     base: str  # "gcn" or "gin"
     use_coeffs: bool
     hidden: int = 16
-    descriptor: object = UNION_PATH_SVD
-    encoding: Encoding = Encoding.SVD_SUM
 
-    NAMES = ("gcn", "gin", "union-gcn", "union-gin", "union")
+    _BY_NAME = {  # model name -> (base, use_coeffs)
+        "gcn": ("gcn", False),
+        "gin": ("gin", False),
+        "union-gcn": ("gcn", True),
+        "union-gin": ("gin", True),
+        "union": ("gin", True),
+    }
+    NAMES = tuple(_BY_NAME)
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -352,15 +320,9 @@ class ModelSpec:
 
     @classmethod
     def parse(cls, name, hidden=16):
-        if name == "gcn":
-            return cls("gcn", False, hidden)
-        if name == "gin":
-            return cls("gin", False, hidden)
-        if name == "union-gcn":
-            return cls("gcn", True, hidden)
-        if name in ("union-gin", "union"):
-            return cls("gin", True, hidden)
-        raise GraphError(f"unknown model {name!r} (choose from {cls.NAMES})")
+        if name not in cls._BY_NAME:
+            raise GraphError(f"unknown model {name!r} (choose from {cls.NAMES})")
+        return cls(*cls._BY_NAME[name], hidden)
 
 
 @dataclass
@@ -380,9 +342,9 @@ class Classifier:
 
 def init_classifier(spec, in_dim, num_classes, rng):
     dims = [in_dim, spec.hidden, spec.hidden]
-    make = gcn_layer_params if spec.base == "gcn" else union_layer_params
     layers = [
-        make(dims[i], dims[i + 1], rng, with_trans=spec.use_coeffs) for i in range(2)
+        layer_params(dims[i], dims[i + 1], rng, spec.base == "gin", spec.use_coeffs)
+        for i in range(2)
     ]
     head_w = glorot_uniform(rng, spec.hidden, num_classes)
     head_b = np.zeros(num_classes)
@@ -448,7 +410,7 @@ def _coeff_tables(spec, dataset):
     if not spec.use_coeffs:
         return [None] * len(dataset)
     return [
-        coefficient_table(g, spec.descriptor, spec.encoding) for g, _ in dataset
+        coefficient_table(g, UNION_PATH_SVD, Encoding.SVD_SUM) for g, _ in dataset
     ]
 
 

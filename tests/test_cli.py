@@ -1,6 +1,9 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,19 @@ class TestCoeffsCommand:
         bad.write_bytes(content)
         assert main(["coeffs", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_deeply_nested_json_exit_1_without_traceback(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"num_nodes": 2, "edges": ' + "[" * 100_000 + "}", encoding="ascii")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "unionsub.cli", "coeffs", str(deep)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("parse error: invalid JSON: nested too deeply")
 
     def test_betweenness_c6(self, c6_file, capsys):
         assert main(["coeffs", c6_file, "--kind", "betweenness"]) == 0

@@ -23,7 +23,6 @@ from unionsub.descriptors import (
     Encoding,
     coefficient_table,
     cycle_count,
-    edge_descriptor_value,
     encode_matrix,
     path_matrix,
     reconstruct_subgraph,
@@ -46,6 +45,8 @@ from unionsub.graphs import (
 )
 from unionsub.substructure import overlap_subgraph, union_minus_subgraph, union_subgraph
 from unionsub.transport import solve_transport, wasserstein_discrete
+
+from helpers import edge_descriptor_value, local_index
 
 
 def full_subgraph(g):
@@ -317,7 +318,7 @@ def betweenness_oracle(g, a, b):
 def _reference_value(g, v, u, kind, encoding):
     if kind == "betweenness":
         sub = union_subgraph(g, v, u)
-        return betweenness_oracle(sub.local, sub.local_index(v), sub.local_index(u))
+        return betweenness_oracle(sub.local, local_index(sub, v), local_index(sub, u))
     if kind == "count-ne":
         sub = union_subgraph(g, v, u)
         n = sub.num_nodes
@@ -408,7 +409,7 @@ class TestBetweenness:
             v, u = g.edges[rng.randrange(g.num_edges)]
             sub = union_subgraph(g, v, u)
             expected = betweenness_oracle(
-                sub.local, sub.local_index(v), sub.local_index(u)
+                sub.local, local_index(sub, v), local_index(sub, u)
             )
             mine = edge_descriptor_value(g, v, u, BETWEENNESS)
             assert mine == pytest.approx(expected, rel=1e-12)

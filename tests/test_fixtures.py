@@ -8,7 +8,6 @@ from unionsub.descriptors import (
     BETWEENNESS,
     COUNT_NE,
     Encoding,
-    edge_descriptor_value,
     encode_matrix,
     path_matrix,
 )
@@ -20,6 +19,8 @@ from unionsub.graphs import (
     is_isomorphic_small,
 )
 from unionsub.substructure import classify_edge_types
+
+from helpers import edge_descriptor_value
 
 
 def nuclear(g):

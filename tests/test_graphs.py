@@ -142,6 +142,17 @@ class TestParsing:
         with pytest.raises(GraphParseError, match=message):
             parse_graph(text)
 
+    def test_deeply_nested_json_raises_parse_error(self):
+        text = '{"num_nodes": 2, "edges": ' + "[" * 100_000 + "}"
+        with pytest.raises(GraphParseError, match="nested too deeply"):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("features", ['[["1"], [1]]', "[[1], [true]]"])
+    def test_json_features_must_be_numbers(self, features):
+        text = '{"num_nodes": 2, "edges": [[0, 1]], "features": %s}' % features
+        with pytest.raises(GraphParseError, match="features"):
+            parse_graph(text)
+
 
 class TestNeighborhoods:
     def test_complete_graph(self):

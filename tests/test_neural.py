@@ -81,7 +81,7 @@ def dense_logits(model, g, coeffs):
             t = dense_trans(layer.trans, g, coeffs)
             agg = np.einsum("vu,vuc,uc->vc", weights, t, h)
         if gcn:
-            h = np.maximum(agg @ layer.weight + layer.bias, 0.0)
+            h = np.maximum(agg @ layer.mlp.weights[0] + layer.mlp.biases[0], 0.0)
         else:
             h, _ = nn.mlp_forward(layer.mlp, (1.0 + float(layer.epsilon)) * h + agg)
     return h.mean(axis=0) @ model.head_w + model.head_b
@@ -142,7 +142,7 @@ class TestTrans:
         # every normalized coefficient of C6 is 0.5, so every pair gets the
         # same weight row, Trans(0.5)
         rng = np.random.default_rng(5)
-        layer = nn.union_layer_params(4, 4, rng)
+        layer = nn.layer_params(4, 4, rng, gin=True, with_trans=True)
         t = layer_weights(layer, make_batch([cycle_graph(6)]), np.ones((6, 4)))
         expected, _ = nn.mlp_forward(layer.trans, np.array([[0.5]]))
         assert t.shape == (12, 4)
@@ -153,7 +153,7 @@ class TestTrans:
         graphs = [connected_random_graph(6), cycle_graph(4)]
         batch = make_batch(graphs)
         rng = np.random.default_rng(7)
-        layer = nn.union_layer_params(2, 2, rng)
+        layer = nn.layer_params(2, 2, rng, gin=True, with_trans=True)
         t = layer_weights(layer, batch, np.ones((batch.num_nodes, 2)))
         table = dict(zip(zip(batch.center.tolist(), batch.nbr.tolist()), t))
         expected = set()
@@ -168,7 +168,7 @@ class TestTrans:
 
 class TestUnionLayer:
     def test_isolated_identity(self):
-        params = nn.UnionLayerParams(
+        params = nn.LayerParams(
             np.zeros(()), nn.Mlp([np.eye(3)], [np.zeros(3)]), None
         )
         h = np.array([[1.0, 2.0, 3.0]])
@@ -176,7 +176,7 @@ class TestUnionLayer:
         assert np.allclose(out, h)
 
     def test_k2_doubling(self):
-        params = nn.UnionLayerParams(
+        params = nn.LayerParams(
             np.zeros(()), nn.Mlp([np.eye(1)], [np.zeros(1)]), unit_trans(1)
         )
         out, _ = nn._layer_forward(params, make_batch([complete_graph(2)]), np.ones((2, 1)))
@@ -184,14 +184,14 @@ class TestUnionLayer:
 
     def test_c6_rows_equal(self):
         rng = np.random.default_rng(9)
-        params = nn.union_layer_params(1, 4, rng)
+        params = nn.layer_params(1, 4, rng, gin=True, with_trans=True)
         out, _ = nn._layer_forward(params, make_batch([cycle_graph(6)]), np.ones((6, 1)))
         assert np.allclose(out, out[0])
 
     def test_permutation_equivariance(self):
         g = connected_random_graph(10, n=7)
         rng = np.random.default_rng(11)
-        params = nn.union_layer_params(3, 4, rng)
+        params = nn.layer_params(3, 4, rng, gin=True, with_trans=True)
         h = rng.normal(size=(7, 3))
         out, _ = nn._layer_forward(params, make_batch([g]), h)
         perm = list(range(7))
@@ -209,8 +209,8 @@ class TestPlugins:
         # a Trans that outputs exactly 1 must equal the unmodified base
         g = connected_random_graph(14, n=6)
         rng = np.random.default_rng(14)
-        base = nn.gcn_layer_params(3, 4, rng)
-        with_trans = nn.GcnLayerParams(base.weight, base.bias, unit_trans(3))
+        base = nn.layer_params(3, 4, rng, gin=False, with_trans=False)
+        with_trans = nn.LayerParams(None, base.mlp, unit_trans(3))
         h = rng.normal(size=(6, 3))
         out_base, _ = nn._layer_forward(base, make_batch([g], False), h)
         out_plugin, _ = nn._layer_forward(with_trans, make_batch([g]), h)
@@ -221,7 +221,7 @@ class TestPlugins:
         # base GCN is scaled by the same row Trans(0.5)
         g = cycle_graph(6)
         rng = np.random.default_rng(15)
-        params = nn.gcn_layer_params(2, 3, rng, with_trans=True)
+        params = nn.layer_params(2, 3, rng, gin=False, with_trans=True)
         h = rng.normal(size=(6, 2))
         out, _ = nn._layer_forward(params, make_batch([g]), h)
         row, _ = nn.mlp_forward(params.trans, np.array([[0.5]]))
@@ -230,7 +230,9 @@ class TestPlugins:
         for v in range(6):
             for u in g.neighbors(v):
                 manual_agg[v] += row[0] * h[u] / np.sqrt(degs[v] * degs[u])
-        expected = np.maximum(manual_agg @ params.weight + params.bias, 0.0)
+        expected = np.maximum(
+            manual_agg @ params.mlp.weights[0] + params.mlp.biases[0], 0.0
+        )
         assert np.allclose(out, expected, atol=1e-9)
 
 
@@ -258,7 +260,7 @@ class TestGradients:
             if spec.base == "gcn":
                 # zero biases put isolated nodes exactly on the ReLU kink,
                 # where central differences see half a slope
-                layer.bias[...] = rng.normal(size=layer.bias.shape)
+                layer.mlp.biases[0][...] = rng.normal(size=layer.mlp.biases[0].shape)
             else:
                 layer.epsilon[...] = rng.normal()
         labels = rng.integers(0, 2, size=len(graphs))
@@ -272,7 +274,7 @@ class TestGradients:
             assert self._check(kind, seed) < 1e-4
 
     def test_identity_linear_configuration_is_exact(self):
-        params = nn.UnionLayerParams(
+        params = nn.LayerParams(
             np.zeros(()), nn.Mlp([np.eye(2)], [np.zeros(2)]), None
         )
         batch = make_batch([complete_graph(2)], False)
@@ -412,3 +414,38 @@ class TestTraining:
         assert nn.ModelSpec.parse("union").base == "gin"
         with pytest.raises(Exception):
             nn.ModelSpec.parse("transformer")
+
+
+class TestCheckpointLayout:
+    """The checkpoint array layout that parent checkpoints were written in."""
+
+    GCN = [[1, 4], [4], [4, 4], [4], [4, 2], [2]]
+    GIN = [[], [1, 4], [4], [], [4, 4], [4], [4, 2], [2]]
+    TRANS_1 = [[1, 16], [16], [16, 1], [1]]
+    TRANS_4 = [[1, 16], [16], [16, 4], [4]]
+    SHAPES = {
+        "gcn": GCN,
+        "gin": GIN,
+        "union-gcn": GCN[:2] + TRANS_1 + GCN[2:4] + TRANS_4 + GCN[4:],
+        "union-gin": GIN[:3] + TRANS_1 + GIN[3:6] + TRANS_4 + GIN[6:],
+    }
+
+    @staticmethod
+    def model(name, hidden=4):
+        spec = nn.ModelSpec.parse(name, hidden=hidden)
+        return nn.init_classifier(spec, 1, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_array_shapes_pinned(self, name):
+        shapes = [list(a.shape) for a in self.model(name).arrays()]
+        assert shapes == self.SHAPES[name]  # 6, 8, 14 and 16 arrays
+
+    def test_gcn_checkpoint_into_gin_rejected(self):
+        obj = nn.params_to_json_obj(self.model("gcn"))
+        with pytest.raises(GraphError, match="does not match the model architecture"):
+            nn.load_params_into(self.model("gin"), obj)
+
+    def test_wrong_hidden_width_rejected(self):
+        obj = nn.params_to_json_obj(self.model("union-gin", hidden=4))
+        with pytest.raises(GraphError, match="shape mismatch"):
+            nn.load_params_into(self.model("union-gin", hidden=5), obj)

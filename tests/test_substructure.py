@@ -22,6 +22,8 @@ from unionsub.substructure import (
     union_subgraph,
 )
 
+from helpers import local_index
+
 
 class TestUnionSubgraph:
     def test_k3_whole_graph(self):
@@ -47,7 +49,7 @@ class TestUnionSubgraph:
             g = random_graph(9, 0.3, rng)
             for v, u in g.edges:
                 s = union_subgraph(g, v, u)
-                assert s.local.has_edge(s.local_index(v), s.local_index(u))
+                assert s.local.has_edge(local_index(s, v), local_index(s, u))
                 from unionsub.graphs import is_connected
 
                 assert is_connected(s.local)
