@@ -12,12 +12,10 @@ from .graphs import (
     Graph,
     GraphError,
     GraphParseError,
-    NamedGraphSpec,
     Subgraph,
     closed_neighborhood,
     complete_graph,
     cycle_graph,
-    generate_named,
     induced_subgraph,
     is_isomorphic_small,
     parse_graph,

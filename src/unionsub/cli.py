@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 import time
 import warnings
@@ -31,7 +32,10 @@ from .descriptors import (
     coefficient_table,
     cycle_count,
 )
-from .graphs import GraphError, GraphParseError, NamedGraphSpec, generate_named
+from .graphs import (
+    GraphError, GraphParseError, complete_graph, cycle_graph, path_graph, random_graph,
+    rook_graph_4x4, shrikhande_graph, two_triangles_graph,
+)
 from .neural import DEFAULT_BATCH_SIZE, ModelSpec, params_to_json_obj, train_classifier
 
 EXIT_OK = 0
@@ -69,48 +73,73 @@ def cmd_distinguish(args):
     return EXIT_OK
 
 
-def _parse_er_spec(spec_text):
-    """(lo, hi, avg_degree) of an er[:LO-HI[:DEG]] spec; defaults 20-50, 3.7."""
-    _, *params = spec_text.split(":")
-    lo_hi = params[0] if params and params[0] else "20-50"
-    try:
-        lo_text, _, hi_text = lo_hi.partition("-")
-        lo, hi = int(lo_text), int(hi_text or lo_text)
-        avg_degree = float(params[1]) if len(params) > 1 else 3.7
-    except ValueError:
-        lo = hi = avg_degree = 0
+def _one_int(params, least=-math.inf):
+    (n,) = map(int, params)  # ValueError unless exactly one integer
+    if n < least:
+        raise ValueError
+    return (n,)
+
+
+def _er_params(params):
+    lo_text, _, hi_text = (params[0] if params and params[0] else "20-50").partition("-")
+    lo, hi = int(lo_text), int(hi_text or lo_text)
+    avg_degree = float(params[1]) if len(params) > 1 else 3.7
     if len(params) > 2 or not 2 <= lo <= hi or not 0 < avg_degree < math.inf:
-        raise GraphParseError(
-            f"invalid er spec {spec_text!r}: expected er[:LO-HI[:DEG]] "
-            "with 2 <= LO <= HI and DEG > 0"
-        )
+        raise ValueError
     return lo, hi, avg_degree
 
 
+def _er_graphs(lo, hi, avg_degree, count, seed):
+    rng = random.Random(seed)
+    sizes = (rng.randint(lo, hi) for _ in range(count))  # each drawn before its graph
+    graphs = [random_graph(n, min(1.0, avg_degree / (n - 1)), rng) for n in sizes]
+    return graphs, [0] * count
+
+
+def _sized(least, make):
+    return f":N (N >= {least})", lambda p: _one_int(p, least), lambda n: [make(n)], False
+
+
+def _fixed(*makes):
+    def parse(params):
+        if params:
+            raise ValueError
+        return ()
+    return "", parse, lambda: [make() for make in makes], False
+
+
+# Every `gen` spec NAME[:PARAM...]: name -> (PARAM form for help and errors,
+# parser of the PARAM texts into maker arguments, ValueError if malformed,
+# maker, sampled).  A sampled maker also takes count and seed and returns
+# (graphs, labels); any other returns its fixed graphs.
+GEN_SPECS = {
+    "cycle": _sized(3, cycle_graph),
+    "complete": _sized(1, complete_graph),
+    "path": _sized(1, path_graph),
+    "rook4x4": _fixed(rook_graph_4x4),
+    "shrikhande": _fixed(shrikhande_graph),
+    "two-triangles-vs-c6": _fixed(two_triangles_graph, lambda: cycle_graph(6)),
+    "four-cycle-pair": ("[:K] (K default 4)", lambda params: _one_int(params or ["4"]),
+                        build_cycle_dataset, True),
+    "er": ("[:LO-HI[:DEG]] (2 <= LO <= HI, DEG > 0, default 20-50:3.7)", _er_params,
+           _er_graphs, True),
+}
+GEN_FORMS = " | ".join(name + form for name, (form, *_) in GEN_SPECS.items())
+
+
 def _gen_graphs(spec_text, count, seed):
-    """Graphs and labels for a spec; count None takes the spec's default.
-
-    `er` and `four-cycle-pair` make `count` graphs (default 2); a fixed named
-    spec makes its own graphs and accepts only their number as `count`.
-    """
-    import random
-
-    made = 2 if count is None else count
-    if spec_text.split(":")[0] == "er":
-        # synthetic benchmark corpus: er[:NMIN-NMAX[:AVGDEG]]
-        lo, hi, avg_degree = _parse_er_spec(spec_text)
-        rng = random.Random(seed)
-        from .graphs import random_graph
-
-        graphs = []
-        for _ in range(made):
-            n = rng.randint(lo, hi)
-            graphs.append(random_graph(n, min(1.0, avg_degree / (n - 1)), rng))
-        return graphs, [0] * len(graphs)
-    spec = NamedGraphSpec.parse(spec_text)
-    if spec.kind == "four-cycle-pair":
-        return build_cycle_dataset(spec.param, made, seed)
-    graphs = generate_named(spec, seed=seed)
+    """Graphs and labels for a spec; count None takes the spec's default."""
+    name, *params = spec_text.split(":")
+    if name not in GEN_SPECS:
+        raise GraphParseError(f"unknown spec {spec_text!r}; expected {GEN_FORMS}")
+    form, parse, make, sampled = GEN_SPECS[name]
+    try:
+        args = parse(params)
+    except ValueError:
+        raise GraphParseError(f"invalid spec {spec_text!r}: expected {name}{form}") from None
+    if sampled:
+        return make(*args, 2 if count is None else count, seed)
+    graphs = make(*args)
     if count is not None and count != len(graphs):
         raise GraphError(
             f"{spec_text} makes {len(graphs)} graph(s); --count must be "
@@ -238,12 +267,10 @@ def build_parser():
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("gen", help="generate graphs or datasets")
-    p.add_argument("spec", help="cycle:N | complete:N | path:N | rook4x4 | "
-                                "shrikhande | two-triangles-vs-c6 | "
-                                "four-cycle-pair:K | er[:LO-HI[:DEG]]")
+    p.add_argument("spec", help=GEN_FORMS)
+    sampled = " and ".join(name for name, row in GEN_SPECS.items() if row[-1])
     p.add_argument("--count", type=int,
-                   help="graphs to make; default 2 for er and four-cycle-pair, "
-                        "fixed by the spec otherwise")
+                   help=f"graphs to make; default 2 for {sampled}, else fixed by the spec")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 from .graphs import GraphError, GraphParseError, four_cycle_pair, parse_graph
 
+SPLIT_FRACTIONS = (0.45, 0.05, 0.5)  # train, val, test
+
 
 def write_dataset(directory, graphs, labels):
     """Write graphs as edge-list files plus labels.csv (filename,label)."""
@@ -96,11 +98,11 @@ def build_cycle_dataset(k, count, seed):
     return graphs, labels
 
 
-def split_dataset(dataset, fractions=(0.45, 0.05, 0.5)):
+def split_dataset(dataset):
     """Deterministic contiguous train/val/test split by position."""
     n = len(dataset)
-    n_train = int(fractions[0] * n)
-    n_val = int(fractions[1] * n)
+    n_train = int(SPLIT_FRACTIONS[0] * n)
+    n_val = int(SPLIT_FRACTIONS[1] * n)
     train = dataset[:n_train]
     val = dataset[n_train : n_train + n_val]
     test = dataset[n_train + n_val :]

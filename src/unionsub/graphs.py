@@ -9,12 +9,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
 ISO_NODE_LIMIT = 12  # brute-force isomorphism bound
+MAX_PARSED_NODES = 1 << 20  # so a 12-byte file cannot claim 10^8 adjacency lists
 
 
 class GraphError(ValueError):
@@ -240,6 +239,8 @@ def _parse_edge_list(text):
         raise GraphParseError("malformed header, expected two integers", line=1) from None
     if n < 0 or m < 0:
         raise GraphParseError("malformed header, counts must be non-negative", line=1)
+    if n > MAX_PARSED_NODES:
+        raise GraphParseError(f"{n} nodes exceed the bound of {MAX_PARSED_NODES}", line=1)
     if len(lines) - 1 != m:
         raise GraphParseError(
             f"expected {m} edge lines, found {len(lines) - 1}", line=len(lines)
@@ -285,8 +286,8 @@ def _parse_json(text):
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph must contain 'num_nodes' and 'edges'")
     n = obj["num_nodes"]
-    if not _is_json_int(n) or n < 0:
-        raise GraphParseError("'num_nodes' must be a non-negative integer")
+    if not _is_json_int(n) or not 0 <= n <= MAX_PARSED_NODES:
+        raise GraphParseError(f"'num_nodes' must be an integer in 0..{MAX_PARSED_NODES}")
     if not isinstance(obj["edges"], list):
         raise GraphParseError("'edges' must be a list of pairs")
     edges = []
@@ -440,46 +441,8 @@ def count_simple_cycles(g, k):
 
 
 # ---------------------------------------------------------------------------
-# Named generators
+# Generators
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NamedGraphSpec:
-    """A named generator with optional integer parameter (e.g. cycle length)."""
-
-    kind: str
-    param: int | None = None
-
-    KNOWN = (
-        "cycle", "complete", "path",
-        "rook4x4", "shrikhande", "two-triangles-vs-c6", "four-cycle-pair",
-    )
-
-    def __post_init__(self):
-        if self.kind not in self.KNOWN:
-            raise GraphError(f"unknown named graph kind {self.kind!r}")
-        if self.kind in ("cycle", "complete", "path"):
-            if self.param is None or self.param <= 0:
-                raise GraphError(f"{self.kind} requires a positive size parameter")
-            if self.kind == "cycle" and self.param < 3:
-                raise GraphError("cycle needs at least 3 nodes")
-        if self.kind == "four-cycle-pair":
-            if self.param is None or not (3 <= self.param <= 8):
-                raise GraphError("four-cycle-pair requires cycle length in 3..8")
-
-    @classmethod
-    def parse(cls, text):
-        """Parse strings like "cycle:6", "rook4x4", "four-cycle-pair:4"."""
-        kind, _, param = text.partition(":")
-        if param:
-            try:
-                return cls(kind, int(param))
-            except ValueError:
-                raise GraphError(f"invalid parameter in spec {text!r}") from None
-        if kind == "four-cycle-pair":
-            return cls(kind, 4)
-        return cls(kind)
-
 
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -625,23 +588,3 @@ def four_cycle_pair(k, rng):
             if positive is not None and negative is not None:
                 return positive, negative
     raise GraphError(f"could not sample a {k}-cycle pair (k may be too easy/hard)")
-
-
-def generate_named(spec, seed=0):
-    """Instantiate a NamedGraphSpec; pair kinds yield exactly two graphs."""
-    if spec.kind == "cycle":
-        return [cycle_graph(spec.param)]
-    if spec.kind == "complete":
-        return [complete_graph(spec.param)]
-    if spec.kind == "path":
-        return [path_graph(spec.param)]
-    if spec.kind == "rook4x4":
-        return [rook_graph_4x4()]
-    if spec.kind == "shrikhande":
-        return [shrikhande_graph()]
-    if spec.kind == "two-triangles-vs-c6":
-        return [two_triangles_graph(), cycle_graph(6)]
-    if spec.kind == "four-cycle-pair":
-        pos, neg = four_cycle_pair(spec.param, random.Random(seed))
-        return [pos, neg]
-    raise GraphError(f"unknown named graph kind {spec.kind!r}")

@@ -15,7 +15,7 @@ central finite differences (see grad_check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .graphs import GraphError
 
 TRANS_HIDDEN = 16  # Trans MLP is 1 -> 16 -> channels, ReLU inside
 DEFAULT_BATCH_SIZE = 32  # graphs per Adam step
+NUM_CLASSES = 2  # the classifier head's width
+ACCURACY_CHUNK = 256  # graphs per forward pass when scoring accuracy
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +266,19 @@ def grad_check(loss_and_grads, arrays, step=1e-5):
 # Adam
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Adam:
     """Standard Adam over a fixed list of parameter arrays (updated in place)."""
 
-    arrays: list
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.m = [np.zeros_like(a) for a in self.arrays]
-        self.v = [np.zeros_like(a) for a in self.arrays]
+    def __init__(self, arrays, lr=1e-3):
+        self.arrays = arrays
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
 
     def step(self, grads):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         correction = math.sqrt(1 - b2 ** self.step_count) / (1 - b1 ** self.step_count)
         for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
             g = np.asarray(g)
@@ -290,7 +286,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            a -= self.lr * correction * m / (np.sqrt(v) + self.eps)
+            a -= self.lr * correction * m / (np.sqrt(v) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +382,14 @@ def _batched_cross_entropy(logits, labels):
     return losses, dlogits
 
 
-def _batched_accuracy(model, prepared, labels, chunk=256):
+def _batched_accuracy(model, prepared, labels):
     if not prepared:
         return 0.0
     hits = 0
-    for start in range(0, len(prepared), chunk):
-        batch = _Batch(prepared[start : start + chunk])
-        logits, _ = _batched_forward(model, batch)
-        hits += int((np.argmax(logits, axis=1) == labels[start : start + chunk]).sum())
+    for start in range(0, len(prepared), ACCURACY_CHUNK):
+        stop = start + ACCURACY_CHUNK
+        logits, _ = _batched_forward(model, _Batch(prepared[start:stop]))
+        hits += int((np.argmax(logits, axis=1) == labels[start:stop]).sum())
     return hits / len(prepared)
 
 
@@ -416,11 +412,10 @@ def _coeff_tables(spec, dataset):
 
 def train_classifier(
     train, val, test, spec, epochs, seed, lr=1e-3, batch_size=DEFAULT_BATCH_SIZE,
-    num_classes=2,
 ):
     """Train the 2-layer classifier with Adam; deterministic given the seed.
 
-    Labels must lie in 0..num_classes-1, epochs must be at least 0 and
+    Labels must lie in 0..NUM_CLASSES-1, epochs must be at least 0 and
     batch_size at least 1, and every graph needs at least one node and as
     many feature channels as the first training graph.  Returns a
     TrainReport; with epochs=0 the untrained model is evaluated directly.
@@ -433,15 +428,15 @@ def train_classifier(
         raise GraphError(f"epochs must be at least 0, got {epochs}")
     in_dim = train[0][0].feature_matrix().shape[1]
     for g, label in list(train) + list(val) + list(test):
-        if not 0 <= label < num_classes:
-            raise GraphError(f"label {label} outside 0..{num_classes - 1}")
+        if not 0 <= label < NUM_CLASSES:
+            raise GraphError(f"label {label} outside 0..{NUM_CLASSES - 1}")
         width = g.feature_matrix().shape[1]
         if width != in_dim:
             raise GraphError(
                 f"a graph has {width} feature channels, the first training graph {in_dim}"
             )
     rng = np.random.default_rng(seed)
-    model = init_classifier(spec, in_dim, num_classes, rng)
+    model = init_classifier(spec, in_dim, NUM_CLASSES, rng)
     prep = {
         name: [
             _PreparedGraph(g, c)

@@ -9,7 +9,6 @@ them).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import (

@@ -11,10 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .descriptors import coefficient_table
+from .descriptors import COEFF_QUANT_SCALE, coefficient_table
 from .graphs import GraphError
-
-COEFF_QUANT_SCALE = 1e9  # match the normalization tolerance of 1e-9
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,30 @@ class TestCoeffsCommand:
         assert "Traceback" not in run.stderr
         assert run.stderr.startswith("parse error: invalid JSON: nested too deeply")
 
+    @pytest.mark.parametrize("content", [
+        b"100000000 0\n", b'{"num_nodes": 1000000000000000000000000000000, "edges": []}',
+    ])
+    def test_huge_node_count_exit_1_under_memory_limit(self, tmp_path, content):
+        # the child may map at most 512 MB, so a parser that allocates per
+        # claimed node fails fast with a MemoryError instead of taking all memory
+        import resource
+
+        huge = tmp_path / "huge.txt"
+        huge.write_bytes(content)
+        limit = 512 << 20
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "unionsub.cli", "coeffs", str(huge)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+                 "OMP_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("parse error:") and run.stderr.count("\n") == 1
+
     def test_betweenness_c6(self, c6_file, capsys):
         assert main(["coeffs", c6_file, "--kind", "betweenness"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")[1:]
@@ -169,6 +193,16 @@ class TestGenCommand:
     def test_bad_er_spec_exit_1(self, spec, tmp_path, capsys):
         assert main(["gen", spec, "--count", "1", "--out", str(tmp_path / "d")]) == 1
         assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize("spec", [
+        "nope", "cycle:0", "cycle:2", "cycle:x", "complete:0", "rook4x4:3",
+        "two-triangles-vs-c6:5", "four-cycle-pair:9", "four-cycle-pair:x",
+    ])
+    def test_bad_spec_exit_1(self, spec, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen", spec, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["er", "four-cycle-pair:4", "rook4x4"])
     @pytest.mark.parametrize("count", ["0", "-2"])

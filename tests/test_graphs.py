@@ -12,7 +12,6 @@ from unionsub.graphs import (
     Graph,
     GraphError,
     GraphParseError,
-    NamedGraphSpec,
     Subgraph,
     closed_neighborhood,
     complete_graph,
@@ -20,7 +19,6 @@ from unionsub.graphs import (
     cycle_graph,
     double_edge_swap,
     four_cycle_pair,
-    generate_named,
     has_four_cycle,
     induced_subgraph,
     is_isomorphic_small,
@@ -137,6 +135,10 @@ class TestParsing:
         ('{"num_nodes": 3, "edges": [[true, false]]}', "integers"),
         ('{"num_nodes": 3, "edges": 5}', "list"),
         ('{"num_nodes": 2, "edges": [], "features": [[1.0], ["x"]]}', "features"),
+        # one past the 2^20 node bound, so a broken check costs ~100 MB; larger
+        # claims go to a memory-limited process in tests/test_cli.py
+        ("1048577 0\n", "1048576"),
+        ('{"num_nodes": 1048577, "edges": []}', "1048576"),
     ])
     def test_hostile_input_raises_parse_error(self, text, message):
         with pytest.raises(GraphParseError, match=message):
@@ -146,6 +148,13 @@ class TestParsing:
         text = '{"num_nodes": 2, "edges": ' + "[" * 100_000 + "}"
         with pytest.raises(GraphParseError, match="nested too deeply"):
             parse_graph(text)
+
+    @pytest.mark.parametrize("template", ["{n} 0\n", '{{"num_nodes": {n}, "edges": []}}'])
+    def test_node_count_bound_is_inclusive(self, template, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_PARSED_NODES", 5)
+        assert parse_graph(template.format(n=5)).num_nodes == 5
+        with pytest.raises(GraphParseError):
+            parse_graph(template.format(n=6))
 
     @pytest.mark.parametrize("features", ['[["1"], [1]]', "[[1], [true]]"])
     def test_json_features_must_be_numbers(self, features):
@@ -333,14 +342,14 @@ class TestNamedGenerators:
         assert union_cycle_stats(shr) == {(10, 12)}
 
     def test_pair_kinds_equal_counts(self):
-        for spec_text in ("two-triangles-vs-c6", "four-cycle-pair:4"):
-            pair = generate_named(NamedGraphSpec.parse(spec_text), seed=1)
+        for pair in ((two_triangles_graph(), cycle_graph(6)),
+                     four_cycle_pair(4, random.Random(1))):
             assert len(pair) == 2
             assert pair[0].num_nodes == pair[1].num_nodes
             assert pair[0].num_edges == pair[1].num_edges
 
     def test_two_triangles_pair(self):
-        a, b = generate_named(NamedGraphSpec.parse("two-triangles-vs-c6"))
+        a, b = two_triangles_graph(), cycle_graph(6)
         assert a.degree_sequence() == b.degree_sequence() == (2,) * 6
         assert not is_isomorphic_small(a, b)
 
@@ -351,19 +360,6 @@ class TestNamedGenerators:
             assert count_simple_cycles(pos, 4) > 0
             assert count_simple_cycles(neg, 4) == 0
             assert pos.degree_sequence() == neg.degree_sequence()
-
-    def test_spec_validation(self):
-        with pytest.raises(GraphError):
-            NamedGraphSpec("cycle", 0)
-        with pytest.raises(GraphError):
-            NamedGraphSpec.parse("nope")
-        with pytest.raises(GraphError):
-            NamedGraphSpec("four-cycle-pair", 9)
-
-    def test_generation_deterministic(self):
-        a = generate_named(NamedGraphSpec.parse("four-cycle-pair:4"), seed=7)
-        b = generate_named(NamedGraphSpec.parse("four-cycle-pair:4"), seed=7)
-        assert a == b
 
 
 def has_cycle_networkx(g, k):
