@@ -1,10 +1,11 @@
 """Color refinement versus coefficient-augmented refinement.
 
-Shows pairs that plain 1-WL refinement cannot tell apart but per-edge
-structural coefficients can, including the two 16-node strongly regular
-graphs with identical parameters.  Also demonstrates the strictness of
-union- over overlap-equivalence of neighborhoods and the path-matrix
-round trip.
+Shows pairs that plain 1-WL refinement cannot tell apart, including the two
+16-node strongly regular graphs with identical parameters, and which signal
+separates them: refinement tagged by normalized coefficients (what message
+passing sees) or only the raw coefficients.  Also demonstrates the
+strictness of union- over overlap-equivalence of neighborhoods and the
+path-matrix round trip.
 """
 
 from unionsub import (
@@ -34,7 +35,7 @@ for name, g in (("C6", cycle_graph(6)), ("P3", path_graph(3))):
 
 print()
 print("=" * 70)
-print("2. Pairs invisible to refinement but visible to coefficients")
+print("2. Pairs invisible to refinement: tagged refinement and raw values")
 print("=" * 70)
 pairs = (
     ("C6 vs two triangles", cycle_graph(6), two_triangles_graph()),
@@ -44,13 +45,14 @@ pairs = (
 for name, g1, g2 in pairs:
     verdict = distinguish_pair(g1, g2, UNION_PATH_SVD, Encoding.SVD_SUM)
     print(f"  {name:24s} refinement={verdict.wl_distinguishes}  "
-          f"coefficients={verdict.augmented_distinguishes}")
+          f"tagged={verdict.augmented_distinguishes}  raw={verdict.raw_values_differ}")
 
 c1 = coefficient_table(rook_graph_4x4(), UNION_PATH_SVD)
 c2 = coefficient_table(shrikhande_graph(), UNION_PATH_SVD)
 print(f"\n  rook edge coefficient      : {next(iter(c1.raw.values())):.6f}")
 print(f"  shrikhande edge coefficient: {next(iter(c2.raw.values())):.6f}")
-print("  (both graphs are edge-transitive: one value each, but they differ)")
+print("  (both graphs are edge-transitive: one value each, but they differ;")
+print("   normalized, each is 1/deg, so tagged refinement cannot separate them)")
 
 print()
 print("=" * 70)

@@ -33,8 +33,8 @@ from .descriptors import (
     cycle_count,
 )
 from .graphs import (
-    GraphError, GraphParseError, complete_graph, cycle_graph, path_graph, random_graph,
-    rook_graph_4x4, shrikhande_graph, two_triangles_graph,
+    MAX_PARSED_NODES, GraphError, GraphParseError, complete_graph, cycle_graph, path_graph,
+    random_graph, rook_graph_4x4, shrikhande_graph, two_triangles_graph,
 )
 from .neural import DEFAULT_BATCH_SIZE, ModelSpec, params_to_json_obj, train_classifier
 
@@ -73,9 +73,9 @@ def cmd_distinguish(args):
     return EXIT_OK
 
 
-def _one_int(params, least=-math.inf):
+def _one_int(params, least=-math.inf, most=math.inf):
     (n,) = map(int, params)  # ValueError unless exactly one integer
-    if n < least:
+    if not least <= n <= most:
         raise ValueError
     return (n,)
 
@@ -96,8 +96,9 @@ def _er_graphs(lo, hi, avg_degree, count, seed):
     return graphs, [0] * count
 
 
-def _sized(least, make):
-    return f":N (N >= {least})", lambda p: _one_int(p, least), lambda n: [make(n)], False
+def _sized(least, make, most=MAX_PARSED_NODES):
+    return (f":N ({least} <= N <= {most})", lambda p: _one_int(p, least, most),
+            lambda n: [make(n)], False)
 
 
 def _fixed(*makes):
@@ -114,7 +115,7 @@ def _fixed(*makes):
 # (graphs, labels); any other returns its fixed graphs.
 GEN_SPECS = {
     "cycle": _sized(3, cycle_graph),
-    "complete": _sized(1, complete_graph),
+    "complete": _sized(1, complete_graph, 1448),  # K_1449 has more than 2^20 edges
     "path": _sized(1, path_graph),
     "rook4x4": _fixed(rook_graph_4x4),
     "shrikhande": _fixed(shrikhande_graph),

@@ -25,7 +25,6 @@ from .graphs import Graph, Subgraph, count_simple_cycles
 from .transport import wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
-COEFF_QUANT_SCALE = 1e9  # coefficients compare as round(x * 1e9): a 1e-9 tolerance
 # matrix entries stacked before a batch is encoded; bounds the memory of a
 # table on a large graph
 BATCH_ENTRIES = 1 << 20
@@ -368,10 +367,6 @@ class CoefficientTable:
 
     def raw_value(self, v, u):
         return self.raw[(v, u) if v < u else (u, v)]
-
-    def raw_multiset(self):
-        """Sorted tuple of quantized raw values (labeling-independent view)."""
-        return tuple(sorted(round(x * COEFF_QUANT_SCALE) for x in self.raw.values()))
 
     def to_json_obj(self):
         return {

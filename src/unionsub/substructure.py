@@ -99,6 +99,10 @@ def classify_edge_types(g, v, u):
 def _neighborhood_isomorphic(g1, i, g2, j, local_subgraph):
     """Shared engine: exists a bijection g: Ñ(i)→Ñ(j) with g(i)=j such that
     local_subgraph(g1, i, v) ≅ local_subgraph(g2, j, g(v)) for every v ∈ N(i).
+
+    Isomorphism is an equivalence relation, so matching each neighbor of i to
+    the first unused isomorphic one of j finds such a bijection whenever one
+    exists.
     """
     ni = closed_neighborhood(g1, i)
     nj = closed_neighborhood(g2, j)
@@ -108,28 +112,16 @@ def _neighborhood_isomorphic(g1, i, g2, j, local_subgraph):
         raise GraphError(
             f"neighborhood isomorphism bound is {NEIGHBORHOOD_ISO_LIMIT} nodes"
         )
-    left = sorted(ni - {i})
-    right = sorted(nj - {j})
-    # compatibility via pairwise ordinary isomorphism of the local subgraphs
-    subs_left = [local_subgraph(g1, i, v) for v in left]
-    subs_right = [local_subgraph(g2, j, w) for w in right]
-    compatible = [
-        [is_isomorphic_small(sl, sr) for sr in subs_right] for sl in subs_left
-    ]
-    used = [False] * len(right)
-
-    def assign(k):
-        if k == len(left):
-            return True
-        for w in range(len(right)):
-            if not used[w] and compatible[k][w]:
-                used[w] = True
-                if assign(k + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return assign(0)
+    unused = [local_subgraph(g2, j, w) for w in sorted(nj - {j})]
+    for v in sorted(ni - {i}):
+        sub = local_subgraph(g1, i, v)
+        for k, other in enumerate(unused):
+            if is_isomorphic_small(sub, other):
+                del unused[k]
+                break
+        else:
+            return False
+    return True
 
 
 def union_isomorphic(g1, i, g2, j):

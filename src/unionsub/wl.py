@@ -1,9 +1,10 @@
 """1-WL color refinement, coefficient-augmented refinement, and pair verdicts.
 
-Refinement runs in a joint hash space when two graphs are compared, so
-histogram comparison is sound.  Augmentation tags each neighbor message with
-the quantized normalized coefficient of the directed pair; a coarser signal
-(the multiset of raw coefficients per graph) is folded into the verdict.
+One routine refines every case, in a joint hash space when two graphs are
+compared, so histogram comparison is sound.  Augmentation tags each neighbor
+message with the quantized normalized coefficient of the directed pair: what
+message passing over those coefficients can see.  Whether the multisets of
+raw coefficients differ is reported apart, since normalization removes it.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .descriptors import COEFF_QUANT_SCALE, coefficient_table
+from .descriptors import coefficient_table
 from .graphs import GraphError
+
+COEFF_QUANT_SCALE = 1e9  # coefficients compare as round(x * 1e9): a 1e-9 tolerance
 
 
 @dataclass(frozen=True)
 class ColorAssignment:
-    """Node colors after refinement, contiguous from 0 per assignment."""
+    """Node colors after refinement, contiguous from 0 over the graphs
+    refined together."""
 
     colors: tuple
     rounds: int
@@ -31,6 +35,7 @@ class ColorAssignment:
 class DistinguishVerdict:
     wl_distinguishes: bool
     augmented_distinguishes: bool
+    raw_values_differ: bool
     rounds_used: int
     histograms: tuple  # (hist of graph 1, hist of graph 2) from augmented colors
 
@@ -38,6 +43,7 @@ class DistinguishVerdict:
         return {
             "wl": self.wl_distinguishes,
             "augmented": self.augmented_distinguishes,
+            "raw": self.raw_values_differ,
             "rounds": self.rounds_used,
             "hist1": [list(item) for item in self.histograms[0]],
             "hist2": [list(item) for item in self.histograms[1]],
@@ -56,14 +62,23 @@ def _initial_colors(graphs):
     return [[palette[k] for k in ks] for ks in keys]
 
 
-def _refine_jointly(graphs, edge_tags, max_rounds):
+def _refine(graphs, tables=None, max_rounds=None):
     """Color refinement over several graphs in one hash space.
 
-    ``edge_tags[gi]`` maps a directed pair (v, u) to a hashable tag appended
-    to the message from u to v (None means untagged).  New color ids are
-    assigned by sorted signature, which keeps colors canonical under node
-    relabeling.  Returns (per-graph colors, rounds used, stable flag).
+    ``tables`` holds one CoefficientTable per graph; the message from u to v
+    is then tagged by the quantized normalized coefficient of (v, u), and
+    None leaves every message untagged.  ``max_rounds`` defaults to the total
+    node count, which is enough to stabilize.  New color ids are assigned by
+    sorted signature, which keeps colors canonical under node relabeling.
+    Returns one ColorAssignment per graph.
     """
+    if max_rounds is None:
+        max_rounds = max(1, sum(g.num_nodes for g in graphs))
+    if max_rounds < 1:
+        raise GraphError("max_rounds must be at least 1")
+    edge_tags = [None] * len(graphs)
+    if tables is not None:
+        edge_tags = [_quantized_tags(g, coeffs) for g, coeffs in zip(graphs, tables)]
     colors = _initial_colors(graphs)
     num_colors = len({c for cs in colors for c in cs})
     rounds = 0
@@ -92,32 +107,7 @@ def _refine_jointly(graphs, edge_tags, max_rounds):
         if len(palette) == num_colors:
             stable = True
         num_colors = len(palette)
-    return colors, rounds, stable
-
-
-def wl_refine(g, max_rounds=None):
-    """Plain 1-WL color refinement on a single graph."""
-    if max_rounds is None:
-        max_rounds = max(1, g.num_nodes)
-    if max_rounds < 1:
-        raise GraphError("max_rounds must be at least 1")
-    colors, rounds, stable = _refine_jointly([g], [None], max_rounds)
-    return ColorAssignment(tuple(colors[0]), rounds, stable)
-
-
-def augmented_refine(g, coeffs, max_rounds=None):
-    """1-WL refinement with neighbor messages tagged by quantized coefficients.
-
-    The message from u to v carries round(normalized(v, u) * 1e9), so hashing
-    stays exact across math libraries.
-    """
-    if max_rounds is None:
-        max_rounds = max(1, g.num_nodes)
-    if max_rounds < 1:
-        raise GraphError("max_rounds must be at least 1")
-    tags = _quantized_tags(g, coeffs)
-    colors, rounds, stable = _refine_jointly([g], [tags], max_rounds)
-    return ColorAssignment(tuple(colors[0]), rounds, stable)
+    return [ColorAssignment(tuple(cs), rounds, stable) for cs in colors]
 
 
 def _quantized_tags(g, coeffs):
@@ -130,40 +120,45 @@ def _quantized_tags(g, coeffs):
     return tags
 
 
-def _histograms(graphs, colors):
-    return tuple(tuple(sorted(Counter(cs).items())) for cs in colors)
+def wl_refine(g, max_rounds=None):
+    """Plain 1-WL color refinement on a single graph."""
+    return _refine([g], max_rounds=max_rounds)[0]
+
+
+def augmented_refine(g, coeffs, max_rounds=None):
+    """1-WL refinement with neighbor messages tagged by quantized coefficients.
+
+    The message from u to v carries round(normalized(v, u) * 1e9), so hashing
+    stays exact across math libraries.
+    """
+    return _refine([g], [coeffs], max_rounds)[0]
 
 
 def wl_distinguishable(g1, g2):
     """True iff joint 1-WL refinement ends with different color histograms."""
-    max_rounds = max(1, g1.num_nodes + g2.num_nodes)
-    colors, _, _ = _refine_jointly([g1, g2], [None, None], max_rounds)
-    h1, h2 = _histograms([g1, g2], colors)
-    return h1 != h2
+    first, second = _refine([g1, g2])
+    return first.histogram() != second.histogram()
 
 
 def distinguish_pair(g1, g2, kind, encoding):
     """Full verdict for a graph pair under one descriptor kind.
 
-    ``augmented_distinguishes`` is true when the coefficient-tagged joint
-    refinement separates the graphs or, as a coarser signal, when their
-    multisets of raw coefficients differ.
+    ``augmented_distinguishes`` is the coefficient-tagged joint refinement
+    alone: what message passing over normalized coefficients can see.
+    ``raw_values_differ`` compares the graphs' multisets of quantized raw
+    coefficients, a signal normalization removes.
     """
-    max_rounds = max(1, g1.num_nodes + g2.num_nodes)
-    plain_colors, plain_rounds, _ = _refine_jointly([g1, g2], [None, None], max_rounds)
-    h1, h2 = _histograms([g1, g2], plain_colors)
-    wl_flag = h1 != h2
-
     c1 = coefficient_table(g1, kind, encoding)
     c2 = coefficient_table(g2, kind, encoding)
-    tags = [_quantized_tags(g1, c1), _quantized_tags(g2, c2)]
-    aug_colors, aug_rounds, _ = _refine_jointly([g1, g2], tags, max_rounds)
-    a1, a2 = _histograms([g1, g2], aug_colors)
-    multisets_differ = c1.raw_multiset() != c2.raw_multiset()
-    augmented_flag = (a1 != a2) or multisets_differ
+    plain = _refine([g1, g2])
+    tagged = _refine([g1, g2], [c1, c2])
+    h1, h2 = (assignment.histogram() for assignment in tagged)
+    raw1, raw2 = (sorted(round(x * COEFF_QUANT_SCALE) for x in c.raw.values())
+                  for c in (c1, c2))
     return DistinguishVerdict(
-        wl_distinguishes=wl_flag,
-        augmented_distinguishes=augmented_flag,
-        rounds_used=max(plain_rounds, aug_rounds),
-        histograms=(a1, a2),
+        wl_distinguishes=plain[0].histogram() != plain[1].histogram(),
+        augmented_distinguishes=h1 != h2,
+        raw_values_differ=raw1 != raw2,
+        rounds_used=max(plain[0].rounds, tagged[0].rounds),
+        histograms=(h1, h2),
     )

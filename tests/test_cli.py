@@ -12,6 +12,27 @@ from unionsub.datasets import read_corpus, read_dataset
 from unionsub.graphs import GraphParseError, complete_graph, parse_graph
 
 
+def assert_parse_error_under_memory_limit(argv):
+    """Run the CLI in a child that may map at most 512 MB, so code that
+    allocates per claimed node fails fast with a MemoryError instead of taking
+    all memory; it must exit 1 with one parse-error line."""
+    import resource
+
+    limit = 512 << 20
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "unionsub.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("parse error:") and run.stderr.count("\n") == 1
+
+
 @pytest.fixture
 def k3_file(tmp_path):
     path = tmp_path / "k3.txt"
@@ -96,25 +117,9 @@ class TestCoeffsCommand:
         b"100000000 0\n", b'{"num_nodes": 1000000000000000000000000000000, "edges": []}',
     ])
     def test_huge_node_count_exit_1_under_memory_limit(self, tmp_path, content):
-        # the child may map at most 512 MB, so a parser that allocates per
-        # claimed node fails fast with a MemoryError instead of taking all memory
-        import resource
-
         huge = tmp_path / "huge.txt"
         huge.write_bytes(content)
-        limit = 512 << 20
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-m", "unionsub.cli", "coeffs", str(huge)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
-                 "OMP_NUM_THREADS": "1"},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-        assert run.returncode == 1
-        assert "Traceback" not in run.stderr
-        assert run.stderr.startswith("parse error:") and run.stderr.count("\n") == 1
+        assert_parse_error_under_memory_limit(["coeffs", str(huge)])
 
     def test_betweenness_c6(self, c6_file, capsys):
         assert main(["coeffs", c6_file, "--kind", "betweenness"]) == 0
@@ -133,12 +138,12 @@ class TestDistinguishCommand:
     def test_c6_vs_triangles(self, c6_file, two_triangles_file, capsys):
         assert main(["distinguish", c6_file, two_triangles_file]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["wl"] is False and obj["augmented"] is True
+        assert obj["wl"] is False and obj["augmented"] is False and obj["raw"] is True
 
     def test_identical(self, k3_file, capsys):
         assert main(["distinguish", k3_file, k3_file]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["wl"] is False and obj["augmented"] is False
+        assert obj["wl"] is False and obj["augmented"] is False and obj["raw"] is False
 
     def test_verdict_exit_code_always_zero(self, k3_file, c6_file, capsys):
         assert main(["distinguish", k3_file, c6_file]) == 0
@@ -197,11 +202,18 @@ class TestGenCommand:
     @pytest.mark.parametrize("spec", [
         "nope", "cycle:0", "cycle:2", "cycle:x", "complete:0", "rook4x4:3",
         "two-triangles-vs-c6:5", "four-cycle-pair:9", "four-cycle-pair:x",
+        "cycle:1048577", "path:1048577", "complete:1449",
     ])
     def test_bad_spec_exit_1(self, spec, tmp_path, capsys):
         out = tmp_path / "d"
         assert main(["gen", spec, "--out", str(out)]) == 1
         assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["cycle:100000000", "complete:100000"])
+    def test_huge_sized_spec_exit_1_under_memory_limit(self, spec, tmp_path):
+        out = tmp_path / "d"
+        assert_parse_error_under_memory_limit(["gen", spec, "--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["er", "four-cycle-pair:4", "rook4x4"])

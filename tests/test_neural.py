@@ -3,9 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from unionsub.descriptors import UNION_PATH_SVD, coefficient_table
-from unionsub.graphs import Graph, GraphError, complete_graph, cycle_graph, parse_graph, random_graph
+from unionsub.descriptors import UNION_PATH_SVD, Encoding, coefficient_table
+from unionsub.graphs import (
+    Graph, GraphError, complete_graph, cycle_graph, double_edge_swap, parse_graph,
+    random_graph, rook_graph_4x4, shrikhande_graph, two_triangles_graph,
+)
 from unionsub import neural as nn
+from unionsub.wl import distinguish_pair
 
 
 def connected_random_graph(seed, n=6, p=0.5):
@@ -336,6 +340,72 @@ class TestCoefficientsReachTheLoss:
         by_array = {id(a): g for a, g in zip(model.arrays(), grads)}
         for layer in model.layers:
             assert np.abs(by_array[id(layer.trans.biases[-1])]).max() > 1e-6
+
+
+def cubic_graphs_on_ten_nodes():
+    """The 21 cubic graphs on 10 nodes, connected or not, in order of discovery.
+
+    Double-edge swaps keep every degree and connect all simple graphs with a
+    given degree sequence, so a swap walk from the 5-prism reaches each one.
+    Graphs whose closed-walk counts tr(A^k), k = 1..10, differ are not
+    isomorphic, so 21 distinct count vectors are the 21 classes.
+    """
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    edges = ring + [(a + 5, b + 5) for a, b in ring] + [(i, i + 5) for i in range(5)]
+    adjacency = [set(a) for a in Graph(10, edges).adjacency]
+    found = {}
+    rng = random.Random(0)
+    while len(found) < 21:
+        g = Graph(10, edges)
+        a = np.zeros((10, 10), dtype=np.int64)
+        for v, u in g.edges:
+            a[v, u] = a[u, v] = 1
+        walks = tuple(int(np.trace(np.linalg.matrix_power(a, k))) for k in range(1, 11))
+        found.setdefault(walks, g)
+        while not double_edge_swap(edges, adjacency, rng):
+            pass
+    return list(found.values())
+
+
+@pytest.fixture(scope="module")
+def refinement_pairs():
+    """The cubic graphs on 10 nodes and the two edge-transitive headline
+    pairs, with (i, j, whether the tagged refinement separates graphs i
+    and j) for every cubic pair and each headline pair."""
+    graphs = cubic_graphs_on_ten_nodes()
+    pairs = [(i, j) for i in range(21) for j in range(i + 1, 21)]
+    for g1, g2 in ((cycle_graph(6), two_triangles_graph()),
+                   (rook_graph_4x4(), shrikhande_graph())):
+        graphs += [g1, g2]
+        pairs.append((len(graphs) - 2, len(graphs) - 1))
+    return graphs, [
+        (i, j, distinguish_pair(graphs[i], graphs[j], UNION_PATH_SVD, Encoding.SVD_SUM)
+         .augmented_distinguishes)
+        for i, j in pairs
+    ]
+
+
+class TestModelSeesTheTaggedRefinement:
+    """With random parameters, a model may separate only what the
+    coefficient-tagged refinement separates, and gin and gcn only what plain
+    1-WL does; all these graphs are regular, so plain 1-WL separates none."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_models_against_refinement(self, refinement_pairs, seed):
+        graphs, pairs = refinement_pairs
+        gaps = {}
+        for name in ("gin", "gcn", "union-gin", "union-gcn"):
+            rng = np.random.default_rng(seed)
+            model = nn.init_classifier(nn.ModelSpec.parse(name, hidden=8), 1, 2, rng)
+            for array in model.arrays():
+                array += rng.normal(0, 0.5, size=array.shape)
+            logits, _ = nn._batched_forward(model, make_batch(graphs, model.spec.use_coeffs))
+            gaps[name] = [np.abs(logits[i] - logits[j]).max() for i, j, _ in pairs]
+        separated = [flag for _, _, flag in pairs]
+        assert max(gaps["gin"] + gaps["gcn"]) <= 1e-12
+        for name_gaps in gaps.values():
+            assert all(gap <= 1e-9 for gap, flag in zip(name_gaps, separated) if not flag)
+        assert any(gap > 1e-6 for gap, flag in zip(gaps["union-gin"], separated) if flag)
 
 
 class TestTraining:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import networkx as nx
@@ -224,6 +225,44 @@ class TestNeighborhoodIsomorphism:
         assert checked >= 500
         assert strict >= 1
 
+
+    @pytest.mark.parametrize("test, local", [
+        (union_isomorphic, union_subgraph), (overlap_isomorphic, overlap_subgraph),
+    ], ids=["union", "overlap"])
+    def test_matches_bijection_oracle(self, test, local):
+        # every bijection N(i) -> N(j) tried, local subgraphs compared by networkx
+        def as_nx(sub):
+            h = nx.empty_graph(sub.num_nodes)
+            h.add_edges_from(sub.local.edges)
+            return h
+
+        def oracle(g1, i, g2, j):
+            left, right = g1.neighbors(i), g2.neighbors(j)
+            if len(left) != len(right):
+                return False
+            iso = [[nx.is_isomorphic(as_nx(local(g1, i, v)), as_nx(local(g2, j, w)))
+                    for w in right] for v in left]
+            return any(all(iso[k][w] for k, w in enumerate(perm))
+                       for perm in itertools.permutations(range(len(right))))
+
+        rng = random.Random(11)
+        outcomes = {True: 0, False: 0}
+        for trial in range(40):
+            g1 = random_graph(rng.randint(4, 8), rng.uniform(0.3, 0.6), rng)
+            if trial % 2:
+                perm = list(range(g1.num_nodes))
+                rng.shuffle(perm)
+                g2 = g1.relabel(perm)
+            else:
+                g2 = random_graph(rng.randint(4, 8), rng.uniform(0.3, 0.6), rng)
+            for i in range(g1.num_nodes):
+                for j in range(g2.num_nodes):
+                    if max(g1.degree(i), g2.degree(j)) > 5:  # closed neighbourhoods <= 6
+                        continue
+                    expected = oracle(g1, i, g2, j)
+                    assert test(g1, i, g2, j) == expected
+                    outcomes[expected] += 1
+        assert min(outcomes.values()) >= 100
 
 def star_graph_4(leaves=4):
     from unionsub.graphs import star_graph

@@ -112,19 +112,23 @@ class TestAugmentedRefinement:
 
 
 class TestVerdicts:
+    # edge-transitive pairs: every normalized coefficient is 1/deg, so only
+    # the raw values, which normalization removes, tell the graphs apart
     def test_c6_vs_triangles(self):
         verdict = distinguish_pair(
             cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD, Encoding.SVD_SUM
         )
         assert not verdict.wl_distinguishes
-        assert verdict.augmented_distinguishes
+        assert not verdict.augmented_distinguishes
+        assert verdict.raw_values_differ
 
     def test_rook_vs_shrikhande(self):
         verdict = distinguish_pair(
             rook_graph_4x4(), shrikhande_graph(), UNION_PATH_SVD, Encoding.SVD_SUM
         )
         assert not verdict.wl_distinguishes
-        assert verdict.augmented_distinguishes
+        assert not verdict.augmented_distinguishes
+        assert verdict.raw_values_differ
 
     def test_identical_graphs(self):
         verdict = distinguish_pair(
@@ -132,6 +136,7 @@ class TestVerdicts:
         )
         assert not verdict.wl_distinguishes
         assert not verdict.augmented_distinguishes
+        assert not verdict.raw_values_differ
 
     def test_wl_implies_augmented(self):
         rng = random.Random(2)
@@ -158,6 +163,7 @@ class TestVerdicts:
             )
             assert relabeled.wl_distinguishes == base.wl_distinguishes
             assert relabeled.augmented_distinguishes == base.augmented_distinguishes
+            assert relabeled.raw_values_differ == base.raw_values_differ
             assert relabeled.histograms == base.histograms
 
     def test_verdict_json_shape(self):
@@ -165,7 +171,7 @@ class TestVerdicts:
             cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD, Encoding.SVD_SUM
         )
         obj = verdict.to_json_obj()
-        assert set(obj) == {"wl", "augmented", "rounds", "hist1", "hist2"}
-        assert obj["wl"] is False and obj["augmented"] is True
+        assert set(obj) == {"wl", "augmented", "raw", "rounds", "hist1", "hist2"}
+        assert obj["wl"] is False and obj["augmented"] is False and obj["raw"] is True
         assert isinstance(obj["rounds"], int)
         assert all(len(item) == 2 for item in obj["hist1"])
