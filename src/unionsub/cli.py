@@ -41,6 +41,7 @@ from .neural import DEFAULT_BATCH_SIZE, ModelSpec, params_to_json_obj, train_cla
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DESCRIPTOR = 2
+MAX_ALL_PAIRS_NODES = 1448  # bound of the specs that visit all n(n-1)/2 node pairs
 
 
 def _write_output(text, out_path):
@@ -84,7 +85,8 @@ def _er_params(params):
     lo_text, _, hi_text = (params[0] if params and params[0] else "20-50").partition("-")
     lo, hi = int(lo_text), int(hi_text or lo_text)
     avg_degree = float(params[1]) if len(params) > 1 else 3.7
-    if len(params) > 2 or not 2 <= lo <= hi or not 0 < avg_degree < math.inf:
+    if (len(params) > 2 or not 2 <= lo <= hi <= MAX_ALL_PAIRS_NODES
+            or not 0 < avg_degree < math.inf):
         raise ValueError
     return lo, hi, avg_degree
 
@@ -115,15 +117,15 @@ def _fixed(*makes):
 # (graphs, labels); any other returns its fixed graphs.
 GEN_SPECS = {
     "cycle": _sized(3, cycle_graph),
-    "complete": _sized(1, complete_graph, 1448),  # K_1449 has more than 2^20 edges
+    "complete": _sized(1, complete_graph, MAX_ALL_PAIRS_NODES),  # K_1449: > 2^20 edges
     "path": _sized(1, path_graph),
     "rook4x4": _fixed(rook_graph_4x4),
     "shrikhande": _fixed(shrikhande_graph),
     "two-triangles-vs-c6": _fixed(two_triangles_graph, lambda: cycle_graph(6)),
     "four-cycle-pair": ("[:K] (K default 4)", lambda params: _one_int(params or ["4"]),
                         build_cycle_dataset, True),
-    "er": ("[:LO-HI[:DEG]] (2 <= LO <= HI, DEG > 0, default 20-50:3.7)", _er_params,
-           _er_graphs, True),
+    "er": (f"[:LO-HI[:DEG]] (2 <= LO <= HI <= {MAX_ALL_PAIRS_NODES}, DEG > 0, "
+           "default 20-50:3.7)", _er_params, _er_graphs, True),
 }
 GEN_FORMS = " | ".join(name + form for name, (form, *_) in GEN_SPECS.items())
 

@@ -20,14 +20,14 @@ SPLIT_FRACTIONS = (0.45, 0.05, 0.5)  # train, val, test
 
 
 def write_dataset(directory, graphs, labels):
-    """Write graphs as edge-list files plus labels.csv (filename,label)."""
+    """Write graph files (Graph.to_text) plus labels.csv (filename,label)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     width = max(4, len(str(max(len(graphs) - 1, 0))))
     rows = []
     for i, (g, label) in enumerate(zip(graphs, labels)):
         name = f"graph_{i:0{width}d}.txt"
-        (directory / name).write_text(g.to_edge_list_text(), encoding="ascii")
+        (directory / name).write_text(g.to_text(), encoding="ascii")
         rows.append((name, label))
     with open(directory / "labels.csv", "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

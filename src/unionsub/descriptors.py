@@ -400,8 +400,7 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
         values = local_descriptor_values(g, g.edges, kind, encoding).tolist()
     raw = dict(zip(g.edges, values))
     normalized = {}
-    for v in range(g.num_nodes):
-        neighbors = g.neighbors(v)
+    for v, neighbors in enumerate(g.adjacency):
         if not neighbors:
             continue
         denom = sum(raw[(v, u) if v < u else (u, v)] for u in neighbors)

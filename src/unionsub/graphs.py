@@ -17,7 +17,11 @@ MAX_PARSED_NODES = 1 << 20  # so a 12-byte file cannot claim 10^8 adjacency list
 
 
 class GraphError(ValueError):
-    """Invalid graph data or operation."""
+    """Invalid graph data or operation; ``edge`` is the failing edge's position."""
+
+    def __init__(self, message, edge=None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class GraphParseError(GraphError):
@@ -35,10 +39,12 @@ def _normalize_edge(u, v):
 
 
 class Graph:
-    """Simple undirected graph with optional per-node real feature vectors.
+    """Simple undirected graph with a real feature vector on every node.
 
     Immutable after construction: edges are a frozen sorted tuple, adjacency
-    lists are sorted tuples, and the feature matrix (if any) is read-only.
+    lists are sorted tuples, and the feature matrix is read-only.  Given no
+    features, a graph carries a constant 1.0 column.  Only this constructor
+    checks edges: ids in range, no self-loops, no duplicates.
     """
 
     __slots__ = ("num_nodes", "edges", "adjacency", "features")
@@ -48,30 +54,34 @@ class Graph:
             raise GraphError("num_nodes must be non-negative")
         seen = set()
         adjacency = [[] for _ in range(num_nodes)]
-        for u, v in edges:
+        for k, (u, v) in enumerate(edges):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise GraphError(f"node id out of range in edge ({u}, {v})")
+                raise GraphError(f"node id out of range in edge ({u}, {v})", edge=k)
             if u == v:
-                raise GraphError(f"self-loop at node {u}")
+                raise GraphError(f"self-loop at node {u}", edge=k)
             e = _normalize_edge(u, v)
             if e in seen:
-                raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
+                raise GraphError(f"duplicate edge ({e[0]}, {e[1]})", edge=k)
             seen.add(e)
             adjacency[u].append(v)
             adjacency[v].append(u)
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adjacency))
-        if features is not None:
+        if features is None:
+            features = np.ones((num_nodes, 1))
+        else:
             try:
                 features = np.array(features, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise GraphError("features must be a matrix of numbers") from None
+            if num_nodes == 0 and features.size == 0:
+                features = np.ones((0, 1))  # JSON's [] has no width, and no row differs
             if features.ndim != 2 or features.shape[0] != num_nodes or features.shape[1] < 1:
                 raise GraphError("features must be a (num_nodes, d) matrix with d >= 1")
             if not np.isfinite(features).all():
                 raise GraphError("features must be finite")
-            features.setflags(write=False)
+        features.setflags(write=False)
         object.__setattr__(self, "features", features)
 
     def __setattr__(self, name, value):
@@ -103,32 +113,19 @@ class Graph:
         if not (0 <= v < self.num_nodes):
             raise GraphError(f"node id {v} out of range (num_nodes={self.num_nodes})")
 
-    def feature_matrix(self):
-        """Feature matrix, defaulting to a constant 1.0 column when absent."""
-        if self.features is not None:
-            return self.features
-        return np.ones((self.num_nodes, 1))
-
     def relabel(self, perm):
         """Relabel nodes: node v becomes perm[v].  perm must be a permutation."""
         if sorted(perm) != list(range(self.num_nodes)):
             raise GraphError("perm is not a permutation of the node ids")
         edges = [(perm[u], perm[v]) for u, v in self.edges]
-        features = None
-        if self.features is not None:
-            features = np.empty_like(self.features)
-            for v in range(self.num_nodes):
-                features[perm[v]] = self.features[v]
-        return Graph(self.num_nodes, edges, features)
+        # row perm[v] of the new matrix is row v of this one
+        return Graph(self.num_nodes, edges, self.features[np.argsort(perm)])
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.num_nodes != other.num_nodes or self.edges != other.edges:
-            return False
-        if (self.features is None) != (other.features is None):
-            return False
-        return self.features is None or np.array_equal(self.features, other.features)
+        return (self.num_nodes == other.num_nodes and self.edges == other.edges
+                and np.array_equal(self.features, other.features))
 
     def __hash__(self):
         return hash((self.num_nodes, self.edges))
@@ -142,10 +139,15 @@ class Graph:
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self):
-        obj = {"num_nodes": self.num_nodes, "edges": [[u, v] for u, v in self.edges]}
-        if self.features is not None:
-            obj["features"] = self.features.tolist()
-        return obj
+        return {"num_nodes": self.num_nodes, "edges": [[u, v] for u, v in self.edges],
+                "features": self.features.tolist()}
+
+    def to_text(self):
+        """Edge-list text if the features are the ones column an edge list
+        implies, else JSON text; parse_graph reads either back as this graph."""
+        if self.features.tolist() == [[1.0]] * self.num_nodes:
+            return self.to_edge_list_text()
+        return json.dumps(self.to_json_obj()) + "\n"
 
 
 class Subgraph:
@@ -246,25 +248,18 @@ def _parse_edge_list(text):
             f"expected {m} edge lines, found {len(lines) - 1}", line=len(lines)
         )
     edges = []
-    seen = set()
     for idx, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if len(parts) != 2:
             raise GraphParseError("malformed edge, expected 'u v'", line=idx)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphParseError("malformed edge, expected two integers", line=idx) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"node id out of range in edge ({u}, {v})", line=idx)
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", line=idx)
-        e = _normalize_edge(u, v)
-        if e in seen:
-            raise GraphParseError(f"duplicate edge ({e[0]}, {e[1]})", line=idx)
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except GraphError as exc:  # edge k is on line k + 2
+        raise GraphParseError(str(exc), line=exc.edge + 2) from None
 
 
 def _is_json_int(x):
@@ -281,6 +276,8 @@ def _parse_json(text):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except ValueError:  # an integer literal past Python's digit limit
+        raise GraphParseError("invalid JSON: integer literal too long") from None
     except RecursionError:
         raise GraphParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
@@ -330,10 +327,7 @@ def induced_subgraph(g, nodes):
         for q in g.adjacency[p]
         if q > p and q in index
     ]
-    features = None
-    if g.features is not None and parent_ids:
-        features = g.features[parent_ids]
-    local = Graph(len(parent_ids), local_edges, features)
+    local = Graph(len(parent_ids), local_edges, g.features[parent_ids])
     return Subgraph(local, parent_ids)
 
 
@@ -367,8 +361,8 @@ def is_isomorphic_small(a, b):
     n = ga.num_nodes
     if n == 0:
         return True
-    adj_a = [set(ga.neighbors(v)) for v in range(n)]
-    adj_b = [set(gb.neighbors(v)) for v in range(n)]
+    adj_a = [set(a) for a in ga.adjacency]
+    adj_b = [set(b) for b in gb.adjacency]
     # map nodes of a in decreasing-degree order to prune early
     order = sorted(range(n), key=lambda v: -len(adj_a[v]))
     mapping = [-1] * n

@@ -138,7 +138,7 @@ class _PreparedGraph:
         self.nbr = np.array([u for a in g.adjacency for u in a], dtype=int)
         unit = np.maximum(degs, 1).astype(float)
         self.norm = 1.0 / np.sqrt(unit[self.center] * unit[self.nbr])
-        self.features = g.feature_matrix()
+        self.features = g.features
         if coeffs is None:
             self.coeff = None
         else:
@@ -426,11 +426,11 @@ def train_classifier(
         raise GraphError(f"batch size must be at least 1, got {batch_size}")
     if epochs < 0:
         raise GraphError(f"epochs must be at least 0, got {epochs}")
-    in_dim = train[0][0].feature_matrix().shape[1]
+    in_dim = train[0][0].features.shape[1]
     for g, label in list(train) + list(val) + list(test):
         if not 0 <= label < NUM_CLASSES:
             raise GraphError(f"label {label} outside 0..{NUM_CLASSES - 1}")
-        width = g.feature_matrix().shape[1]
+        width = g.features.shape[1]
         if width != in_dim:
             raise GraphError(
                 f"a graph has {width} feature channels, the first training graph {in_dim}"

@@ -51,13 +51,8 @@ class DistinguishVerdict:
 
 
 def _initial_colors(graphs):
-    """Shared initial colors from node features (constant when featureless)."""
-    keys = []
-    for g in graphs:
-        if g.features is None:
-            keys.append([()] * g.num_nodes)
-        else:
-            keys.append([tuple(row) for row in g.features.tolist()])
+    """Shared initial colors: equal feature rows get equal colors."""
+    keys = [[tuple(row) for row in g.features.tolist()] for g in graphs]
     palette = {key: color for color, key in enumerate(sorted({k for ks in keys for k in ks}))}
     return [[palette[k] for k in ks] for ks in keys]
 
@@ -90,7 +85,7 @@ def _refine(graphs, tables=None, max_rounds=None):
             sig = []
             for v in range(g.num_nodes):
                 messages = []
-                for u in g.neighbors(v):
+                for u in g.adjacency[v]:
                     if tags is None:
                         messages.append(colors[gi][u])
                     else:
@@ -112,8 +107,8 @@ def _refine(graphs, tables=None, max_rounds=None):
 
 def _quantized_tags(g, coeffs):
     tags = {}
-    for v in range(g.num_nodes):
-        for u in g.neighbors(v):
+    for v, neighbors in enumerate(g.adjacency):
+        for u in neighbors:
             if (v, u) not in coeffs.normalized:
                 raise GraphError(f"missing coefficient for directed pair ({v}, {u})")
             tags[(v, u)] = round(coeffs.normalized[(v, u)] * COEFF_QUANT_SCALE)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from unionsub.cli import main, run_bench
-from unionsub.datasets import read_corpus, read_dataset
-from unionsub.graphs import GraphParseError, complete_graph, parse_graph
+from unionsub.datasets import read_corpus, read_dataset, write_dataset
+from unionsub.graphs import Graph, GraphParseError, complete_graph, parse_graph
 
 
 def assert_parse_error_under_memory_limit(argv):
@@ -193,7 +193,7 @@ class TestGenCommand:
 
     @pytest.mark.parametrize("spec", [
         "er:1-1", "er:x", "er:5-x", "er:9-5", "er:5-9:x", "er:5-9:0", "er:5-9:-2",
-        "er:5-9:nan", "er:5-9:3:1",
+        "er:5-9:nan", "er:5-9:3:1", "er:1449", "er:2-1449",
     ])
     def test_bad_er_spec_exit_1(self, spec, tmp_path, capsys):
         assert main(["gen", spec, "--count", "1", "--out", str(tmp_path / "d")]) == 1
@@ -214,6 +214,12 @@ class TestGenCommand:
     def test_huge_sized_spec_exit_1_under_memory_limit(self, spec, tmp_path):
         out = tmp_path / "d"
         assert_parse_error_under_memory_limit(["gen", spec, "--out", str(out)])
+        assert not out.exists()
+
+    def test_huge_er_spec_exit_1_under_memory_limit(self, tmp_path):
+        out = tmp_path / "d"
+        argv = ["gen", "er:100000-100000", "--count", "1", "--out", str(out)]
+        assert_parse_error_under_memory_limit(argv)
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["er", "four-cycle-pair:4", "rook4x4"])
@@ -254,6 +260,14 @@ class TestDatasetFiles:
         main(["gen", "four-cycle-pair:4", "--count", "4", "--seed", "2",
               "--out", str(out)])
         return out
+
+    def test_features_survive_write_and_read(self, tmp_path):
+        featured = Graph(3, [(0, 1), (1, 2)], [[0.5, -1.0], [1e-300, 2.0], [3.0, 0.1]])
+        plain = complete_graph(3)
+        write_dataset(tmp_path / "d", [featured, plain], [1, 0])
+        assert read_dataset(tmp_path / "d") == [(featured, 1), (plain, 0)]
+        # a graph with the default ones column keeps its edge-list bytes
+        assert (tmp_path / "d" / "graph_0001.txt").read_text() == plain.to_edge_list_text()
 
     def test_non_ascii_graph_file(self, data, capsys):
         (data / "graph_0001.txt").write_bytes(b"2 1\n0 1 \xc3\xa9\n")

@@ -1,10 +1,12 @@
 import itertools
+import json
+import math
 import random
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unionsub import graphs
@@ -45,6 +47,14 @@ class TestGraphInvariants:
         with pytest.raises(GraphError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    @pytest.mark.parametrize("edges, position", [
+        ([(0, 1), (2, 2)], 1), ([(0, 1), (1, 2), (2, 1)], 2), ([(0, 3), (1, 1)], 0),
+    ])
+    def test_error_carries_failing_edge_position(self, edges, position):
+        with pytest.raises(GraphError) as info:
+            Graph(3, edges)
+        assert info.value.edge == position
+
     def test_adjacency_sorted_and_consistent(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])
         assert g.adjacency[0] == (1, 2)
@@ -73,7 +83,17 @@ class TestGraphInvariants:
 
     def test_feature_matrix_defaults_to_ones(self):
         g = complete_graph(3)
-        assert np.array_equal(g.feature_matrix(), np.ones((3, 1)))
+        assert np.array_equal(g.features, np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            g.features[0, 0] = 9.0  # read-only
+
+    def test_ones_column_is_the_same_graph(self):
+        g = cycle_graph(4)
+        ones = Graph(4, g.edges, np.ones((4, 1)))
+        assert g == ones and hash(g) == hash(ones)
+        assert g != Graph(4, g.edges, np.full((4, 1), 2.0))
+        assert g != Graph(4, g.edges, np.ones((4, 2)))
+        assert g.to_json_obj()["features"] == [[1.0]] * 4
 
     def test_relabel_roundtrip(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], features=[[1.0], [2.0], [3.0], [4.0]])
@@ -104,6 +124,11 @@ class TestParsing:
         with pytest.raises(GraphParseError, match="line 2"):
             parse_graph("2 1\n0 5")
 
+    def test_bad_token_is_reported_before_an_earlier_bad_edge(self):
+        # tokens are read first; the edges are checked by Graph afterwards
+        with pytest.raises(GraphParseError, match="line 4: malformed edge"):
+            parse_graph("4 3\n0 0\n1 2\n1 x\n")
+
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphParseError, match="expected 2 edge lines"):
             parse_graph("3 2\n0 1")
@@ -121,6 +146,12 @@ class TestParsing:
     def test_json_rejects_self_loop(self):
         with pytest.raises(GraphParseError, match="self-loop"):
             parse_graph('{"num_nodes": 2, "edges": [[1, 1]]}')
+
+    def test_json_roundtrip_without_nodes(self):
+        # the JSON feature list [] of a graph with no nodes has no width
+        g = Graph(0, [])
+        assert parse_graph(json.dumps(g.to_json_obj())) == g
+        assert parse_graph(g.to_text()) == g
 
     def test_edge_list_roundtrip(self):
         g = rook_graph_4x4()
@@ -161,6 +192,79 @@ class TestParsing:
         text = '{"num_nodes": 2, "edges": [[0, 1]], "features": %s}' % features
         with pytest.raises(GraphParseError, match="features"):
             parse_graph(text)
+
+
+def mostly(likely, other):
+    """Draws from ``likely`` seven times in eight, else from ``other``."""
+    return st.integers(0, 7).flatmap(lambda k: other if k == 0 else likely)
+
+
+# JSON values of every kind the parser may meet: ints past the float range,
+# floats with inf and nan, bools, strings, null, nested lists and objects
+json_scalars = (
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(-(2**1100), 2**1100) | st.integers(-2, 8)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=12,
+)
+
+
+@st.composite
+def json_graph_texts(draw):
+    """JSON objects near the graph schema: a small node count, pairs of ids
+    near the range, a feature matrix of the right shape, and any part
+    sometimes replaced by an arbitrary JSON value."""
+    n = draw(st.integers(0, 6))
+    ids = mostly(st.integers(0, n), json_values)
+    pair = mostly(st.tuples(ids, ids).map(list), st.lists(ids, max_size=3))
+    width = draw(st.integers(1, 3))
+    special = st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -(10**400)])
+    number = mostly(st.floats(-1e3, 1e3) | st.integers(-3, 3), json_scalars | special)
+    row = mostly(st.lists(number, min_size=width, max_size=width), json_values)
+    obj = {
+        "num_nodes": draw(mostly(st.just(n), json_values)),
+        "edges": draw(mostly(st.lists(pair, max_size=4), json_values)),
+    }
+    if draw(st.booleans()):
+        obj["features"] = draw(mostly(st.lists(row, min_size=n, max_size=n), json_values))
+    return json.dumps(obj)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """ASCII text shaped like an edge list: a header, then lines that are
+    mostly two small ids, with signs, floats, junk and huge ints mixed in."""
+    n = draw(st.integers(0, 6))
+    token = mostly(st.integers(-1, n).map(str), st.sampled_from(
+        ["", "x", "-0", "+1", "1.5", "0x1", "1e3", "9" * 30, "\t", "\r"]
+    ))
+    line = mostly(st.tuples(token, token), st.lists(token, max_size=3)).map(" ".join)
+    lines = draw(st.lists(line, max_size=6))
+    m = draw(mostly(st.just(str(len(lines))), token))
+    return "\n".join([f"{n} {m}"] + lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestParserFuzz:
+    """parse_graph returns a Graph or raises GraphParseError, whatever it is fed."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.binary(max_size=64) | edge_list_texts() | json_graph_texts())
+    # an integer feature past the float range (OverflowError in the
+    # conversion) and an integer literal past Python's 4,300-digit limit
+    @example('{"num_nodes": 1, "edges": [], "features": [[1' + "0" * 400 + "]]}")
+    @example('{"num_nodes": 1' + "0" * 5000 + ', "edges": []}')
+    def test_graph_or_parse_error(self, text):
+        try:
+            g = parse_graph(text)
+        except GraphParseError:
+            return
+        assert isinstance(g, Graph)
+        assert parse_graph(json.dumps(g.to_json_obj())) == g
+        assert parse_graph(g.to_text()) == g
 
 
 class TestNeighborhoods:

@@ -77,7 +77,7 @@ def dense_logits(model, g, coeffs):
     deg = np.maximum(adj.sum(axis=1), 1.0)
     gcn = model.spec.base == "gcn"
     weights = adj / np.sqrt(np.outer(deg, deg)) if gcn else adj
-    h = g.feature_matrix()
+    h = g.features
     for layer in model.layers:
         if layer.trans is None:
             agg = weights @ h
@@ -406,6 +406,37 @@ class TestModelSeesTheTaggedRefinement:
         for name_gaps in gaps.values():
             assert all(gap <= 1e-9 for gap, flag in zip(name_gaps, separated) if not flag)
         assert any(gap > 1e-6 for gap, flag in zip(gaps["union-gin"], separated) if flag)
+
+
+class TestVerdictAndModelReadTheFeatures:
+    """A graph given no features carries the ones column, so the verdict and
+    union-gin both take C6 with that column for C6, and both tell a
+    constant 2.0 column apart."""
+
+    @staticmethod
+    def verdict_and_logit_gap(g1, g2, seed):
+        verdict = distinguish_pair(g1, g2, UNION_PATH_SVD, Encoding.SVD_SUM)
+        spec = nn.ModelSpec.parse("union-gin", hidden=8)
+        model = nn.init_classifier(spec, 1, 2, np.random.default_rng(seed))
+        logits, _ = nn._batched_forward(model, make_batch([g1, g2]))
+        return verdict, np.abs(logits[0] - logits[1]).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ones_column_is_no_features(self, seed):
+        c6 = cycle_graph(6)
+        ones = Graph(6, c6.edges, np.ones((6, 1)))
+        verdict, gap = self.verdict_and_logit_gap(c6, ones, seed)
+        assert not verdict.wl_distinguishes and not verdict.augmented_distinguishes
+        assert not verdict.raw_values_differ
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_constant_two_column_is_told_apart(self, seed):
+        c6 = cycle_graph(6)
+        twos = Graph(6, c6.edges, np.full((6, 1), 2.0))
+        verdict, gap = self.verdict_and_logit_gap(c6, twos, seed)
+        assert verdict.wl_distinguishes and verdict.augmented_distinguishes
+        assert gap > 1e-6
 
 
 class TestTraining:
