@@ -34,6 +34,13 @@ class GraphParseError(GraphError):
         self.line = line
 
 
+def _node_ids(u, v, k):
+    """Edge k's ids as Python ints; numpy integers pass, bools and floats do not."""
+    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (u, v)):
+        return int(u), int(v)
+    raise GraphError(f"node ids must be integers in edge ({u!r}, {v!r})", edge=k)
+
+
 def _normalize_edge(u, v):
     return (u, v) if u < v else (v, u)
 
@@ -44,7 +51,7 @@ class Graph:
     Immutable after construction: edges are a frozen sorted tuple, adjacency
     lists are sorted tuples, and the feature matrix is read-only.  Given no
     features, a graph carries a constant 1.0 column.  Only this constructor
-    checks edges: ids in range, no self-loops, no duplicates.
+    checks edges: integer ids in range, no self-loops, no duplicates.
     """
 
     __slots__ = ("num_nodes", "edges", "adjacency", "features")
@@ -55,6 +62,8 @@ class Graph:
         seen = set()
         adjacency = [[] for _ in range(num_nodes)]
         for k, (u, v) in enumerate(edges):
+            if type(u) is not int or type(v) is not int:
+                u, v = _node_ids(u, v, k)
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise GraphError(f"node id out of range in edge ({u}, {v})", edge=k)
             if u == v:
@@ -134,9 +143,16 @@ class Graph:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
     def to_edge_list_text(self):
+        """Edge-list text, which holds no features: a graph whose features
+        are not the ones column is refused (``to_text`` writes any graph)."""
+        if not self._features_are_ones():
+            raise GraphError("an edge list cannot hold these features; use to_text")
         lines = [f"{self.num_nodes} {self.num_edges}"]
         lines.extend(f"{u} {v}" for u, v in self.edges)
         return "\n".join(lines) + "\n"
+
+    def _features_are_ones(self):
+        return self.features.tolist() == [[1.0]] * self.num_nodes
 
     def to_json_obj(self):
         return {"num_nodes": self.num_nodes, "edges": [[u, v] for u, v in self.edges],
@@ -145,7 +161,7 @@ class Graph:
     def to_text(self):
         """Edge-list text if the features are the ones column an edge list
         implies, else JSON text; parse_graph reads either back as this graph."""
-        if self.features.tolist() == [[1.0]] * self.num_nodes:
+        if self._features_are_ones():
             return self.to_edge_list_text()
         return json.dumps(self.to_json_obj()) + "\n"
 
@@ -303,7 +319,8 @@ def _parse_json(text):
     try:
         return Graph(n, edges, features)
     except GraphError as exc:
-        raise GraphParseError(str(exc)) from None
+        where = "" if exc.edge is None else f"edge #{exc.edge}: "
+        raise GraphParseError(where + str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ GCN and GIN/union are one layer type (``LayerParams``): GCN is the
 epsilon-free case with a degree norm on messages and a ReLU on the output.
 Every layer runs on one engine: a batch of graphs is stacked as one
 disjoint union (``_Batch``), and a single graph is a batch of one.
-Everything is plain numpy; the engine's gradients are verified against
-central finite differences (see grad_check).
+Training stacks each split once and slices every minibatch out of the
+split's arrays with a few gathers.  A classifier's parameter arrays are
+views of one flat vector, so Adam updates them all in a handful of vector
+operations.  Everything is plain numpy; the engine's gradients are
+verified against central finite differences (see grad_check).
 """
 
 from __future__ import annotations
@@ -60,24 +63,28 @@ def mlp_forward(mlp, x):
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         caches.append((h, z))
         h = np.maximum(z, 0.0) if i < last else z
     return h, caches
 
 
+def _column_sums(x):
+    # a matrix-vector product; x.sum(axis=0) takes a slow path on narrow rows
+    return np.ones(len(x)) @ x
+
+
 def mlp_backward(mlp, caches, dout):
-    grads = Mlp(
-        [np.zeros_like(w) for w in mlp.weights],
-        [np.zeros_like(b) for b in mlp.biases],
-    )
+    """Returns (d input, grads as an Mlp)."""
+    n = len(mlp.weights)
+    grads = Mlp([None] * n, [None] * n)
     d = dout
-    last = len(mlp.weights) - 1
-    for i in range(last, -1, -1):
+    for i in range(n - 1, -1, -1):
         h, z = caches[i]
-        dz = d * (z > 0) if i < last else d
-        grads.weights[i] += h.T @ dz
-        grads.biases[i] += dz.sum(axis=0)
+        dz = d * (z > 0) if i < n - 1 else d
+        grads.weights[i] = h.T @ dz
+        grads.biases[i] = _column_sums(dz)
         d = dz @ mlp.weights[i].T
     return d, grads
 
@@ -123,8 +130,7 @@ class _PreparedGraph:
     """Cached wiring arrays for one (graph, coefficient-table) pair.
 
     Directed pairs (center, nbr) are grouped by center node; ``coeff`` holds
-    each pair's normalized coefficient as a column, or is None without a
-    table.
+    each pair's normalized coefficient, or is None without a table.
     """
 
     __slots__ = ("num_nodes", "center", "nbr", "norm", "coeff", "features")
@@ -143,21 +149,22 @@ class _PreparedGraph:
             self.coeff = None
         else:
             pairs = zip(self.center.tolist(), self.nbr.tolist())
-            self.coeff = np.array(
-                [coeffs.normalized[pair] for pair in pairs], dtype=float
-            ).reshape(-1, 1)
+            self.coeff = np.array([coeffs.normalized[pair] for pair in pairs], dtype=float)
 
 
 class _Batch:
     """A disjoint union of prepared graphs with offset pair/node indexing.
 
     Each graph's nodes are a contiguous run starting at ``pool_starts``, so
-    per-graph pooling is one reduceat.
+    per-graph pooling is one reduceat; its directed pairs are a run starting
+    at ``pair_starts``.  The coefficients are stored once, as rows
+    [coeff, 1] that fold the first Trans bias into its matmul; ``coeff`` is
+    a view of their first column.
     """
 
     __slots__ = (
-        "h0", "center", "nbr", "norm", "coeff", "num_nodes",
-        "node_sizes", "pool_starts",
+        "h0", "center", "nbr", "norm", "coeff_rows", "num_nodes",
+        "node_sizes", "pool_starts", "pair_sizes", "pair_starts",
     )
 
     def __init__(self, prepared):
@@ -169,18 +176,76 @@ class _Batch:
         )
         self.nbr = np.concatenate([p.nbr + off for p, off in zip(prepared, offsets)])
         self.norm = np.concatenate([p.norm for p in prepared])
-        coeffs = [p.coeff for p in prepared]
-        self.coeff = None if coeffs[0] is None else np.concatenate(coeffs, axis=0)
+        self.coeff_rows = None
+        if prepared[0].coeff is not None:
+            self.coeff_rows = np.ones((len(self.center), 2))
+            self.coeff_rows[:, 0] = np.concatenate([p.coeff for p in prepared])
         self.node_sizes = np.array([p.num_nodes for p in prepared])
         self.pool_starts = offsets[:-1]
+        self.pair_sizes = np.array([len(p.center) for p in prepared])
+        self.pair_starts = np.cumsum(self.pair_sizes) - self.pair_sizes
+
+    @property
+    def coeff(self):
+        return None if self.coeff_rows is None else self.coeff_rows[:, :1]
+
+    @coeff.setter
+    def coeff(self, values):
+        self.coeff_rows[:, :1] = values
+
+    def take(self, idx):
+        """The batch of graphs ``idx`` (positions in this batch, in that
+        order), gathered from this batch's arrays."""
+        sub = object.__new__(_Batch)
+        sub.node_sizes = self.node_sizes[idx]
+        sub.pair_sizes = self.pair_sizes[idx]
+        node_ends = np.cumsum(sub.node_sizes)
+        pair_ends = np.cumsum(sub.pair_sizes)
+        sub.pool_starts = node_ends - sub.node_sizes
+        sub.pair_starts = pair_ends - sub.pair_sizes
+        sub.num_nodes = int(node_ends[-1])
+        # per graph, old position minus new position of its first node / pair
+        node_shift = self.pool_starts[idx] - sub.pool_starts
+        nodes = np.repeat(node_shift, sub.node_sizes) + np.arange(sub.num_nodes)
+        pairs = (np.repeat(self.pair_starts[idx] - sub.pair_starts, sub.pair_sizes)
+                 + np.arange(pair_ends[-1]))
+        pair_shift = np.repeat(node_shift, sub.pair_sizes)
+        sub.h0 = self.h0[nodes]
+        sub.center = self.center[pairs] - pair_shift
+        sub.nbr = self.nbr[pairs] - pair_shift
+        sub.norm = self.norm[pairs]
+        sub.coeff_rows = None if self.coeff_rows is None else self.coeff_rows[pairs]
+        return sub
 
 
 def _scatter_rows(values, index, num_rows):
-    """Row-wise scatter-add via bincount per channel (fast, deterministic)."""
-    out = np.empty((num_rows, values.shape[1]))
-    for c in range(values.shape[1]):
-        out[:, c] = np.bincount(index, weights=values[:, c], minlength=num_rows)
-    return out
+    """out[index[p]] += values[p] row by row: one bincount over the keys
+    index * channels + channel, which sums each cell in pair order."""
+    channels = values.shape[1]
+    keys = index if channels == 1 else (index[:, None] * channels + np.arange(channels))
+    out = np.bincount(keys.ravel(), weights=values.ravel(), minlength=num_rows * channels)
+    # with no pairs bincount returns int64 zeros
+    return out.astype(float, copy=False).reshape(num_rows, channels)
+
+
+def _trans_forward(trans, coeff_rows):
+    """Trans(coeff) per pair from rows [coeff, 1]; returns (t, cache).
+
+    The rows carry a ones column, so the first layer's bias rides in its
+    matmul: [coeff, 1] @ [w; b] is one BLAS call where coeff @ w + b
+    broadcasts twice over narrow rows.
+    """
+    z = coeff_rows @ np.concatenate((trans.weights[0], trans.biases[0][None]))
+    t, caches = mlp_forward(Mlp(trans.weights[1:], trans.biases[1:]), np.maximum(z, 0.0))
+    return t, (z, caches)
+
+
+def _trans_backward(trans, coeff_rows, cache, dt):
+    """Gradients of Trans shaped like ``trans``; none reaches the coefficients."""
+    z, caches = cache
+    d, grads = mlp_backward(Mlp(trans.weights[1:], trans.biases[1:]), caches, dt)
+    first = coeff_rows.T @ (d * (z > 0))
+    return Mlp([first[:1]] + grads.weights, [first[1]] + grads.biases)
 
 
 def _layer_forward(layer, batch, h):
@@ -192,11 +257,12 @@ def _layer_forward(layer, batch, h):
     without a Trans MLP, t is 1.
     """
     gcn = layer.epsilon is None
-    t, tcache = (None, None) if layer.trans is None else mlp_forward(layer.trans, batch.coeff)
-    msg = h[batch.nbr]
+    h_nbr = msg = h[batch.nbr]
     if gcn:
         msg = msg * batch.norm[:, None]
-    if t is not None:
+    t = tcache = None
+    if layer.trans is not None:
+        t, tcache = _trans_forward(layer.trans, batch.coeff_rows)
         msg = msg * t
     agg = _scatter_rows(msg, batch.center, batch.num_nodes)
     if not gcn:
@@ -204,12 +270,13 @@ def _layer_forward(layer, batch, h):
     out, mlp_cache = mlp_forward(layer.mlp, agg)
     if gcn:
         out = np.maximum(out, 0.0)
-    return out, (h, t, tcache, mlp_cache)
+    return out, (h, h_nbr, t, tcache, mlp_cache)
 
 
-def _layer_backward(layer, batch, cache, dout):
-    """Returns (dh, grads as LayerParams shaped like ``layer``)."""
-    h, t, tcache, mlp_cache = cache
+def _layer_backward(layer, batch, cache, dout, input_grad=True):
+    """Returns (dh, grads as LayerParams shaped like ``layer``); dh is None
+    unless ``input_grad``."""
+    h, h_nbr, t, tcache, mlp_cache = cache
     gcn = layer.epsilon is None
     if gcn:
         dout = dout * (mlp_cache[-1][1] > 0)
@@ -217,14 +284,17 @@ def _layer_backward(layer, batch, cache, dout):
     d_msg = d_agg[batch.center]
     if gcn:
         d_msg = d_msg * batch.norm[:, None]
-    dh = _scatter_rows(d_msg if t is None else t * d_msg, batch.nbr, batch.num_nodes)
+    dh = None
+    if input_grad:
+        dh = _scatter_rows(d_msg if t is None else t * d_msg, batch.nbr, batch.num_nodes)
     trans_grads = None
     if t is not None:
-        trans_grads = mlp_backward(layer.trans, tcache, d_msg * h[batch.nbr])[1]
+        trans_grads = _trans_backward(layer.trans, batch.coeff_rows, tcache, d_msg * h_nbr)
     d_eps = None
     if not gcn:
         d_eps = np.array(float((d_agg * h).sum()))
-        dh += (1.0 + float(layer.epsilon)) * d_agg
+        if input_grad:
+            dh += (1.0 + float(layer.epsilon)) * d_agg
     return dh, LayerParams(d_eps, mlp_grads, trans_grads)
 
 
@@ -267,26 +337,26 @@ def grad_check(loss_and_grads, arrays, step=1e-5):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Standard Adam over a fixed list of parameter arrays (updated in place)."""
+    """Standard Adam over one flat parameter vector (updated in place)."""
 
-    def __init__(self, arrays, lr=1e-3):
-        self.arrays = arrays
+    def __init__(self, params, lr=1e-3):
+        self.params = params
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads):
+    def step(self, grad):
+        """One update from ``grad``, the gradient vector aligned with the parameters."""
         self.step_count += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         correction = math.sqrt(1 - b2 ** self.step_count) / (1 - b1 ** self.step_count)
-        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
-            g = np.asarray(g)
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            a -= self.lr * correction * m / (np.sqrt(v) + ADAM_EPS)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * (grad * grad)
+        self.params -= self.lr * correction * m / (np.sqrt(v) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +393,13 @@ class ModelSpec:
 
 @dataclass
 class Classifier:
+    """Every parameter array is a view of ``flat``, in ``arrays()`` order."""
+
     spec: ModelSpec
     layers: list
     head_w: np.ndarray
     head_b: np.ndarray
+    flat: np.ndarray | None = None
 
     def arrays(self):
         out = []
@@ -334,6 +407,24 @@ class Classifier:
             out += layer.arrays()
         out += [self.head_w, self.head_b]
         return out
+
+
+def _share_one_vector(model):
+    """Copy the model's arrays into ``model.flat`` and point the model at
+    views of it, walking the arrays in ``arrays()`` order."""
+    arrays = model.arrays()
+    model.flat = np.concatenate(arrays, axis=None)
+    ends = np.cumsum([a.size for a in arrays])
+    views = iter([
+        model.flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)
+    ])
+    for layer in model.layers:
+        if layer.epsilon is not None:
+            layer.epsilon = next(views)
+        for mlp in [m for m in (layer.mlp, layer.trans) if m is not None]:
+            for i in range(len(mlp.weights)):
+                mlp.weights[i], mlp.biases[i] = next(views), next(views)
+    model.head_w, model.head_b = next(views), next(views)
 
 
 def init_classifier(spec, in_dim, num_classes, rng):
@@ -344,7 +435,9 @@ def init_classifier(spec, in_dim, num_classes, rng):
     ]
     head_w = glorot_uniform(rng, spec.hidden, num_classes)
     head_b = np.zeros(num_classes)
-    return Classifier(spec, layers, head_w, head_b)
+    model = Classifier(spec, layers, head_w, head_b)
+    _share_one_vector(model)
+    return model
 
 
 def _batched_forward(model, batch):
@@ -363,11 +456,12 @@ def _batched_forward(model, batch):
 def _batched_backward(model, batch, cache, dlogits):
     """Gradients aligned with ``model.arrays()``."""
     caches, pooled = cache
-    grads = [pooled.T @ dlogits, dlogits.sum(axis=0)]
+    grads = [pooled.T @ dlogits, _column_sums(dlogits)]
     dpooled = dlogits @ model.head_w.T
     dh = np.repeat(dpooled / batch.node_sizes[:, None], batch.node_sizes, axis=0)
-    for layer, layer_cache in zip(reversed(model.layers), reversed(caches)):
-        dh, layer_grads = _layer_backward(layer, batch, layer_cache, dh)
+    for i in range(len(model.layers) - 1, -1, -1):
+        # no gradient reaches the input features
+        dh, layer_grads = _layer_backward(model.layers[i], batch, caches[i], dh, i > 0)
         grads[:0] = layer_grads.arrays()
     return grads
 
@@ -382,15 +476,19 @@ def _batched_cross_entropy(logits, labels):
     return losses, dlogits
 
 
-def _batched_accuracy(model, prepared, labels):
-    if not prepared:
+def _accuracy_chunks(batch, count):
+    """The first ``count`` graphs of ``batch`` in batches of ACCURACY_CHUNK."""
+    return [
+        batch.take(np.arange(start, min(start + ACCURACY_CHUNK, count)))
+        for start in range(0, count, ACCURACY_CHUNK)
+    ]
+
+
+def _batched_accuracy(model, chunks, labels):
+    if not len(labels):
         return 0.0
-    hits = 0
-    for start in range(0, len(prepared), ACCURACY_CHUNK):
-        stop = start + ACCURACY_CHUNK
-        logits, _ = _batched_forward(model, _Batch(prepared[start:stop]))
-        hits += int((np.argmax(logits, axis=1) == labels[start:stop]).sum())
-    return hits / len(prepared)
+    predicted = [np.argmax(_batched_forward(model, b)[0], axis=1) for b in chunks]
+    return int((np.concatenate(predicted) == labels).sum()) / len(labels)
 
 
 @dataclass
@@ -437,38 +535,45 @@ def train_classifier(
             )
     rng = np.random.default_rng(seed)
     model = init_classifier(spec, in_dim, NUM_CLASSES, rng)
-    prep = {
-        name: [
-            _PreparedGraph(g, c)
-            for (g, _), c in zip(split, _coeff_tables(spec, split))
-        ]
-        for name, split in (("train", train), ("val", val), ("test", test))
-    }
+    splits = {"train": train, "val": val, "test": test}
     labels = {
         name: np.array([label for _, label in split], dtype=int)
-        for name, split in (("train", train), ("val", val), ("test", test))
+        for name, split in splits.items()
     }
-    arrays = model.arrays()
-    adam = Adam(arrays, lr=lr)
+    # each split is stacked once; minibatches and accuracy chunks are gathered from it
+    whole = {
+        name: _Batch([
+            _PreparedGraph(g, c) for (g, _), c in zip(split, _coeff_tables(spec, split))
+        ])
+        for name, split in splits.items() if split
+    }
+    chunks = {
+        name: _accuracy_chunks(whole.get(name), len(split))
+        for name, split in splits.items()
+    }
+
+    def accuracy(name):
+        return _batched_accuracy(model, chunks[name], labels[name])
+
+    adam = Adam(model.flat, lr=lr)
     curve = []
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            batch = _Batch([prep["train"][i] for i in idx])
+            batch = whole["train"].take(idx)
             logits, cache = _batched_forward(model, batch)
             losses, dlogits = _batched_cross_entropy(logits, labels["train"][idx])
             epoch_loss += float(losses.sum())
             grads = _batched_backward(model, batch, cache, dlogits / len(idx))
-            adam.step(grads)
-        val_acc = _batched_accuracy(model, prep["val"], labels["val"])
-        curve.append((epoch + 1, epoch_loss / len(train), val_acc))
+            adam.step(np.concatenate(grads, axis=None))
+        curve.append((epoch + 1, epoch_loss / len(train), accuracy("val")))
     return TrainReport(
         model=model,
-        train_acc=_batched_accuracy(model, prep["train"], labels["train"]),
-        val_acc=_batched_accuracy(model, prep["val"], labels["val"]),
-        test_acc=_batched_accuracy(model, prep["test"], labels["test"]),
+        train_acc=accuracy("train"),
+        val_acc=accuracy("val"),
+        test_acc=accuracy("test"),
         loss_curve=curve,
     )
 

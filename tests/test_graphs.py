@@ -55,6 +55,28 @@ class TestGraphInvariants:
             Graph(3, edges)
         assert info.value.edge == position
 
+    @pytest.mark.parametrize("edges, position", [
+        ([(0.0, 1.0)], 0),
+        ([(0, 1), (1, 2.0)], 1),
+        ([(True, 2)], 0),
+        ([(0, 1), (np.True_, 2)], 1),
+        ([("0", 1)], 0),
+    ])
+    def test_rejects_non_integer_ids(self, edges, position):
+        with pytest.raises(GraphError, match="must be integers") as info:
+            Graph(3, edges)
+        assert info.value.edge == position
+
+    def test_relabel_rejects_float_ids(self):
+        with pytest.raises(GraphError, match="must be integers"):
+            cycle_graph(3).relabel([0.0, 1.0, 2.0])
+
+    def test_numpy_integer_ids_stored_as_int(self):
+        g = Graph(3, [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
+        assert g.edges == ((0, 2), (1, 2))
+        ids = [x for e in g.edges for x in e] + [x for a in g.adjacency for x in a]
+        assert all(type(x) is int for x in ids)
+
     def test_adjacency_sorted_and_consistent(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])
         assert g.adjacency[0] == (1, 2)
@@ -156,6 +178,25 @@ class TestParsing:
     def test_edge_list_roundtrip(self):
         g = rook_graph_4x4()
         assert parse_graph(g.to_edge_list_text()) == g
+
+    @pytest.mark.parametrize("features", [[[1], [2], [3]], [[1, 1], [1, 1], [1, 1]]])
+    def test_edge_list_refuses_features(self, features):
+        # an edge list would drop them; to_text keeps them as JSON
+        g = Graph(3, [(0, 1)], features=features)
+        with pytest.raises(GraphError, match="use to_text"):
+            g.to_edge_list_text()
+        assert parse_graph(g.to_text()) == g
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1], [1, 0]], "edge #1: duplicate edge (0, 1)"),
+        ([[0, 1], [1, 2], [2, 2]], "edge #2: self-loop at node 2"),
+        ([[0, 3]], "edge #0: node id out of range in edge (0, 3)"),
+    ])
+    def test_json_edge_errors_name_the_edge(self, edges, message):
+        text = json.dumps({"num_nodes": 3, "edges": edges})
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("text, message", [
         (b"2 1\n0 1\xff\n", "not ASCII"),

@@ -1,4 +1,7 @@
+import importlib.util
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,8 +67,8 @@ def unit_trans(channels):
 
 def layer_weights(layer, batch, h):
     """The per-pair Trans weights t that one layer forward applies."""
-    _, cache = nn._layer_forward(layer, batch, h)
-    return cache[1]
+    _, (_, _, t, _, _) = nn._layer_forward(layer, batch, h)
+    return t
 
 
 def dense_logits(model, g, coeffs):
@@ -258,7 +261,11 @@ class TestGradients:
         # the full classifier loss on a multi-graph batch ("union" is union-gin)
         spec = nn.ModelSpec.parse(kind, hidden=4)
         graphs = mixed_graphs(rng)
-        batch = make_batch(graphs, spec.use_coeffs)
+        # the path that trains: a minibatch gathered from a split-wide batch
+        # (led here by a graph it leaves out) on a model whose arrays are
+        # views of one flat vector
+        split = [Graph(4, [(0, 1), (1, 2), (2, 3)], np.full((4, 3), 0.5))] + graphs
+        batch = make_batch(split, spec.use_coeffs).take(np.array([5, 2, 6, 1, 4, 3]))
         model = nn.init_classifier(spec, 3, 2, rng)
         for layer in model.layers:
             if spec.base == "gcn":
@@ -292,6 +299,98 @@ class TestGradients:
 
         loss = pooled_mse_head(forward, backward, np.zeros(2))
         assert nn.grad_check(loss, params.arrays()) < 1e-9
+
+
+class TestSlicedBatches:
+    @pytest.mark.parametrize("with_coeffs", [True, False])
+    def test_take_matches_stacking(self, with_coeffs):
+        # mixed_graphs holds a graph with an isolated node (4) and an edgeless one (5)
+        prepared = [
+            nn._PreparedGraph(g, coefficient_table(g, UNION_PATH_SVD) if with_coeffs else None)
+            for g in mixed_graphs(np.random.default_rng(40))
+        ]
+        whole = nn._Batch(prepared)
+        for idx in ([5], [4, 0], [3, 5, 1, 4], [5, 4, 3, 2, 1, 0]):
+            got = whole.take(np.array(idx))
+            expected = nn._Batch([prepared[i] for i in idx])
+            for name in nn._Batch.__slots__:
+                a, b = getattr(got, name), getattr(expected, name)
+                if b is None:
+                    assert a is None, name
+                else:
+                    assert np.asarray(a).dtype == np.asarray(b).dtype, name
+                    assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("pairs, channels", [(40, 1), (40, 5), (0, 1), (0, 3)])
+    def test_scatter_matches_per_channel_bincount(self, pairs, channels):
+        rng = np.random.default_rng(41)
+        values = rng.normal(size=(pairs, channels))
+        index = rng.integers(0, 7, size=pairs)
+        expected = np.zeros((7, channels))
+        for c in range(channels):
+            expected[:, c] = np.bincount(index, weights=values[:, c], minlength=7)
+        got = nn._scatter_rows(values, index, 7)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)  # same summation order, bit for bit
+
+
+class TestFlatParameters:
+    @staticmethod
+    def assert_one_vector(model):
+        arrays = model.arrays()
+        assert model.flat.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, model.flat) for a in arrays)
+        assert np.array_equal(np.concatenate(arrays, axis=None), model.flat)
+
+    @pytest.mark.parametrize("name", ["gcn", "gin", "union-gcn", "union-gin"])
+    def test_arrays_are_views_of_the_flat_vector(self, name):
+        spec = nn.ModelSpec.parse(name, hidden=4)
+        model = nn.init_classifier(spec, 1, 2, np.random.default_rng(0))
+        self.assert_one_vector(model)
+        restored = nn.init_classifier(spec, 1, 2, np.random.default_rng(1))
+        nn.load_params_into(restored, nn.params_to_json_obj(model))
+        self.assert_one_vector(restored)
+        assert np.array_equal(restored.flat, model.flat)
+
+    def test_adam_matches_per_array_reference(self):
+        rng = np.random.default_rng(42)
+        arrays = [rng.normal(size=(3, 2)), np.array(rng.normal()), rng.normal(size=4)]
+        flat = np.concatenate(arrays, axis=None)
+        adam = nn.Adam(flat, lr=0.01)
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+        for step in range(1, 4):
+            grads = [rng.normal(size=a.shape) for a in arrays]
+            adam.step(np.concatenate(grads, axis=None))
+            correction = math.sqrt(1 - b2 ** step) / (1 - b1 ** step)
+            for a, g, ma, va in zip(arrays, grads, m, v):
+                ma *= b1
+                ma += (1 - b1) * g
+                va *= b2
+                va += (1 - b2) * (g * g)
+                a -= 0.01 * correction * ma / (np.sqrt(va) + nn.ADAM_EPS)
+        assert np.array_equal(flat, np.concatenate(arrays, axis=None))
+
+
+class TestBenchmarkSites:
+    """perfbench/tracer.py wraps neural functions by name, and skips a name
+    that is gone, so a rename would silently empty the train-cycle spans."""
+
+    def test_neural_sites_resolve(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        sites = [site for site in tracer.SITES if site[1] == "unionsub.neural"]
+        assert {site[0] for site in sites} >= {
+            "neural.train_classifier", "neural.forward", "neural.backward", "neural.adam_step",
+        }
+        for name, _, attr_path, _ in sites:
+            owner = nn
+            for part in attr_path.split("."):
+                owner = getattr(owner, part, None)
+            assert callable(owner), (name, attr_path)
 
 
 class TestBatchedEngineConsistency:
