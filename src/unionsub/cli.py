@@ -1,8 +1,8 @@
 """Command-line surface: coeffs, distinguish, gen, bench, train.
 
-Exit codes: 0 success, 1 parse error, 2 descriptor error.  Diagnostics go to
-standard error; primary outputs are byte-identical across runs for fixed
-seeds (timings excluded).
+Exit codes: 0 success, 1 parse, input or output error, 2 descriptor error.
+Diagnostics go to standard error; primary outputs are byte-identical across
+runs for fixed seeds (timings excluded).
 """
 
 from __future__ import annotations
@@ -187,6 +187,8 @@ def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM):
     if repeats < 1:
         raise GraphError(f"repeats must be at least 1, got {repeats}")
     total_edges = sum(g.num_edges for g in graphs)
+    if not total_edges:
+        raise GraphError("the corpus has no edges, so no per-edge time")
     report = {
         "graphs": len(graphs),
         "edges": total_edges,
@@ -310,7 +312,7 @@ def main(argv=None):
     except DescriptorError as exc:
         sys.stderr.write(f"descriptor error: {exc}\n")
         return EXIT_DESCRIPTOR
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

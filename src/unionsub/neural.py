@@ -6,19 +6,21 @@ scales the message from u to v directly, with no second normalization over
 v's neighbors.  Injection into Transformer models is not reproduced.
 GCN and GIN/union are one layer type (``LayerParams``): GCN is the
 epsilon-free case with a degree norm on messages and a ReLU on the output.
-Every layer runs on one engine: a batch of graphs is stacked as one
-disjoint union (``_Batch``), and a single graph is a batch of one.
-Training stacks each split once and slices every minibatch out of the
-split's arrays with a few gathers.  A classifier's parameter arrays are
-views of one flat vector, so Adam updates them all in a handful of vector
-operations.  Everything is plain numpy; the engine's gradients are
-verified against central finite differences (see grad_check).
+Every layer runs on one engine: a batch of graphs is one disjoint union
+(``_Batch``), built by a few array operations over the graphs' concatenated
+adjacency rows, and a single graph is a batch of one.  Training builds one
+batch per split and gathers every minibatch from the split's arrays
+(``_Batch.take``).  A classifier's parameter arrays are views of one flat
+vector, so Adam updates them all in a handful of vector operations.
+Everything is plain numpy; the engine's gradients are verified against
+central finite differences (see grad_check).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +31,7 @@ TRANS_HIDDEN = 16  # Trans MLP is 1 -> 16 -> channels, ReLU inside
 DEFAULT_BATCH_SIZE = 32  # graphs per Adam step
 NUM_CLASSES = 2  # the classifier head's width
 ACCURACY_CHUNK = 256  # graphs per forward pass when scoring accuracy
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -126,40 +128,17 @@ def layer_params(in_dim, out_dim, rng, gin, with_trans):
 # of array ops over every directed pair of the batch instead of thousands of
 # tiny per-graph ones.
 
-class _PreparedGraph:
-    """Cached wiring arrays for one (graph, coefficient-table) pair.
-
-    Directed pairs (center, nbr) are grouped by center node; ``coeff`` holds
-    each pair's normalized coefficient, or is None without a table.
-    """
-
-    __slots__ = ("num_nodes", "center", "nbr", "norm", "coeff", "features")
-
-    def __init__(self, g, coeffs):
-        if g.num_nodes == 0:
-            raise GraphError("a graph with no nodes has no mean-pooled embedding")
-        self.num_nodes = g.num_nodes
-        degs = np.array([len(a) for a in g.adjacency], dtype=int)
-        self.center = np.repeat(np.arange(g.num_nodes), degs)
-        self.nbr = np.array([u for a in g.adjacency for u in a], dtype=int)
-        unit = np.maximum(degs, 1).astype(float)
-        self.norm = 1.0 / np.sqrt(unit[self.center] * unit[self.nbr])
-        self.features = g.features
-        if coeffs is None:
-            self.coeff = None
-        else:
-            pairs = zip(self.center.tolist(), self.nbr.tolist())
-            self.coeff = np.array([coeffs.normalized[pair] for pair in pairs], dtype=float)
-
-
 class _Batch:
-    """A disjoint union of prepared graphs with offset pair/node indexing.
+    """A disjoint union of graphs with offset pair/node indexing.
 
     Each graph's nodes are a contiguous run starting at ``pool_starts``, so
-    per-graph pooling is one reduceat; its directed pairs are a run starting
-    at ``pair_starts``.  The coefficients are stored once, as rows
-    [coeff, 1] that fold the first Trans bias into its matmul; ``coeff`` is
-    a view of their first column.
+    per-graph pooling is one reduceat; its directed pairs (center, nbr) are
+    a run starting at ``pair_starts``, in adjacency order.  ``norm`` is each
+    pair's degree norm 1/sqrt(d_v d_u), an isolated node counting as degree
+    1.  Given coefficient ``tables`` (one per graph), ``coeff_rows`` holds
+    each pair's rows [normalized coefficient, 1], which fold the first Trans
+    bias into its matmul; without tables it is None.  ``take`` gathers a
+    sub-batch from these arrays.
     """
 
     __slots__ = (
@@ -167,31 +146,31 @@ class _Batch:
         "node_sizes", "pool_starts", "pair_sizes", "pair_starts",
     )
 
-    def __init__(self, prepared):
-        offsets = np.cumsum([0] + [p.num_nodes for p in prepared])
-        self.num_nodes = int(offsets[-1])
-        self.h0 = np.concatenate([p.features for p in prepared], axis=0)
-        self.center = np.concatenate(
-            [p.center + off for p, off in zip(prepared, offsets)]
-        )
-        self.nbr = np.concatenate([p.nbr + off for p, off in zip(prepared, offsets)])
-        self.norm = np.concatenate([p.norm for p in prepared])
-        self.coeff_rows = None
-        if prepared[0].coeff is not None:
-            self.coeff_rows = np.ones((len(self.center), 2))
-            self.coeff_rows[:, 0] = np.concatenate([p.coeff for p in prepared])
-        self.node_sizes = np.array([p.num_nodes for p in prepared])
-        self.pool_starts = offsets[:-1]
-        self.pair_sizes = np.array([len(p.center) for p in prepared])
+    def __init__(self, graphs, tables=None):
+        self.node_sizes = np.array([g.num_nodes for g in graphs])
+        if not self.node_sizes.all():
+            raise GraphError("a graph with no nodes has no mean-pooled embedding")
+        node_ends = np.cumsum(self.node_sizes)
+        self.pool_starts = node_ends - self.node_sizes
+        self.num_nodes = int(node_ends[-1])
+        self.pair_sizes = np.array([2 * g.num_edges for g in graphs])
         self.pair_starts = np.cumsum(self.pair_sizes) - self.pair_sizes
-
-    @property
-    def coeff(self):
-        return None if self.coeff_rows is None else self.coeff_rows[:, :1]
-
-    @coeff.setter
-    def coeff(self, values):
-        self.coeff_rows[:, :1] = values
+        rows = [row for g in graphs for row in g.adjacency]
+        degs = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+        self.center = np.repeat(np.arange(self.num_nodes), degs)
+        self.nbr = np.fromiter(chain.from_iterable(rows), dtype=int, count=len(self.center))
+        self.nbr += np.repeat(self.pool_starts, self.pair_sizes)
+        unit = np.maximum(degs, 1).astype(float)
+        self.norm = 1.0 / np.sqrt(unit[self.center] * unit[self.nbr])
+        self.h0 = np.concatenate([g.features for g in graphs])
+        self.coeff_rows = None
+        if tables is not None:
+            self.coeff_rows = np.ones((len(self.center), 2))
+            self.coeff_rows[:, 0] = [
+                table.normalized[(v, u)]
+                for g, table in zip(graphs, tables)
+                for v, row in enumerate(g.adjacency) for u in row
+            ]
 
     def take(self, idx):
         """The batch of graphs ``idx`` (positions in this batch, in that
@@ -339,7 +318,7 @@ def grad_check(loss_and_grads, arrays, step=1e-5):
 class Adam:
     """Standard Adam over one flat parameter vector (updated in place)."""
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params, lr=ADAM_LR):
         self.params = params
         self.lr = lr
         self.step_count = 0
@@ -500,18 +479,9 @@ class TrainReport:
     loss_curve: list  # (epoch, train_loss, val_acc)
 
 
-def _coeff_tables(spec, dataset):
-    if not spec.use_coeffs:
-        return [None] * len(dataset)
-    return [
-        coefficient_table(g, UNION_PATH_SVD, Encoding.SVD_SUM) for g, _ in dataset
-    ]
-
-
-def train_classifier(
-    train, val, test, spec, epochs, seed, lr=1e-3, batch_size=DEFAULT_BATCH_SIZE,
-):
-    """Train the 2-layer classifier with Adam; deterministic given the seed.
+def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BATCH_SIZE):
+    """Train the 2-layer classifier with Adam (step ADAM_LR); deterministic
+    given the seed.
 
     Labels must lie in 0..NUM_CLASSES-1, epochs must be at least 0 and
     batch_size at least 1, and every graph needs at least one node and as
@@ -540,13 +510,16 @@ def train_classifier(
         name: np.array([label for _, label in split], dtype=int)
         for name, split in splits.items()
     }
+
+    def stacked(split):
+        graphs = [g for g, _ in split]
+        tables = None
+        if spec.use_coeffs:
+            tables = [coefficient_table(g, UNION_PATH_SVD, Encoding.SVD_SUM) for g in graphs]
+        return _Batch(graphs, tables)
+
     # each split is stacked once; minibatches and accuracy chunks are gathered from it
-    whole = {
-        name: _Batch([
-            _PreparedGraph(g, c) for (g, _), c in zip(split, _coeff_tables(spec, split))
-        ])
-        for name, split in splits.items() if split
-    }
+    whole = {name: stacked(split) for name, split in splits.items() if split}
     chunks = {
         name: _accuracy_chunks(whole.get(name), len(split))
         for name, split in splits.items()
@@ -555,7 +528,7 @@ def train_classifier(
     def accuracy(name):
         return _batched_accuracy(model, chunks[name], labels[name])
 
-    adam = Adam(model.flat, lr=lr)
+    adam = Adam(model.flat)
     curve = []
     for epoch in range(epochs):
         order = rng.permutation(len(train))

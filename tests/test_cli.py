@@ -335,6 +335,43 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "repeats must be at least 1" in err
 
+    def test_corpus_without_edges_exit_1(self, tmp_path, capsys, monkeypatch):
+        from unionsub import cli
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("0 0\n", encoding="ascii")
+        (corpus / "b.txt").write_text("3 0\n", encoding="ascii")
+        timed = []
+        monkeypatch.setattr(cli, "_time_kind", lambda *args: timed.append(args) or 0.0)
+        assert main(["bench", str(corpus), "--kinds", "count-ne"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no edges" in err
+        assert not timed
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["coeffs", "bench", "gen", "train"])
+    def test_exit_1_with_one_line(self, command, k3_file, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen", "four-cycle-pair:4", "--count", "4", "--seed", "5", "--out", str(data)])
+        existing = tmp_path / "existing"
+        existing.write_text("", encoding="ascii")
+        missing = str(tmp_path / "missing" / "out")
+        argv = {
+            "coeffs": ["coeffs", k3_file, "--out", missing],
+            "bench": ["bench", str(data), "--kinds", "count-ne", "--repeats", "1",
+                      "--out", missing],
+            "gen": ["gen", "cycle:5", "--out", str(existing)],
+            "train": ["train", str(data), "--epochs", "1", "--out", str(existing)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestTrainCommand:
     def test_epochs_zero_no_crash(self, tmp_path, capsys):

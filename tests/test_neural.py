@@ -25,11 +25,12 @@ def connected_random_graph(seed, n=6, p=0.5):
             return g
 
 
+def union_path_tables(graphs, with_coeffs=True):
+    return [coefficient_table(g, UNION_PATH_SVD) for g in graphs] if with_coeffs else None
+
+
 def make_batch(graphs, with_coeffs=True):
-    return nn._Batch([
-        nn._PreparedGraph(g, coefficient_table(g, UNION_PATH_SVD) if with_coeffs else None)
-        for g in graphs
-    ])
+    return nn._Batch(graphs, union_path_tables(graphs, with_coeffs))
 
 
 def with_features(g, rng, dim=3):
@@ -251,7 +252,7 @@ class TestGradients:
             trans = nn.mlp_init((1, 16, 4), rng)
 
             def forward():
-                return nn.mlp_forward(trans, batch.coeff)
+                return nn.mlp_forward(trans, batch.coeff_rows[:, :1])
 
             def backward(cache, dout):
                 return nn.mlp_backward(trans, cache, dout)[1].arrays()
@@ -301,25 +302,57 @@ class TestGradients:
         assert nn.grad_check(loss, params.arrays()) < 1e-9
 
 
+def assert_same_batch(got, expected):
+    for name in nn._Batch.__slots__:
+        a, b = getattr(got, name), getattr(expected, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert np.asarray(a).dtype == np.asarray(b).dtype, name
+            assert np.array_equal(a, b), name
+
+
 class TestSlicedBatches:
     @pytest.mark.parametrize("with_coeffs", [True, False])
-    def test_take_matches_stacking(self, with_coeffs):
+    def test_constructor_matches_per_graph_loops(self, with_coeffs):
         # mixed_graphs holds a graph with an isolated node (4) and an edgeless one (5)
-        prepared = [
-            nn._PreparedGraph(g, coefficient_table(g, UNION_PATH_SVD) if with_coeffs else None)
-            for g in mixed_graphs(np.random.default_rng(40))
-        ]
-        whole = nn._Batch(prepared)
+        graphs = mixed_graphs(np.random.default_rng(43))
+        tables = union_path_tables(graphs, with_coeffs)
+        center, nbr, norm, coeff_rows, node_sizes, pair_sizes = [], [], [], [], [], []
+        offset = 0
+        for i, g in enumerate(graphs):
+            pair_sizes.append(0)
+            for v in range(g.num_nodes):
+                for u in g.adjacency[v]:
+                    center.append(offset + v)
+                    nbr.append(offset + u)
+                    norm.append(1.0 / math.sqrt(max(g.degree(v), 1) * max(g.degree(u), 1)))
+                    if with_coeffs:
+                        coeff_rows.append([tables[i].normalized[(v, u)], 1.0])
+                    pair_sizes[-1] += 1
+            node_sizes.append(g.num_nodes)
+            offset += g.num_nodes
+        expected = object.__new__(nn._Batch)
+        expected.h0 = np.vstack([g.features for g in graphs])
+        expected.center, expected.nbr = np.array(center), np.array(nbr)
+        expected.norm = np.array(norm)
+        expected.coeff_rows = np.array(coeff_rows) if with_coeffs else None
+        expected.num_nodes = offset
+        expected.node_sizes, expected.pair_sizes = np.array(node_sizes), np.array(pair_sizes)
+        expected.pool_starts = np.array([sum(node_sizes[:i]) for i in range(len(graphs))])
+        expected.pair_starts = np.array([sum(pair_sizes[:i]) for i in range(len(graphs))])
+        assert_same_batch(nn._Batch(graphs, tables), expected)
+
+    @pytest.mark.parametrize("with_coeffs", [True, False])
+    def test_take_matches_stacking(self, with_coeffs):
+        graphs = mixed_graphs(np.random.default_rng(40))
+        tables = union_path_tables(graphs, with_coeffs)
+        whole = nn._Batch(graphs, tables)
         for idx in ([5], [4, 0], [3, 5, 1, 4], [5, 4, 3, 2, 1, 0]):
-            got = whole.take(np.array(idx))
-            expected = nn._Batch([prepared[i] for i in idx])
-            for name in nn._Batch.__slots__:
-                a, b = getattr(got, name), getattr(expected, name)
-                if b is None:
-                    assert a is None, name
-                else:
-                    assert np.asarray(a).dtype == np.asarray(b).dtype, name
-                    assert np.array_equal(a, b), name
+            sub_tables = None if tables is None else [tables[i] for i in idx]
+            assert_same_batch(
+                whole.take(np.array(idx)), nn._Batch([graphs[i] for i in idx], sub_tables)
+            )
 
     @pytest.mark.parametrize("pairs, channels", [(40, 1), (40, 5), (0, 1), (0, 3)])
     def test_scatter_matches_per_channel_bincount(self, pairs, channels):
@@ -424,8 +457,8 @@ class TestCoefficientsReachTheLoss:
         model = nn.init_classifier(nn.ModelSpec.parse("union-gin", hidden=4), 1, 2,
                                    np.random.default_rng(33))
         before, _ = nn._batched_forward(model, batch)
-        batch.coeff = batch.coeff * np.random.default_rng(34).uniform(
-            0.2, 3.0, size=batch.coeff.shape
+        batch.coeff_rows[:, 0] *= np.random.default_rng(34).uniform(
+            0.2, 3.0, size=len(batch.coeff_rows)
         )
         after, _ = nn._batched_forward(model, batch)
         assert np.abs(after - before).max() > 1e-6
