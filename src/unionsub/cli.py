@@ -216,7 +216,19 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+def _check_out_dir(path):
+    """Refuse a ``train --out`` that cannot become a directory before any
+    training, since the outputs are written only after the last epoch."""
+    for parent in (path, *path.parents):
+        if parent.exists():
+            if not parent.is_dir():
+                raise NotADirectoryError(f"{parent} exists and is not a directory")
+            return
+
+
 def cmd_train(args):
+    out_dir = Path(args.out or ".")
+    _check_out_dir(out_dir)
     dataset = read_dataset(args.dataset)
     train, val, test = split_dataset(dataset)
     spec = ModelSpec.parse(args.model, hidden=args.hidden)
@@ -224,7 +236,6 @@ def cmd_train(args):
         train, val, test, spec, epochs=args.epochs, seed=args.seed,
         batch_size=args.batch_size,
     )
-    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "training_log.csv"
     with open(curve_path, "w", encoding="ascii") as fh:

@@ -10,8 +10,13 @@ Every layer runs on one engine: a batch of graphs is one disjoint union
 (``_Batch``), built by a few array operations over the graphs' concatenated
 adjacency rows, and a single graph is a batch of one.  Training builds one
 batch per split and gathers every minibatch from the split's arrays
-(``_Batch.take``).  A classifier's parameter arrays are views of one flat
-vector, so Adam updates them all in a handful of vector operations.
+(``_Batch.take``).  Every per-pair and per-node intermediate of a pass is
+written into a reusable ``Workspace`` that the batches share, so a
+training step allocates no large temporaries: freeing them at the end of
+each step would hand the heap top back to the OS, and the next step would
+fault it in again.  Logits, pooled embeddings and gradients stay freshly
+allocated.  A classifier's parameter arrays are views of one flat vector,
+so Adam updates them all in a handful of vector operations.
 Everything is plain numpy; the engine's gradients are verified against
 central finite differences (see grad_check).
 """
@@ -32,6 +37,54 @@ DEFAULT_BATCH_SIZE = 32  # graphs per Adam step
 NUM_CLASSES = 2  # the classifier head's width
 ACCURACY_CHUNK = 256  # graphs per forward pass when scoring accuracy
 ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Scratch buffers
+# ---------------------------------------------------------------------------
+
+class Workspace:
+    """Scratch arrays that one pass leaves for the next.
+
+    ``array(key, shape)`` returns the buffer named ``key`` viewed as
+    ``shape`` and allocates only when the buffer is too small, so once the
+    largest batch has run no call allocates.  What a buffer holds lasts
+    until the next request for its key.  Buffers that must outlive a layer,
+    such as a forward's caches, are keyed by the id of the layer or weight
+    matrix they belong to, which the model keeps alive; transient ones are
+    shared by name.  A key always names arrays of one dtype.
+    """
+
+    __slots__ = ("_views",)
+
+    def __init__(self):
+        self._views = {}  # key -> the last view handed out; its base is the buffer
+
+    def array(self, key, shape, dtype=np.float64):
+        view = self._views.get(key)
+        if view is None or view.shape != shape:
+            size = math.prod(shape)
+            buf = None if view is None else view.base
+            if buf is None or buf.size < size:
+                buf = np.empty(size, dtype)
+            view = self._views[key] = buf[:size].reshape(shape)
+        return view
+
+
+def _product(a, b, out):
+    """a @ b written to ``out``; with inner dimension 1, one broadcast
+    multiply, about twice as fast as numpy's matmul (which runs it outside
+    BLAS) and the same single product per cell (the matmul adds it to +0.0,
+    so only the sign of a zero cell can differ)."""
+    if a.shape[1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _relu_grad(d, z, work, key):
+    """d * (z > 0), the gradient through a ReLU at z, in ``work``'s buffer ``key``."""
+    mask = np.greater(z, 0.0, out=work.array("relu_mask", z.shape, bool))
+    return np.multiply(d, mask, out=work.array(key, d.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +113,16 @@ def mlp_init(dims, rng):
     return Mlp(weights, biases)
 
 
-def mlp_forward(mlp, x):
+def mlp_forward(mlp, x, work):
+    """Returns (output, caches); both live in ``work``'s buffers."""
     caches = []
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w
+        z = _product(h, w, work.array(("z", id(w)), (len(h), w.shape[1])))
         z += b
         caches.append((h, z))
-        h = np.maximum(z, 0.0) if i < last else z
+        h = np.maximum(z, 0.0, out=work.array(("relu", id(w)), z.shape)) if i < last else z
     return h, caches
 
 
@@ -77,17 +131,18 @@ def _column_sums(x):
     return np.ones(len(x)) @ x
 
 
-def mlp_backward(mlp, caches, dout):
-    """Returns (d input, grads as an Mlp)."""
+def mlp_backward(mlp, caches, dout, work):
+    """Returns (d input, grads as an Mlp); d input lives in a ``work`` buffer."""
     n = len(mlp.weights)
     grads = Mlp([None] * n, [None] * n)
     d = dout
     for i in range(n - 1, -1, -1):
         h, z = caches[i]
-        dz = d * (z > 0) if i < n - 1 else d
+        w = mlp.weights[i]
+        dz = _relu_grad(d, z, work, ("dz", id(w))) if i < n - 1 else d
         grads.weights[i] = h.T @ dz
         grads.biases[i] = _column_sums(dz)
-        d = dz @ mlp.weights[i].T
+        d = _product(dz, w.T, work.array(("d", id(w)), (len(dz), w.shape[0])))
     return d, grads
 
 
@@ -139,11 +194,18 @@ class _Batch:
     each pair's rows [normalized coefficient, 1], which fold the first Trans
     bias into its matmul; without tables it is None.  ``take`` gathers a
     sub-batch from these arrays.
+
+    ``work`` is the ``Workspace`` that passes over the batch write their
+    intermediates into.  The constructor makes a new one and ``take`` hands
+    this batch's to the sub-batch, so every minibatch of a split reuses the
+    same buffers.  A forward's cache, which the backward reads, therefore
+    stays valid only until the next forward on the same workspace: run the
+    backward of a batch before any other forward that shares its workspace.
     """
 
     __slots__ = (
         "h0", "center", "nbr", "norm", "coeff_rows", "num_nodes",
-        "node_sizes", "pool_starts", "pair_sizes", "pair_starts",
+        "node_sizes", "pool_starts", "pair_sizes", "pair_starts", "work",
     )
 
     def __init__(self, graphs, tables=None):
@@ -171,6 +233,7 @@ class _Batch:
                 for g, table in zip(graphs, tables)
                 for v, row in enumerate(g.adjacency) for u in row
             ]
+        self.work = Workspace()
 
     def take(self, idx):
         """The batch of graphs ``idx`` (positions in this batch, in that
@@ -194,36 +257,44 @@ class _Batch:
         sub.nbr = self.nbr[pairs] - pair_shift
         sub.norm = self.norm[pairs]
         sub.coeff_rows = None if self.coeff_rows is None else self.coeff_rows[pairs]
+        sub.work = self.work
         return sub
 
 
-def _scatter_rows(values, index, num_rows):
+def _scatter_rows(values, index, num_rows, work):
     """out[index[p]] += values[p] row by row: one bincount over the keys
-    index * channels + channel, which sums each cell in pair order."""
+    index * channels + channel, which sums each cell in pair order.  The
+    keys are written into ``work``; the result is a new array."""
     channels = values.shape[1]
-    keys = index if channels == 1 else (index[:, None] * channels + np.arange(channels))
+    keys = index
+    if channels > 1:
+        keys = np.add((index * channels)[:, None], np.arange(channels),
+                      out=work.array("scatter_keys", values.shape, np.intp))
     out = np.bincount(keys.ravel(), weights=values.ravel(), minlength=num_rows * channels)
     # with no pairs bincount returns int64 zeros
     return out.astype(float, copy=False).reshape(num_rows, channels)
 
 
-def _trans_forward(trans, coeff_rows):
+def _trans_forward(trans, coeff_rows, work):
     """Trans(coeff) per pair from rows [coeff, 1]; returns (t, cache).
 
     The rows carry a ones column, so the first layer's bias rides in its
     matmul: [coeff, 1] @ [w; b] is one BLAS call where coeff @ w + b
     broadcasts twice over narrow rows.
     """
-    z = coeff_rows @ np.concatenate((trans.weights[0], trans.biases[0][None]))
-    t, caches = mlp_forward(Mlp(trans.weights[1:], trans.biases[1:]), np.maximum(z, 0.0))
+    w = trans.weights[0]
+    z = np.matmul(coeff_rows, np.concatenate((w, trans.biases[0][None])),
+                  out=work.array(("z", id(w)), (len(coeff_rows), w.shape[1])))
+    hidden = np.maximum(z, 0.0, out=work.array(("relu", id(w)), z.shape))
+    t, caches = mlp_forward(Mlp(trans.weights[1:], trans.biases[1:]), hidden, work)
     return t, (z, caches)
 
 
-def _trans_backward(trans, coeff_rows, cache, dt):
+def _trans_backward(trans, coeff_rows, cache, dt, work):
     """Gradients of Trans shaped like ``trans``; none reaches the coefficients."""
     z, caches = cache
-    d, grads = mlp_backward(Mlp(trans.weights[1:], trans.biases[1:]), caches, dt)
-    first = coeff_rows.T @ (d * (z > 0))
+    d, grads = mlp_backward(Mlp(trans.weights[1:], trans.biases[1:]), caches, dt, work)
+    first = coeff_rows.T @ _relu_grad(d, z, work, "trans_dz")
     return Mlp([first[:1]] + grads.weights, [first[1]] + grads.biases)
 
 
@@ -233,22 +304,27 @@ def _layer_forward(layer, batch, h):
     GCN: h' = relu(MLP(sum_u t(v,u) * h_u / sqrt(d_v d_u))).
     GIN/union: h' = MLP((1 + eps) h_v + sum_u t(v,u) * h_u), so isolated
     nodes keep only the self term.  t(v,u) = Trans(coeff_vu) per channel;
-    without a Trans MLP, t is 1.
+    without a Trans MLP, t is 1.  The output and the cache live in the
+    batch's workspace, in buffers that belong to ``layer``.
     """
+    work = batch.work
     gcn = layer.epsilon is None
-    h_nbr = msg = h[batch.nbr]
+    pair_shape = (len(batch.nbr), h.shape[1])
+    # the indices are valid by construction; mode "raise" would copy via a temporary
+    h_nbr = msg = np.take(h, batch.nbr, axis=0, mode="clip",
+                          out=work.array(("h_nbr", id(layer)), pair_shape))
     if gcn:
-        msg = msg * batch.norm[:, None]
+        msg = np.multiply(msg, batch.norm[:, None], out=work.array("msg", pair_shape))
     t = tcache = None
     if layer.trans is not None:
-        t, tcache = _trans_forward(layer.trans, batch.coeff_rows)
-        msg = msg * t
-    agg = _scatter_rows(msg, batch.center, batch.num_nodes)
+        t, tcache = _trans_forward(layer.trans, batch.coeff_rows, work)
+        msg = np.multiply(msg, t, out=work.array("msg", pair_shape))
+    agg = _scatter_rows(msg, batch.center, batch.num_nodes, work)
     if not gcn:
-        agg += (1.0 + float(layer.epsilon)) * h
-    out, mlp_cache = mlp_forward(layer.mlp, agg)
+        agg += np.multiply(h, 1.0 + float(layer.epsilon), out=work.array("self", h.shape))
+    out, mlp_cache = mlp_forward(layer.mlp, agg, work)
     if gcn:
-        out = np.maximum(out, 0.0)
+        out = np.maximum(out, 0.0, out=work.array(("out", id(layer)), out.shape))
     return out, (h, h_nbr, t, tcache, mlp_cache)
 
 
@@ -256,24 +332,30 @@ def _layer_backward(layer, batch, cache, dout, input_grad=True):
     """Returns (dh, grads as LayerParams shaped like ``layer``); dh is None
     unless ``input_grad``."""
     h, h_nbr, t, tcache, mlp_cache = cache
+    work = batch.work
     gcn = layer.epsilon is None
     if gcn:
-        dout = dout * (mlp_cache[-1][1] > 0)
-    d_agg, mlp_grads = mlp_backward(layer.mlp, mlp_cache, dout)
-    d_msg = d_agg[batch.center]
+        dout = _relu_grad(dout, mlp_cache[-1][1], work, "dout")
+    d_agg, mlp_grads = mlp_backward(layer.mlp, mlp_cache, dout, work)
+    d_msg = np.take(d_agg, batch.center, axis=0, mode="clip",
+                    out=work.array("d_msg", (len(batch.center), d_agg.shape[1])))
     if gcn:
-        d_msg = d_msg * batch.norm[:, None]
+        d_msg *= batch.norm[:, None]
     dh = None
     if input_grad:
-        dh = _scatter_rows(d_msg if t is None else t * d_msg, batch.nbr, batch.num_nodes)
+        d_nbr = d_msg
+        if t is not None:
+            d_nbr = np.multiply(t, d_msg, out=work.array("d_nbr", d_msg.shape))
+        dh = _scatter_rows(d_nbr, batch.nbr, batch.num_nodes, work)
     trans_grads = None
     if t is not None:
-        trans_grads = _trans_backward(layer.trans, batch.coeff_rows, tcache, d_msg * h_nbr)
+        dt = np.multiply(d_msg, h_nbr, out=work.array("dt", d_msg.shape))
+        trans_grads = _trans_backward(layer.trans, batch.coeff_rows, tcache, dt, work)
     d_eps = None
     if not gcn:
-        d_eps = np.array(float((d_agg * h).sum()))
+        d_eps = np.array(float(np.multiply(d_agg, h, out=work.array("d_self", h.shape)).sum()))
         if input_grad:
-            dh += (1.0 + float(layer.epsilon)) * d_agg
+            dh += np.multiply(d_agg, 1.0 + float(layer.epsilon), out=work.array("d_self", h.shape))
     return dh, LayerParams(d_eps, mlp_grads, trans_grads)
 
 
@@ -518,8 +600,12 @@ def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BA
             tables = [coefficient_table(g, UNION_PATH_SVD, Encoding.SVD_SUM) for g in graphs]
         return _Batch(graphs, tables)
 
-    # each split is stacked once; minibatches and accuracy chunks are gathered from it
+    # each split is stacked once; minibatches and accuracy chunks are gathered
+    # from it, and all of them share one workspace, whose buffers grow to the
+    # largest batch once
     whole = {name: stacked(split) for name, split in splits.items() if split}
+    for batch in whole.values():
+        batch.work = whole["train"].work
     chunks = {
         name: _accuracy_chunks(whole.get(name), len(split))
         for name, split in splits.items()
@@ -541,6 +627,9 @@ def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BA
             epoch_loss += float(losses.sum())
             grads = _batched_backward(model, batch, cache, dlogits / len(idx))
             adam.step(np.concatenate(grads, axis=None))
+            # drop the views of the workspace's buffers: an accuracy forward over a
+            # larger batch replaces them, and the old ones are then freed at once
+            del cache
         curve.append((epoch + 1, epoch_loss / len(train), accuracy("val")))
     return TrainReport(
         model=model,

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from unionsub import cli
 from unionsub.cli import main, run_bench
 from unionsub.datasets import read_corpus, read_dataset, write_dataset
 from unionsub.graphs import Graph, GraphParseError, complete_graph, parse_graph
@@ -374,6 +376,53 @@ class TestUnwritableOutput:
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize("below", ["", "run"])
+    def test_out_file_rejected_before_training(self, below, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        main(["gen", "four-cycle-pair:4", "--count", "4", "--seed", "5", "--out", str(data)])
+        existing = tmp_path / "existing"
+        existing.write_text("", encoding="ascii")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_classifier", no_training)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["train", str(data), "--out", str(existing / below)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+        assert existing.read_text(encoding="ascii") == ""
+
+    def test_output_holds_across_blas_thread_counts(self, tmp_path):
+        # BLAS may split a product's sums by thread, so checkpoint floats can
+        # differ in the last bits between thread counts (the README states
+        # byte-identity per thread count); the printed log must not change
+        data = tmp_path / "data"
+        main(["gen", "four-cycle-pair:4", "--count", "200", "--seed", "3", "--out", str(data)])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "unionsub.cli", "train", str(data),
+                 "--model", "union-gin", "--epochs", "30", "--hidden", "64",
+                 "--batch-size", "200", "--seed", "0", "--out", str(out)],
+                check=True, capture_output=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            )
+            checkpoint = json.loads((out / "checkpoint.json").read_text())
+            runs.append(((out / "training_log.csv").read_bytes(), checkpoint))
+        (log_1, ckpt_1), (log_2, ckpt_2) = runs
+        assert log_1 == log_2
+        assert ckpt_1["model"] == ckpt_2["model"]
+        assert [a["shape"] for a in ckpt_1["arrays"]] == [a["shape"] for a in ckpt_2["arrays"]]
+        for a, b in zip(ckpt_1["arrays"], ckpt_2["arrays"]):
+            np.testing.assert_allclose(a["data"], b["data"], rtol=1e-12, atol=0)
+
     def test_epochs_zero_no_crash(self, tmp_path, capsys):
         data = tmp_path / "data"
         main(["gen", "four-cycle-pair:4", "--count", "8", "--seed", "5",

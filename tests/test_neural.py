@@ -1,11 +1,13 @@
 import importlib.util
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from unionsub.datasets import build_cycle_dataset
 from unionsub.descriptors import UNION_PATH_SVD, Encoding, coefficient_table
 from unionsub.graphs import (
     Graph, GraphError, complete_graph, cycle_graph, double_edge_swap, parse_graph,
@@ -54,7 +56,7 @@ def dense_trans(trans, g, coeffs):
         if not nbrs:
             continue
         x = np.array([[coeffs.normalized[(v, u)]] for u in nbrs])
-        out[v, nbrs], _ = nn.mlp_forward(trans, x)
+        out[v, nbrs], _ = nn.mlp_forward(trans, x, nn.Workspace())
     return out
 
 
@@ -91,7 +93,9 @@ def dense_logits(model, g, coeffs):
         if gcn:
             h = np.maximum(agg @ layer.mlp.weights[0] + layer.mlp.biases[0], 0.0)
         else:
-            h, _ = nn.mlp_forward(layer.mlp, (1.0 + float(layer.epsilon)) * h + agg)
+            h, _ = nn.mlp_forward(
+                layer.mlp, (1.0 + float(layer.epsilon)) * h + agg, nn.Workspace()
+            )
     return h.mean(axis=0) @ model.head_w + model.head_b
 
 
@@ -134,7 +138,7 @@ class TestMlp:
         rng = np.random.default_rng(0)
         mlp = nn.mlp_init((3, 5, 2), rng)
         x = rng.normal(size=(4, 3))
-        y, _ = nn.mlp_forward(mlp, x)
+        y, _ = nn.mlp_forward(mlp, x, nn.Workspace())
         hidden = np.maximum(x @ mlp.weights[0] + mlp.biases[0], 0.0)
         assert np.allclose(y, hidden @ mlp.weights[1] + mlp.biases[1])
 
@@ -152,7 +156,7 @@ class TestTrans:
         rng = np.random.default_rng(5)
         layer = nn.layer_params(4, 4, rng, gin=True, with_trans=True)
         t = layer_weights(layer, make_batch([cycle_graph(6)]), np.ones((6, 4)))
-        expected, _ = nn.mlp_forward(layer.trans, np.array([[0.5]]))
+        expected, _ = nn.mlp_forward(layer.trans, np.array([[0.5]]), nn.Workspace())
         assert t.shape == (12, 4)
         assert np.allclose(t, expected[0], atol=1e-12)
 
@@ -232,7 +236,7 @@ class TestPlugins:
         params = nn.layer_params(2, 3, rng, gin=False, with_trans=True)
         h = rng.normal(size=(6, 2))
         out, _ = nn._layer_forward(params, make_batch([g]), h)
-        row, _ = nn.mlp_forward(params.trans, np.array([[0.5]]))
+        row, _ = nn.mlp_forward(params.trans, np.array([[0.5]]), nn.Workspace())
         degs = np.array([g.degree(v) for v in range(6)], dtype=float)
         manual_agg = np.zeros_like(h)
         for v in range(6):
@@ -252,10 +256,10 @@ class TestGradients:
             trans = nn.mlp_init((1, 16, 4), rng)
 
             def forward():
-                return nn.mlp_forward(trans, batch.coeff_rows[:, :1])
+                return nn.mlp_forward(trans, batch.coeff_rows[:, :1], batch.work)
 
             def backward(cache, dout):
-                return nn.mlp_backward(trans, cache, dout)[1].arrays()
+                return nn.mlp_backward(trans, cache, dout, batch.work)[1].arrays()
 
             loss = pooled_mse_head(forward, backward, rng.normal(size=4))
             return nn.grad_check(loss, trans.arrays())
@@ -304,6 +308,8 @@ class TestGradients:
 
 def assert_same_batch(got, expected):
     for name in nn._Batch.__slots__:
+        if name == "work":  # scratch buffers, not batch data
+            continue
         a, b = getattr(got, name), getattr(expected, name)
         if b is None:
             assert a is None, name
@@ -350,9 +356,9 @@ class TestSlicedBatches:
         whole = nn._Batch(graphs, tables)
         for idx in ([5], [4, 0], [3, 5, 1, 4], [5, 4, 3, 2, 1, 0]):
             sub_tables = None if tables is None else [tables[i] for i in idx]
-            assert_same_batch(
-                whole.take(np.array(idx)), nn._Batch([graphs[i] for i in idx], sub_tables)
-            )
+            sub = whole.take(np.array(idx))
+            assert_same_batch(sub, nn._Batch([graphs[i] for i in idx], sub_tables))
+            assert sub.work is whole.work
 
     @pytest.mark.parametrize("pairs, channels", [(40, 1), (40, 5), (0, 1), (0, 3)])
     def test_scatter_matches_per_channel_bincount(self, pairs, channels):
@@ -362,9 +368,73 @@ class TestSlicedBatches:
         expected = np.zeros((7, channels))
         for c in range(channels):
             expected[:, c] = np.bincount(index, weights=values[:, c], minlength=7)
-        got = nn._scatter_rows(values, index, 7)
+        got = nn._scatter_rows(values, index, 7, nn.Workspace())
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)  # same summation order, bit for bit
+
+
+class TestWorkspace:
+    """Passes write their intermediates into the batch's reusable workspace."""
+
+    @staticmethod
+    def cycle_data(count=40):
+        graphs, labels = build_cycle_dataset(4, count, seed=3)
+        return graphs, np.array(labels)
+
+    def test_step_allocates_no_large_temporaries(self):
+        # a step that allocates and frees (pairs x channels) temporaries hands
+        # the heap top back to the OS, and the next step faults it in again
+        graphs, labels = self.cycle_data()
+        spec = nn.ModelSpec.parse("union-gcn")
+        batch = make_batch(graphs).take(np.arange(32))
+        model = nn.init_classifier(spec, 1, 2, np.random.default_rng(0))
+        adam = nn.Adam(model.flat)
+        loss_and_grads = classifier_loss(model, batch, labels[:32])
+
+        def step():
+            adam.step(np.concatenate(loss_and_grads()[1], axis=None))
+
+        step()  # sizes the workspace's buffers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 4 * len(batch.center) * spec.hidden * 8
+
+    @pytest.mark.parametrize("name", ["gcn", "gin", "union-gcn", "union-gin"])
+    def test_shared_workspace_gives_fresh_batch_gradients(self, name):
+        # minibatch steps, each followed by an accuracy forward over a larger
+        # batch on the same workspace, as train_classifier runs them
+        graphs, labels = self.cycle_data()
+        spec = nn.ModelSpec.parse(name, hidden=8)
+        whole = make_batch(graphs[:30], spec.use_coeffs)
+        val = make_batch(graphs[30:], spec.use_coeffs)
+        val.work = whole.work
+        model = nn.init_classifier(spec, 1, 2, np.random.default_rng(2))
+        adam = nn.Adam(model.flat)
+        for idx in ([4, 17, 9], [29, 0, 3, 11, 21, 8, 26], [12, 5]):
+            idx = np.array(idx)
+            _, grads = classifier_loss(model, whole.take(idx), labels[idx])()
+            fresh = make_batch([graphs[i] for i in idx], spec.use_coeffs)
+            _, expected = classifier_loss(model, fresh, labels[idx])()
+            for got, want in zip(grads, expected):
+                assert np.array_equal(got, want)
+            adam.step(np.concatenate(grads, axis=None))
+            nn._batched_accuracy(model, [val], labels[30:])
+
+    def test_logits_are_fresh_arrays(self):
+        # callers keep logits across forwards, as the rescaled-coefficient
+        # test does; only the intermediates are reused
+        graphs, _ = self.cycle_data(count=4)
+        batch = make_batch(graphs)
+        model = nn.init_classifier(nn.ModelSpec.parse("union-gin"), 1, 2,
+                                   np.random.default_rng(3))
+        first, _ = nn._batched_forward(model, batch)
+        second, _ = nn._batched_forward(model, batch)
+        assert not np.shares_memory(first, second)
 
 
 class TestFlatParameters:
