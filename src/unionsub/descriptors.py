@@ -305,12 +305,13 @@ def curvature_values(g, edges, alpha):
     """
     adj = g.adjacency
     near = [set(row) for row in adj]
+    closed = {x: sorted((x, *adj[x])) for x in {x for edge in edges for x in edge}}
     spread = [(1.0 - alpha) / max(len(row), 1) for row in adj]
 
     def left(center, other):
         """Points of center's measure that keep mass after cancelling, and that mass."""
         points, mass = [], []
-        for x in sorted((center, *adj[center])):
+        for x in closed[center]:
             m = alpha if x == center else spread[center]
             shared = alpha if x == other else spread[other] if x in near[other] else 0.0
             if m > shared:
@@ -323,8 +324,9 @@ def curvature_values(g, edges, alpha):
         (rows, mu), (cols, nu) = left(v, u), left(u, v)
         w1 = 0.0  # if one side keeps no mass, the other holds only rounding residue
         if rows and cols:
-            distances = [[1.0 if y in near[x] else 3.0 if near[x].isdisjoint(near[y])
-                          else 2.0 for y in cols] for x in rows]
+            col_near = [(y, near[y]) for y in cols]
+            distances = [[1.0 if y in near_x else 3.0 if near_x.isdisjoint(near_y) else 2.0
+                          for y, near_y in col_near] for near_x in map(near.__getitem__, rows)]
             try:
                 w1 = wasserstein_discrete(mu, nu, distances)
             except (DescriptorError, RuntimeError) as exc:

@@ -6,7 +6,7 @@ import warnings
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unionsub import descriptors
@@ -718,6 +718,94 @@ class TestTransportSolver:
             [0.5, 0.0, 0.5], [1.0], np.array([[1.0], [9.0], [3.0]])
         )
         assert w == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("supply, demand, cost", [
+        ([math.nan], [1.0], [[1.0]]),
+        ([math.inf], [math.inf], [[1.0]]),
+        ([0.5, 0.5], [1.0], [[1.0], [math.nan]]),
+        ([0.5, 0.5], [1.0], [[1.0], [math.inf]]),
+        ([1.0], [0.5, 0.5], [[-math.inf, 1.0]]),
+    ])
+    def test_non_finite_rejected(self, supply, demand, cost):
+        with pytest.raises(ValueError, match="finite"):
+            solve_transport(supply, demand, cost)
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein_discrete(supply, demand, cost)
+
+    def test_nan_mass_is_not_dropped(self):
+        # nan > 0 is false, yet the point must reach the solver's check
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein_discrete([0.5, math.nan, 0.5], [1.0], [[1.0], [1.0], [3.0]])
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(instance=float_mass_instances(), data=st.data())
+    def test_wasserstein_solves_the_positive_part(self, instance, data):
+        # with every mass positive the inputs reach the solver as they are;
+        # zero-mass points (alpha 0, or added here anywhere) are dropped first
+        supply, demand, cost = instance
+        rows, cols = supply > 0, demand > 0
+        expected = solve_transport(supply[rows], demand[cols], cost[rows][:, cols])[1]
+        assert wasserstein_discrete(supply, demand, cost) == expected
+        assert wasserstein_discrete(supply.tolist(), demand.tolist(), cost.tolist()) == expected
+        zero_rows = data.draw(st.lists(st.integers(0, len(supply)), max_size=2))
+        zero_cols = data.draw(st.lists(st.integers(0, len(demand)), max_size=2))
+        padded = np.insert(np.insert(cost, zero_rows, 9.0, axis=0), zero_cols, 9.0, axis=1)
+        w = wasserstein_discrete(np.insert(supply, zero_rows, 0.0),
+                                 np.insert(demand, zero_cols, 0.0), padded.tolist())
+        assert w == expected
+
+
+@st.composite
+def edge_insertions(draw):
+    """G(n, 0.25) with n in 8..20, and a node pair (a, b) that is not one of its edges."""
+    n = draw(st.integers(8, 20))
+    g = random_graph(n, 0.25, random.Random(draw(st.integers(0, 2**32 - 1))))
+    missing = [pair for pair in itertools.combinations(range(n), 2) if not g.has_edge(*pair)]
+    assume(missing)
+    a, b = draw(st.sampled_from(missing))
+    return g, Graph(n, [*g.edges, (a, b)]), a, b
+
+
+def raw_values(g, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return coefficient_table(g, kind).raw
+
+
+class TestLocality:
+    """Adding one edge (a, b) leaves the raw value of every edge far from it."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(case=edge_insertions())
+    def test_member_set_kinds(self, case):
+        # a value reads only the subgraph on its member set N[v] | N[u]
+        # (N[v] & N[u] for overlap), so (a, b) must join two members
+        g, h, a, b = case
+        for kind in (UNION_PATH_SVD, COUNT_NE, BETWEENNESS, OVERLAP_PATH_SVD):
+            before, after = raw_values(g, kind), raw_values(h, kind)
+            for (v, u), value in before.items():
+                nv, nu = closed_neighborhood(h, v), closed_neighborhood(h, u)
+                members = nv & nu if kind is OVERLAP_PATH_SVD else nv | nu
+                if not {a, b} <= members:
+                    assert after[(v, u)] == value, (kind.kind, v, u)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(case=edge_insertions(), alpha=st.sampled_from([0.0, 0.5]))
+    def test_curvature_radius(self, case, alpha):
+        # curvature reads the degrees of v and u, adjacency within N[v] | N[u]
+        # and common neighbours anywhere in g, so (a, b) must touch v or u,
+        # or join N[v] | N[u] to a node within distance 2 of v or u
+        g, h, a, b = case
+        kind = Descriptor("curvature", alpha=alpha)
+        before, after = raw_values(g, kind), raw_values(h, kind)
+        graph = nx_graph(g)
+        for (v, u), value in before.items():
+            near = closed_neighborhood(g, v) | closed_neighborhood(g, u)
+            within_two = set(nx.single_source_shortest_path_length(graph, v, cutoff=2))
+            within_two |= set(nx.single_source_shortest_path_length(graph, u, cutoff=2))
+            if not ({a, b} & {v, u} or a in near and b in within_two
+                    or b in near and a in within_two):
+                assert after[(v, u)] == value, (v, u)
 
 
 class TestCycleCountDescriptor:
