@@ -4,12 +4,14 @@ The flagship descriptor turns an edge's union subgraph into its shortest-path
 matrix and encodes it as the singular-value sum (nuclear norm).  One routine
 gives shortest-path lengths, to ``path_matrix`` and to every table: a pair's
 length is the first power of the adjacency matrix A that reaches it.  Tables
-stack the local adjacency matrices of one size; a union subgraph has
-diameter at most 3, so they stop after A^2.  One batched ``eigvalsh``
-encodes a stack, and the rival edge betweenness and node/edge count come
-from the same stacks.  The other rivals (Ollivier-Ricci curvature with exact
-optimal transport, Laplacian spectrum, cycle counting) share the same
-coefficient-table plumbing so they can be swapped per edge.
+find every edge's local nodes at once with array ops, as sorted member keys
+edge * n + node, and stack the local adjacency matrices of one size; a union
+subgraph has diameter at most 3, so they stop after A^2.  One batched
+``eigvalsh`` encodes a stack, and the rival edge betweenness comes from the
+same stacks, node/edge count from the member and local edge counts.  The
+other rivals (Ollivier-Ricci curvature with exact optimal transport,
+Laplacian spectrum, cycle counting) share the same coefficient-table
+plumbing so they can be swapped per edge.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .graphs import Graph, Subgraph, count_simple_cycles
 from .transport import wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
-# matrix entries stacked before a batch is encoded; bounds the memory of a
-# table on a large graph
-BATCH_ENTRIES = 1 << 20
+# bound on the matrix entries plus member-neighbour pairs of one chunk of a
+# table's edges; bounds the memory of a table on a large graph
+BATCH_ENTRIES = 1 << 17
 
 
 class DescriptorError(ValueError):
@@ -228,40 +230,79 @@ def local_descriptor_values(g, edges, kind, encoding):
     the edges between v's and u's exclusive neighbours.  Every local node is
     v, u or adjacent to one of them, and v ~ u, so the diameter is at most 3
     and the path lengths stop after A^2: 1 on edges, 2 where A^2 > 0, else 3.
-    Local adjacency matrices of one size are stacked and evaluated together.
+    Array ops give the i-th edge's local nodes as sorted member keys i*n + x
+    and look each member's neighbours up among the keys for the local edges;
+    edges sorted by size fill one flat array sliced into (B, k, k) stacks.
+    Each chunk of edges holds at most BATCH_ENTRIES of a per-endpoint bound,
+    2 (deg x + 1)^2 for matrix entries plus the degrees summed over N[x] for
+    member-neighbour pairs.
     """
-    adj = g.adjacency
-    minus = kind.kind == "minus-path"
-    values = np.empty(len(edges))
-    # size k -> (positions in edges, flat indices of local edges, local (v, u))
-    groups = {}
-    pending = 0
-    for pos, (v, u) in enumerate(edges):
-        nv, nu = {v, *adj[v]}, {u, *adj[u]}
-        nodes = sorted(nv & nu if kind.kind == "overlap-path" else nv | nu)
-        k = len(nodes)
-        index = {p: i for i, p in enumerate(nodes)}
-        members, flat, ends = groups.setdefault(k, ([], [], []))
-        offset = len(members) * k * k
-        members.append(pos)
-        ends.append((index[v], index[u]))
-        for i, p in enumerate(nodes):
-            for q in adj[p]:
-                j = index.get(q)
-                if j is None:
-                    continue
-                if minus and not (p in nv and q in nv or p in nu and q in nu):
-                    continue  # joins an exclusive neighbour of v to one of u
-                flat.append(offset + i * k + j)
-        pending += k * k
-        if pending >= BATCH_ENTRIES or pos == len(edges) - 1:
-            for size, (at, cells, local_ends) in groups.items():
-                a = np.zeros((len(at), size, size))
-                a.reshape(-1)[cells] = 1.0
-                values[at] = _stack_values(a, np.array(local_ends), kind, encoding)
-            groups.clear()
-            pending = 0
+    n, adj = g.num_nodes, g.adjacency
+    indptr = np.fromiter(itertools.accumulate(map(len, adj), initial=0), np.intp, n + 1)
+    degree = indptr[1:] - indptr[:-1]
+    nbr = np.fromiter(itertools.chain.from_iterable(adj), np.intp, indptr[-1])
+    walks = np.concatenate(([0], degree[nbr].cumsum()))
+    bound = 2 * (degree + 1) ** 2 + degree + walks[indptr[1:]] - walks[indptr[:-1]]
+    ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
+    total = np.concatenate(([0], bound[ends].cumsum()[1::2]))  # summed over the edges before each
+    values, lo = np.empty(len(ends)), 0
+    while lo < len(ends):
+        hi = max(lo + 1, total.searchsorted(total[lo] + BATCH_ENTRIES, "right") - 1)
+        values[lo:hi] = _chunk_values(indptr, degree, nbr, ends[lo:hi], kind, encoding)
+        lo = hi
     return values
+
+
+def _chunk_values(indptr, degree, nbr, ends, kind, encoding):
+    """local_descriptor_values of the (B, 2) array ``ends``, from g's CSR arrays."""
+    batch, n = len(ends), len(degree)
+    own = ends + np.arange(0, batch * n, n)[:, None]  # the endpoints' keys
+    at, x = _rows(indptr, degree, nbr, ends.reshape(-1), (own - ends).reshape(-1))
+    # keys of N[v] and N[u] shifted left, bit 0 naming the side (1 for u)
+    tagged = np.concatenate(([-2], (2 * own + [0, 1]).reshape(-1), 2 * x + (at & 1)))
+    tagged.sort()
+    keys = tagged >> 1
+    new = keys[1:] != keys[:-1]
+    members = keys[1:][~new if kind.kind == "overlap-path" else new]
+    edge = members // n
+    k = np.bincount(edge, minlength=batch)
+    offset = k.cumsum() - k
+    at, target = _rows(indptr, degree, nbr, members % n, edge * n)
+    pos = members.searchsorted(target)
+    hit = members.take(pos, mode="clip") == target
+    if kind.kind == "minus-path":  # drop edges joining an exclusive neighbour of v to one of u
+        sides = np.where(np.append(~new[1:], False), 3, 1 + (tagged[1:] & 1))[new]
+        hit &= (sides[at] & sides.take(pos, mode="clip")) != 0
+    at, pos = at[hit], pos[hit]
+    del target, hit  # freed before the matrices are allocated
+    if kind.kind == "count-ne":
+        return np.bincount(edge[at], minlength=batch) / 2 / (k * (k - 1)) * k ** kind.lam
+    order = k.argsort(kind="stable")
+    rank, size = order.argsort(), k[order]
+    cells = (size * size).cumsum()
+    a = np.zeros(cells[-1])
+    # members i, j of edge e meet at (i - offset[e]) k[e] + j - offset[e] in its matrix
+    row = (cells[rank] - k * k - offset * (k + 1))[edge] + np.arange(len(members)) * k[edge]
+    a[row[at] + pos] = 1.0
+    local_ends = (members.searchsorted(own) - offset[:, None])[order]
+    values = np.empty(batch)
+    cuts = ((size[1:] != size[:-1]).nonzero()[0] + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, batch]):
+        s = int(size[lo])
+        stack = a[cells[hi - 1] - (hi - lo) * s * s:cells[hi - 1]].reshape(-1, s, s)
+        values[lo:hi] = _stack_values(stack, local_ends[lo:hi], kind, encoding)
+    return values[rank]
+
+
+def _rows(indptr, degree, nbr, nodes, start):
+    """(i, start[i] + y) for every neighbour y of every nodes[i], row by row."""
+    counts = degree[nodes]
+    at = np.arange(len(nodes)).repeat(counts)
+    index = (indptr[nodes] - counts.cumsum() + counts)[at]
+    index += np.arange(len(at))
+    index = nbr[index]
+    index += start[at]
+    return at, index
 
 
 def _stack_values(a, ends, kind, encoding):
@@ -271,8 +312,6 @@ def _stack_values(a, ends, kind, encoding):
     edge endpoints v and u.
     """
     batch, k, _ = a.shape
-    if kind.kind == "count-ne":
-        return a.sum(axis=(1, 2)) / 2 / (k * (k - 1)) * k ** kind.lam
     if kind.kind == "laplacian":
         diag = np.arange(k)
         m = -a
@@ -302,18 +341,20 @@ def curvature_values(g, edges, alpha):
     put on v, u and their common neighbours cancels before transport.  The
     points left (x of v, y of u, x != y) lie at distance 1 (x ~ y), 2 (a
     common neighbour anywhere in g, not only in the union subgraph) or 3.
+    Only the rows of the endpoints and their neighbours are read.
     """
     adj = g.adjacency
-    near = [set(row) for row in adj]
     closed = {x: sorted((x, *adj[x])) for x in {x for edge in edges for x in edge}}
-    spread = [(1.0 - alpha) / max(len(row), 1) for row in adj]
+    near = {y: set(adj[y]) for y in set(itertools.chain.from_iterable(closed.values()))}
+    spread = {x: (1.0 - alpha) / max(len(adj[x]), 1) for x in closed}
 
     def left(center, other):
         """Points of center's measure that keep mass after cancelling, and that mass."""
         points, mass = [], []
+        own, theirs, their_near = spread[center], spread[other], near[other]
         for x in closed[center]:
-            m = alpha if x == center else spread[center]
-            shared = alpha if x == other else spread[other] if x in near[other] else 0.0
+            m = alpha if x == center else own
+            shared = alpha if x == other else theirs if x in their_near else 0.0
             if m > shared:
                 points.append(x)
                 mass.append(m - shared)

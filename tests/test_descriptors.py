@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
+import tracemalloc
+import types
 import warnings
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -22,8 +25,10 @@ from unionsub.descriptors import (
     DescriptorError,
     Encoding,
     coefficient_table,
+    curvature_values,
     cycle_count,
     encode_matrix,
+    local_descriptor_values,
     path_matrix,
     reconstruct_subgraph,
     ricci_curvature,
@@ -47,7 +52,7 @@ from unionsub.substructure import overlap_subgraph, union_minus_subgraph, union_
 from unionsub.transport import solve_transport, wasserstein_discrete
 from unionsub.wl import distinguish_pair
 
-from helpers import edge_descriptor_value, local_index
+from helpers import edge_descriptor_value, local_index, reference_local_values
 
 
 def full_subgraph(g):
@@ -378,6 +383,79 @@ class TestBatchedMatrixKinds:
         assert table.raw == {} and table.normalized == {}
 
 
+LOCAL_KINDS = tuple(Descriptor(kind) for kind in (*MATRIX_KINDS, "betweenness", "count-ne"))
+
+
+@st.composite
+def local_value_cases(draw):
+    """A graph with isolated nodes, two components and maybe a hub, and edges of it.
+
+    The edge list is all edges, one edge, none, or a sample in either
+    orientation and any order.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, extra = draw(st.integers(2, 36)), draw(st.integers(2, 8))
+    edges = set(random_graph(n, draw(st.floats(0.05, 0.6)), rng).edges)
+    if n > 30 and draw(st.booleans()):
+        edges |= {(0, x) for x in range(1, n)}  # a hub of degree n - 1 >= 30
+    second = random_graph(extra, 0.5, rng).edges  # a second component on fresh nodes
+    edges |= {(n + i, n + i + 1) for i in range(extra - 1)} | {(n + a, n + b) for a, b in second}
+    g = Graph(n + extra + draw(st.integers(0, 3)), sorted(edges))
+    chosen = draw(st.sampled_from(["all", "one", "none", "sample"]))
+    if chosen == "all":
+        return g, list(g.edges)
+    if chosen == "one":
+        return g, [draw(st.sampled_from(g.edges))]
+    if chosen == "none":
+        return g, []
+    sample = draw(st.lists(st.sampled_from(g.edges), min_size=2))
+    return g, [(u, v) if (u + v) % 2 else (v, u) for v, u in sample]
+
+
+def gnm_graph(n, m, seed):
+    """G(n, m): m distinct node pairs drawn uniformly."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        v, u = rng.randrange(n), rng.randrange(n)
+        if v != u:
+            edges.add((min(v, u), max(v, u)))
+    return Graph(n, sorted(edges))
+
+
+class TestMemberKeyBuilder:
+    """local_descriptor_values against the per-edge reference loop in helpers."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(case=local_value_cases())
+    def test_bytes_equal_the_reference_loop(self, case):
+        # 300 entries split the size runs into several chunks; 1 gives every
+        # matrix a chunk of its own
+        g, edges = case
+        for batch in (descriptors.BATCH_ENTRIES, 300, 1):
+            with mock.patch.object(descriptors, "BATCH_ENTRIES", batch):
+                for kind, encoding in itertools.product(LOCAL_KINDS, Encoding):
+                    mine = local_descriptor_values(g, edges, kind, encoding)
+                    ref = reference_local_values(g, edges, kind, encoding)
+                    assert mine.tobytes() == ref.tobytes(), (kind.kind, encoding, batch)
+
+    @pytest.mark.parametrize("kind", [COUNT_NE, UNION_PATH_SVD])
+    def test_chunks_bound_the_peak_memory(self, monkeypatch, kind):
+        # on this 10^4-edge graph with BATCH_ENTRIES = 2^12 the reference
+        # loop peaks at 0.2 MB and the builder at 0.9 MB, mostly its CSR and
+        # per-edge bound arrays; in one chunk, with every k^2 entry or every
+        # member-neighbour pair held at once, the builder peaks near 19 MB.
+        g = gnm_graph(5405, 10_000, 0)
+        monkeypatch.setattr(descriptors, "BATCH_ENTRIES", 1 << 12)
+        tracemalloc.start()
+        try:
+            local_descriptor_values(g, g.edges, kind, Encoding.SVD_SUM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
 class TestBetweenness:
     """Each graph equals its own union subgraph for the edge (0, 1)."""
 
@@ -495,6 +573,26 @@ class TestRicciCurvature:
             mine = ricci_curvature(g, v, u, 0.5)
             assert abs(mine - exact_ot_oracle(g, v, u, 0.5)) < 1e-8
             checked += 1
+
+    def test_one_edge_reads_only_its_neighbourhoods(self):
+        class Rows(tuple):
+            """Adjacency rows that note each row read."""
+
+            def __getitem__(self, x):
+                self.read.add(x)
+                return super().__getitem__(x)
+
+            def __iter__(self):
+                self.read.update(range(len(self)))
+                return super().__iter__()
+
+        g = gnm_graph(600, 1110, 1)
+        for v, u in g.edges[::100]:
+            rows = Rows(g.adjacency)
+            rows.read = set()
+            value = curvature_values(types.SimpleNamespace(adjacency=rows), [(v, u)], 0.5)
+            assert value == [ricci_curvature(g, v, u)]
+            assert rows.read <= closed_neighborhood(g, v) | closed_neighborhood(g, u)
 
     def test_alpha_validated(self):
         with pytest.raises(DescriptorError):
