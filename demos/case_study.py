@@ -14,7 +14,7 @@ from unionsub.graphs import Graph, induced_subgraph, is_connected
 
 def coefficient(g):
     sub = induced_subgraph(g, range(g.num_nodes))
-    return encode_matrix(path_matrix(sub).entries, Encoding.SVD_SUM)
+    return encode_matrix(path_matrix(sub), Encoding.SVD_SUM)
 
 
 g = CASE_STUDY_GRAPH
@@ -34,7 +34,7 @@ for edge in g.edges:
 print("\nnode deletions decrease the coefficient:")
 for node in range(2, 8):
     sub = induced_subgraph(g, [v for v in range(8) if v != node])
-    value = encode_matrix(path_matrix(sub).entries, Encoding.SVD_SUM)
+    value = encode_matrix(path_matrix(sub), Encoding.SVD_SUM)
     print(f"  -node {node}: {value:.6f}  (delta {value-base:+.4f})")
 
 print("\nimpact ordering over the four edge classes:")

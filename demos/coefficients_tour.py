@@ -58,10 +58,10 @@ print("=" * 70)
 
 sub = union_subgraph(g, 0, 1)
 pm = path_matrix(sub)
-print("path matrix (rows follow parent ids", pm.order, "):")
-print(pm.entries)
+print("path matrix (rows follow parent ids", sub.parent_ids, "):")
+print(pm)
 for enc in Encoding:
-    print(f"  {enc.value:10s} -> {encode_matrix(pm.entries, enc):.6f}")
+    print(f"  {enc.value:10s} -> {encode_matrix(pm, enc):.6f}")
 
 print()
 print("=" * 70)

@@ -70,7 +70,7 @@ print("4. Path matrices reconstruct their subgraphs")
 print("=" * 70)
 sub = union_subgraph(cycle_graph(6), 0, 1)
 pm = path_matrix(sub)
-back = reconstruct_subgraph(pm)
+back = reconstruct_subgraph(pm, sub.parent_ids)
 print("  union subgraph edges:", sub.parent_edges())
 print("  reconstructed edges: ", back.parent_edges())
 print("  round trip exact:", back == sub)

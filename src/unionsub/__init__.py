@@ -46,7 +46,6 @@ from .descriptors import (
     Descriptor,
     DescriptorError,
     Encoding,
-    PathMatrix,
     coefficient_table,
     cycle_count,
     encode_matrix,

@@ -30,6 +30,9 @@ NORMALIZATION_ZERO_TOL = 1e-12
 # bound on the matrix entries plus member-neighbour pairs of one chunk of a
 # table's edges; bounds the memory of a table on a large graph
 BATCH_ENTRIES = 1 << 17
+# bound on the nodes of one edge's local subgraph in a matrix stack; a
+# betweenness edge at this size peaks near 251 MB (tracemalloc)
+MAX_LOCAL_NODES = 2500
 
 
 class DescriptorError(ValueError):
@@ -111,42 +114,18 @@ LAPLACIAN_SVD = Descriptor("laplacian")
 # Path matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathMatrix:
-    """All-pairs shortest-path lengths of one subgraph.
-
-    Rows and columns follow ``order`` (parent ids ascending).  An entry is 1
-    exactly when the corresponding local edge exists, which is what makes the
-    subgraph reconstructible.
-    """
-
-    entries: np.ndarray
-    order: tuple
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    @property
-    def dim(self):
-        return len(self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, PathMatrix):
-            return NotImplemented
-        return self.order == other.order and np.array_equal(self.entries, other.entries)
-
-
 def path_matrix(s):
-    """Shortest-path matrix of a connected subgraph."""
+    """Shortest-path matrix of a connected subgraph; rows follow s.parent_ids."""
     a = np.zeros((1, s.num_nodes, s.num_nodes))
     for i, j in s.local.edges:
         a[0, i, j] = a[0, j, i] = 1.0
-    return PathMatrix(_path_lengths(a)[0].astype(int), tuple(s.parent_ids))
+    return _path_lengths(a)[0].astype(int)
 
 
-def reconstruct_subgraph(p):
-    """Invert path_matrix; p must be the path matrix of the graph of its 1 entries."""
-    entries = np.asarray(p.entries)
+def reconstruct_subgraph(entries, order):
+    """Invert path_matrix: the subgraph on parent ids ``order`` whose path
+    matrix is ``entries``, which must be that of the graph of its 1 entries."""
+    entries = np.asarray(entries)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DescriptorError("path matrix must be square")
     if (entries < 0).any():
@@ -158,7 +137,7 @@ def reconstruct_subgraph(p):
     a = entries == 1
     if not np.array_equal(_path_lengths(a[None] * 1.0)[0], entries):
         raise DescriptorError("entries are not the shortest-path lengths of their graph")
-    return Subgraph(Graph(len(a), np.argwhere(np.triu(a)).tolist()), p.order)
+    return Subgraph(Graph(len(a), np.argwhere(np.triu(a)).tolist()), order)
 
 
 def _path_lengths(a, bound=None, counts=False):
@@ -235,7 +214,8 @@ def local_descriptor_values(g, edges, kind, encoding):
     edges sorted by size fill one flat array sliced into (B, k, k) stacks.
     Each chunk of edges holds at most BATCH_ENTRIES of a per-endpoint bound,
     2 (deg x + 1)^2 for matrix entries plus the degrees summed over N[x] for
-    member-neighbour pairs.
+    member-neighbour pairs.  count-ne builds no matrix; every other kind
+    refuses an edge whose local subgraph has over MAX_LOCAL_NODES nodes.
     """
     n, adj = g.num_nodes, g.adjacency
     indptr = np.fromiter(itertools.accumulate(map(len, adj), initial=0), np.intp, n + 1)
@@ -277,6 +257,11 @@ def _chunk_values(indptr, degree, nbr, ends, kind, encoding):
     del target, hit  # freed before the matrices are allocated
     if kind.kind == "count-ne":
         return np.bincount(edge[at], minlength=batch) / 2 / (k * (k - 1)) * k ** kind.lam
+    big = k.argmax()
+    if k[big] > MAX_LOCAL_NODES:
+        v, u = ends[big].tolist()
+        raise DescriptorError(f"edge ({v}, {u}): its local subgraph has {k[big]} nodes, "
+                              f"above the bound of {MAX_LOCAL_NODES}")
     order = k.argsort(kind="stable")
     rank, size = order.argsort(), k[order]
     cells = (size * size).cumsum()

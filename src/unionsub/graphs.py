@@ -142,18 +142,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
-    def to_edge_list_text(self):
-        """Edge-list text, which holds no features: a graph whose features
-        are not the ones column is refused (``to_text`` writes any graph)."""
-        if not self._features_are_ones():
-            raise GraphError("an edge list cannot hold these features; use to_text")
-        lines = [f"{self.num_nodes} {self.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges)
-        return "\n".join(lines) + "\n"
-
-    def _features_are_ones(self):
-        return self.features.tolist() == [[1.0]] * self.num_nodes
-
     def to_json_obj(self):
         return {"num_nodes": self.num_nodes, "edges": [[u, v] for u, v in self.edges],
                 "features": self.features.tolist()}
@@ -161,9 +149,11 @@ class Graph:
     def to_text(self):
         """Edge-list text if the features are the ones column an edge list
         implies, else JSON text; parse_graph reads either back as this graph."""
-        if self._features_are_ones():
-            return self.to_edge_list_text()
-        return json.dumps(self.to_json_obj()) + "\n"
+        if self.features.tolist() != [[1.0]] * self.num_nodes:
+            return json.dumps(self.to_json_obj()) + "\n"
+        lines = [f"{self.num_nodes} {self.num_edges}"]
+        lines.extend(f"{u} {v}" for u, v in self.edges)
+        return "\n".join(lines) + "\n"
 
 
 class Subgraph:

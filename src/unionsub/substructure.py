@@ -20,8 +20,6 @@ from .graphs import (
     is_isomorphic_small,
 )
 
-NEIGHBORHOOD_ISO_LIMIT = 9  # bijection enumeration bound on |closed neighborhood|
-
 
 def _require_edge(g, v, u):
     if not g.has_edge(v, u):
@@ -102,16 +100,12 @@ def _neighborhood_isomorphic(g1, i, g2, j, local_subgraph):
 
     Isomorphism is an equivalence relation, so matching each neighbor of i to
     the first unused isomorphic one of j finds such a bijection whenever one
-    exists.
+    exists.  The only bound is is_isomorphic_small's on each local subgraph.
     """
     ni = closed_neighborhood(g1, i)
     nj = closed_neighborhood(g2, j)
     if len(ni) != len(nj):
         return False
-    if len(ni) > NEIGHBORHOOD_ISO_LIMIT:
-        raise GraphError(
-            f"neighborhood isomorphism bound is {NEIGHBORHOOD_ISO_LIMIT} nodes"
-        )
     unused = [local_subgraph(g2, j, w) for w in sorted(nj - {j})]
     for v in sorted(ni - {i}):
         sub = local_subgraph(g1, i, v)

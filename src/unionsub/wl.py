@@ -50,11 +50,11 @@ class DistinguishVerdict:
         }
 
 
-def _initial_colors(graphs):
-    """Shared initial colors: equal feature rows get equal colors."""
-    keys = [[tuple(row) for row in g.features.tolist()] for g in graphs]
+def _number(keys):
+    """Colors for lists of keys, one list per graph: each key's rank among
+    the distinct keys of all lists, and the number of distinct keys."""
     palette = {key: color for color, key in enumerate(sorted({k for ks in keys for k in ks}))}
-    return [[palette[k] for k in ks] for ks in keys]
+    return [[palette[k] for k in ks] for ks in keys], len(palette)
 
 
 def _refine(graphs, tables=None, max_rounds=None):
@@ -74,8 +74,8 @@ def _refine(graphs, tables=None, max_rounds=None):
     edge_tags = [None] * len(graphs)
     if tables is not None:
         edge_tags = [_quantized_tags(g, coeffs) for g, coeffs in zip(graphs, tables)]
-    colors = _initial_colors(graphs)
-    num_colors = len({c for cs in colors for c in cs})
+    # equal feature rows get equal initial colors
+    colors, num_colors = _number([[tuple(row) for row in g.features.tolist()] for g in graphs])
     rounds = 0
     stable = num_colors == sum(g.num_nodes for g in graphs)
     while rounds < max_rounds and not stable:
@@ -92,16 +92,11 @@ def _refine(graphs, tables=None, max_rounds=None):
                         messages.append((colors[gi][u], tags[(v, u)]))
                 sig.append((colors[gi][v], tuple(sorted(messages))))
             signatures.append(sig)
-        palette = {
-            sig: color
-            for color, sig in enumerate(sorted({s for sigs in signatures for s in sigs}))
-        }
-        colors = [[palette[s] for s in sigs] for sigs in signatures]
+        colors, count = _number(signatures)
         rounds += 1
         # refinement only splits classes: equal counts means a stable partition
-        if len(palette) == num_colors:
-            stable = True
-        num_colors = len(palette)
+        stable = count == num_colors
+        num_colors = count
     return [ColorAssignment(tuple(cs), rounds, stable) for cs in colors]
 
 

@@ -11,13 +11,13 @@ import pytest
 from unionsub import cli
 from unionsub.cli import main, run_bench
 from unionsub.datasets import read_corpus, read_dataset, write_dataset
-from unionsub.graphs import Graph, GraphParseError, complete_graph, parse_graph
+from unionsub.graphs import Graph, GraphParseError, complete_graph, parse_graph, star_graph
 
 
-def assert_parse_error_under_memory_limit(argv):
+def assert_error_under_memory_limit(argv, code=1, prefix="parse error:"):
     """Run the CLI in a child that may map at most 512 MB, so code that
-    allocates per claimed node fails fast with a MemoryError instead of taking
-    all memory; it must exit 1 with one parse-error line."""
+    allocates past a bound fails fast with a MemoryError instead of taking
+    all memory; it must exit ``code`` with one line starting with ``prefix``."""
     import resource
 
     limit = 512 << 20
@@ -30,9 +30,9 @@ def assert_parse_error_under_memory_limit(argv):
              "OMP_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
-    assert run.returncode == 1
+    assert run.returncode == code
     assert "Traceback" not in run.stderr
-    assert run.stderr.startswith("parse error:") and run.stderr.count("\n") == 1
+    assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
 
 
 @pytest.fixture
@@ -121,7 +121,14 @@ class TestCoeffsCommand:
     def test_huge_node_count_exit_1_under_memory_limit(self, tmp_path, content):
         huge = tmp_path / "huge.txt"
         huge.write_bytes(content)
-        assert_parse_error_under_memory_limit(["coeffs", str(huge)])
+        assert_error_under_memory_limit(["coeffs", str(huge)])
+
+    def test_hub_star_exit_2_under_memory_limit(self, tmp_path):
+        # the hub edge's union subgraph is the whole 10,001-node star
+        star = tmp_path / "star.txt"
+        star.write_text(star_graph(10_000).to_text(), encoding="ascii")
+        assert_error_under_memory_limit(["coeffs", str(star), "--kind", "union-path"],
+                                        2, "descriptor error: edge (0, 1)")
 
     def test_betweenness_c6(self, c6_file, capsys):
         assert main(["coeffs", c6_file, "--kind", "betweenness"]) == 0
@@ -215,13 +222,13 @@ class TestGenCommand:
     @pytest.mark.parametrize("spec", ["cycle:100000000", "complete:100000"])
     def test_huge_sized_spec_exit_1_under_memory_limit(self, spec, tmp_path):
         out = tmp_path / "d"
-        assert_parse_error_under_memory_limit(["gen", spec, "--out", str(out)])
+        assert_error_under_memory_limit(["gen", spec, "--out", str(out)])
         assert not out.exists()
 
     def test_huge_er_spec_exit_1_under_memory_limit(self, tmp_path):
         out = tmp_path / "d"
         argv = ["gen", "er:100000-100000", "--count", "1", "--out", str(out)]
-        assert_parse_error_under_memory_limit(argv)
+        assert_error_under_memory_limit(argv)
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["er", "four-cycle-pair:4", "rook4x4"])
@@ -269,7 +276,7 @@ class TestDatasetFiles:
         write_dataset(tmp_path / "d", [featured, plain], [1, 0])
         assert read_dataset(tmp_path / "d") == [(featured, 1), (plain, 0)]
         # a graph with the default ones column keeps its edge-list bytes
-        assert (tmp_path / "d" / "graph_0001.txt").read_text() == plain.to_edge_list_text()
+        assert (tmp_path / "d" / "graph_0001.txt").read_text() == "3 3\n0 1\n0 2\n1 2\n"
 
     def test_non_ascii_graph_file(self, data, capsys):
         (data / "graph_0001.txt").write_bytes(b"2 1\n0 1 \xc3\xa9\n")
@@ -463,6 +470,14 @@ class TestTrainCommand:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    def test_huge_hidden_exit_1_under_memory_limit(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "run"
+        main(["gen", "four-cycle-pair:4", "--count", "8", "--seed", "5",
+              "--out", str(data)])
+        argv = ["train", str(data), "--epochs", "1", "--hidden", "200000", "--out", str(out)]
+        assert_error_under_memory_limit(argv, 1, "error: hidden width")
         assert not out.exists()
 
     def test_batch_size_default_is_the_library_default(self):

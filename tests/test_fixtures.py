@@ -25,7 +25,7 @@ from helpers import edge_descriptor_value
 
 def nuclear(g):
     sub = induced_subgraph(g, range(g.num_nodes))
-    return encode_matrix(path_matrix(sub).entries, Encoding.SVD_SUM)
+    return encode_matrix(path_matrix(sub), Encoding.SVD_SUM)
 
 
 def assert_realizable_union_subgraph(g, v=0, u=1):
@@ -117,7 +117,7 @@ class TestCaseStudy:
         for node in range(2, 8):
             sub = induced_subgraph(g, [v for v in range(8) if v != node])
             assert is_connected(sub.local)
-            shrunk = encode_matrix(path_matrix(sub).entries, Encoding.SVD_SUM)
+            shrunk = encode_matrix(path_matrix(sub), Encoding.SVD_SUM)
             assert shrunk < base - 1e-9
 
     def test_type_impacts_strictly_ordered(self):

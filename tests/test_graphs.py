@@ -177,14 +177,7 @@ class TestParsing:
 
     def test_edge_list_roundtrip(self):
         g = rook_graph_4x4()
-        assert parse_graph(g.to_edge_list_text()) == g
-
-    @pytest.mark.parametrize("features", [[[1], [2], [3]], [[1, 1], [1, 1], [1, 1]]])
-    def test_edge_list_refuses_features(self, features):
-        # an edge list would drop them; to_text keeps them as JSON
-        g = Graph(3, [(0, 1)], features=features)
-        with pytest.raises(GraphError, match="use to_text"):
-            g.to_edge_list_text()
+        assert g.to_text().startswith("16 48\n0 1\n")
         assert parse_graph(g.to_text()) == g
 
     @pytest.mark.parametrize("edges, message", [

@@ -1,18 +1,22 @@
-"""Every library module uses each name it imports, and every private
-module-level name is read somewhere in the package.
+"""Every library module uses each name it imports, every private
+module-level name and class member is read somewhere in the package, and
+every public top-level function and class is referenced by some file.
 
 No linter ships with the project, so these checks live in the test suite.
-``__init__.py`` is skipped by the import check: its imports are the
-package's public names.
+``__init__.py`` is skipped by the import and reference checks: its imports
+are the package's public names, which a re-export alone does not use.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unionsub"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parent.parent
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -28,30 +32,80 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
-def unread_private_names(sources):
-    """Module-level ``_name`` definitions that none of the sources reads.
+def bound_names(node):
+    """Names a module- or class-level statement defines."""
+    if isinstance(node, DEFS):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
 
-    A read is a loaded name, an attribute, or an imported name.
+
+def reads(node, docstrings=None):
+    """Loaded names and attributes and imported names under ``node``.
+
+    Given the ids of the docstring constants to skip, every identifier in
+    any other string counts too: the benchmark's tracer names the functions
+    it wraps in strings.
     """
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out |= {a.name for a in n.names}
+        elif (docstrings is not None and isinstance(n, ast.Constant)
+              and isinstance(n.value, str) and id(n) not in docstrings):
+            out |= set(re.findall(r"[A-Za-z_]\w*", n.value))
+    return out
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources):
+    """Module-level ``_name`` definitions that none of the sources reads."""
     defined, read = set(), set()
     for source in sources:
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined |= bound_names(node)
+        read |= reads(tree)
+    return sorted(n for n in defined - read if is_private(n))
+
+
+def unread_private_members(sources):
+    """``_name`` methods and class attributes that none of the sources reads."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defined |= {n for node in cls.body for n in bound_names(node)}
+        read |= reads(tree)
+    return sorted(n for n in defined - read if is_private(n))
+
+
+def unreferenced_public_names(package_sources, other_sources):
+    """Public top-level functions and classes of the package sources that no
+    source references outside their own definition; docstrings name, not use."""
+    defined, referenced = set(), set()
+    for i, source in enumerate([*package_sources, *other_sources]):
+        tree = ast.parse(source)
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, *DEFS)) and node.body
+                      and isinstance(node.body[0], ast.Expr)}
+        for node in tree.body:
+            words = reads(node, docstrings)
+            if i < len(package_sources) and isinstance(node, DEFS) and not is_private(node.name):
                 defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined |= {n.id for t in targets for n in ast.walk(t)
-                            if isinstance(n, ast.Name)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read |= {a.name for a in node.names}
-    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
-    return sorted(private - read)
+                words.discard(node.name)
+            referenced |= words
+    return sorted(defined - referenced)
 
 
 def test_checker_finds_unused_names():
@@ -75,6 +129,27 @@ def test_checker_finds_unread_private_names():
     assert unread_private_names([first, second]) == ["_LIMIT", "_b", "_unused"]
 
 
+def test_checker_finds_unread_private_members():
+    source = (
+        "class A:\n    __slots__ = ()\n    _LIMIT = 1\n    _stale = 2\n"
+        "    def __init__(self):\n        self._stale = self._LIMIT\n"
+        "    def _helper(self):\n        pass\n    def _unused(self):\n        pass\n"
+    )
+    assert unread_private_members([source, "A()._helper()\n"]) == ["_stale", "_unused"]
+
+
+def test_checker_finds_unreferenced_public_names():
+    package = (
+        '"""Module docstring naming shadow."""\n'
+        "def wrapped():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Imported:\n    pass\n"
+        "def shadow():\n    pass\n"
+    )
+    other = "from pkg import Imported\nSITES = [('pkg', 'wrapped.step')]\n"
+    assert unreferenced_public_names([package], [other]) == ["recursive", "shadow"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -83,3 +158,15 @@ def test_module_uses_its_imports(path):
 def test_every_private_name_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def test_every_private_member_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_members(sources) == []
+
+
+def test_every_public_name_is_referenced():
+    package = [p.read_text(encoding="utf-8") for p in MODULES]
+    others = [p.read_text(encoding="utf-8") for folder in ("demos", "perfbench", "tests")
+              for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unreferenced_public_names(package, others) == []

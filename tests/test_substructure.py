@@ -196,9 +196,15 @@ class TestNeighborhoodIsomorphism:
         assert not overlap_isomorphic(star_graph_4(), 0, path_graph(3), 1)
 
     def test_bound_enforced(self):
-        big = star_graph_4(leaves=10)
-        with pytest.raises(GraphError, match="bound"):
+        # each union subgraph at the centre is the whole 13-node star
+        big = star_graph_4(leaves=12)
+        with pytest.raises(GraphError, match="bound is 12 nodes"):
             union_isomorphic(big, 0, big, 0)
+
+    def test_hub_with_small_overlaps(self):
+        # 11 closed-neighbourhood nodes, but every overlap subgraph has 2
+        big = star_graph_4(leaves=10)
+        assert overlap_isomorphic(big, 0, big, 0)
 
     def test_overlap_without_union_fixture(self):
         # center of P3 vs an interior node of P4
