@@ -1,17 +1,14 @@
 """Per-edge structural descriptors, matrix encodings, and coefficient tables.
 
 The flagship descriptor turns an edge's union subgraph into its shortest-path
-matrix and encodes it as the singular-value sum (nuclear norm).  One routine
-gives shortest-path lengths, to ``path_matrix`` and to every table: a pair's
-length is the first power of the adjacency matrix A that reaches it.  Tables
-find every edge's local nodes at once with array ops, as sorted member keys
-edge * n + node, and stack the local adjacency matrices of one size; a union
-subgraph has diameter at most 3, so they stop after A^2.  One batched
-``eigvalsh`` encodes a stack, and the rival edge betweenness comes from the
-same stacks, node/edge count from the member and local edge counts.  The
-other rivals (Ollivier-Ricci curvature with exact optimal transport,
-Laplacian spectrum, cycle counting) share the same coefficient-table
-plumbing so they can be swapped per edge.
+matrix and encodes it as the singular-value sum (nuclear norm).  The rivals
+are node/edge count, edge betweenness, Laplacian spectrum, Ollivier-Ricci
+curvature with exact optimal transport, and cycle counting.  Every per-edge
+kind fills one table format: ``values``, the raw coefficient of each edge of
+``g.edges``, and ``weights``, the normalized coefficient of each directed
+pair (v, u) in ``g.csr`` order (v ascending, then u ascending), which the
+1-WL verdict and the layer engine read as they are.  Its dict views ``raw``
+and ``normalized`` are built only when read.
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ import enum
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +31,9 @@ BATCH_ENTRIES = 1 << 17
 # bound on the nodes of one edge's local subgraph in a matrix stack; a
 # betweenness edge at this size peaks near 251 MB (tracemalloc)
 MAX_LOCAL_NODES = 2500
+# bound on the rows x cols of a curvature transport problem, whose time grows faster
+# than its size: 128 x 128 between two hubs took up to 0.13 s on a 2-vCPU host
+MAX_TRANSPORT_CELLS = 1 << 14
 
 
 class DescriptorError(ValueError):
@@ -217,10 +218,8 @@ def local_descriptor_values(g, edges, kind, encoding):
     member-neighbour pairs.  count-ne builds no matrix; every other kind
     refuses an edge whose local subgraph has over MAX_LOCAL_NODES nodes.
     """
-    n, adj = g.num_nodes, g.adjacency
-    indptr = np.fromiter(itertools.accumulate(map(len, adj), initial=0), np.intp, n + 1)
+    indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
-    nbr = np.fromiter(itertools.chain.from_iterable(adj), np.intp, indptr[-1])
     walks = np.concatenate(([0], degree[nbr].cumsum()))
     bound = 2 * (degree + 1) ** 2 + degree + walks[indptr[1:]] - walks[indptr[:-1]]
     ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
@@ -350,6 +349,9 @@ def curvature_values(g, edges, alpha):
         (rows, mu), (cols, nu) = left(v, u), left(u, v)
         w1 = 0.0  # if one side keeps no mass, the other holds only rounding residue
         if rows and cols:
+            if len(rows) * len(cols) > MAX_TRANSPORT_CELLS:
+                raise DescriptorError(f"edge ({v}, {u}): {len(rows)} x {len(cols)} transport "
+                                      f"cells, above the bound of {MAX_TRANSPORT_CELLS}")
             col_near = [(y, near[y]) for y in cols]
             distances = [[1.0 if y in near_x else 3.0 if near_x.isdisjoint(near_y) else 2.0
                           for y, near_y in col_near] for near_x in map(near.__getitem__, rows)]
@@ -381,67 +383,75 @@ def cycle_count(g, k):
 # Coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CoefficientTable:
-    """Raw per-edge coefficients plus per-directed-pair normalized weights.
+    """One graph's coefficients as two read-only arrays.
 
-    ``raw`` is keyed by unordered edges (min, max); ``normalized`` by ordered
-    pairs (v, u) with sum_{u in N(v)} normalized[(v, u)] = 1 for every
-    non-isolated v.
+    ``values[i]`` is the raw coefficient of ``graph.edges[i]``; ``weights``
+    holds the normalized coefficient of each directed pair (v, u) in the
+    order of ``graph.csr``, and each non-isolated v's pairs sum to 1.  The
+    dict views ``raw`` (keys (min, max)) and ``normalized`` (keys (v, u)) are
+    built on first read and kept; editing one changes no array.
     """
 
-    raw: dict
-    normalized: dict
+    graph: Graph
+    values: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def raw(self):
+        return dict(zip(self.graph.edges, self.values.tolist()))
+
+    @cached_property
+    def normalized(self):
+        pairs = ((v, u) for v, row in enumerate(self.graph.adjacency) for u in row)
+        return dict(zip(pairs, self.weights.tolist()))
 
     def raw_value(self, v, u):
         return self.raw[(v, u) if v < u else (u, v)]
 
     def to_json_obj(self):
-        return {
-            "raw": [[v, u, val] for (v, u), val in sorted(self.raw.items())],
-            "normalized": [
-                [v, u, val] for (v, u), val in sorted(self.normalized.items())
-            ],
-        }
+        return {"raw": [[v, u, val] for (v, u), val in self.raw.items()],
+                "normalized": [[v, u, val] for (v, u), val in self.normalized.items()]}
 
     def to_csv_text(self):
+        norm = self.normalized
         lines = ["v,u,raw,norm_vu,norm_uv"]
-        for (v, u), val in sorted(self.raw.items()):
-            lines.append(
-                f"{v},{u},{val:.12g},"
-                f"{self.normalized[(v, u)]:.12g},{self.normalized[(u, v)]:.12g}"
-            )
+        for (v, u), val in self.raw.items():
+            lines.append(f"{v},{u},{val:.12g},{norm[(v, u)]:.12g},{norm[(u, v)]:.12g}")
         return "\n".join(lines) + "\n"
 
 
 def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     """Raw and normalized structural coefficients for every edge of g.
 
+    A pair's weight is its edge's value over the sum of the values around its
+    center, added left to right in adjacency order; a node whose sum is
+    within NORMALIZATION_ZERO_TOL of 0 warns and weighs its pairs uniformly.
     Deterministic regardless of node labeling.  cycle-count is graph-global
     and rejected here (it exists for the preprocessing benchmark only).
     """
     if kind.kind == "cycle-count":
         raise DescriptorError("cycle-count is graph-global, not a per-edge kind")
     if kind.kind == "curvature":
-        values = curvature_values(g, g.edges, kind.alpha)
+        values = np.array(curvature_values(g, g.edges, kind.alpha), dtype=float)
     else:
-        values = local_descriptor_values(g, g.edges, kind, encoding).tolist()
-    raw = dict(zip(g.edges, values))
-    normalized = {}
-    for v, neighbors in enumerate(g.adjacency):
-        if not neighbors:
-            continue
-        denom = sum(raw[(v, u) if v < u else (u, v)] for u in neighbors)
-        if abs(denom) < NORMALIZATION_ZERO_TOL:
-            warnings.warn(
-                f"coefficients around node {v} sum to ~0; "
-                "falling back to uniform weights",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for u in neighbors:
-                normalized[(v, u)] = 1.0 / len(neighbors)
-        else:
-            for u in neighbors:
-                normalized[(v, u)] = raw[(v, u) if v < u else (u, v)] / denom
-    return CoefficientTable(raw=raw, normalized=normalized)
+        values = local_descriptor_values(g, g.edges, kind, encoding)
+    indptr, nbr = g.csr
+    degree = indptr[1:] - indptr[:-1]
+    center = np.arange(g.num_nodes).repeat(degree)
+    # g.edges lists the pairs (v, u) with v < u, in pair order
+    key = np.minimum(center, nbr) * g.num_nodes + np.maximum(center, nbr)
+    raw = values[key[center < nbr].searchsorted(key)]
+    # np.add.reduceat may pair the terms otherwise, which moves the last bit
+    listed, bounds = raw.tolist(), indptr.tolist()
+    sums = np.array([sum(listed[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dtype=float)
+    fallback = (np.abs(sums) < NORMALIZATION_ZERO_TOL) & (degree > 0)
+    for v in fallback.nonzero()[0].tolist():
+        warnings.warn(f"coefficients around node {v} sum to ~0; falling back to uniform weights",
+                      RuntimeWarning, stacklevel=2)
+    # a fallback node's pairs get 1 / degree; no pair divides by a sum near 0
+    weights = np.where(fallback[center], 1.0, raw) / np.where(fallback, degree, sums)[center]
+    for a in (values, weights):
+        a.setflags(write=False)
+    return CoefficientTable(g, values, weights)

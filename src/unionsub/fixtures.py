@@ -43,8 +43,3 @@ CASE_STUDY_EDGE_BY_TYPE = {
     "e3": (5, 6),
     "e4": (6, 7),  # absent from the base graph; the +edge comparison
 }
-
-# Overlap-isomorphic but not union-isomorphic: the center of a 3-path
-# against an interior node of a 4-path.  All pairwise overlap subgraphs are
-# single edges, but one union subgraph is a P4 instead of a P3.
-OVERLAP_NOT_UNION = ("path3", 1, "path4", 1)

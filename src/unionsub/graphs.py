@@ -54,7 +54,7 @@ class Graph:
     checks edges: integer ids in range, no self-loops, no duplicates.
     """
 
-    __slots__ = ("num_nodes", "edges", "adjacency", "features")
+    __slots__ = ("num_nodes", "edges", "adjacency", "features", "_csr")
 
     def __init__(self, num_nodes, edges, features=None):
         if num_nodes < 0:
@@ -99,6 +99,19 @@ class Graph:
     @property
     def num_edges(self):
         return len(self.edges)
+
+    @property
+    def csr(self):
+        """Read-only (indptr, nbr) arrays: v's neighbours, ascending, are
+        nbr[indptr[v]:indptr[v + 1]].  Built on first use and kept."""
+        if not hasattr(self, "_csr"):
+            lengths = itertools.accumulate(map(len, self.adjacency), initial=0)
+            indptr = np.fromiter(lengths, np.intp, self.num_nodes + 1)
+            nbr = np.fromiter(itertools.chain.from_iterable(self.adjacency), np.intp, indptr[-1])
+            for a in (indptr, nbr):
+                a.setflags(write=False)
+            object.__setattr__(self, "_csr", (indptr, nbr))
+        return self._csr
 
     def neighbors(self, v):
         self._check_node(v)

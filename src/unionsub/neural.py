@@ -7,8 +7,8 @@ v's neighbors.  Injection into Transformer models is not reproduced.
 GCN and GIN/union are one layer type (``LayerParams``): GCN is the
 epsilon-free case with a degree norm on messages and a ReLU on the output.
 Every layer runs on one engine: a batch of graphs is one disjoint union
-(``_Batch``), built by a few array operations over the graphs' concatenated
-adjacency rows, and a single graph is a batch of one.  Training builds one
+(``_Batch``), built by concatenating the graphs' CSR arrays and their
+tables' weights, and a single graph is a batch of one.  Training builds one
 batch per split and gathers every minibatch from the split's arrays
 (``_Batch.take``).  Every per-pair and per-node intermediate of a pass is
 written into a reusable ``Workspace`` that the batches share, so a
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -192,9 +191,9 @@ class _Batch:
     a run starting at ``pair_starts``, in adjacency order.  ``norm`` is each
     pair's degree norm 1/sqrt(d_v d_u), an isolated node counting as degree
     1.  Given coefficient ``tables`` (one per graph), ``coeff_rows`` holds
-    each pair's rows [normalized coefficient, 1], which fold the first Trans
-    bias into its matmul; without tables it is None.  ``take`` gathers a
-    sub-batch from these arrays.
+    each pair's rows [weight, 1]: the tables' ``weights`` in this pair order
+    and a ones column that folds the first Trans bias into its matmul;
+    without tables it is None.  ``take`` gathers a sub-batch from these arrays.
 
     ``work`` is the ``Workspace`` that passes over the batch write their
     intermediates into.  The constructor makes a new one and ``take`` hands
@@ -218,10 +217,10 @@ class _Batch:
         self.num_nodes = int(node_ends[-1])
         self.pair_sizes = np.array([2 * g.num_edges for g in graphs])
         self.pair_starts = np.cumsum(self.pair_sizes) - self.pair_sizes
-        rows = [row for g in graphs for row in g.adjacency]
-        degs = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+        csr = [g.csr for g in graphs]
+        degs = np.concatenate([indptr[1:] - indptr[:-1] for indptr, _ in csr])
         self.center = np.repeat(np.arange(self.num_nodes), degs)
-        self.nbr = np.fromiter(chain.from_iterable(rows), dtype=int, count=len(self.center))
+        self.nbr = np.concatenate([nbr for _, nbr in csr])
         self.nbr += np.repeat(self.pool_starts, self.pair_sizes)
         unit = np.maximum(degs, 1).astype(float)
         self.norm = 1.0 / np.sqrt(unit[self.center] * unit[self.nbr])
@@ -229,11 +228,7 @@ class _Batch:
         self.coeff_rows = None
         if tables is not None:
             self.coeff_rows = np.ones((len(self.center), 2))
-            self.coeff_rows[:, 0] = [
-                table.normalized[(v, u)]
-                for g, table in zip(graphs, tables)
-                for v, row in enumerate(g.adjacency) for u in row
-            ]
+            self.coeff_rows[:, 0] = np.concatenate([table.weights for table in tables])
         self.work = Workspace()
 
     def take(self, idx):

@@ -60,54 +60,41 @@ def _number(keys):
 def _refine(graphs, tables=None, max_rounds=None):
     """Color refinement over several graphs in one hash space.
 
-    ``tables`` holds one CoefficientTable per graph; the message from u to v
-    is then tagged by the quantized normalized coefficient of (v, u), and
-    None leaves every message untagged.  ``max_rounds`` defaults to the total
-    node count, which is enough to stabilize.  New color ids are assigned by
-    sorted signature, which keeps colors canonical under node relabeling.
-    Returns one ColorAssignment per graph.
+    ``tables`` holds one CoefficientTable per graph, built for a graph with
+    its edges; the message from u to v is then tagged by the quantized
+    weight of (v, u), and None leaves every message untagged.  ``max_rounds``
+    defaults to the total node count, which is enough to stabilize.  New
+    color ids are assigned by sorted signature, which keeps colors canonical
+    under node relabeling.  Returns one ColorAssignment per graph.
     """
     if max_rounds is None:
         max_rounds = max(1, sum(g.num_nodes for g in graphs))
     if max_rounds < 1:
         raise GraphError("max_rounds must be at least 1")
-    edge_tags = [None] * len(graphs)
+    pair_tags = [None] * len(graphs)
     if tables is not None:
-        edge_tags = [_quantized_tags(g, coeffs) for g, coeffs in zip(graphs, tables)]
+        if any(table.graph.edges != g.edges for g, table in zip(graphs, tables)):
+            raise GraphError("a coefficient table was built for a graph with other edges")
+        pair_tags = [[round(x * COEFF_QUANT_SCALE) for x in t.weights.tolist()] for t in tables]
+    pairs = [[a.tolist() for a in g.csr] for g in graphs]
     # equal feature rows get equal initial colors
     colors, num_colors = _number([[tuple(row) for row in g.features.tolist()] for g in graphs])
     rounds = 0
     stable = num_colors == sum(g.num_nodes for g in graphs)
     while rounds < max_rounds and not stable:
         signatures = []
-        for gi, g in enumerate(graphs):
-            tags = edge_tags[gi]
-            sig = []
-            for v in range(g.num_nodes):
-                messages = []
-                for u in g.adjacency[v]:
-                    if tags is None:
-                        messages.append(colors[gi][u])
-                    else:
-                        messages.append((colors[gi][u], tags[(v, u)]))
-                sig.append((colors[gi][v], tuple(sorted(messages))))
-            signatures.append(sig)
+        for (bounds, nbr), tags, cs in zip(pairs, pair_tags, colors):
+            messages = [cs[u] for u in nbr]  # one per pair (v, u), in the weights' order
+            if tags is not None:
+                messages = list(zip(messages, tags))
+            signatures.append([(c, tuple(sorted(messages[lo:hi])))
+                               for c, lo, hi in zip(cs, bounds, bounds[1:])])
         colors, count = _number(signatures)
         rounds += 1
         # refinement only splits classes: equal counts means a stable partition
         stable = count == num_colors
         num_colors = count
     return [ColorAssignment(tuple(cs), rounds, stable) for cs in colors]
-
-
-def _quantized_tags(g, coeffs):
-    tags = {}
-    for v, neighbors in enumerate(g.adjacency):
-        for u in neighbors:
-            if (v, u) not in coeffs.normalized:
-                raise GraphError(f"missing coefficient for directed pair ({v}, {u})")
-            tags[(v, u)] = round(coeffs.normalized[(v, u)] * COEFF_QUANT_SCALE)
-    return tags
 
 
 def wl_refine(g, max_rounds=None):
@@ -118,8 +105,9 @@ def wl_refine(g, max_rounds=None):
 def augmented_refine(g, coeffs, max_rounds=None):
     """1-WL refinement with neighbor messages tagged by quantized coefficients.
 
-    The message from u to v carries round(normalized(v, u) * 1e9), so hashing
-    stays exact across math libraries.
+    The message from u to v carries round(w * 1e9), w the table's weight of
+    (v, u), so hashing stays exact across math libraries.  A table built for
+    a graph with other edges raises GraphError.
     """
     return _refine([g], [coeffs], max_rounds)[0]
 
@@ -138,13 +126,11 @@ def distinguish_pair(g1, g2, kind, encoding):
     ``raw_values_differ`` compares the graphs' multisets of quantized raw
     coefficients, a signal normalization removes.
     """
-    c1 = coefficient_table(g1, kind, encoding)
-    c2 = coefficient_table(g2, kind, encoding)
+    tables = [coefficient_table(g, kind, encoding) for g in (g1, g2)]
     plain = _refine([g1, g2])
-    tagged = _refine([g1, g2], [c1, c2])
+    tagged = _refine([g1, g2], tables)
     h1, h2 = (assignment.histogram() for assignment in tagged)
-    raw1, raw2 = (sorted(round(x * COEFF_QUANT_SCALE) for x in c.raw.values())
-                  for c in (c1, c2))
+    raw1, raw2 = (sorted(round(x * COEFF_QUANT_SCALE) for x in t.values.tolist()) for t in tables)
     return DistinguishVerdict(
         wl_distinguishes=plain[0].histogram() != plain[1].histogram(),
         augmented_distinguishes=h1 != h2,

@@ -1,10 +1,14 @@
-"""Single-edge lookups, subgraph positions and the reference local-value loop
-that only the tests need."""
+"""Single-edge lookups, subgraph positions, and the reference local-value and
+normalization loops that only the tests need."""
+
+import warnings
 
 import numpy as np
 
 from unionsub import descriptors
-from unionsub.descriptors import Encoding, local_descriptor_values, ricci_curvature
+from unionsub.descriptors import (
+    Encoding, curvature_values, local_descriptor_values, ricci_curvature,
+)
 from unionsub.graphs import GraphError
 
 
@@ -66,3 +70,30 @@ def reference_local_values(g, edges, kind, encoding):
             groups.clear()
             pending = 0
     return values
+
+
+def reference_table(g, kind, encoding):
+    """coefficient_table's ``raw`` and ``normalized`` as dicts of tuple keys,
+    normalized by a loop over each node's neighbours that warns per node
+    whose sum is near 0 and weighs that node's pairs uniformly."""
+    if kind.kind == "curvature":
+        values = curvature_values(g, g.edges, kind.alpha)
+    else:
+        values = local_descriptor_values(g, g.edges, kind, encoding).tolist()
+    raw = dict(zip(g.edges, values))
+    normalized = {}
+    for v, neighbors in enumerate(g.adjacency):
+        if not neighbors:
+            continue
+        denom = sum(raw[(v, u) if v < u else (u, v)] for u in neighbors)
+        if abs(denom) < descriptors.NORMALIZATION_ZERO_TOL:
+            warnings.warn(
+                f"coefficients around node {v} sum to ~0; falling back to uniform weights",
+                RuntimeWarning,
+            )
+            for u in neighbors:
+                normalized[(v, u)] = 1.0 / len(neighbors)
+        else:
+            for u in neighbors:
+                normalized[(v, u)] = raw[(v, u) if v < u else (u, v)] / denom
+    return raw, normalized

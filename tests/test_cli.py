@@ -130,6 +130,15 @@ class TestCoeffsCommand:
         assert_error_under_memory_limit(["coeffs", str(star), "--kind", "union-path"],
                                         2, "descriptor error: edge (0, 1)")
 
+    def test_hub_hub_curvature_exit_2(self, tmp_path):
+        # edge (0, 1) joins two hubs with 200 private leaves each: its
+        # transport problem has 201 x 201 cells, above MAX_TRANSPORT_CELLS
+        edges = [(0, 1)] + [(0, x) for x in range(2, 202)] + [(1, x) for x in range(202, 402)]
+        hubs = tmp_path / "hubs.txt"
+        hubs.write_text(Graph(402, edges).to_text(), encoding="ascii")
+        assert_error_under_memory_limit(["coeffs", str(hubs), "--kind", "curvature"],
+                                        2, "descriptor error: edge (0, 1): 201 x 201")
+
     def test_betweenness_c6(self, c6_file, capsys):
         assert main(["coeffs", c6_file, "--kind", "betweenness"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")[1:]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unionsub import descriptors
+from unionsub import descriptors, neural
 from unionsub.descriptors import (
     BETWEENNESS,
     COUNT_NE,
@@ -52,7 +52,7 @@ from unionsub.substructure import overlap_subgraph, union_minus_subgraph, union_
 from unionsub.transport import solve_transport, wasserstein_discrete
 from unionsub.wl import distinguish_pair
 
-from helpers import edge_descriptor_value, local_index, reference_local_values
+from helpers import edge_descriptor_value, local_index, reference_local_values, reference_table
 
 
 def full_subgraph(g):
@@ -595,6 +595,20 @@ class TestRicciCurvature:
             assert value == [ricci_curvature(g, v, u)]
             assert rows.read <= closed_neighborhood(g, v) | closed_neighborhood(g, u)
 
+    def test_transport_size_bound(self):
+        # edge (0, 1) joins two hubs with `leaves` private leaves each, so each
+        # side keeps its hub and leaves: (leaves + 1)^2 cells
+        def hubs(leaves):
+            edges = [(0, 1)] + [(0, x) for x in range(2, leaves + 2)]
+            return Graph(2 * leaves + 2, edges + [(1, x + leaves) for x in range(2, leaves + 2)])
+
+        assert descriptors.MAX_TRANSPORT_CELLS == 128 * 128
+        # hub to hub carries 1/2 - 1/256 at cost 1, leaves to leaves 127/256 at cost 3
+        assert ricci_curvature(hubs(127), 0, 1) == pytest.approx(1.0 - (0.5 - 1 / 256 + 381 / 256))
+        with pytest.raises(DescriptorError, match=r"^edge \(0, 1\): 129 x 129 transport "
+                                                  r"cells, above the bound of 16384$"):
+            ricci_curvature(hubs(128), 0, 1)
+
     def test_alpha_validated(self):
         with pytest.raises(DescriptorError):
             ricci_curvature(complete_graph(3), 0, 1, 1.0)
@@ -1064,6 +1078,66 @@ class TestCoefficientTable:
         assert len(lines) == 4
         obj = table.to_json_obj()
         assert len(obj["raw"]) == 3 and len(obj["normalized"]) == 6
+
+
+TABLE_CASES = tuple(
+    (Descriptor(name), encoding)
+    for name in Descriptor.KINDS if name != "cycle-count"
+    for encoding in (Encoding if name.endswith(("path", "laplacian")) else [Encoding.SVD_SUM])
+)
+
+
+@st.composite
+def table_graphs(draw):
+    """A graph on 1-12 nodes with a random edge set, so isolated nodes are common."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return Graph(n, [])
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+def hex_floats(values):
+    return [float(x).hex() for x in values]
+
+
+class TestTableArrays:
+    """values, weights and the dict views against the dict normalization in helpers."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(g=table_graphs())
+    def test_bytes_equal_the_reference_normalization(self, g):
+        # every case includes laplacian under matrix-sum, whose values are all
+        # 0, so every non-isolated node falls back
+        pairs = [(v, u) for v, row in enumerate(g.adjacency) for u in row]
+        tables, expected = [], []
+        for kind, encoding in TABLE_CASES:
+            with warnings.catch_warnings(record=True) as mine:
+                warnings.simplefilter("always")
+                table = coefficient_table(g, kind, encoding)
+            with warnings.catch_warnings(record=True) as theirs:
+                warnings.simplefilter("always")
+                raw, normalized = reference_table(g, kind, encoding)
+            case = (kind.kind, encoding)
+            assert [(w.category, str(w.message)) for w in mine] == [
+                (w.category, str(w.message)) for w in theirs], case
+            assert list(table.raw) == list(raw) == list(g.edges), case
+            assert list(table.normalized) == list(normalized) == pairs, case
+            assert hex_floats(table.values) == hex_floats(raw.values()), case
+            assert hex_floats(table.raw.values()) == hex_floats(raw.values()), case
+            assert hex_floats(table.weights) == hex_floats(normalized.values()), case
+            assert hex_floats(table.normalized.values()) == hex_floats(normalized.values()), case
+            assert all(type(x) is float for x in [*table.raw.values(), *table.normalized.values()])
+            tables.append(table)
+            expected += normalized.values()
+        batch = neural._Batch([g] * len(tables), tables)
+        assert hex_floats(batch.coeff_rows[:, 0]) == hex_floats(expected)
+
+    def test_arrays_are_read_only(self):
+        table = coefficient_table(cycle_graph(5), UNION_PATH_SVD)
+        for array in (table.values, table.weights, *cycle_graph(5).csr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestDescriptorParsing:

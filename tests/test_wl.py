@@ -5,6 +5,7 @@ import pytest
 from unionsub.descriptors import Encoding, UNION_PATH_SVD, coefficient_table
 from unionsub.graphs import (
     Graph,
+    GraphError,
     complete_graph,
     cycle_graph,
     is_isomorphic_small,
@@ -96,12 +97,11 @@ class TestAugmentedRefinement:
         augmented = augmented_refine(g, coeffs)
         assert plain.histogram() == augmented.histogram()
 
-    def test_missing_coefficient_raises(self):
-        g = path_graph(3)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
-        del coeffs.normalized[(0, 1)]
-        with pytest.raises(Exception, match="missing coefficient"):
-            augmented_refine(g, coeffs)
+    def test_table_of_another_graph_raises(self):
+        # K4's weights are 1/3 each, so path node 1's two pairs would sum to 2/3
+        coeffs = coefficient_table(complete_graph(4), UNION_PATH_SVD)
+        with pytest.raises(GraphError, match="other edges"):
+            augmented_refine(path_graph(4), coeffs)
 
     def test_refines_star_center_vs_leaves_consistently(self):
         g = star_graph(3)
