@@ -9,6 +9,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,6 +170,7 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
 class Subgraph:
     """A local graph plus the mapping from local indices to parent node ids.
 
@@ -178,19 +180,16 @@ class Subgraph:
     enforced here.
     """
 
-    __slots__ = ("local", "parent_ids")
+    local: Graph
+    parent_ids: tuple
 
-    def __init__(self, local, parent_ids):
-        parent_ids = tuple(parent_ids)
-        if len(parent_ids) != local.num_nodes:
+    def __post_init__(self):
+        parent_ids = tuple(self.parent_ids)
+        if len(parent_ids) != self.local.num_nodes:
             raise GraphError("parent_ids length must equal local.num_nodes")
         if len(set(parent_ids)) != len(parent_ids):
             raise GraphError("parent_ids must not contain duplicates")
-        object.__setattr__(self, "local", local)
         object.__setattr__(self, "parent_ids", parent_ids)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgraph is immutable")
 
     @property
     def num_nodes(self):
@@ -205,14 +204,6 @@ class Subgraph:
             _normalize_edge(self.parent_ids[i], self.parent_ids[j])
             for i, j in self.local.edges
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Subgraph):
-            return NotImplemented
-        return self.parent_ids == other.parent_ids and self.local == other.local
-
-    def __repr__(self):
-        return f"Subgraph(parent_ids={self.parent_ids}, num_edges={self.num_edges})"
 
 
 # ---------------------------------------------------------------------------
@@ -480,32 +471,23 @@ def two_triangles_graph():
     return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
+def _z4_cayley_graph(steps):
+    """Cayley graph of Z4×Z4: cell (i, j) is node 4i + j, joined to cell
+    (i + di, j + dj) mod 4 for every step (di, dj)."""
+    return Graph(16, {
+        _normalize_edge(4 * i + j, 4 * ((i + di) % 4) + (j + dj) % 4)
+        for i in range(4) for j in range(4) for di, dj in steps
+    })
+
+
 def rook_graph_4x4():
     """4×4 rook's graph: cells adjacent iff same row or same column."""
-    def nid(i, j):
-        return 4 * i + j
-
-    edges = []
-    for i in range(4):
-        for j1 in range(4):
-            for j2 in range(j1 + 1, 4):
-                edges.append((nid(i, j1), nid(i, j2)))  # same row
-                edges.append((nid(j1, i), nid(j2, i)))  # same column
-    return Graph(16, edges)
+    return _z4_cayley_graph([(0, 1), (0, 2), (1, 0), (2, 0)])
 
 
 def shrikhande_graph():
     """Cayley graph of Z4×Z4 with connection set {±(1,0), ±(0,1), ±(1,1)}."""
-    def nid(i, j):
-        return 4 * i + j
-
-    edges = set()
-    for i in range(4):
-        for j in range(4):
-            for di, dj in ((1, 0), (0, 1), (1, 1)):
-                e = _normalize_edge(nid(i, j), nid((i + di) % 4, (j + dj) % 4))
-                edges.add(e)
-    return Graph(16, sorted(edges))
+    return _z4_cayley_graph([(1, 0), (0, 1), (1, 1)])
 
 
 def random_graph(n, p, rng):

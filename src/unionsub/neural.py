@@ -37,6 +37,10 @@ NUM_CLASSES = 2  # the classifier head's width
 ACCURACY_CHUNK = 256  # graphs per forward pass when scoring accuracy
 ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
 MAX_HIDDEN = 2048  # a one-epoch run on 14-node graphs peaks near 240 MB (tracemalloc)
+# bound on the (pair + node) rows x width of one forward batch: its buffers
+# take about 65 bytes a cell (a union-gcn run at 6.1M cells peaked at 396 MB,
+# tracemalloc), so near 270 MB
+MAX_BATCH_CELLS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +73,6 @@ class Workspace:
                 buf = np.empty(size, dtype)
             view = self._views[key] = buf[:size].reshape(shape)
         return view
-
-
-def _product(a, b, out):
-    """a @ b written to ``out``; with inner dimension 1, one broadcast
-    multiply, about twice as fast as numpy's matmul (which runs it outside
-    BLAS) and the same single product per cell (the matmul adds it to +0.0,
-    so only the sign of a zero cell can differ)."""
-    if a.shape[1] == 1:
-        return np.multiply(a, b, out=out)
-    return np.matmul(a, b, out=out)
 
 
 def _relu_grad(d, z, work, key):
@@ -119,7 +113,7 @@ def mlp_forward(mlp, x, work):
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = _product(h, w, work.array(("z", id(w)), (len(h), w.shape[1])))
+        z = np.matmul(h, w, out=work.array(("z", id(w)), (len(h), w.shape[1])))
         z += b
         caches.append((h, z))
         h = np.maximum(z, 0.0, out=work.array(("relu", id(w)), z.shape)) if i < last else z
@@ -142,7 +136,7 @@ def mlp_backward(mlp, caches, dout, work):
         dz = _relu_grad(d, z, work, ("dz", id(w))) if i < n - 1 else d
         grads.weights[i] = h.T @ dz
         grads.biases[i] = _column_sums(dz)
-        d = _product(dz, w.T, work.array(("d", id(w)), (len(dz), w.shape[0])))
+        d = np.matmul(dz, w.T, out=work.array(("d", id(w)), (len(dz), w.shape[0])))
     return d, grads
 
 
@@ -262,10 +256,8 @@ def _scatter_rows(values, index, num_rows, work):
     index * channels + channel, which sums each cell in pair order.  The
     keys are written into ``work``; the result is a new array."""
     channels = values.shape[1]
-    keys = index
-    if channels > 1:
-        keys = np.add((index * channels)[:, None], np.arange(channels),
-                      out=work.array("scatter_keys", values.shape, np.intp))
+    keys = np.add((index * channels)[:, None], np.arange(channels),
+                  out=work.array("scatter_keys", values.shape, np.intp))
     out = np.bincount(keys.ravel(), weights=values.ravel(), minlength=num_rows * channels)
     # with no pairs bincount returns int64 zeros
     return out.astype(float, copy=False).reshape(num_rows, channels)
@@ -557,14 +549,28 @@ class TrainReport:
     loss_curve: list  # (epoch, train_loss, val_acc)
 
 
+def _largest_batch_rows(splits, batch_size):
+    """Pair plus node rows of the largest forward batch a run can make: the
+    batch_size largest training graphs, or one accuracy chunk of a split."""
+    rows = {name: [2 * g.num_edges + g.num_nodes for g, _ in split]
+            for name, split in splits.items()}
+    largest = sum(sorted(rows["train"])[-batch_size:])
+    for sizes in rows.values():
+        for start in range(0, len(sizes), ACCURACY_CHUNK):
+            largest = max(largest, sum(sizes[start:start + ACCURACY_CHUNK]))
+    return largest
+
+
 def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BATCH_SIZE):
     """Train the 2-layer classifier with Adam (step ADAM_LR); deterministic
     given the seed.
 
     Labels must lie in 0..NUM_CLASSES-1, epochs must be at least 0 and
     batch_size at least 1, and every graph needs at least one node and as
-    many feature channels as the first training graph.  Returns a
-    TrainReport; with epochs=0 the untrained model is evaluated directly.
+    many feature channels as the first training graph.  A run whose largest
+    forward batch exceeds MAX_BATCH_CELLS is refused before any work.
+    Returns a TrainReport; with epochs=0 the untrained model is evaluated
+    directly.
     """
     if not train:
         raise GraphError("empty training dataset")
@@ -581,9 +587,16 @@ def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BA
             raise GraphError(
                 f"a graph has {width} feature channels, the first training graph {in_dim}"
             )
+    splits = {"train": train, "val": val, "test": test}
+    rows = _largest_batch_rows(splits, batch_size)
+    width = max(spec.hidden, in_dim, TRANS_HIDDEN)
+    if rows * width > MAX_BATCH_CELLS:
+        raise GraphError(
+            f"the largest forward batch has {rows} pair and node rows of width {width}, "
+            f"above the bound of {MAX_BATCH_CELLS} cells"
+        )
     rng = np.random.default_rng(seed)
     model = init_classifier(spec, in_dim, rng)
-    splits = {"train": train, "val": val, "test": test}
     labels = {
         name: np.array([label for _, label in split], dtype=int)
         for name, split in splits.items()

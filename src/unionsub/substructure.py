@@ -21,30 +21,35 @@ from .graphs import (
 )
 
 
-def _require_edge(g, v, u):
+def _sides(g, v, u):
+    """N[v] and N[u] of the edge (v, u)."""
     if not g.has_edge(v, u):
         raise GraphError(f"({v}, {u}) is not an edge")
+    return closed_neighborhood(g, v), closed_neighborhood(g, u)
 
 
 def union_subgraph(g, v, u):
     """Induced subgraph on the union of the closed neighborhoods of v and u."""
-    _require_edge(g, v, u)
-    return induced_subgraph(g, closed_neighborhood(g, v) | closed_neighborhood(g, u))
+    nv, nu = _sides(g, v, u)
+    return induced_subgraph(g, nv | nu)
 
 
 def overlap_subgraph(g, v, u):
     """Induced subgraph on N[v] & N[u]: the graph intersection of the
     closed-neighborhood subgraphs of v and u."""
-    _require_edge(g, v, u)
-    return induced_subgraph(g, closed_neighborhood(g, v) & closed_neighborhood(g, u))
+    nv, nu = _sides(g, v, u)
+    return induced_subgraph(g, nv & nu)
 
 
 def union_minus_subgraph(g, v, u):
     """The union subgraph without its cross-exclusive (E3) edges: the graph
-    union of the closed-neighborhood subgraphs of v and u."""
-    s = union_subgraph(g, v, u)
-    cross, ids = classify_edge_types(g, v, u).e3, s.parent_ids
-    kept = [(i, j) for i, j in s.local.edges if (ids[i], ids[j]) not in cross]
+    union of the closed-neighborhood subgraphs of v and u, which keeps an
+    edge only if both its ends lie in N[v] or both in N[u]."""
+    nv, nu = _sides(g, v, u)
+    s = induced_subgraph(g, nv | nu)
+    ids = s.parent_ids
+    kept = [(i, j) for i, j in s.local.edges
+            if {ids[i], ids[j]} <= nv or {ids[i], ids[j]} <= nu]
     return Subgraph(Graph(s.num_nodes, kept, s.local.features), ids)
 
 
@@ -69,12 +74,10 @@ class EdgeTypePartition:
 
 def classify_edge_types(g, v, u):
     """Partition the union subgraph's edges into E1..E4 plus spokes."""
-    _require_edge(g, v, u)
-    nv = closed_neighborhood(g, v)
-    nu = closed_neighborhood(g, u)
+    nv, nu = _sides(g, v, u)
     common = nv & nu
     e1, e2, e3, e4, spokes = set(), set(), set(), set(), set()
-    for a, b in union_subgraph(g, v, u).parent_edges():
+    for a, b in induced_subgraph(g, nv | nu).parent_edges():
         if v in (a, b) or u in (a, b):
             spokes.add((a, b))
         elif a in common and b in common:

@@ -11,7 +11,9 @@ import pytest
 from unionsub import cli
 from unionsub.cli import main, run_bench
 from unionsub.datasets import read_corpus, read_dataset, write_dataset
-from unionsub.graphs import Graph, GraphParseError, complete_graph, parse_graph, star_graph
+from unionsub.graphs import (
+    Graph, GraphParseError, complete_graph, parse_graph, path_graph, star_graph,
+)
 
 
 def assert_error_under_memory_limit(argv, code=1, prefix="parse error:"):
@@ -487,6 +489,16 @@ class TestTrainCommand:
               "--out", str(data)])
         argv = ["train", str(data), "--epochs", "1", "--hidden", "200000", "--out", str(out)]
         assert_error_under_memory_limit(argv, 1, "error: hidden width")
+        assert not out.exists()
+
+    def test_huge_forward_batch_exit_1_under_memory_limit(self, tmp_path):
+        # the 2-graph test split is one accuracy chunk of 119,996 pair and
+        # node rows; at width 2,048 a buffer of its rows takes 1.97 GB
+        data, out = tmp_path / "data", tmp_path / "run"
+        write_dataset(data, [path_graph(20_000)] * 3, [0, 1, 0])
+        argv = ["train", str(data), "--model", "gcn", "--hidden", "2048", "--epochs", "1",
+                "--out", str(out)]
+        assert_error_under_memory_limit(argv, 1, "error: the largest forward batch has")
         assert not out.exists()
 
     def test_batch_size_default_is_the_library_default(self):

@@ -372,6 +372,21 @@ class TestInducedSubgraph:
         with pytest.raises(GraphError):
             Subgraph(path_graph(2), [0, 0])
 
+    def test_subgraph_rejects_wrong_length(self):
+        for ids in ([4], [4, 5, 6]):
+            with pytest.raises(GraphError, match="length must equal"):
+                Subgraph(path_graph(2), ids)
+
+    def test_subgraph_equality_and_immutability(self):
+        s = Subgraph(path_graph(2), [5, 3])
+        assert s.parent_ids == (5, 3)
+        assert s == Subgraph(path_graph(2), (5, 3))
+        assert s != Subgraph(path_graph(2), [3, 5])
+        assert s != Subgraph(Graph(2, []), [5, 3])
+        for name in ("local", "parent_ids"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+
 
 class TestIsomorphism:
     def test_k3_vs_c3(self):
@@ -478,6 +493,22 @@ class TestNamedGenerators:
 
         assert union_cycle_stats(rook) == {(12, 15)}
         assert union_cycle_stats(shr) == {(10, 12)}
+
+    def test_rook_is_networkx_k4_box_k4(self):
+        k4 = nx.complete_graph(4)
+        box = nx.relabel_nodes(nx.cartesian_product(k4, k4), lambda ij: 4 * ij[0] + ij[1])
+        assert rook_graph_4x4() == Graph(16, list(box.edges()))
+
+    def test_shrikhande_against_networkx(self):
+        rook, shr = (nx.Graph(g.edges) for g in (rook_graph_4x4(), shrikhande_graph()))
+        assert nx.is_strongly_regular(shr) and shr.number_of_nodes() == 16
+        assert {d for _, d in shr.degree()} == {6}
+        common = {
+            shr.has_edge(a, b): len(list(nx.common_neighbors(shr, a, b)))
+            for a, b in itertools.combinations(shr, 2)
+        }
+        assert common == {True: 2, False: 2}  # lambda = mu = 2
+        assert not nx.is_isomorphic(rook, shr)
 
     def test_pair_kinds_equal_counts(self):
         for pair in ((two_triangles_graph(), cycle_graph(6)),

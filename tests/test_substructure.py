@@ -178,6 +178,85 @@ class TestEdgeTypePartition:
                         assert not (pieces[i] & pieces[j])
 
 
+def reference_graphs():
+    """Seeded G(n, p) graphs, each with isolated nodes and a hub joined to
+    about 80% of the G(n, p) nodes, as networkx graphs."""
+    rng = random.Random(7)
+    graphs = []
+    for _ in range(12):
+        n = rng.randint(6, 14)
+        h = nx.gnp_random_graph(n, rng.uniform(0.1, 0.4), seed=rng.randrange(1 << 30))
+        h.add_nodes_from(range(n, n + rng.randint(1, 3)))  # isolated
+        hub = h.number_of_nodes()
+        h.add_edges_from((hub, x) for x in range(n) if rng.random() < 0.8)
+        graphs.append(h)
+    return graphs
+
+
+REFERENCE_GRAPHS = reference_graphs()
+# side pair (c: in both closed neighbourhoods, v / u: in one) -> edge class
+EDGE_CLASSES = {"cc": "e1", "cv": "e2", "cu": "e2", "uv": "e3", "uu": "e4", "vv": "e4"}
+
+
+class TestAgainstNetworkx:
+    """The local subgraphs and the E1-E4 partition against node sets taken
+    from networkx neighbourhoods and the edges networkx induces on them."""
+
+    @staticmethod
+    def edge_set(h):
+        return {tuple(sorted(e)) for e in h.edges()}
+
+    @pytest.fixture(params=range(len(REFERENCE_GRAPHS)))
+    def case(self, request):
+        h = REFERENCE_GRAPHS[request.param]
+        return h, Graph(h.number_of_nodes(), list(h.edges()))
+
+    def test_reference_graphs_have_isolated_nodes_and_a_hub(self):
+        for h in REFERENCE_GRAPHS:
+            degrees = [d for _, d in h.degree()]
+            assert min(degrees) == 0 and degrees[-1] == max(degrees)
+
+    def test_local_subgraphs(self, case):
+        h, g = case
+        for v, u in self.edge_set(h):
+            nv, nu = {v, *h[v]}, {u, *h[u]}
+            expected = {
+                union_subgraph: (nv | nu, self.edge_set(h.subgraph(nv | nu))),
+                overlap_subgraph: (nv & nu, self.edge_set(h.subgraph(nv & nu))),
+                union_minus_subgraph: (
+                    nv | nu, self.edge_set(nx.compose(h.subgraph(nv), h.subgraph(nu)))),
+            }
+            for build, (nodes, edges) in expected.items():
+                s = build(g, v, u)
+                assert s.parent_ids == tuple(sorted(nodes))
+                assert set(s.parent_edges()) == edges and s.num_edges == len(edges)
+
+    def test_edge_types(self, case):
+        h, g = case
+        for v, u in self.edge_set(h):
+            nv, nu = {v, *h[v]}, {u, *h[u]}
+
+            def side(x):
+                return "c" if x in nv and x in nu else "v" if x in nv else "u"
+
+            expected = {name: set() for name in ("e1", "e2", "e3", "e4", "spokes")}
+            for a, b in self.edge_set(h.subgraph(nv | nu)):
+                if {a, b} & {v, u}:
+                    expected["spokes"].add((a, b))
+                else:
+                    expected[EDGE_CLASSES["".join(sorted(side(a) + side(b)))]].add((a, b))
+            part = classify_edge_types(g, v, u)
+            assert {name: getattr(part, name) for name in expected} == expected
+
+    def test_non_edge_raises(self, case):
+        h, g = case
+        v, u = next(e for e in itertools.combinations(h.nodes, 2) if not h.has_edge(*e))
+        for build in (union_subgraph, overlap_subgraph, union_minus_subgraph,
+                      classify_edge_types):
+            with pytest.raises(GraphError, match="is not an edge"):
+                build(g, v, u)
+
+
 class TestNeighborhoodIsomorphism:
     def test_k3_nodes_union_isomorphic(self):
         assert union_isomorphic(complete_graph(3), 0, complete_graph(3), 1)
