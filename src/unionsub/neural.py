@@ -9,14 +9,15 @@ epsilon-free case with a degree norm on messages and a ReLU on the output.
 Every layer runs on one engine: a batch of graphs is one disjoint union
 (``_Batch``), built by concatenating the graphs' CSR arrays and their
 tables' weights, and a single graph is a batch of one.  Training builds one
-batch per split and gathers every minibatch from the split's arrays
-(``_Batch.take``).  Every per-pair and per-node intermediate of a pass is
-written into a reusable ``Workspace`` that the batches share, so a
-training step allocates no large temporaries: freeing them at the end of
-each step would hand the heap top back to the OS, and the next step would
-fault it in again.  Logits, pooled embeddings and gradients stay freshly
-allocated.  A classifier's parameter arrays are views of one flat vector,
-so Adam updates them all in a handful of vector operations.
+batch per run, train then val then test, and gathers every minibatch and
+accuracy chunk from its arrays (``_Batch.take``).  Every per-pair and
+per-node intermediate of a pass is written into a reusable ``Workspace``
+that the batches share, so a training step allocates no large temporaries:
+freeing them at the end of each step would hand the heap top back to the
+OS, and the next step would fault it in again.  Logits, pooled embeddings
+and gradients stay freshly allocated.  A classifier's parameter arrays are
+views of one flat vector, so Adam updates them all in a handful of vector
+operations.
 Everything is plain numpy; the engine's gradients are verified against
 central finite differences (see grad_check).
 """
@@ -191,8 +192,8 @@ class _Batch:
 
     ``work`` is the ``Workspace`` that passes over the batch write their
     intermediates into.  The constructor makes a new one and ``take`` hands
-    this batch's to the sub-batch, so every minibatch of a split reuses the
-    same buffers.  A forward's cache, which the backward reads, therefore
+    this batch's to the sub-batch, so all batches taken from it share its
+    buffers.  A forward's cache, which the backward reads, therefore
     stays valid only until the next forward on the same workspace: run the
     backward of a batch before any other forward that shares its workspace.
     """
@@ -316,9 +317,8 @@ def _layer_forward(layer, batch, h):
     return out, (h, h_nbr, t, tcache, mlp_cache)
 
 
-def _layer_backward(layer, batch, cache, dout, input_grad=True):
-    """Returns (dh, grads as LayerParams shaped like ``layer``); dh is None
-    unless ``input_grad``."""
+def _layer_backward(layer, batch, cache, dout):
+    """Returns (dh, grads as LayerParams shaped like ``layer``)."""
     h, h_nbr, t, tcache, mlp_cache = cache
     work = batch.work
     gcn = layer.epsilon is None
@@ -329,21 +329,16 @@ def _layer_backward(layer, batch, cache, dout, input_grad=True):
                     out=work.array("d_msg", (len(batch.center), d_agg.shape[1])))
     if gcn:
         d_msg *= batch.norm[:, None]
-    dh = None
-    if input_grad:
-        d_nbr = d_msg
-        if t is not None:
-            d_nbr = np.multiply(t, d_msg, out=work.array("d_nbr", d_msg.shape))
-        dh = _scatter_rows(d_nbr, batch.nbr, batch.num_nodes, work)
-    trans_grads = None
+    d_nbr, trans_grads = d_msg, None
     if t is not None:
+        d_nbr = np.multiply(t, d_msg, out=work.array("d_nbr", d_msg.shape))
         dt = np.multiply(d_msg, h_nbr, out=work.array("dt", d_msg.shape))
         trans_grads = _trans_backward(layer.trans, batch.coeff_rows, tcache, dt, work)
+    dh = _scatter_rows(d_nbr, batch.nbr, batch.num_nodes, work)
     d_eps = None
     if not gcn:
         d_eps = np.array(float(np.multiply(d_agg, h, out=work.array("d_self", h.shape)).sum()))
-        if input_grad:
-            dh += np.multiply(d_agg, 1.0 + float(layer.epsilon), out=work.array("d_self", h.shape))
+        dh += np.multiply(d_agg, 1.0 + float(layer.epsilon), out=work.array("d_self", h.shape))
     return dh, LayerParams(d_eps, mlp_grads, trans_grads)
 
 
@@ -509,8 +504,7 @@ def _batched_backward(model, batch, cache, dlogits):
     dpooled = dlogits @ model.head_w.T
     dh = np.repeat(dpooled / batch.node_sizes[:, None], batch.node_sizes, axis=0)
     for i in range(len(model.layers) - 1, -1, -1):
-        # no gradient reaches the input features
-        dh, layer_grads = _layer_backward(model.layers[i], batch, caches[i], dh, i > 0)
+        dh, layer_grads = _layer_backward(model.layers[i], batch, caches[i], dh)
         grads[:0] = layer_grads.arrays()
     return grads
 
@@ -525,11 +519,11 @@ def _batched_cross_entropy(logits, labels):
     return losses, dlogits
 
 
-def _accuracy_chunks(batch, count):
-    """The first ``count`` graphs of ``batch`` in batches of ACCURACY_CHUNK."""
+def _accuracy_chunks(batch, lo, hi):
+    """Graphs lo..hi-1 of ``batch`` in batches of ACCURACY_CHUNK."""
     return [
-        batch.take(np.arange(start, min(start + ACCURACY_CHUNK, count)))
-        for start in range(0, count, ACCURACY_CHUNK)
+        batch.take(np.arange(start, min(start + ACCURACY_CHUNK, hi)))
+        for start in range(lo, hi, ACCURACY_CHUNK)
     ]
 
 
@@ -597,31 +591,22 @@ def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BA
         )
     rng = np.random.default_rng(seed)
     model = init_classifier(spec, in_dim, rng)
-    labels = {
-        name: np.array([label for _, label in split], dtype=int)
-        for name, split in splits.items()
-    }
-
-    def stacked(split):
-        graphs = [g for g, _ in split]
-        tables = None
-        if spec.use_coeffs:
-            tables = [coefficient_table(g, UNION_PATH_SVD, Encoding.SVD_SUM) for g in graphs]
-        return _Batch(graphs, tables)
-
-    # each split is stacked once; minibatches and accuracy chunks are gathered
-    # from it, and all of them share one workspace, whose buffers grow to the
-    # largest batch once
-    whole = {name: stacked(split) for name, split in splits.items() if split}
-    for batch in whole.values():
-        batch.work = whole["train"].work
-    chunks = {
-        name: _accuracy_chunks(whole.get(name), len(split))
-        for name, split in splits.items()
+    # one batch for the run, train then val then test: every minibatch and
+    # accuracy chunk is gathered from it and shares its workspace
+    graphs = [g for split in splits.values() for g, _ in split]
+    labels = np.array([label for split in splits.values() for _, label in split], dtype=int)
+    tables = None
+    if spec.use_coeffs:
+        tables = [coefficient_table(g, UNION_PATH_SVD, Encoding.SVD_SUM) for g in graphs]
+    whole = _Batch(graphs, tables)
+    ends = np.cumsum([len(split) for split in splits.values()])
+    scored = {  # split name -> (accuracy chunks, labels)
+        name: (_accuracy_chunks(whole, end - len(split), end), labels[end - len(split):end])
+        for (name, split), end in zip(splits.items(), ends)
     }
 
     def accuracy(name):
-        return _batched_accuracy(model, chunks[name], labels[name])
+        return _batched_accuracy(model, *scored[name])
 
     adam = Adam(model.flat)
     curve = []
@@ -630,9 +615,9 @@ def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BA
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            batch = whole["train"].take(idx)
+            batch = whole.take(idx)  # train comes first, so its positions are its indices
             logits, cache = _batched_forward(model, batch)
-            losses, dlogits = _batched_cross_entropy(logits, labels["train"][idx])
+            losses, dlogits = _batched_cross_entropy(logits, labels[idx])
             epoch_loss += float(losses.sum())
             grads = _batched_backward(model, batch, cache, dlogits / len(idx))
             adam.step(np.concatenate(grads, axis=None))

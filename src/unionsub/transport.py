@@ -158,18 +158,5 @@ def wasserstein_discrete(mu, nu, distances):
 
     ``distances[i][j]`` is the ground metric between support point i of mu
     and support point j of nu; plain lists and arrays are both read.
-    Support points without positive mass are dropped first; when there are
-    none, the inputs go to the solver as they are.
     """
-    if min(mu, default=0) > 0 and min(nu, default=0) > 0:
-        return solve_transport(mu, nu, distances)[1]
-    keep_i = [i for i, x in enumerate(mu) if not x <= 0]  # nan stays for the solver to reject
-    keep_j = [j for j, x in enumerate(nu) if not x <= 0]
-    if not keep_i or not keep_j:
-        raise ValueError("distributions must carry positive mass")
-    _, objective = solve_transport(
-        [mu[i] for i in keep_i],
-        [nu[j] for j in keep_j],
-        [[distances[i][j] for j in keep_j] for i in keep_i],
-    )
-    return objective
+    return solve_transport(mu, nu, distances)[1]

@@ -1,15 +1,17 @@
-"""Single-edge lookups, subgraph positions, and the reference local-value and
-normalization loops that only the tests need."""
+"""Single-edge lookups, subgraph positions, the reference local-value and
+normalization loops, and the graph families that only the tests need."""
 
+import random
 import warnings
 
+import networkx as nx
 import numpy as np
 
 from unionsub import descriptors
 from unionsub.descriptors import (
     Encoding, curvature_values, local_descriptor_values, ricci_curvature,
 )
-from unionsub.graphs import GraphError
+from unionsub.graphs import Graph, GraphError, double_edge_swap
 
 
 def edge_descriptor_value(g, v, u, kind, encoding=Encoding.SVD_SUM):
@@ -97,3 +99,33 @@ def reference_table(g, kind, encoding):
             for u in neighbors:
                 normalized[(v, u)] = raw[(v, u) if v < u else (u, v)] / denom
     return raw, normalized
+
+
+def cubic_graphs_on_ten_nodes():
+    """The 21 cubic graphs on 10 nodes, connected or not, in order of discovery.
+
+    Double-edge swaps keep every degree and connect all simple graphs with a
+    given degree sequence, so a swap walk from the 5-prism reaches each
+    class.  A sample is kept unless ``nx.is_isomorphic`` matches it to a kept
+    graph with the same closed-walk counts tr(A^k), k = 3..10: graphs whose
+    counts differ are not isomorphic, so the counts only spare calls.  The
+    walk stops at the 21st class; seeded with 4 it takes 565 samples, with 0
+    it takes 6,313, since classes with many automorphisms are rarely visited.
+    """
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    edges = ring + [(a + 5, b + 5) for a, b in ring] + [(i, i + 5) for i in range(5)]
+    adjacency = [set(a) for a in Graph(10, edges).adjacency]
+    kept = {}  # closed-walk counts -> kept networkx graphs with them
+    found = []
+    rng = random.Random(4)
+    while len(found) < 21:
+        h = nx.Graph(edges)
+        a = nx.to_numpy_array(h, nodelist=range(10), dtype=np.int64)
+        walks = tuple(int(np.trace(np.linalg.matrix_power(a, k))) for k in range(3, 11))
+        same = kept.setdefault(walks, [])
+        if not any(nx.is_isomorphic(h, other) for other in same):
+            same.append(h)
+            found.append(Graph(10, edges))
+        while not double_edge_swap(edges, adjacency, rng):
+            pass
+    return found

@@ -1,0 +1,45 @@
+"""The benchmark's clock and table timers wrap library functions by name.
+
+``perfbench/tracer.py`` skips a site that no longer resolves, so renaming a
+wrapped function would silently stop the reference clock's ticks there or
+empty the table timings.  This reads the tracer's site lists, without
+patching anything, and checks that each live site still names a callable.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# (module, attribute path) of every tick and table site that must stay live
+LIVE_SITES = {
+    ("unionsub.datasets", "parse_graph"),
+    ("unionsub.descriptors", "wasserstein_discrete"),
+    ("unionsub.neural", "_batched_forward"),
+    ("unionsub.neural", "_batched_backward"),
+    ("unionsub.neural", "Adam.step"),
+    ("unionsub.descriptors", "coefficient_table"),
+    ("unionsub.neural", "coefficient_table"),
+}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(module_name, path):
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    return owner
+
+
+def test_live_tick_and_table_sites_resolve():
+    tracer = load_tracer()
+    sites = {(module, path) for _, module, path, _ in tracer.TICK_SITES + tracer.TABLE_SITES}
+    assert LIVE_SITES <= sites
+    for module, path in sorted(LIVE_SITES):
+        assert callable(resolve(module, path)), f"{module}.{path}"

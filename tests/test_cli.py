@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +13,16 @@ from unionsub import cli
 from unionsub.cli import main, run_bench
 from unionsub.datasets import read_corpus, read_dataset, write_dataset
 from unionsub.graphs import (
-    Graph, GraphParseError, complete_graph, parse_graph, path_graph, star_graph,
+    Graph, GraphParseError, complete_graph, parse_graph, path_graph, random_graph, star_graph,
 )
 
 
-def assert_error_under_memory_limit(argv, code=1, prefix="parse error:"):
-    """Run the CLI in a child that may map at most 512 MB, so code that
-    allocates past a bound fails fast with a MemoryError instead of taking
-    all memory; it must exit ``code`` with one line starting with ``prefix``."""
+def assert_error_under_memory_limit(argv, code=1, prefix="parse error:", timeout=120):
+    """Run the CLI in a child that may map at most 512 MB and run ``timeout``
+    seconds, so code that allocates past a bound fails fast with a
+    MemoryError instead of taking all memory, and one that loops past a
+    bound times out; it must exit ``code`` with one line starting with
+    ``prefix``."""
     import resource
 
     limit = 512 << 20
@@ -27,7 +30,7 @@ def assert_error_under_memory_limit(argv, code=1, prefix="parse error:"):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "unionsub.cli", *argv],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
              "OMP_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
@@ -354,6 +357,17 @@ class TestBenchCommand:
                      "--repeats", repeats]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "repeats must be at least 1" in err
+
+    def test_dense_cycle_count_exit_2(self, tmp_path):
+        # this G(30, 0.7) has 3.6e10 walks of up to 7 edges; a G(30, 1/2)
+        # with 2.9e9 took 23 s to count on a 2-vCPU host
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        g = random_graph(30, 0.7, random.Random(0))
+        (corpus / "dense.txt").write_text(g.to_text(), encoding="ascii")
+        assert_error_under_memory_limit(
+            ["bench", str(corpus), "--kinds", "cycle-count:8", "--repeats", "1"],
+            2, "descriptor error: 8-cycle search: ", timeout=30)
 
     def test_corpus_without_edges_exit_1(self, tmp_path, capsys, monkeypatch):
         from unionsub import cli

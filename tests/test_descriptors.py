@@ -662,6 +662,31 @@ class TestCurvatureTable:
         table = coefficient_table(g, Descriptor("curvature", alpha=0.5))
         assert table.raw == {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0}
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+    def test_transport_sees_only_positive_mass(self, alpha, monkeypatch):
+        # a point is kept only when its mass m exceeds the mass both measures
+        # share there, and then m - shared > 0 in floating point too
+        seen = []
+
+        def record(mu, nu, distances):
+            seen.append((list(mu), list(nu)))
+            return wasserstein_discrete(mu, nu, distances)
+
+        monkeypatch.setattr(descriptors, "wasserstein_discrete", record)
+        # adjacent hubs 0 and 1 with three common neighbours and private leaves
+        hubs = Graph(14, [(0, 1)] + [(h, x) for h in (0, 1) for x in range(2, 5)]
+                     + [(0, x) for x in range(5, 9)] + [(1, x) for x in range(9, 14)])
+        graphs = random_graphs(10, 30) + [_graph_with_isolated_nodes(), complete_graph(2), hubs]
+        assert any(0 in map(g.degree, range(g.num_nodes)) for g in graphs[:30])
+        for g in graphs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                coefficient_table(g, Descriptor("curvature", alpha=alpha))
+        assert len(seen) > 100
+        for mu, nu in seen:
+            assert mu and nu
+            assert min(mu) > 0 and min(nu) > 0
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_complete_graph_at_alpha_one_over_n(self, n):
         # both measures are uniform on all n nodes, so W1 = 0; what the
@@ -826,7 +851,7 @@ class TestTransportSolver:
         with pytest.raises(ValueError, match="non-empty"):
             solve_transport([], [], np.zeros((0, 0)))
 
-    def test_zero_mass_support_dropped(self):
+    def test_zero_mass_point_carries_no_flow(self):
         w = wasserstein_discrete(
             [0.5, 0.0, 0.5], [1.0], np.array([[1.0], [9.0], [3.0]])
         )
@@ -846,26 +871,21 @@ class TestTransportSolver:
             wasserstein_discrete(supply, demand, cost)
 
     def test_nan_mass_is_not_dropped(self):
-        # nan > 0 is false, yet the point must reach the solver's check
+        # a nan mass must reach the solver's check
         with pytest.raises(ValueError, match="finite"):
             wasserstein_discrete([0.5, math.nan, 0.5], [1.0], [[1.0], [1.0], [3.0]])
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(instance=float_mass_instances(), data=st.data())
-    def test_wasserstein_solves_the_positive_part(self, instance, data):
-        # with every mass positive the inputs reach the solver as they are;
-        # zero-mass points (alpha 0, or added here anywhere) are dropped first
+    @given(instance=float_mass_instances())
+    def test_wasserstein_solves_the_positive_part(self, instance):
+        # curvature passes only points that keep positive mass
+        # (TestCurvatureTable.test_transport_sees_only_positive_mass), and
+        # they reach the solver as they are, from arrays or lists
         supply, demand, cost = instance
-        rows, cols = supply > 0, demand > 0
-        expected = solve_transport(supply[rows], demand[cols], cost[rows][:, cols])[1]
+        assume((supply > 0).all() and (demand > 0).all())
+        expected = solve_transport(supply, demand, cost)[1]
         assert wasserstein_discrete(supply, demand, cost) == expected
         assert wasserstein_discrete(supply.tolist(), demand.tolist(), cost.tolist()) == expected
-        zero_rows = data.draw(st.lists(st.integers(0, len(supply)), max_size=2))
-        zero_cols = data.draw(st.lists(st.integers(0, len(demand)), max_size=2))
-        padded = np.insert(np.insert(cost, zero_rows, 9.0, axis=0), zero_cols, 9.0, axis=1)
-        w = wasserstein_discrete(np.insert(supply, zero_rows, 0.0),
-                                 np.insert(demand, zero_cols, 0.0), padded.tolist())
-        assert w == expected
 
 
 @st.composite
@@ -932,6 +952,28 @@ class TestCycleCountDescriptor:
         assert cycle_count(cycle_graph(6), 6) == 1
         assert cycle_count(complete_graph(4), 3) == 4
         assert cycle_count(two_triangles_graph(), 3) == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_walk_bound_counts_non_backtracking_walks(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.9), rng)
+        k = rng.randint(3, 8)
+        walks = [[v] for v in range(g.num_nodes)]
+        total = 0
+        for _ in range(k - 1):
+            walks = [w + [x] for w in walks for x in g.adjacency[w[-1]]
+                     if len(w) < 2 or x != w[-2]]
+            total += len(walks)
+        assert descriptors._walks_below(g, k) == total
+
+    def test_search_bound(self):
+        # K10 has 2.70e7 walks of up to 7 edges and took 0.14 s to count on a
+        # 2-vCPU host; K11 has 6.58e7 and would take 0.33 s
+        assert descriptors.MAX_CYCLE_WALKS == 5 * 10**7
+        assert cycle_count(complete_graph(10), 8) == math.comb(10, 8) * math.factorial(7) // 2
+        with pytest.raises(DescriptorError, match=r"^8-cycle search: 6\.58e\+07 walks of up "
+                                                  r"to 7 edges, above the bound of 50000000$"):
+            cycle_count(complete_graph(11), 8)
 
 
 class TestCoefficientTable:

@@ -10,11 +10,13 @@ import pytest
 from unionsub.datasets import build_cycle_dataset
 from unionsub.descriptors import UNION_PATH_SVD, Encoding, coefficient_table
 from unionsub.graphs import (
-    Graph, GraphError, complete_graph, cycle_graph, double_edge_swap, parse_graph,
+    Graph, GraphError, complete_graph, cycle_graph, parse_graph,
     random_graph, rook_graph_4x4, shrikhande_graph, two_triangles_graph,
 )
 from unionsub import neural as nn
 from unionsub.wl import distinguish_pair
+
+from helpers import cubic_graphs_on_ten_nodes
 
 
 def connected_random_graph(seed, n=6, p=0.5):
@@ -406,13 +408,13 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", ["gcn", "gin", "union-gcn", "union-gin"])
     def test_shared_workspace_gives_fresh_batch_gradients(self, name):
-        # minibatch steps, each followed by an accuracy forward over a larger
-        # batch on the same workspace, as train_classifier runs them
+        # minibatch steps over the first 30 graphs, each followed by an
+        # accuracy forward over the last 10, all gathered from one stacked
+        # batch and so on one workspace, as train_classifier runs them
         graphs, labels = self.cycle_data()
         spec = nn.ModelSpec.parse(name, hidden=8)
-        whole = make_batch(graphs[:30], spec.use_coeffs)
-        val = make_batch(graphs[30:], spec.use_coeffs)
-        val.work = whole.work
+        whole = make_batch(graphs, spec.use_coeffs)
+        val = nn._accuracy_chunks(whole, 30, 40)
         model = nn.init_classifier(spec, 1, np.random.default_rng(2))
         adam = nn.Adam(model.flat)
         for idx in ([4, 17, 9], [29, 0, 3, 11, 21, 8, 26], [12, 5]):
@@ -423,7 +425,7 @@ class TestWorkspace:
             for got, want in zip(grads, expected):
                 assert np.array_equal(got, want)
             adam.step(np.concatenate(grads, axis=None))
-            nn._batched_accuracy(model, [val], labels[30:])
+            nn._batched_accuracy(model, val, labels[30:])
 
     def test_logits_are_fresh_arrays(self):
         # callers keep logits across forwards, as the rescaled-coefficient
@@ -541,31 +543,6 @@ class TestCoefficientsReachTheLoss:
         by_array = {id(a): g for a, g in zip(model.arrays(), grads)}
         for layer in model.layers:
             assert np.abs(by_array[id(layer.trans.biases[-1])]).max() > 1e-6
-
-
-def cubic_graphs_on_ten_nodes():
-    """The 21 cubic graphs on 10 nodes, connected or not, in order of discovery.
-
-    Double-edge swaps keep every degree and connect all simple graphs with a
-    given degree sequence, so a swap walk from the 5-prism reaches each one.
-    Graphs whose closed-walk counts tr(A^k), k = 1..10, differ are not
-    isomorphic, so 21 distinct count vectors are the 21 classes.
-    """
-    ring = [(i, (i + 1) % 5) for i in range(5)]
-    edges = ring + [(a + 5, b + 5) for a, b in ring] + [(i, i + 5) for i in range(5)]
-    adjacency = [set(a) for a in Graph(10, edges).adjacency]
-    found = {}
-    rng = random.Random(0)
-    while len(found) < 21:
-        g = Graph(10, edges)
-        a = np.zeros((10, 10), dtype=np.int64)
-        for v, u in g.edges:
-            a[v, u] = a[u, v] = 1
-        walks = tuple(int(np.trace(np.linalg.matrix_power(a, k))) for k in range(1, 11))
-        found.setdefault(walks, g)
-        while not double_edge_swap(edges, adjacency, rng):
-            pass
-    return list(found.values())
 
 
 @pytest.fixture(scope="module")
