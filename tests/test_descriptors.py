@@ -851,7 +851,8 @@ class TestTransportSolver:
         with pytest.raises(ValueError, match="non-empty"):
             solve_transport([], [], np.zeros((0, 0)))
 
-    def test_zero_mass_point_carries_no_flow(self):
+    def test_zero_mass_support_dropped(self):
+        # a zero-mass point reaches the solver, which sends no flow through it
         w = wasserstein_discrete(
             [0.5, 0.0, 0.5], [1.0], np.array([[1.0], [9.0], [3.0]])
         )
