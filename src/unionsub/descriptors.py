@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, Subgraph, count_simple_cycles
+from .graphs import Graph, GraphError, Subgraph, count_simple_cycles
 from .transport import wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
@@ -34,9 +34,6 @@ MAX_LOCAL_NODES = 2500
 # bound on the rows x cols of a curvature transport problem, whose time grows faster
 # than its size: 128 x 128 between two hubs took up to 0.13 s on a 2-vCPU host
 MAX_TRANSPORT_CELLS = 1 << 14
-# bound on the walks that bound a k-cycle search's work; on a 2-vCPU host K11 at
-# k = 8 has 6.6e7 (0.33 s to count), a sparse 5000-node G(n, p) 1.1e8 (3.0 s)
-MAX_CYCLE_WALKS = 5 * 10**7
 
 
 class DescriptorError(ValueError):
@@ -375,34 +372,15 @@ def ricci_curvature(g, v, u, alpha=0.5):
     return curvature_values(g, [(min(v, u), max(v, u))], alpha)[0]
 
 
-def _walks_below(g, k):
-    """Non-backtracking walks of 1 to k - 1 edges in g, by w0 = 1, w1 = d,
-    w2 = A w1 - d and w(r) = A w(r-1) - (d - 1) w(r-2) per end node."""
-    indptr, nbr = g.csr
-    degree = np.diff(indptr)
-    center = np.repeat(np.arange(g.num_nodes), degree)
-    before, walks, total = np.zeros(g.num_nodes), np.ones(g.num_nodes), 0.0
-    for r in range(1, k):
-        steps = np.bincount(center, walks[nbr], g.num_nodes)
-        before, walks = walks, steps - (degree - (r > 2)) * before
-        total += walks.sum()
-    return total
-
-
 def cycle_count(g, k):
-    """Number of simple k-cycles in the whole graph, 3 <= k <= 8.
-
-    The search reads each neighbour of the end of each simple path of up to
-    k - 2 edges, so the non-backtracking walks of up to k - 1 edges bound its
-    work; a graph with over MAX_CYCLE_WALKS of them is refused.
-    """
+    """Number of simple k-cycles in the whole graph, 3 <= k <= 8; a search
+    past graphs.MAX_CYCLE_STEPS is refused as a one-line DescriptorError."""
     if not 3 <= k <= 8:
         raise DescriptorError("cycle length must lie in 3..8")
-    walks = _walks_below(g, k)
-    if walks > MAX_CYCLE_WALKS:
-        raise DescriptorError(f"{k}-cycle search: {walks:.3g} walks of up to {k - 1} "
-                              f"edges, above the bound of {MAX_CYCLE_WALKS}")
-    return count_simple_cycles(g, k)
+    try:
+        return count_simple_cycles(g, k)
+    except GraphError as exc:
+        raise DescriptorError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ from .descriptors import coefficient_table
 from .graphs import GraphError
 
 COEFF_QUANT_SCALE = 1e9  # coefficients compare as round(x * 1e9): a 1e-9 tolerance
+# bound on the nodes plus pairs one refinement reads over its rounds; one took up
+# to 470 ns on a 2-vCPU host, so an accepted refinement takes about 2 s at most
+MAX_REFINE_STEPS = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,9 @@ def _refine(graphs, tables=None, max_rounds=None):
     weight of (v, u), and None leaves every message untagged.  ``max_rounds``
     defaults to the total node count, which is enough to stabilize.  New
     color ids are assigned by sorted signature, which keeps colors canonical
-    under node relabeling.  Returns one ColorAssignment per graph.
+    under node relabeling.  Refining past MAX_REFINE_STEPS raises GraphError
+    (a path of N nodes takes about N / 2 rounds).  Returns one
+    ColorAssignment per graph.
     """
     if max_rounds is None:
         max_rounds = max(1, sum(g.num_nodes for g in graphs))
@@ -77,11 +82,14 @@ def _refine(graphs, tables=None, max_rounds=None):
             raise GraphError("a coefficient table was built for a graph with other edges")
         pair_tags = [[round(x * COEFF_QUANT_SCALE) for x in t.weights.tolist()] for t in tables]
     pairs = [[a.tolist() for a in g.csr] for g in graphs]
+    per_round = sum(len(bounds) - 1 + len(nbr) for bounds, nbr in pairs)
     # equal feature rows get equal initial colors
     colors, num_colors = _number([[tuple(row) for row in g.features.tolist()] for g in graphs])
     rounds = 0
     stable = num_colors == sum(g.num_nodes for g in graphs)
     while rounds < max_rounds and not stable:
+        if (rounds + 1) * per_round > MAX_REFINE_STEPS:
+            raise GraphError(f"1-WL refinement: over {MAX_REFINE_STEPS} nodes plus pairs to read")
         signatures = []
         for (bounds, nbr), tags, cs in zip(pairs, pair_tags, colors):
             messages = [cs[u] for u in nbr]  # one per pair (v, u), in the weights' order

@@ -1,9 +1,10 @@
 """The benchmark's clock and table timers wrap library functions by name.
 
 ``perfbench/tracer.py`` skips a site that no longer resolves, so renaming a
-wrapped function would silently stop the reference clock's ticks there or
-empty the table timings.  This reads the tracer's site lists, without
-patching anything, and checks that each live site still names a callable.
+wrapped function would silently stop the reference clock's ticks there, empty
+the table timings or drop a layer's trace span.  This reads the tracer's site
+lists, without patching anything, and checks that each live site still names
+a callable.
 """
 
 import importlib.util
@@ -21,6 +22,12 @@ LIVE_SITES = {
     ("unionsub.descriptors", "coefficient_table"),
     ("unionsub.neural", "coefficient_table"),
 }
+# the cycle layer's trace spans: cycle_count calls the search through the
+# descriptors module's name, the cycle-pair sampler through the graphs module's
+CYCLE_SPAN_SITES = {
+    ("unionsub.descriptors", "count_simple_cycles"),
+    ("unionsub.graphs", "count_simple_cycles"),
+}
 
 
 def load_tracer():
@@ -37,9 +44,16 @@ def resolve(module_name, path):
     return owner
 
 
+def check_sites(listed, required):
+    assert required <= {(module, path) for _, module, path, _ in listed}
+    for module, path in sorted(required):
+        assert callable(resolve(module, path)), f"{module}.{path}"
+
+
 def test_live_tick_and_table_sites_resolve():
     tracer = load_tracer()
-    sites = {(module, path) for _, module, path, _ in tracer.TICK_SITES + tracer.TABLE_SITES}
-    assert LIVE_SITES <= sites
-    for module, path in sorted(LIVE_SITES):
-        assert callable(resolve(module, path)), f"{module}.{path}"
+    check_sites(tracer.TICK_SITES + tracer.TABLE_SITES, LIVE_SITES)
+
+
+def test_cycle_span_sites_resolve():
+    check_sites(load_tracer().SITES, CYCLE_SPAN_SITES)

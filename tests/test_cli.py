@@ -173,6 +173,14 @@ class TestDistinguishCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["wl"] is True
 
+    def test_long_refinement_exit_1(self, tmp_path):
+        # a path needs about N / 2 rounds, so refinement grows as N^2; at
+        # N = 4,000 one plain refinement took 6.35 s on a 2-vCPU host
+        assert main(["gen", "path:20000", "--out", str(tmp_path / "p")]) == 0
+        path = str(tmp_path / "p" / "graph_0000.txt")
+        assert_error_under_memory_limit(["distinguish", path, path], 1,
+                                        "error: 1-WL refinement: ", timeout=30)
+
 
 class TestGenCommand:
     def test_rook(self, tmp_path, capsys):
@@ -368,6 +376,15 @@ class TestBenchCommand:
         assert_error_under_memory_limit(
             ["bench", str(corpus), "--kinds", "cycle-count:8", "--repeats", "1"],
             2, "descriptor error: 8-cycle search: ", timeout=30)
+
+    def test_cycle_search_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        main(["gen", "cycle:6", "--out", str(corpus)])
+        capsys.readouterr()
+        monkeypatch.setattr("unionsub.graphs.MAX_CYCLE_STEPS", 10)
+        assert main(["bench", str(corpus), "--kinds", "cycle-count:6", "--repeats", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("descriptor error: 6-cycle search: ") and err.count("\n") == 1
 
     def test_corpus_without_edges_exit_1(self, tmp_path, capsys, monkeypatch):
         from unionsub import cli

@@ -954,27 +954,39 @@ class TestCycleCountDescriptor:
         assert cycle_count(complete_graph(4), 3) == 4
         assert cycle_count(two_triangles_graph(), 3) == 2
 
+    def test_hub_is_counted(self):
+        # a 1,001-node star whose leaves 1..334 also form a path: each 6-cycle
+        # is the hub and five consecutive path nodes.  It has 6.75e8
+        # non-backtracking walks of up to 5 edges; the search takes 2e4 steps
+        edges = [(0, leaf) for leaf in range(1, 1001)] + [(i, i + 1) for i in range(1, 334)]
+        assert cycle_count(Graph(1001, edges), 6) == 330
+
     @pytest.mark.parametrize("seed", range(12))
-    def test_walk_bound_counts_non_backtracking_walks(self, seed):
+    def test_step_bound_counts_path_end_reads(self, seed, monkeypatch):
+        # the search reads the row of each root and of the end of each simple
+        # path of 1 to k - 2 nodes above its root, one step per entry and per row
         rng = random.Random(seed)
         g = random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.9), rng)
         k = rng.randint(3, 8)
-        walks = [[v] for v in range(g.num_nodes)]
-        total = 0
-        for _ in range(k - 1):
-            walks = [w + [x] for w in walks for x in g.adjacency[w[-1]]
-                     if len(w) < 2 or x != w[-2]]
-            total += len(walks)
-        assert descriptors._walks_below(g, k) == total
+        paths = [[v] for v in range(g.num_nodes)]
+        steps = sum(len(row) + 1 for row in g.adjacency)
+        for _ in range(k - 2):
+            paths = [p + [x] for p in paths for x in g.adjacency[p[-1]]
+                     if x > p[0] and x not in p]
+            steps += sum(len(g.adjacency[p[-1]]) + 1 for p in paths)
+        monkeypatch.setattr("unionsub.graphs.MAX_CYCLE_STEPS", steps)
+        count = cycle_count(g, k)
+        monkeypatch.setattr("unionsub.graphs.MAX_CYCLE_STEPS", steps - 1)
+        with pytest.raises(DescriptorError, match=rf"^{k}-cycle search: more than {steps - 1} "
+                                                  r"steps \(adjacency entries read, plus one "
+                                                  r"per read\)$"):
+            cycle_count(g, k)
+        assert count == sum(1 for c in nx.simple_cycles(nx_graph(g), length_bound=k)
+                            if len(c) == k)
 
     def test_search_bound(self):
-        # K10 has 2.70e7 walks of up to 7 edges and took 0.14 s to count on a
-        # 2-vCPU host; K11 has 6.58e7 and would take 0.33 s
-        assert descriptors.MAX_CYCLE_WALKS == 5 * 10**7
-        assert cycle_count(complete_graph(10), 8) == math.comb(10, 8) * math.factorial(7) // 2
-        with pytest.raises(DescriptorError, match=r"^8-cycle search: 6\.58e\+07 walks of up "
-                                                  r"to 7 edges, above the bound of 50000000$"):
-            cycle_count(complete_graph(11), 8)
+        # K11 at k = 8 takes 3.4e6 steps, a third of MAX_CYCLE_STEPS
+        assert cycle_count(complete_graph(11), 8) == 415800
 
 
 class TestCoefficientTable:
