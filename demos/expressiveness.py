@@ -31,7 +31,7 @@ print("1. Plain color refinement")
 print("=" * 70)
 for name, g in (("C6", cycle_graph(6)), ("P3", path_graph(3))):
     a = wl_refine(g)
-    print(f"  {name}: colors {a.colors} after {a.rounds} round(s), stable={a.stable}")
+    print(f"  {name}: colors {a.colors} after {a.rounds} round(s)")
 
 print()
 print("=" * 70)

@@ -31,6 +31,9 @@ BATCH_ENTRIES = 1 << 17
 # bound on the nodes of one edge's local subgraph in a matrix stack; a
 # betweenness edge at this size peaks near 251 MB (tracemalloc)
 MAX_LOCAL_NODES = 2500
+# bound on a table's summed per-edge work estimates; a unit took up to 96 ns
+# (path graphs) on a 2-vCPU host, so an accepted table takes about 2.5 s at most
+MAX_TABLE_WORK = 25 * 10**6
 # bound on the rows x cols of a curvature transport problem, whose time grows faster
 # than its size: 128 x 128 between two hubs took up to 0.13 s on a 2-vCPU host
 MAX_TRANSPORT_CELLS = 1 << 14
@@ -116,11 +119,25 @@ LAPLACIAN_SVD = Descriptor("laplacian")
 # ---------------------------------------------------------------------------
 
 def path_matrix(s):
-    """Shortest-path matrix of a connected subgraph; rows follow s.parent_ids."""
-    a = np.zeros((1, s.num_nodes, s.num_nodes))
-    for i, j in s.local.edges:
-        a[0, i, j] = a[0, j, i] = 1.0
-    return _path_lengths(a)[0].astype(int)
+    """Shortest-path matrix of a connected subgraph; rows follow s.parent_ids.
+
+    One breadth-first search per node over the local adjacency; a node left
+    unreached raises DescriptorError.
+    """
+    adj = s.local.adjacency
+    rows = []
+    for source in range(len(adj)):
+        row, queue = [-1] * len(adj), [source]
+        row[source] = 0
+        for x in queue:  # visits the nodes appended while it runs, in order
+            for y in adj[x]:
+                if row[y] < 0:
+                    row[y] = row[x] + 1
+                    queue.append(y)
+        if len(queue) < len(adj):
+            raise DescriptorError("subgraph is disconnected; path matrix undefined")
+        rows.append(row)
+    return np.array(rows, dtype=int).reshape(len(adj), len(adj))
 
 
 def reconstruct_subgraph(entries, order):
@@ -135,43 +152,10 @@ def reconstruct_subgraph(entries, order):
         raise DescriptorError("path matrix must be symmetric")
     if np.diag(entries).any():
         raise DescriptorError("path matrix diagonal must be zero")
-    a = entries == 1
-    if not np.array_equal(_path_lengths(a[None] * 1.0)[0], entries):
+    s = Subgraph(Graph(len(entries), np.argwhere(np.triu(entries == 1)).tolist()), order)
+    if not np.array_equal(path_matrix(s), entries):
         raise DescriptorError("entries are not the shortest-path lengths of their graph")
-    return Subgraph(Graph(len(a), np.argwhere(np.triu(a)).tolist()), order)
-
-
-def _path_lengths(a, bound=None, counts=False):
-    """Shortest-path lengths of a (B, k, k) stack of adjacency matrices.
-
-    The length of (x, y) is the least d with (A^d)[x, y] > 0.  Products run
-    until one reaches no new pair; a pair never reached raises
-    DescriptorError.  A caller that knows no length exceeds ``bound`` stops at
-    A^(bound - 1), the pairs left getting ``bound``.  ``counts`` also returns
-    those entries of A^d, the shortest-path counts (shortest walks are paths).
-    """
-    diag = np.arange(a.shape[1])
-    # 0 marks a pair not reached; the diagonal, set last, is reached by A^2
-    lengths = paths = walks = a
-    for step in itertools.count(2):
-        walks = walks @ a
-        rest = bound if step + 1 == bound else 0.0
-        known = lengths > 0
-        grown = np.where(known, lengths, np.where(walks > 0, step, rest))
-        if counts:  # the pairs left at the bound are reached by one product more
-            new = np.where(walks > 0, walks, walks @ a) if rest else walks
-            paths = np.where(known, paths, new)
-        elif bound is None:
-            np.minimum(walks, 1.0, out=walks)  # keeps only the support, so no overflow
-        if rest or grown.all() or len(diag) == 1:
-            grown[:, diag, diag] = 0.0
-            if not counts:
-                return grown
-            paths[:, diag, diag] = 1.0
-            return grown, paths
-        if np.array_equal(grown, lengths):
-            raise DescriptorError("subgraph is disconnected; path matrix undefined")
-        lengths = grown
+    return s
 
 
 def encode_matrix(matrix, encoding):
@@ -207,16 +191,15 @@ def local_descriptor_values(g, edges, kind, encoding):
     """Values of every per-edge kind but curvature for ``edges`` of g, in order.
 
     Local nodes are N[v] | N[u] (N[v] & N[u] for overlap); union-minus drops
-    the edges between v's and u's exclusive neighbours.  Every local node is
-    v, u or adjacent to one of them, and v ~ u, so the diameter is at most 3
-    and the path lengths stop after A^2: 1 on edges, 2 where A^2 > 0, else 3.
-    Array ops give the i-th edge's local nodes as sorted member keys i*n + x
-    and look each member's neighbours up among the keys for the local edges;
-    edges sorted by size fill one flat array sliced into (B, k, k) stacks.
-    Each chunk of edges holds at most BATCH_ENTRIES of a per-endpoint bound,
-    2 (deg x + 1)^2 for matrix entries plus the degrees summed over N[x] for
-    member-neighbour pairs.  count-ne builds no matrix; every other kind
-    refuses an edge whose local subgraph has over MAX_LOCAL_NODES nodes.
+    the edges between v's and u's exclusive neighbours.  Array ops give the
+    i-th edge's local nodes as sorted member keys i*n + x and look each
+    member's neighbours up among the keys for the local edges; edges sorted
+    by size fill one flat array sliced into (B, k, k) stacks.  An edge's work
+    is bounded by a per-endpoint sum, 2 (deg x + 1)^2 for matrix entries plus
+    the degrees summed over N[x] for member-neighbour pairs; each chunk of
+    edges holds at most BATCH_ENTRIES of it, and edges summing past
+    MAX_TABLE_WORK are refused before any work.  count-ne builds no matrix;
+    every other kind refuses an edge with over MAX_LOCAL_NODES local nodes.
     """
     indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
@@ -224,6 +207,10 @@ def local_descriptor_values(g, edges, kind, encoding):
     bound = 2 * (degree + 1) ** 2 + degree + walks[indptr[1:]] - walks[indptr[:-1]]
     ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
     total = np.concatenate(([0], bound[ends].cumsum()[1::2]))  # summed over the edges before each
+    if total[-1] > MAX_TABLE_WORK:
+        v, u = ends[total.searchsorted(MAX_TABLE_WORK, "right") - 1].tolist()
+        raise DescriptorError(f"edge ({v}, {u}): the table's work estimate passes the bound "
+                              f"of {MAX_TABLE_WORK} at this edge")
     values, lo = np.empty(len(ends)), 0
     while lo < len(ends):
         hi = max(lo + 1, total.searchsorted(total[lo] + BATCH_ENTRIES, "right") - 1)
@@ -293,17 +280,25 @@ def _stack_values(a, ends, kind, encoding):
     """One value per matrix of a (B, k, k) local adjacency stack.
 
     Row i of the (B, 2) array ``ends`` holds the local indices of matrix i's
-    edge endpoints v and u.
+    edge endpoints v and u.  Every local node is v, u or adjacent to one of
+    them, and v ~ u, so the diameter is at most 3 and the path lengths are
+    read off A and A^2: 1 on edges, 2 where A^2 > 0, else 3.  The
+    shortest-path counts are the entries of A, A^2 or A^3 at the same
+    length (shortest walks are paths).
     """
     batch, k, _ = a.shape
+    diag = np.arange(k)
     if kind.kind == "laplacian":
-        diag = np.arange(k)
         m = -a
         m[:, diag, diag] = a.sum(axis=2)
         return _encode_stack(m, encoding)
+    a2 = a @ a
+    d = np.where(a > 0, a, np.where(a2 > 0, 2, 3))
+    d[:, diag, diag] = 0.0
     if kind.kind != "betweenness":
-        return _encode_stack(_path_lengths(a, bound=3), encoding)
-    d, sigma = _path_lengths(a, bound=3, counts=True)
+        return _encode_stack(d, encoding)
+    sigma = np.where(a > 0, a, np.where(a2 > 0, a2, a2 @ a))
+    sigma[:, diag, diag] = 1.0
     # the ordered pair (x, y) counts its shortest paths x ... v - u ... y and
     # (y, x) those through u - v, so each unordered pair sees both directions
     rows = np.arange(batch)

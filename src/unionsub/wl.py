@@ -28,7 +28,6 @@ class ColorAssignment:
 
     colors: tuple
     rounds: int
-    stable: bool
 
     def histogram(self):
         return tuple(sorted(Counter(self.colors).items()))
@@ -60,22 +59,17 @@ def _number(keys):
     return [[palette[k] for k in ks] for ks in keys], len(palette)
 
 
-def _refine(graphs, tables=None, max_rounds=None):
+def _refine(graphs, tables=None):
     """Color refinement over several graphs in one hash space.
 
     ``tables`` holds one CoefficientTable per graph, built for a graph with
     its edges; the message from u to v is then tagged by the quantized
-    weight of (v, u), and None leaves every message untagged.  ``max_rounds``
-    defaults to the total node count, which is enough to stabilize.  New
-    color ids are assigned by sorted signature, which keeps colors canonical
-    under node relabeling.  Refining past MAX_REFINE_STEPS raises GraphError
-    (a path of N nodes takes about N / 2 rounds).  Returns one
-    ColorAssignment per graph.
+    weight of (v, u), and None leaves every message untagged.  Rounds run
+    until the partition is stable.  New color ids are assigned by sorted
+    signature, which keeps colors canonical under node relabeling.  Refining
+    past MAX_REFINE_STEPS raises GraphError (a path of N nodes takes about
+    N / 2 rounds).  Returns one ColorAssignment per graph.
     """
-    if max_rounds is None:
-        max_rounds = max(1, sum(g.num_nodes for g in graphs))
-    if max_rounds < 1:
-        raise GraphError("max_rounds must be at least 1")
     pair_tags = [None] * len(graphs)
     if tables is not None:
         if any(table.graph.edges != g.edges for g, table in zip(graphs, tables)):
@@ -87,7 +81,7 @@ def _refine(graphs, tables=None, max_rounds=None):
     colors, num_colors = _number([[tuple(row) for row in g.features.tolist()] for g in graphs])
     rounds = 0
     stable = num_colors == sum(g.num_nodes for g in graphs)
-    while rounds < max_rounds and not stable:
+    while not stable:
         if (rounds + 1) * per_round > MAX_REFINE_STEPS:
             raise GraphError(f"1-WL refinement: over {MAX_REFINE_STEPS} nodes plus pairs to read")
         signatures = []
@@ -102,22 +96,22 @@ def _refine(graphs, tables=None, max_rounds=None):
         # refinement only splits classes: equal counts means a stable partition
         stable = count == num_colors
         num_colors = count
-    return [ColorAssignment(tuple(cs), rounds, stable) for cs in colors]
+    return [ColorAssignment(tuple(cs), rounds) for cs in colors]
 
 
-def wl_refine(g, max_rounds=None):
+def wl_refine(g):
     """Plain 1-WL color refinement on a single graph."""
-    return _refine([g], max_rounds=max_rounds)[0]
+    return _refine([g])[0]
 
 
-def augmented_refine(g, coeffs, max_rounds=None):
+def augmented_refine(g, coeffs):
     """1-WL refinement with neighbor messages tagged by quantized coefficients.
 
     The message from u to v carries round(w * 1e9), w the table's weight of
     (v, u), so hashing stays exact across math libraries.  A table built for
     a graph with other edges raises GraphError.
     """
-    return _refine([g], [coeffs], max_rounds)[0]
+    return _refine([g], [coeffs])[0]
 
 
 def wl_distinguishable(g1, g2):

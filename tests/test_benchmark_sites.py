@@ -55,5 +55,13 @@ def test_live_tick_and_table_sites_resolve():
     check_sites(tracer.TICK_SITES + tracer.TABLE_SITES, LIVE_SITES)
 
 
+def test_no_dead_tick_site_resolves():
+    # a new helper named like a dead tick site would start the reference
+    # clock there and shift every timing the benchmark reports
+    ticks = {(module, path) for _, module, path, _ in load_tracer().TICK_SITES}
+    live = {(module, path) for module, path in ticks if callable(resolve(module, path))}
+    assert live == LIVE_SITES & ticks
+
+
 def test_cycle_span_sites_resolve():
     check_sites(load_tracer().SITES, CYCLE_SPAN_SITES)

@@ -129,11 +129,22 @@ class TestCoeffsCommand:
         assert_error_under_memory_limit(["coeffs", str(huge)])
 
     def test_hub_star_exit_2_under_memory_limit(self, tmp_path):
-        # the hub edge's union subgraph is the whole 10,001-node star
+        # the hub edge's union subgraph is the whole 10,001-node star; the
+        # table's work estimate passes MAX_TABLE_WORK at that first edge
         star = tmp_path / "star.txt"
         star.write_text(star_graph(10_000).to_text(), encoding="ascii")
         assert_error_under_memory_limit(["coeffs", str(star), "--kind", "union-path"],
                                         2, "descriptor error: edge (0, 1)")
+
+    def test_table_work_bound_exit_2(self, tmp_path, capsys):
+        # a K120 table sums a work estimate of 6.2e8, above MAX_TABLE_WORK,
+        # and is refused before any local matrix is built
+        dense = tmp_path / "k120.txt"
+        dense.write_text(complete_graph(120).to_text(), encoding="ascii")
+        assert main(["coeffs", str(dense)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("descriptor error: edge (") and err.count("\n") == 1
+        assert "work estimate passes the bound of 25000000" in err
 
     def test_hub_hub_curvature_exit_2(self, tmp_path):
         # edge (0, 1) joins two hubs with 200 private leaves each: its

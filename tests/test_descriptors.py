@@ -120,6 +120,11 @@ class TestPathMatrix:
         assert pm.max() == diameter
         assert np.array_equal(pm, nx_path_matrix(s))
 
+    def test_p1000_is_index_distance(self):
+        i = np.arange(1000)
+        assert np.array_equal(path_matrix(full_subgraph(path_graph(1000))),
+                              np.abs(i[:, None] - i[None, :]))
+
     def test_random_connected_graphs_match_networkx(self):
         rng = random.Random(11)
         checked = deep = 0
@@ -187,6 +192,10 @@ class TestReconstruction:
         entries = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
         with pytest.raises(DescriptorError, match="shortest-path lengths"):
             reconstruct_subgraph(entries, (0, 1, 2))
+
+    def test_round_trip_on_p1000(self):
+        s = full_subgraph(path_graph(1000))
+        assert reconstruct_subgraph(path_matrix(s), s.parent_ids) == s
 
     def test_round_trip_on_long_cycles(self):
         for n in range(7, 13):

