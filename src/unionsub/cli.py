@@ -163,26 +163,32 @@ def cmd_gen(args):
 BENCH_KINDS = ("count-ne", "union-path", "betweenness", "curvature", "cycle-count:6")
 
 
-def _time_kind(kind, graphs, encoding):
-    """Wall-clock one full pass of a descriptor kind over the corpus.
+def _bench_call(kind_text):
+    """The per-graph call a bench kind times: a descriptor's coefficient_table,
+    or for the bench-only cycle-count[:K] (K default 6) its simple K-cycles."""
+    name, _, param = kind_text.partition(":")
+    if name != "cycle-count":
+        kind = Descriptor.parse(kind_text)
+        return lambda g: coefficient_table(g, kind)
+    try:
+        k = int(param or 6)
+    except ValueError:
+        raise DescriptorError(f"invalid parameter in {kind_text!r}") from None
+    return lambda g: cycle_count(g, k)
 
-    Per-edge kinds time one coefficient_table per graph, the call users run
-    (raw values and their normalization); cycle-count is counted per graph.
-    """
+
+def _time_kind(call, graphs):
+    """Wall-clock one full pass of a bench kind's per-graph call over the corpus."""
     with warnings.catch_warnings():
         # normalization fallbacks are reported by `coeffs`; here only time counts
         warnings.simplefilter("ignore", RuntimeWarning)
         start = time.perf_counter()
-        if kind.kind == "cycle-count":
-            for g in graphs:
-                cycle_count(g, kind.cycle_len)
-        else:
-            for g in graphs:
-                coefficient_table(g, kind, encoding)
+        for g in graphs:
+            call(g)
         return time.perf_counter() - start
 
 
-def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM):
+def run_bench(graphs, kinds, repeats):
     """Median-of-repeats wall times per kind on the identical corpus."""
     if repeats < 1:
         raise GraphError(f"repeats must be at least 1, got {repeats}")
@@ -195,9 +201,9 @@ def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM):
         "repeats": repeats,
         "kinds": {},
     }
-    for kind_text in kinds:
-        kind = Descriptor.parse(kind_text)
-        times = sorted(_time_kind(kind, graphs, encoding) for _ in range(repeats))
+    calls = {kind_text: _bench_call(kind_text) for kind_text in kinds}  # all parsed first
+    for kind_text, call in calls.items():
+        times = sorted(_time_kind(call, graphs) for _ in range(repeats))
         median = times[len(times) // 2]
         report["kinds"][kind_text] = {
             "seconds": median,
@@ -210,7 +216,7 @@ def run_bench(graphs, kinds, repeats, encoding=Encoding.SVD_SUM):
 def cmd_bench(args):
     graphs = read_corpus(args.corpus)
     kinds = args.kinds.split(",") if args.kinds else list(BENCH_KINDS)
-    report = run_bench(graphs, kinds, args.repeats, Encoding.parse(args.enc))
+    report = run_bench(graphs, kinds, args.repeats)
     text = json.dumps(report, indent=2) + "\n"
     _write_output(text, args.out)
     return EXIT_OK
@@ -260,8 +266,13 @@ def cmd_train(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 1, not the usage block and exit 2
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unionsub",
         description="Union-subgraph structural coefficients and harnesses",
     )
@@ -293,9 +304,8 @@ def build_parser():
 
     p = sub.add_parser("bench", help="descriptor preprocessing-time comparison")
     p.add_argument("corpus")
-    p.add_argument("--kinds", help="comma-separated descriptor kinds")
+    p.add_argument("--kinds", help="comma-separated descriptor kinds or cycle-count[:K]")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--enc", default="svd-sum")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -2,13 +2,13 @@
 
 The flagship descriptor turns an edge's union subgraph into its shortest-path
 matrix and encodes it as the singular-value sum (nuclear norm).  The rivals
-are node/edge count, edge betweenness, Laplacian spectrum, Ollivier-Ricci
-curvature with exact optimal transport, and cycle counting.  Every per-edge
-kind fills one table format: ``values``, the raw coefficient of each edge of
-``g.edges``, and ``weights``, the normalized coefficient of each directed
-pair (v, u) in ``g.csr`` order (v ascending, then u ascending), which the
-1-WL verdict and the layer engine read as they are.  Its dict views ``raw``
-and ``normalized`` are built only when read.
+are node/edge count, edge betweenness, Laplacian spectrum and Ollivier-Ricci
+curvature with exact optimal transport; `bench` also times a whole-graph
+cycle count.  Every kind fills one table format: ``values``, the raw
+coefficient of each edge of ``g.edges``, and ``weights``, the normalized
+coefficient of each directed pair (v, u) in ``g.csr`` order (v ascending,
+then u ascending), which the 1-WL verdict and the layer engine read as they
+are.  Its dict views ``raw`` and ``normalized`` are built only when read.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ NORMALIZATION_ZERO_TOL = 1e-12
 # bound on the matrix entries plus member-neighbour pairs of one chunk of a
 # table's edges; bounds the memory of a table on a large graph
 BATCH_ENTRIES = 1 << 17
-# bound on the nodes of one edge's local subgraph in a matrix stack; a
-# betweenness edge at this size peaks near 251 MB (tracemalloc)
-MAX_LOCAL_NODES = 2500
 # bound on a table's summed per-edge work estimates; a unit took up to 96 ns
 # (path graphs) on a 2-vCPU host, so an accepted table takes about 2.5 s at most
 MAX_TABLE_WORK = 25 * 10**6
@@ -60,21 +57,19 @@ class Encoding(enum.Enum):
 
 @dataclass(frozen=True)
 class Descriptor:
-    """A per-edge descriptor kind with its parameters.
+    """A per-edge descriptor kind, each a coefficient table, with its parameters.
 
     lam applies to count-ne (1 for node-level, 2 for graph-level use),
-    alpha to curvature (laziness of the random walk), cycle_len to
-    cycle-count (which is graph-global and excluded from coefficient tables).
+    alpha to curvature (laziness of the random walk).
     """
 
     kind: str
     lam: int = 2
     alpha: float = 0.5
-    cycle_len: int = 6
 
     KINDS = (
         "union-path", "overlap-path", "minus-path", "laplacian",
-        "betweenness", "count-ne", "curvature", "cycle-count",
+        "betweenness", "count-ne", "curvature",
     )
 
     def __post_init__(self):
@@ -84,18 +79,16 @@ class Descriptor:
             raise DescriptorError("count-ne lambda must be 1 or 2")
         if not 0.0 <= self.alpha < 1.0:
             raise DescriptorError("curvature alpha must lie in [0, 1)")
-        if not 3 <= self.cycle_len <= 8:
-            raise DescriptorError("cycle length must lie in 3..8")
 
     @classmethod
     def parse(cls, text):
-        """Parse strings like "union-path", "count-ne:1", "cycle-count:6"."""
+        """Parse strings like "union-path", "count-ne:1", "curvature:0.3"."""
         kind, _, param = text.partition(":")
         if not param:
             return cls(kind)
-        fields = {"count-ne": ("lam", int), "curvature": ("alpha", float),
-                  "cycle-count": ("cycle_len", int)}
+        fields = {"count-ne": ("lam", int), "curvature": ("alpha", float)}
         if kind not in fields:
+            cls(kind)  # an unknown kind is named as such
             raise DescriptorError(f"descriptor {kind!r} takes no parameter")
         name, convert = fields[kind]
         try:
@@ -198,8 +191,9 @@ def local_descriptor_values(g, edges, kind, encoding):
     is bounded by a per-endpoint sum, 2 (deg x + 1)^2 for matrix entries plus
     the degrees summed over N[x] for member-neighbour pairs; each chunk of
     edges holds at most BATCH_ENTRIES of it, and edges summing past
-    MAX_TABLE_WORK are refused before any work.  count-ne builds no matrix;
-    every other kind refuses an edge with over MAX_LOCAL_NODES local nodes.
+    MAX_TABLE_WORK are refused before any work.  In a whole table a node of
+    degree d adds at least 2 (d + 1)^2 to each of its d edges, so an accepted
+    table has d <= 231 and every k <= 464.
     """
     indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
@@ -243,11 +237,6 @@ def _chunk_values(indptr, degree, nbr, ends, kind, encoding):
     del target, hit  # freed before the matrices are allocated
     if kind.kind == "count-ne":
         return np.bincount(edge[at], minlength=batch) / 2 / (k * (k - 1)) * k ** kind.lam
-    big = k.argmax()
-    if k[big] > MAX_LOCAL_NODES:
-        v, u = ends[big].tolist()
-        raise DescriptorError(f"edge ({v}, {u}): its local subgraph has {k[big]} nodes, "
-                              f"above the bound of {MAX_LOCAL_NODES}")
     order = k.argsort(kind="stable")
     rank, size = order.argsort(), k[order]
     cells = (size * size).cumsum()
@@ -369,7 +358,8 @@ def ricci_curvature(g, v, u, alpha=0.5):
 
 def cycle_count(g, k):
     """Number of simple k-cycles in the whole graph, 3 <= k <= 8; a search
-    past graphs.MAX_CYCLE_STEPS is refused as a one-line DescriptorError."""
+    past graphs.MAX_CYCLE_STEPS is refused as a one-line DescriptorError.
+    Not a Descriptor: `bench` times it as its own kind cycle-count[:K]."""
     if not 3 <= k <= 8:
         raise DescriptorError("cycle length must lie in 3..8")
     try:
@@ -427,11 +417,9 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     A pair's weight is its edge's value over the sum of the values around its
     center, added left to right in adjacency order; a node whose sum is
     within NORMALIZATION_ZERO_TOL of 0 warns and weighs its pairs uniformly.
-    Deterministic regardless of node labeling.  cycle-count is graph-global
-    and rejected here (it exists for the preprocessing benchmark only).
+    Deterministic regardless of node labeling.  Curvature comes from
+    curvature_values, every other kind from local_descriptor_values.
     """
-    if kind.kind == "cycle-count":
-        raise DescriptorError("cycle-count is graph-global, not a per-edge kind")
     if kind.kind == "curvature":
         values = np.array(curvature_values(g, g.edges, kind.alpha), dtype=float)
     else:

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -397,6 +398,46 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith("descriptor error: 6-cycle search: ") and err.count("\n") == 1
 
+    def test_cycle_count_length_defaults_to_6(self, monkeypatch):
+        from unionsub.graphs import cycle_graph
+
+        lengths = []
+        count = cli.cycle_count
+        monkeypatch.setattr(cli, "cycle_count", lambda g, k: lengths.append(k) or count(g, k))
+        graphs = [cycle_graph(6), cycle_graph(8)]
+        report = run_bench(graphs, ["cycle-count", "cycle-count:6"], repeats=1)
+        assert list(report["kinds"]) == ["cycle-count", "cycle-count:6"]
+        assert [stats["edges"] for stats in report["kinds"].values()] == [14, 14]
+        assert lengths == [6] * 4
+
+    @pytest.mark.parametrize("kind, message", [
+        ("cycle-count:9", "cycle length must lie in 3..8"),
+        ("cycle-count:x", "invalid parameter in 'cycle-count:x'"),
+    ])
+    def test_bad_cycle_length_exit_2(self, kind, message, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["gen", "cycle:6", "--out", str(corpus)])
+        capsys.readouterr()
+        assert main(["bench", str(corpus), "--kinds", kind, "--repeats", "1"]) == 2
+        assert capsys.readouterr().err == f"descriptor error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["coeffs", "distinguish"])
+    def test_cycle_count_is_bench_only(self, command, k3_file, capsys):
+        argv = [command, k3_file] + [k3_file] * (command == "distinguish")
+        assert main([*argv, "--kind", "cycle-count"]) == 2
+        assert capsys.readouterr().err == (
+            "descriptor error: unknown descriptor kind 'cycle-count'\n")
+
+    def test_every_kind_parsed_before_any_timing(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        main(["gen", "cycle:6", "--out", str(corpus)])
+        capsys.readouterr()
+        timed = []
+        monkeypatch.setattr(cli, "_time_kind", lambda *args: timed.append(args) or 0.0)
+        assert main(["bench", str(corpus), "--kinds", "count-ne,bogus"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not timed
+
     def test_corpus_without_edges_exit_1(self, tmp_path, capsys, monkeypatch):
         from unionsub import cli
 
@@ -433,6 +474,56 @@ class TestUnwritableOutput:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+USAGE_ERRORS = {
+    "coeffs": (["g.txt", "--bogus", "x"], ["g.txt", "--format", "xml"], []),
+    "distinguish": (["a.txt", "b.txt", "--bogus"], ["a.txt", "b.txt", "--kind"], ["a.txt"]),
+    "gen": (["cycle:5", "--out", "d", "--bogus"], ["cycle:5", "--out", "d", "--count", "x"],
+            ["cycle:5"]),
+    "bench": (["c", "--enc", "svd-sum"], ["c", "--repeats", "x"], []),
+    "train": (["d", "--bogus"], ["d", "--epochs", "abc"], []),
+}
+
+
+class TestUsageErrors:
+    """An unknown flag, a bad value or a missing argument exits 1 with one line."""
+
+    @pytest.mark.parametrize("argv", [[], ["nosuch"]] + [
+        [command, *args] for command, cases in USAGE_ERRORS.items() for args in cases
+    ])
+    def test_exit_1_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("unionsub") and captured.err.count("\n") == 1
+        assert ": error: " in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", [[], *([command] for command in USAGE_ERRORS)])
+    def test_help_exit_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: unionsub")
+
+    def test_readme_commands_parse(self, monkeypatch):
+        # every `unionsub ...` line of the README's CLI block parses, so a
+        # documented flag cannot be deleted or renamed unnoticed; the parsers
+        # take no abbreviations here, so a flag renamed to a longer one fails
+        class Exact(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, allow_abbrev=False, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Exact)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [words[1:] for words in commands if words[:1] == ["unionsub"]]
+        assert {words[0] for words in commands} == set(USAGE_ERRORS)
+        parser = cli.build_parser()
+        for words in commands:
+            parser.parse_args(words)
 
 
 class TestTrainCommand:

@@ -377,16 +377,21 @@ class TestBatchedMatrixKinds:
             assert coefficient_table(g, kind).raw == pytest.approx(raw, rel=1e-12)
 
     def test_local_subgraph_bound(self, monkeypatch):
-        # every local subgraph of K6, the overlap too, has 6 nodes; count-ne
-        # builds no matrix, so the bound leaves it alone
-        g = complete_graph(6)
-        count_ne = coefficient_table(g, COUNT_NE).raw
-        monkeypatch.setattr(descriptors, "MAX_LOCAL_NODES", 5)
-        for kind in MATRIX_KINDS + ("betweenness",):
-            with pytest.raises(DescriptorError,
-                               match=r"^edge \(0, 1\): .* 6 nodes, above the bound of 5$"):
-                coefficient_table(g, Descriptor(kind))
-        assert coefficient_table(g, COUNT_NE).raw == count_ne
+        # MAX_TABLE_WORK alone bounds the local subgraphs of a table.  A star
+        # with 230 leaves sums 230 x 107,421 = 24,706,830 and is accepted, its
+        # hub edges' union subgraphs holding all 231 nodes; with 231 leaves
+        # the sum passes the bound at the last edge, before any matrix
+        shapes = []
+        stack_values = descriptors._stack_values
+        monkeypatch.setattr(descriptors, "_stack_values",
+                            lambda a, *args: shapes.append(a.shape) or stack_values(a, *args))
+        assert len(coefficient_table(star_graph(230), UNION_PATH_SVD).values) == 230
+        assert max(shape[1:] for shape in shapes) == (231, 231)
+        shapes.clear()
+        with pytest.raises(DescriptorError, match=r"^edge \(0, 231\): the table's work "
+                           r"estimate passes the bound of 25000000 at this edge$"):
+            coefficient_table(star_graph(231), UNION_PATH_SVD)
+        assert not shapes
 
     def test_edgeless_graph(self):
         table = coefficient_table(Graph(3, []), UNION_PATH_SVD)
@@ -1081,18 +1086,15 @@ class TestCoefficientTable:
     @given(case=relabeled_graphs())
     def test_permutation_invariance_every_kind(self, case):
         # raw values map edge for edge within 1e-12 relative, under every
-        # encoding for the matrix kinds; cycle-count is a per-graph count.
-        # Curvature is 1 - W with W of order 1, so a curvature of 0 may come
-        # out as a rounding error of 1e-16: errors are relative to max(|x|, 1)
+        # encoding for the matrix kinds, and the 6-cycle count `bench` times
+        # is the same.  Curvature is 1 - W with W of order 1, so a curvature
+        # of 0 may come out as a rounding error of 1e-16: errors are relative
+        # to max(|x|, 1)
         g, perm = case
         relabeled = g.relabel(perm)
+        assert cycle_count(relabeled, 6) == cycle_count(g, 6)
         for name in Descriptor.KINDS:
             kind = Descriptor(name)
-            if name == "cycle-count":
-                assert cycle_count(relabeled, kind.cycle_len) == cycle_count(
-                    g, kind.cycle_len
-                )
-                continue
             matrix_kind = name.endswith(("path", "laplacian"))
             for encoding in Encoding if matrix_kind else [Encoding.SVD_SUM]:
                 base = coefficient_table(g, kind, encoding).raw
@@ -1103,8 +1105,11 @@ class TestCoefficientTable:
                     assert abs(other - value) <= 1e-12 * scale, (name, encoding)
 
     def test_cycle_count_not_a_table_kind(self):
-        with pytest.raises(DescriptorError, match="graph-global"):
-            coefficient_table(cycle_graph(6), Descriptor("cycle-count"))
+        # cycle-count is a per-graph count that only `bench` times
+        assert "cycle-count" not in Descriptor.KINDS
+        for text in ("cycle-count", "cycle-count:6"):
+            with pytest.raises(DescriptorError, match="unknown descriptor kind 'cycle-count'"):
+                coefficient_table(cycle_graph(6), Descriptor.parse(text))
 
     def test_zero_sum_guard_uniform_fallback(self):
         # on P5 both edges at the middle node have curvature exactly 0,
@@ -1146,7 +1151,7 @@ class TestCoefficientTable:
 
 TABLE_CASES = tuple(
     (Descriptor(name), encoding)
-    for name in Descriptor.KINDS if name != "cycle-count"
+    for name in Descriptor.KINDS
     for encoding in (Encoding if name.endswith(("path", "laplacian")) else [Encoding.SVD_SUM])
 )
 
@@ -1209,7 +1214,6 @@ class TestDescriptorParsing:
         assert Descriptor.parse("union-path") == UNION_PATH_SVD
         assert Descriptor.parse("count-ne:1").lam == 1
         assert Descriptor.parse("curvature:0.3").alpha == 0.3
-        assert Descriptor.parse("cycle-count:5").cycle_len == 5
 
     def test_validation(self):
         with pytest.raises(DescriptorError):
@@ -1223,8 +1227,10 @@ class TestDescriptorParsing:
         for text, message in (
             ("count-ne:3", "lambda must be 1 or 2"),
             ("curvature:1.5", "alpha"),
-            ("cycle-count:9", "cycle length"),
             ("count-ne:x", "invalid parameter"),
+            ("cycle-count", "unknown descriptor kind"),
+            ("bogus:3", "unknown descriptor kind"),
+            ("union-path:2", "takes no parameter"),
         ):
             with pytest.raises(DescriptorError, match=message):
                 Descriptor.parse(text)
