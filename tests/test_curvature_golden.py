@@ -7,8 +7,13 @@ bit of W1 rarely reaches the 12 printed digits; these 1,000-odd edges do.
 A change that alters a printed value must regenerate the file deliberately:
 
     PYTHONPATH=src python tests/test_curvature_golden.py > tests/golden/curvature_er.txt
+
+Printed digits hide a drift in the last bits, so every raw value of the
+whole 100-graph corpus (6,617 edges) at alpha 0, 0.2 and 0.5 is also pinned
+by the sha256 of its ``float.hex`` text, one value a line.
 """
 
+import hashlib
 import sys
 import warnings
 from pathlib import Path
@@ -17,6 +22,7 @@ from unionsub.cli import _gen_graphs
 from unionsub.descriptors import Descriptor, coefficient_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "curvature_er.txt"
+RAW_DIGEST = "0109820acae3644e3ef0cb688a9dd739158525f2400ff470f8efc19cf365fa5c"
 
 
 def golden_text():
@@ -34,6 +40,21 @@ def golden_text():
 
 def test_curvature_csv_matches_golden():
     assert golden_text().encode("ascii") == GOLDEN.read_bytes()
+
+
+def test_curvature_raw_values_match_digest():
+    graphs, _ = _gen_graphs("er:20-50:3.7", 100, 0)
+    digest, count = hashlib.sha256(), 0
+    for alpha in (0.0, 0.2, 0.5):
+        kind = Descriptor("curvature", alpha=alpha)
+        for g in graphs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                values = coefficient_table(g, kind).values.tolist()
+            digest.update("".join(f"{x.hex()}\n" for x in values).encode("ascii"))
+            count += len(values)
+    assert count == 3 * 6617
+    assert digest.hexdigest() == RAW_DIGEST
 
 
 if __name__ == "__main__":
