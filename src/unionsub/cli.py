@@ -29,6 +29,7 @@ from .descriptors import (
     Descriptor,
     DescriptorError,
     Encoding,
+    check_cycle_length,
     coefficient_table,
     cycle_count,
 )
@@ -174,6 +175,7 @@ def _bench_call(kind_text):
         k = int(param or 6)
     except ValueError:
         raise DescriptorError(f"invalid parameter in {kind_text!r}") from None
+    check_cycle_length(k)  # refused here, before any kind is timed
     return lambda g: cycle_count(g, k)
 
 
@@ -267,6 +269,9 @@ def cmd_train(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev=False, **kwargs):  # a flag's prefix is no flag
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):  # one line and exit 1, not the usage block and exit 2
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 

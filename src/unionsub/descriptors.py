@@ -34,6 +34,10 @@ MAX_TABLE_WORK = 25 * 10**6
 # bound on the rows x cols of a curvature transport problem, whose time grows faster
 # than its size: 128 x 128 between two hubs took up to 0.13 s on a 2-vCPU host
 MAX_TRANSPORT_CELLS = 1 << 14
+# bound on a curvature table's summed (deg v + 1)(deg u + 1), each edge's transport
+# cells before cancelling; a cell took up to 4 us (paths, random bipartite graphs)
+# on a 2-vCPU host, so an accepted table takes about 2.5 s at most
+MAX_CURVATURE_CELLS = 6 * 10**5
 
 
 class DescriptorError(ValueError):
@@ -199,18 +203,31 @@ def local_descriptor_values(g, edges, kind, encoding):
     degree = indptr[1:] - indptr[:-1]
     walks = np.concatenate(([0], degree[nbr].cumsum()))
     bound = 2 * (degree + 1) ** 2 + degree + walks[indptr[1:]] - walks[indptr[:-1]]
-    ends = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
-    total = np.concatenate(([0], bound[ends].cumsum()[1::2]))  # summed over the edges before each
-    if total[-1] > MAX_TABLE_WORK:
-        v, u = ends[total.searchsorted(MAX_TABLE_WORK, "right") - 1].tolist()
-        raise DescriptorError(f"edge ({v}, {u}): the table's work estimate passes the bound "
-                              f"of {MAX_TABLE_WORK} at this edge")
+    ends = _edge_ends(edges)
+    total = _table_work(ends, bound[ends].sum(axis=1), MAX_TABLE_WORK)
     values, lo = np.empty(len(ends)), 0
     while lo < len(ends):
         hi = max(lo + 1, total.searchsorted(total[lo] + BATCH_ENTRIES, "right") - 1)
         values[lo:hi] = _chunk_values(indptr, degree, nbr, ends[lo:hi], kind, encoding)
         lo = hi
     return values
+
+
+def _edge_ends(edges):
+    """The (E, 2) array of the endpoints of ``edges``."""
+    return np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
+
+
+def _table_work(ends, work, limit):
+    """The work summed over the edges before each edge and over all of them,
+    given each edge's estimate ``work``; past ``limit`` the edge at which the
+    sum passes it is refused."""
+    total = np.concatenate(([0], work.cumsum()))
+    if total[-1] > limit:
+        v, u = ends[total.searchsorted(limit, "right") - 1].tolist()
+        raise DescriptorError(f"edge ({v}, {u}): the table's work estimate passes the bound "
+                              f"of {limit} at this edge")
+    return total
 
 
 def _chunk_values(indptr, degree, nbr, ends, kind, encoding):
@@ -360,12 +377,17 @@ def cycle_count(g, k):
     """Number of simple k-cycles in the whole graph, 3 <= k <= 8; a search
     past graphs.MAX_CYCLE_STEPS is refused as a one-line DescriptorError.
     Not a Descriptor: `bench` times it as its own kind cycle-count[:K]."""
-    if not 3 <= k <= 8:
-        raise DescriptorError("cycle length must lie in 3..8")
+    check_cycle_length(k)
     try:
         return count_simple_cycles(g, k)
     except GraphError as exc:
         raise DescriptorError(str(exc)) from None
+
+
+def check_cycle_length(k):
+    """Refuse, as a one-line DescriptorError, a length cycle_count does not take."""
+    if not 3 <= k <= 8:
+        raise DescriptorError("cycle length must lie in 3..8")
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +440,18 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     center, added left to right in adjacency order; a node whose sum is
     within NORMALIZATION_ZERO_TOL of 0 warns and weighs its pairs uniformly.
     Deterministic regardless of node labeling.  Curvature comes from
-    curvature_values, every other kind from local_descriptor_values.
+    curvature_values, once its edges' (deg v + 1)(deg u + 1) transport cells
+    sum to at most MAX_CURVATURE_CELLS; every other kind comes from
+    local_descriptor_values.
     """
+    indptr, nbr = g.csr
+    degree = indptr[1:] - indptr[:-1]
     if kind.kind == "curvature":
+        ends = _edge_ends(g.edges)
+        _table_work(ends, (degree[ends] + 1).prod(axis=1), MAX_CURVATURE_CELLS)
         values = np.array(curvature_values(g, g.edges, kind.alpha), dtype=float)
     else:
         values = local_descriptor_values(g, g.edges, kind, encoding)
-    indptr, nbr = g.csr
-    degree = indptr[1:] - indptr[:-1]
     center = np.arange(g.num_nodes).repeat(degree)
     # g.edges lists the pairs (v, u) with v < u, in pair order
     key = np.minimum(center, nbr) * g.num_nodes + np.maximum(center, nbr)

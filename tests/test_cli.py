@@ -156,6 +156,16 @@ class TestCoeffsCommand:
         assert_error_under_memory_limit(["coeffs", str(hubs), "--kind", "curvature"],
                                         2, "descriptor error: edge (0, 1): 201 x 201")
 
+    def test_curvature_table_bound_exit_2(self, tmp_path, capsys):
+        # a 66,669-node path sums 600,006 transport cells, above MAX_CURVATURE_CELLS,
+        # and is refused at its last edge before any transport
+        path = tmp_path / "path.txt"
+        path.write_text(path_graph(66669).to_text(), encoding="ascii")
+        assert main(["coeffs", str(path), "--kind", "curvature"]) == 2
+        assert capsys.readouterr().err == (
+            "descriptor error: edge (66667, 66668): the table's work estimate passes "
+            "the bound of 600000 at this edge\n")
+
     def test_betweenness_c6(self, c6_file, capsys):
         assert main(["coeffs", c6_file, "--kind", "betweenness"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")[1:]
@@ -421,6 +431,20 @@ class TestBenchCommand:
         assert main(["bench", str(corpus), "--kinds", kind, "--repeats", "1"]) == 2
         assert capsys.readouterr().err == f"descriptor error: {message}\n"
 
+    def test_cycle_length_checked_before_any_timing(self, tmp_path, capsys, monkeypatch):
+        # cycle-count:9 is refused while the kinds are parsed, so the curvature
+        # kind before it makes no table
+        corpus = tmp_path / "corpus"
+        main(["gen", "cycle:6", "--out", str(corpus)])
+        capsys.readouterr()
+
+        def fail(*args):
+            raise AssertionError("a table was made")
+
+        monkeypatch.setattr(cli, "coefficient_table", fail)
+        assert main(["bench", str(corpus), "--kinds", "curvature,cycle-count:9"]) == 2
+        assert capsys.readouterr().err == "descriptor error: cycle length must lie in 3..8\n"
+
     @pytest.mark.parametrize("command", ["coeffs", "distinguish"])
     def test_cycle_count_is_bench_only(self, command, k3_file, capsys):
         argv = [command, k3_file] + [k3_file] * (command == "distinguish")
@@ -499,6 +523,16 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("unionsub") and captured.err.count("\n") == 1
         assert ": error: " in captured.err and captured.out == ""
+
+    def test_abbreviated_flags_exit_1(self, capsys):
+        # a prefix of a flag is no flag, on the parser and every subparser
+        for argv in (["bench", "corp", "--kind", "count-ne", "--rep", "1"], ["--he"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("unionsub: error: ") and err.count("\n") == 1
+        assert cli.build_parser().allow_abbrev is False
 
     @pytest.mark.parametrize("command", [[], *([command] for command in USAGE_ERRORS)])
     def test_help_exit_0(self, command, capsys):

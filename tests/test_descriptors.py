@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unionsub import descriptors, neural
+from unionsub import descriptors, neural, transport
 from unionsub.descriptors import (
     BETWEENNESS,
     COUNT_NE,
@@ -53,6 +53,7 @@ from unionsub.transport import solve_transport, wasserstein_discrete
 from unionsub.wl import distinguish_pair
 
 from helpers import edge_descriptor_value, local_index, reference_local_values, reference_table
+from test_benchmark_sites import load_tracer
 
 
 def full_subgraph(g):
@@ -266,6 +267,12 @@ class TestJacobiEncodings:
 def _graph_with_isolated_nodes():
     # a triangle with a pendant, a disjoint path and two isolated nodes
     return Graph(11, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6), (6, 7), (7, 8)])
+
+
+def _adjacent_hubs():
+    # adjacent hubs 0 and 1 with three common neighbours and private leaves
+    return Graph(14, [(0, 1)] + [(h, x) for h in (0, 1) for x in range(2, 5)]
+                 + [(0, x) for x in range(5, 9)] + [(1, x) for x in range(9, 14)])
 
 
 def _random_reference_graph(seed):
@@ -687,10 +694,8 @@ class TestCurvatureTable:
             return wasserstein_discrete(mu, nu, distances)
 
         monkeypatch.setattr(descriptors, "wasserstein_discrete", record)
-        # adjacent hubs 0 and 1 with three common neighbours and private leaves
-        hubs = Graph(14, [(0, 1)] + [(h, x) for h in (0, 1) for x in range(2, 5)]
-                     + [(0, x) for x in range(5, 9)] + [(1, x) for x in range(9, 14)])
-        graphs = random_graphs(10, 30) + [_graph_with_isolated_nodes(), complete_graph(2), hubs]
+        graphs = random_graphs(10, 30) + [_graph_with_isolated_nodes(), complete_graph(2),
+                                          _adjacent_hubs()]
         assert any(0 in map(g.degree, range(g.num_nodes)) for g in graphs[:30])
         for g in graphs:
             with warnings.catch_warnings():
@@ -700,6 +705,41 @@ class TestCurvatureTable:
         for mu, nu in seen:
             assert mu and nu
             assert min(mu) > 0 and min(nu) > 0
+
+    def test_transport_calls_keep_the_benchmark_cells(self, monkeypatch):
+        # perfbench ticks its clock at every wasserstein_discrete call and sums
+        # each call's cells as len(distances) x len(distances[0]) into
+        # transport.cells_sum; those must be the sizes of mu and nu
+        support_cells = load_tracer()._support_cells
+        cells = []
+
+        def record(mu, nu, distances):
+            cells.append((support_cells((mu, nu, distances), {}, None), len(mu) * len(nu)))
+            return wasserstein_discrete(mu, nu, distances)
+
+        monkeypatch.setattr(descriptors, "wasserstein_discrete", record)
+        for g in [_adjacent_hubs()] + random_graphs(12, 8):
+            for alpha in (0.0, 0.5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    coefficient_table(g, Descriptor("curvature", alpha=alpha))
+        assert len(cells) > 50 and max(expected for _, expected in cells) >= 30
+        assert all(traced == expected for traced, expected in cells)
+
+    def test_table_cells_bound(self, monkeypatch):
+        # a path of N >= 3 nodes sums 2 x 6 + 9 (N - 3) cells (deg v + 1)(deg u + 1):
+        # 66,668 nodes sum 599,997 and are accepted, and at 66,669 nodes the
+        # sum passes 600,000 at the last edge, before any transport
+        assert descriptors.MAX_CURVATURE_CELLS == 600_000
+        tabled = []
+        monkeypatch.setattr(descriptors, "curvature_values",
+                            lambda g, edges, alpha: tabled.append(g) or [1.0] * len(edges))
+        accepted = path_graph(66668)
+        assert len(coefficient_table(accepted, RICCI_CURVATURE).values) == 66667
+        with pytest.raises(DescriptorError, match=r"^edge \(66667, 66668\): the table's work "
+                           r"estimate passes the bound of 600000 at this edge$"):
+            coefficient_table(path_graph(66669), RICCI_CURVATURE)
+        assert tabled == [accepted]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_complete_graph_at_alpha_one_over_n(self, n):
@@ -901,6 +941,20 @@ class TestTransportSolver:
         expected = solve_transport(supply, demand, cost)[1]
         assert wasserstein_discrete(supply, demand, cost) == expected
         assert wasserstein_discrete(supply.tolist(), demand.tolist(), cost.tolist()) == expected
+
+    def test_flat_objective_is_the_numpy_sum(self):
+        # the solver sums its flat row-major products with numpy; that must be
+        # the bits of (plan * cost).sum() on the (m, n) arrays, which numpy
+        # reduces as one run of m * n elements when they are contiguous
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            m, n = (int(x) for x in rng.integers(1, 129, 2))
+            plan = rng.random((m, n)) * (rng.random((m, n)) < rng.random())
+            plan /= max(plan.sum(), 1.0)
+            cost = (rng.integers(1, 4, (m, n)) if rng.random() < 0.5
+                    else rng.random((m, n)) * 10.0).astype(float)
+            objective = transport._objective(plan.ravel().tolist(), cost.ravel().tolist())
+            assert objective.hex() == float((plan * cost).sum()).hex()
 
 
 @st.composite
