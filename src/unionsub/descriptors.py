@@ -438,7 +438,8 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
 
     A pair's weight is its edge's value over the sum of the values around its
     center, added left to right in adjacency order; a node whose sum is
-    within NORMALIZATION_ZERO_TOL of 0 warns and weighs its pairs uniformly.
+    within NORMALIZATION_ZERO_TOL of 0 weighs its pairs uniformly, and a
+    table with such nodes warns once, with their count and the first one.
     Deterministic regardless of node labeling.  Curvature comes from
     curvature_values, once its edges' (deg v + 1)(deg u + 1) transport cells
     sum to at most MAX_CURVATURE_CELLS; every other kind comes from
@@ -460,9 +461,10 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
     listed, bounds = raw.tolist(), indptr.tolist()
     sums = np.array([sum(listed[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dtype=float)
     fallback = (np.abs(sums) < NORMALIZATION_ZERO_TOL) & (degree > 0)
-    for v in fallback.nonzero()[0].tolist():
-        warnings.warn(f"coefficients around node {v} sum to ~0; falling back to uniform weights",
-                      RuntimeWarning, stacklevel=2)
+    if fallback.any():
+        nodes = fallback.nonzero()[0]
+        warnings.warn(f"coefficients around {len(nodes)} node(s) sum to ~0 (first: node "
+                      f"{nodes[0]}); falling back to uniform weights", RuntimeWarning, stacklevel=2)
     # a fallback node's pairs get 1 / degree; no pair divides by a sum near 0
     weights = np.where(fallback[center], 1.0, raw) / np.where(fallback, degree, sums)[center]
     for a in (values, weights):

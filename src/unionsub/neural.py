@@ -1,11 +1,14 @@
 """Toy differentiable graph layers with hand-rolled backprop.
 
-Coefficient tables enter the layers through a small Trans MLP: its
-per-channel output Trans(a_vu) on the row-normalized coefficient a_vu
-scales the message from u to v directly, with no second normalization over
-v's neighbors.  Injection into Transformer models is not reproduced.
-GCN and GIN/union are one layer type (``LayerParams``): GCN is the
-epsilon-free case with a degree norm on messages and a ReLU on the output.
+Coefficient tables enter the layers through Trans, a 1 -> 16 -> channels
+map with one ReLU: its per-channel output Trans(a_vu) on the row-normalized
+coefficient a_vu scales the message from u to v directly, with no second
+normalization over v's neighbors.  Injection into Transformer models is not
+reproduced.  GCN and GIN/union are one layer type (``LayerParams``) that
+applies one linear map W(.) + b: GCN is the epsilon-free case with a degree
+norm on messages and a ReLU on the output.  GIN's MLP is thus affine, and so
+is a plain gin classifier end to end; it scores 0.500 on the cycle demo
+(ROADMAP item 1).
 Every layer runs on one engine: a batch of graphs is one disjoint union
 (``_Batch``), built by concatenating the graphs' CSR arrays and their
 tables' weights, and a single graph is a batch of one.  Training builds one
@@ -32,7 +35,7 @@ import numpy as np
 from .descriptors import Encoding, UNION_PATH_SVD, coefficient_table
 from .graphs import GraphError
 
-TRANS_HIDDEN = 16  # Trans MLP is 1 -> 16 -> channels, ReLU inside
+TRANS_HIDDEN = 16  # Trans is 1 -> 16 -> channels, one ReLU inside
 DEFAULT_BATCH_SIZE = 32  # graphs per Adam step
 NUM_CLASSES = 2  # the classifier head's width
 ACCURACY_CHUNK = 256  # graphs per forward pass when scoring accuracy
@@ -83,18 +86,18 @@ def _relu_grad(d, z, work, key):
 
 
 # ---------------------------------------------------------------------------
-# MLP primitive
+# Linear maps and layer parameters
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Mlp:
-    """Linear layers with ReLU between them (not after the last)."""
+class Linear:
+    """One affine map x @ w + b."""
 
-    weights: list
-    biases: list
+    w: np.ndarray
+    b: np.ndarray
 
     def arrays(self):
-        return [a for pair in zip(self.weights, self.biases) for a in pair]
+        return [self.w, self.b]
 
 
 def glorot_uniform(rng, fan_in, fan_out):
@@ -102,23 +105,12 @@ def glorot_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def mlp_init(dims, rng):
-    weights = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return Mlp(weights, biases)
-
-
-def mlp_forward(mlp, x, work):
-    """Returns (output, caches); both live in ``work``'s buffers."""
-    caches = []
-    h = x
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = np.matmul(h, w, out=work.array(("z", id(w)), (len(h), w.shape[1])))
-        z += b
-        caches.append((h, z))
-        h = np.maximum(z, 0.0, out=work.array(("relu", id(w)), z.shape)) if i < last else z
-    return h, caches
+def _linear_forward(linear, x, work):
+    """x @ w + b, in ``work``'s buffer for w."""
+    w = linear.w
+    z = np.matmul(x, w, out=work.array(("z", id(w)), (len(x), w.shape[1])))
+    z += linear.b
+    return z
 
 
 def _column_sums(x):
@@ -126,49 +118,39 @@ def _column_sums(x):
     return np.ones(len(x)) @ x
 
 
-def mlp_backward(mlp, caches, dout, work):
-    """Returns (d input, grads as an Mlp); d input lives in a ``work`` buffer."""
-    n = len(mlp.weights)
-    grads = Mlp([None] * n, [None] * n)
-    d = dout
-    for i in range(n - 1, -1, -1):
-        h, z = caches[i]
-        w = mlp.weights[i]
-        dz = _relu_grad(d, z, work, ("dz", id(w))) if i < n - 1 else d
-        grads.weights[i] = h.T @ dz
-        grads.biases[i] = _column_sums(dz)
-        d = np.matmul(dz, w.T, out=work.array(("d", id(w)), (len(dz), w.shape[0])))
-    return d, grads
+def _linear_backward(linear, x, dz, work):
+    """Returns (d input, grads as a Linear) at input x; d input is a ``work`` buffer."""
+    w = linear.w
+    d = np.matmul(dz, w.T, out=work.array(("d", id(w)), (len(dz), w.shape[0])))
+    return d, Linear(x.T @ dz, _column_sums(dz))
 
-
-# ---------------------------------------------------------------------------
-# Layer parameters
-# ---------------------------------------------------------------------------
 
 @dataclass
 class LayerParams:
     """One message-passing layer; ``epsilon`` None makes it a GCN layer.
 
-    GIN/union layers carry a trainable (1 + eps) self term and an MLP; a GCN
-    layer has a one-layer ``mlp`` with a ReLU after it.
+    Both layer types apply one linear map; GIN/union layers add a trainable
+    (1 + eps) self term, and a GCN layer puts a ReLU after the map.
     """
 
     epsilon: np.ndarray | None  # 0-d array, trainable; None for GCN
-    mlp: Mlp
-    trans: Mlp | None  # None means unit weights (plain base)
+    linear: Linear
+    trans: tuple[Linear, Linear] | None  # Trans; None means unit weights (plain base)
 
     def arrays(self):
         out = [] if self.epsilon is None else [self.epsilon]
-        out += self.mlp.arrays()
-        if self.trans is not None:
-            out += self.trans.arrays()
+        for linear in (self.linear, *(self.trans or ())):
+            out += linear.arrays()
         return out
 
 
 def layer_params(in_dim, out_dim, rng, gin, with_trans):
-    trans = mlp_init((1, TRANS_HIDDEN, in_dim), rng) if with_trans else None
+    def linear(fan_in, fan_out):  # Trans's two maps draw first, then the layer's
+        return Linear(glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
+
+    trans = (linear(1, TRANS_HIDDEN), linear(TRANS_HIDDEN, in_dim)) if with_trans else None
     epsilon = np.zeros(()) if gin else None
-    return LayerParams(epsilon, mlp_init((in_dim, out_dim), rng), trans)
+    return LayerParams(epsilon, linear(in_dim, out_dim), trans)
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +249,33 @@ def _scatter_rows(values, index, num_rows, work):
 def _trans_forward(trans, coeff_rows, work):
     """Trans(coeff) per pair from rows [coeff, 1]; returns (t, cache).
 
-    The rows carry a ones column, so the first layer's bias rides in its
-    matmul: [coeff, 1] @ [w; b] is one BLAS call where coeff @ w + b
-    broadcasts twice over narrow rows.
+    Trans is relu(coeff w1 + b1) w2 + b2.  The rows carry a ones column, so
+    the first map's bias rides in its matmul: [coeff, 1] @ [w1; b1] is one
+    BLAS call where coeff @ w1 + b1 broadcasts twice over narrow rows.
     """
-    w = trans.weights[0]
-    z = np.matmul(coeff_rows, np.concatenate((w, trans.biases[0][None])),
-                  out=work.array(("z", id(w)), (len(coeff_rows), w.shape[1])))
-    hidden = np.maximum(z, 0.0, out=work.array(("relu", id(w)), z.shape))
-    t, caches = mlp_forward(Mlp(trans.weights[1:], trans.biases[1:]), hidden, work)
-    return t, (z, caches)
+    first, second = trans
+    z = np.matmul(coeff_rows, np.concatenate((first.w, first.b[None])),
+                  out=work.array(("z", id(first.w)), (len(coeff_rows), first.w.shape[1])))
+    hidden = np.maximum(z, 0.0, out=work.array(("relu", id(first.w)), z.shape))
+    return _linear_forward(second, hidden, work), (z, hidden)
 
 
 def _trans_backward(trans, coeff_rows, cache, dt, work):
-    """Gradients of Trans shaped like ``trans``; none reaches the coefficients."""
-    z, caches = cache
-    d, grads = mlp_backward(Mlp(trans.weights[1:], trans.biases[1:]), caches, dt, work)
-    first = coeff_rows.T @ _relu_grad(d, z, work, "trans_dz")
-    return Mlp([first[:1]] + grads.weights, [first[1]] + grads.biases)
+    """Gradients of Trans as two Linears; none reaches the coefficients."""
+    z, hidden = cache
+    d_hidden, second = _linear_backward(trans[1], hidden, dt, work)
+    first = coeff_rows.T @ _relu_grad(d_hidden, z, work, "trans_dz")
+    return Linear(first[:1], first[1]), second
 
 
 def _layer_forward(layer, batch, h):
     """One message-passing layer over the batch; returns (h', cache).
 
-    GCN: h' = relu(MLP(sum_u t(v,u) * h_u / sqrt(d_v d_u))).
-    GIN/union: h' = MLP((1 + eps) h_v + sum_u t(v,u) * h_u), so isolated
+    GCN: h' = relu(W(sum_u t(v,u) * h_u / sqrt(d_v d_u)) + b).
+    GIN/union: h' = W((1 + eps) h_v + sum_u t(v,u) * h_u) + b, so isolated
     nodes keep only the self term.  t(v,u) = Trans(coeff_vu) per channel;
-    without a Trans MLP, t is 1.  The output and the cache live in the
-    batch's workspace, in buffers that belong to ``layer``.
+    without a Trans, t is 1.  The output and the cache live in the batch's
+    workspace, in buffers that belong to ``layer``.
     """
     work = batch.work
     gcn = layer.epsilon is None
@@ -311,20 +292,20 @@ def _layer_forward(layer, batch, h):
     agg = _scatter_rows(msg, batch.center, batch.num_nodes, work)
     if not gcn:
         agg += np.multiply(h, 1.0 + float(layer.epsilon), out=work.array("self", h.shape))
-    out, mlp_cache = mlp_forward(layer.mlp, agg, work)
+    z = out = _linear_forward(layer.linear, agg, work)
     if gcn:
-        out = np.maximum(out, 0.0, out=work.array(("out", id(layer)), out.shape))
-    return out, (h, h_nbr, t, tcache, mlp_cache)
+        out = np.maximum(z, 0.0, out=work.array(("out", id(layer)), z.shape))
+    return out, (h, h_nbr, t, tcache, agg, z)
 
 
 def _layer_backward(layer, batch, cache, dout):
     """Returns (dh, grads as LayerParams shaped like ``layer``)."""
-    h, h_nbr, t, tcache, mlp_cache = cache
+    h, h_nbr, t, tcache, agg, z = cache
     work = batch.work
     gcn = layer.epsilon is None
     if gcn:
-        dout = _relu_grad(dout, mlp_cache[-1][1], work, "dout")
-    d_agg, mlp_grads = mlp_backward(layer.mlp, mlp_cache, dout, work)
+        dout = _relu_grad(dout, z, work, "dout")
+    d_agg, linear_grads = _linear_backward(layer.linear, agg, dout, work)
     d_msg = np.take(d_agg, batch.center, axis=0, mode="clip",
                     out=work.array("d_msg", (len(batch.center), d_agg.shape[1])))
     if gcn:
@@ -339,7 +320,7 @@ def _layer_backward(layer, batch, cache, dout):
     if not gcn:
         d_eps = np.array(float(np.multiply(d_agg, h, out=work.array("d_self", h.shape)).sum()))
         dh += np.multiply(d_agg, 1.0 + float(layer.epsilon), out=work.array("d_self", h.shape))
-    return dh, LayerParams(d_eps, mlp_grads, trans_grads)
+    return dh, LayerParams(d_eps, linear_grads, trans_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +446,8 @@ def _share_one_vector(model):
     for layer in model.layers:
         if layer.epsilon is not None:
             layer.epsilon = next(views)
-        for mlp in [m for m in (layer.mlp, layer.trans) if m is not None]:
-            for i in range(len(mlp.weights)):
-                mlp.weights[i], mlp.biases[i] = next(views), next(views)
+        for linear in (layer.linear, *(layer.trans or ())):
+            linear.w, linear.b = next(views), next(views)
     model.head_w, model.head_b = next(views), next(views)
 
 

@@ -76,28 +76,31 @@ def reference_local_values(g, edges, kind, encoding):
 
 def reference_table(g, kind, encoding):
     """coefficient_table's ``raw`` and ``normalized`` as dicts of tuple keys,
-    normalized by a loop over each node's neighbours that warns per node
-    whose sum is near 0 and weighs that node's pairs uniformly."""
+    normalized by a loop over each node's neighbours that weighs the pairs
+    of a node whose sum is near 0 uniformly, and warns once if any did."""
     if kind.kind == "curvature":
         values = curvature_values(g, g.edges, kind.alpha)
     else:
         values = local_descriptor_values(g, g.edges, kind, encoding).tolist()
     raw = dict(zip(g.edges, values))
-    normalized = {}
+    normalized, fallback = {}, []
     for v, neighbors in enumerate(g.adjacency):
         if not neighbors:
             continue
         denom = sum(raw[(v, u) if v < u else (u, v)] for u in neighbors)
         if abs(denom) < descriptors.NORMALIZATION_ZERO_TOL:
-            warnings.warn(
-                f"coefficients around node {v} sum to ~0; falling back to uniform weights",
-                RuntimeWarning,
-            )
+            fallback.append(v)
             for u in neighbors:
                 normalized[(v, u)] = 1.0 / len(neighbors)
         else:
             for u in neighbors:
                 normalized[(v, u)] = raw[(v, u) if v < u else (u, v)] / denom
+    if fallback:
+        warnings.warn(
+            f"coefficients around {len(fallback)} node(s) sum to ~0 (first: node "
+            f"{fallback[0]}); falling back to uniform weights",
+            RuntimeWarning,
+        )
     return raw, normalized
 
 

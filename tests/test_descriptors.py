@@ -349,10 +349,7 @@ class TestBatchedMatrixKinds:
         cases = [(kind, encoding) for kind in MATRIX_KINDS for encoding in Encoding]
         cases += [("betweenness", Encoding.SVD_SUM), ("count-ne", Encoding.SVD_SUM)]
         for kind, encoding in cases:
-            with warnings.catch_warnings():
-                # laplacian matrix sums are 0, so normalization falls back
-                warnings.simplefilter("ignore", RuntimeWarning)
-                table = coefficient_table(g, Descriptor(kind), encoding)
+            table = coefficient_table(g, Descriptor(kind), encoding)
             assert set(table.raw) == set(g.edges)
             for (v, u), value in table.raw.items():
                 ref = _reference_value(g, v, u, kind, encoding)
@@ -667,9 +664,7 @@ class TestCurvatureTable:
         assert not all(is_connected(g) for g in graphs)
         kind = Descriptor("curvature", alpha=alpha)
         for g in graphs:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                table = coefficient_table(g, kind)
+            table = coefficient_table(g, kind)
             for (v, u), value in table.raw.items():
                 assert abs(value - exact_ot_oracle(g, v, u, alpha)) < 1e-9
 
@@ -698,9 +693,7 @@ class TestCurvatureTable:
                                           _adjacent_hubs()]
         assert any(0 in map(g.degree, range(g.num_nodes)) for g in graphs[:30])
         for g in graphs:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                coefficient_table(g, Descriptor("curvature", alpha=alpha))
+            coefficient_table(g, Descriptor("curvature", alpha=alpha))
         assert len(seen) > 100
         for mu, nu in seen:
             assert mu and nu
@@ -720,9 +713,7 @@ class TestCurvatureTable:
         monkeypatch.setattr(descriptors, "wasserstein_discrete", record)
         for g in [_adjacent_hubs()] + random_graphs(12, 8):
             for alpha in (0.0, 0.5):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    coefficient_table(g, Descriptor("curvature", alpha=alpha))
+                coefficient_table(g, Descriptor("curvature", alpha=alpha))
         assert len(cells) > 50 and max(expected for _, expected in cells) >= 30
         assert all(traced == expected for traced, expected in cells)
 
@@ -751,9 +742,7 @@ class TestCurvatureTable:
     def test_ricci_curvature_equals_the_table(self):
         for alpha in (0.0, 0.2, 0.5):
             for g in random_graphs(9, 10) + [rook_graph_4x4(), star_graph(7)]:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    table = coefficient_table(g, Descriptor("curvature", alpha=alpha))
+                table = coefficient_table(g, Descriptor("curvature", alpha=alpha))
                 for (v, u), value in table.raw.items():
                     assert ricci_curvature(g, v, u, alpha) == value
                     assert ricci_curvature(g, u, v, alpha) == value
@@ -969,9 +958,7 @@ def edge_insertions(draw):
 
 
 def raw_values(g, kind):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return coefficient_table(g, kind).raw
+    return coefficient_table(g, kind).raw
 
 
 class TestLocality:
@@ -1135,7 +1122,6 @@ class TestCoefficientTable:
                         value, abs=1e-9
                     )
 
-    @pytest.mark.filterwarnings("ignore:coefficients around node")
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(case=relabeled_graphs())
     def test_permutation_invariance_every_kind(self, case):
@@ -1169,10 +1155,21 @@ class TestCoefficientTable:
         # on P5 both edges at the middle node have curvature exactly 0,
         # so its normalization falls back to uniform weights with a warning
         g = path_graph(5)
-        with pytest.warns(RuntimeWarning, match="uniform"):
+        with pytest.warns(RuntimeWarning, match=r"around 1 node\(s\) sum to ~0 \(first: node 2\)"):
             table = coefficient_table(g, RICCI_CURVATURE)
         assert table.normalized[(2, 1)] == pytest.approx(0.5)
         assert table.normalized[(2, 3)] == pytest.approx(0.5)
+
+    def test_one_fallback_warning_per_table(self):
+        # every inner edge of a path has curvature 0, so all 4,092 nodes
+        # with two inner edges fall back, and the table warns once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coefficient_table(path_graph(4096), RICCI_CURVATURE)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "coefficients around 4092 node(s) sum to ~0 (first: node 2); "
+                             "falling back to uniform weights")
+        ]
 
     def test_errors_carry_edge_identity(self, monkeypatch):
         def fail(*args):

@@ -49,30 +49,38 @@ def mixed_graphs(rng):
     return [with_features(g, rng) for g in graphs]
 
 
+def trans_by_hand(trans, c):
+    """Trans rows relu(c w1 + b1) @ w2 + b2 for a column of coefficients c."""
+    first, second = trans
+    return np.maximum(c * first.w + first.b, 0.0) @ second.w + second.b
+
+
 def dense_trans(trans, g, coeffs):
     """Oracle Trans weights as an (n, n, channels) array, zero off the edges."""
     n = g.num_nodes
-    out = np.zeros((n, n, trans.weights[-1].shape[1]))
+    out = np.zeros((n, n, trans[1].w.shape[1]))
     for v in range(n):
         nbrs = list(g.neighbors(v))
         if not nbrs:
             continue
-        x = np.array([[coeffs.normalized[(v, u)]] for u in nbrs])
-        out[v, nbrs], _ = nn.mlp_forward(trans, x, nn.Workspace())
+        out[v, nbrs] = trans_by_hand(trans, np.array([[coeffs.normalized[(v, u)]] for u in nbrs]))
     return out
 
 
 def unit_trans(channels):
-    """A Trans MLP that outputs exactly 1 on every channel."""
-    return nn.Mlp(
-        [np.zeros((1, nn.TRANS_HIDDEN)), np.zeros((nn.TRANS_HIDDEN, channels))],
-        [np.zeros(nn.TRANS_HIDDEN), np.ones(channels)],
-    )
+    """A Trans that outputs exactly 1 on every channel."""
+    return (nn.Linear(np.zeros((1, nn.TRANS_HIDDEN)), np.zeros(nn.TRANS_HIDDEN)),
+            nn.Linear(np.zeros((nn.TRANS_HIDDEN, channels)), np.ones(channels)))
+
+
+def identity_layer(width, trans=None):
+    """A GIN layer with eps 0 whose linear map is the identity."""
+    return nn.LayerParams(np.zeros(()), nn.Linear(np.eye(width), np.zeros(width)), trans)
 
 
 def layer_weights(layer, batch, h):
     """The per-pair Trans weights t that one layer forward applies."""
-    _, (_, _, t, _, _) = nn._layer_forward(layer, batch, h)
+    _, (_, _, t, *_) = nn._layer_forward(layer, batch, h)
     return t
 
 
@@ -93,11 +101,9 @@ def dense_logits(model, g, coeffs):
             t = dense_trans(layer.trans, g, coeffs)
             agg = np.einsum("vu,vuc,uc->vc", weights, t, h)
         if gcn:
-            h = np.maximum(agg @ layer.mlp.weights[0] + layer.mlp.biases[0], 0.0)
+            h = np.maximum(agg @ layer.linear.w + layer.linear.b, 0.0)
         else:
-            h, _ = nn.mlp_forward(
-                layer.mlp, (1.0 + float(layer.epsilon)) * h + agg, nn.Workspace()
-            )
+            h = ((1.0 + float(layer.epsilon)) * h + agg) @ layer.linear.w + layer.linear.b
     return h.mean(axis=0) @ model.head_w + model.head_b
 
 
@@ -135,14 +141,24 @@ def classifier_loss(model, batch, labels):
     return loss_and_grads
 
 
-class TestMlp:
-    def test_forward_matches_manual(self):
+class TestLinear:
+    def test_linear_matches_manual(self):
         rng = np.random.default_rng(0)
-        mlp = nn.mlp_init((3, 5, 2), rng)
+        linear = nn.Linear(rng.normal(size=(3, 2)), rng.normal(size=2))
         x = rng.normal(size=(4, 3))
-        y, _ = nn.mlp_forward(mlp, x, nn.Workspace())
-        hidden = np.maximum(x @ mlp.weights[0] + mlp.biases[0], 0.0)
-        assert np.allclose(y, hidden @ mlp.weights[1] + mlp.biases[1])
+        y = nn._linear_forward(linear, x, nn.Workspace())
+        assert np.allclose(y, x @ linear.w + linear.b)
+
+    def test_trans_matches_manual(self):
+        # the folded [c, 1] @ [w1; b1] first map against relu(c w1 + b1) @ w2 + b2
+        rng = np.random.default_rng(2)
+        trans = nn.layer_params(5, 5, rng, gin=True, with_trans=True).trans
+        for linear in trans:
+            linear.b[...] = rng.normal(size=linear.b.shape)
+        c = rng.uniform(0.0, 1.0, size=(7, 1))
+        t, _ = nn._trans_forward(trans, np.hstack([c, np.ones((7, 1))]), nn.Workspace())
+        assert t.shape == (7, 5)
+        assert np.allclose(t, trans_by_hand(trans, c), atol=1e-12)
 
     def test_glorot_bounds(self):
         rng = np.random.default_rng(1)
@@ -158,7 +174,7 @@ class TestTrans:
         rng = np.random.default_rng(5)
         layer = nn.layer_params(4, 4, rng, gin=True, with_trans=True)
         t = layer_weights(layer, make_batch([cycle_graph(6)]), np.ones((6, 4)))
-        expected, _ = nn.mlp_forward(layer.trans, np.array([[0.5]]), nn.Workspace())
+        expected = trans_by_hand(layer.trans, np.array([[0.5]]))
         assert t.shape == (12, 4)
         assert np.allclose(t, expected[0], atol=1e-12)
 
@@ -182,17 +198,13 @@ class TestTrans:
 
 class TestUnionLayer:
     def test_isolated_identity(self):
-        params = nn.LayerParams(
-            np.zeros(()), nn.Mlp([np.eye(3)], [np.zeros(3)]), None
-        )
+        params = identity_layer(3)
         h = np.array([[1.0, 2.0, 3.0]])
         out, _ = nn._layer_forward(params, make_batch([Graph(1, [])], False), h)
         assert np.allclose(out, h)
 
     def test_k2_doubling(self):
-        params = nn.LayerParams(
-            np.zeros(()), nn.Mlp([np.eye(1)], [np.zeros(1)]), unit_trans(1)
-        )
+        params = identity_layer(1, unit_trans(1))
         out, _ = nn._layer_forward(params, make_batch([complete_graph(2)]), np.ones((2, 1)))
         assert np.allclose(out, 2.0)
 
@@ -224,7 +236,7 @@ class TestPlugins:
         g = connected_random_graph(14, n=6)
         rng = np.random.default_rng(14)
         base = nn.layer_params(3, 4, rng, gin=False, with_trans=False)
-        with_trans = nn.LayerParams(None, base.mlp, unit_trans(3))
+        with_trans = nn.LayerParams(None, base.linear, unit_trans(3))
         h = rng.normal(size=(6, 3))
         out_base, _ = nn._layer_forward(base, make_batch([g], False), h)
         out_plugin, _ = nn._layer_forward(with_trans, make_batch([g]), h)
@@ -238,15 +250,13 @@ class TestPlugins:
         params = nn.layer_params(2, 3, rng, gin=False, with_trans=True)
         h = rng.normal(size=(6, 2))
         out, _ = nn._layer_forward(params, make_batch([g]), h)
-        row, _ = nn.mlp_forward(params.trans, np.array([[0.5]]), nn.Workspace())
+        row = trans_by_hand(params.trans, np.array([[0.5]]))
         degs = np.array([g.degree(v) for v in range(6)], dtype=float)
         manual_agg = np.zeros_like(h)
         for v in range(6):
             for u in g.neighbors(v):
                 manual_agg[v] += row[0] * h[u] / np.sqrt(degs[v] * degs[u])
-        expected = np.maximum(
-            manual_agg @ params.mlp.weights[0] + params.mlp.biases[0], 0.0
-        )
+        expected = np.maximum(manual_agg @ params.linear.w + params.linear.b, 0.0)
         assert np.allclose(out, expected, atol=1e-9)
 
 
@@ -254,17 +264,20 @@ class TestGradients:
     def _check(self, kind, seed):
         rng = np.random.default_rng(seed)
         if kind == "trans":
+            # the folded Trans that trains, on a batch's [coeff, 1] rows
             batch = make_batch([connected_random_graph(seed, n=6), cycle_graph(5)])
-            trans = nn.mlp_init((1, 16, 4), rng)
+            trans = nn.layer_params(4, 4, rng, gin=True, with_trans=True).trans
+            trans[1].b[...] = rng.normal(size=4)
 
             def forward():
-                return nn.mlp_forward(trans, batch.coeff_rows[:, :1], batch.work)
+                return nn._trans_forward(trans, batch.coeff_rows, batch.work)
 
             def backward(cache, dout):
-                return nn.mlp_backward(trans, cache, dout, batch.work)[1].arrays()
+                grads = nn._trans_backward(trans, batch.coeff_rows, cache, dout, batch.work)
+                return [a for linear in grads for a in linear.arrays()]
 
             loss = pooled_mse_head(forward, backward, rng.normal(size=4))
-            return nn.grad_check(loss, trans.arrays())
+            return nn.grad_check(loss, [a for linear in trans for a in linear.arrays()])
         # the full classifier loss on a multi-graph batch
         spec = nn.ModelSpec.parse(kind, hidden=4)
         graphs = mixed_graphs(rng)
@@ -278,7 +291,7 @@ class TestGradients:
             if spec.base == "gcn":
                 # zero biases put isolated nodes exactly on the ReLU kink,
                 # where central differences see half a slope
-                layer.mlp.biases[0][...] = rng.normal(size=layer.mlp.biases[0].shape)
+                layer.linear.b[...] = rng.normal(size=layer.linear.b.shape)
             else:
                 layer.epsilon[...] = rng.normal()
         labels = rng.integers(0, 2, size=len(graphs))
@@ -292,9 +305,7 @@ class TestGradients:
             assert self._check(kind, seed) < 1e-4
 
     def test_identity_linear_configuration_is_exact(self):
-        params = nn.LayerParams(
-            np.zeros(()), nn.Mlp([np.eye(2)], [np.zeros(2)]), None
-        )
+        params = identity_layer(2)
         batch = make_batch([complete_graph(2)], False)
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
 
@@ -542,7 +553,7 @@ class TestCoefficientsReachTheLoss:
         _, grads = classifier_loss(model, batch, labels)()
         by_array = {id(a): g for a, g in zip(model.arrays(), grads)}
         for layer in model.layers:
-            assert np.abs(by_array[id(layer.trans.biases[-1])]).max() > 1e-6
+            assert np.abs(by_array[id(layer.trans[1].b)]).max() > 1e-6
 
 
 @pytest.fixture(scope="module")
