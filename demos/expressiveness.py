@@ -9,7 +9,6 @@ path-matrix round trip.
 """
 
 from unionsub import (
-    Encoding,
     UNION_PATH_SVD,
     coefficient_table,
     cycle_graph,
@@ -43,7 +42,7 @@ pairs = (
     ("K3 vs K3 (identical)", cycle_graph(3), cycle_graph(3)),
 )
 for name, g1, g2 in pairs:
-    verdict = distinguish_pair(g1, g2, UNION_PATH_SVD, Encoding.SVD_SUM)
+    verdict = distinguish_pair(g1, g2, UNION_PATH_SVD)
     print(f"  {name:24s} refinement={verdict.wl_distinguishes}  "
           f"tagged={verdict.augmented_distinguishes}  raw={verdict.raw_values_differ}")
 

@@ -28,7 +28,6 @@ from .datasets import (
 from .descriptors import (
     Descriptor,
     DescriptorError,
-    Encoding,
     check_cycle_length,
     coefficient_table,
     cycle_count,
@@ -54,9 +53,7 @@ def _write_output(text, out_path):
 
 def cmd_coeffs(args):
     g = read_graph_file(args.graph)
-    kind = Descriptor.parse(args.kind)
-    encoding = Encoding.parse(args.enc)
-    table = coefficient_table(g, kind, encoding)
+    table = coefficient_table(g, Descriptor.parse(args.kind))
     if args.format == "json":
         text = json.dumps(table.to_json_obj(), indent=2) + "\n"
     else:
@@ -68,9 +65,7 @@ def cmd_coeffs(args):
 def cmd_distinguish(args):
     g1 = read_graph_file(args.graph1)
     g2 = read_graph_file(args.graph2)
-    kind = Descriptor.parse(args.kind)
-    encoding = Encoding.parse(args.enc)
-    verdict = wl.distinguish_pair(g1, g2, kind, encoding)
+    verdict = wl.distinguish_pair(g1, g2, Descriptor.parse(args.kind))
     sys.stdout.write(json.dumps(verdict.to_json_obj()) + "\n")
     return EXIT_OK
 
@@ -183,7 +178,7 @@ def _time_kind(call, graphs):
     """Wall-clock one full pass of a bench kind's per-graph call over the corpus."""
     with warnings.catch_warnings():
         # normalization fallbacks are reported by `coeffs`; here only time counts
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "coefficients around .* sum to ~0", RuntimeWarning)
         start = time.perf_counter()
         for g in graphs:
             call(g)
@@ -286,7 +281,6 @@ def build_parser():
     p = sub.add_parser("coeffs", help="per-edge coefficient table for one graph")
     p.add_argument("graph")
     p.add_argument("--kind", default="union-path")
-    p.add_argument("--enc", default="svd-sum")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_coeffs)
@@ -295,7 +289,6 @@ def build_parser():
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--kind", default="union-path")
-    p.add_argument("--enc", default="svd-sum")
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("gen", help="generate graphs or datasets")

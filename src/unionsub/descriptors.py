@@ -1,7 +1,8 @@
 """Per-edge structural descriptors, matrix encodings, and coefficient tables.
 
-The flagship descriptor turns an edge's union subgraph into its shortest-path
-matrix and encodes it as the singular-value sum (nuclear norm).  The rivals
+A Descriptor is one value, a kind with its parameters.  The flagship,
+union-path, turns an edge's union subgraph into its shortest-path matrix and
+encodes it, by default as the singular-value sum (nuclear norm).  The rivals
 are node/edge count, edge betweenness, Laplacian spectrum and Ollivier-Ricci
 curvature with exact optimal transport; `bench` also times a whole-graph
 cycle count.  Every kind fills one table format: ``values``, the raw
@@ -51,27 +52,23 @@ class Encoding(enum.Enum):
     EIGEN_MAX = "eigen-max"
     SVD_SUM = "svd-sum"
 
-    @classmethod
-    def parse(cls, text):
-        for member in cls:
-            if member.value == text:
-                return member
-        raise DescriptorError(f"unknown encoding {text!r}")
-
 
 @dataclass(frozen=True)
 class Descriptor:
     """A per-edge descriptor kind, each a coefficient table, with its parameters.
 
     lam applies to count-ne (1 for node-level, 2 for graph-level use),
-    alpha to curvature (laziness of the random walk).
+    alpha to curvature (laziness of the random walk), and encoding to the
+    four matrix kinds (how their matrix becomes a scalar); every other kind
+    ignores the parameters that are not its own.
     """
 
     kind: str
     lam: int = 2
     alpha: float = 0.5
+    encoding: Encoding = Encoding.SVD_SUM
 
-    KINDS = (
+    KINDS = (  # the first four are the matrix kinds, which take an encoding
         "union-path", "overlap-path", "minus-path", "laplacian",
         "betweenness", "count-ne", "curvature",
     )
@@ -86,11 +83,13 @@ class Descriptor:
 
     @classmethod
     def parse(cls, text):
-        """Parse strings like "union-path", "count-ne:1", "curvature:0.3"."""
+        """Parse strings like "union-path", "union-path:eigen-max", "count-ne:1",
+        "curvature:0.3"."""
         kind, _, param = text.partition(":")
         if not param:
             return cls(kind)
-        fields = {"count-ne": ("lam", int), "curvature": ("alpha", float)}
+        fields = {"count-ne": ("lam", int), "curvature": ("alpha", float),
+                  **dict.fromkeys(cls.KINDS[:4], ("encoding", Encoding))}
         if kind not in fields:
             cls(kind)  # an unknown kind is named as such
             raise DescriptorError(f"descriptor {kind!r} takes no parameter")
@@ -184,7 +183,7 @@ def _encode_stack(stack, encoding):
     raise DescriptorError(f"unknown encoding {encoding!r}")
 
 
-def local_descriptor_values(g, edges, kind, encoding):
+def local_descriptor_values(g, edges, kind):
     """Values of every per-edge kind but curvature for ``edges`` of g, in order.
 
     Local nodes are N[v] | N[u] (N[v] & N[u] for overlap); union-minus drops
@@ -208,7 +207,7 @@ def local_descriptor_values(g, edges, kind, encoding):
     values, lo = np.empty(len(ends)), 0
     while lo < len(ends):
         hi = max(lo + 1, total.searchsorted(total[lo] + BATCH_ENTRIES, "right") - 1)
-        values[lo:hi] = _chunk_values(indptr, degree, nbr, ends[lo:hi], kind, encoding)
+        values[lo:hi] = _chunk_values(indptr, degree, nbr, ends[lo:hi], kind)
         lo = hi
     return values
 
@@ -230,7 +229,7 @@ def _table_work(ends, work, limit):
     return total
 
 
-def _chunk_values(indptr, degree, nbr, ends, kind, encoding):
+def _chunk_values(indptr, degree, nbr, ends, kind):
     """local_descriptor_values of the (B, 2) array ``ends``, from g's CSR arrays."""
     batch, n = len(ends), len(degree)
     own = ends + np.arange(0, batch * n, n)[:, None]  # the endpoints' keys
@@ -267,7 +266,7 @@ def _chunk_values(indptr, degree, nbr, ends, kind, encoding):
     for lo, hi in zip([0, *cuts], [*cuts, batch]):
         s = int(size[lo])
         stack = a[cells[hi - 1] - (hi - lo) * s * s:cells[hi - 1]].reshape(-1, s, s)
-        values[lo:hi] = _stack_values(stack, local_ends[lo:hi], kind, encoding)
+        values[lo:hi] = _stack_values(stack, local_ends[lo:hi], kind)
     return values[rank]
 
 
@@ -282,7 +281,7 @@ def _rows(indptr, degree, nbr, nodes, start):
     return at, index
 
 
-def _stack_values(a, ends, kind, encoding):
+def _stack_values(a, ends, kind):
     """One value per matrix of a (B, k, k) local adjacency stack.
 
     Row i of the (B, 2) array ``ends`` holds the local indices of matrix i's
@@ -297,12 +296,12 @@ def _stack_values(a, ends, kind, encoding):
     if kind.kind == "laplacian":
         m = -a
         m[:, diag, diag] = a.sum(axis=2)
-        return _encode_stack(m, encoding)
+        return _encode_stack(m, kind.encoding)
     a2 = a @ a
     d = np.where(a > 0, a, np.where(a2 > 0, 2, 3))
     d[:, diag, diag] = 0.0
     if kind.kind != "betweenness":
-        return _encode_stack(d, encoding)
+        return _encode_stack(d, kind.encoding)
     sigma = np.where(a > 0, a, np.where(a2 > 0, a2, a2 @ a))
     sigma[:, diag, diag] = 1.0
     # the ordered pair (x, y) counts its shortest paths x ... v - u ... y and
@@ -433,7 +432,7 @@ class CoefficientTable:
         return "\n".join(lines) + "\n"
 
 
-def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
+def coefficient_table(g, kind=UNION_PATH_SVD):
     """Raw and normalized structural coefficients for every edge of g.
 
     A pair's weight is its edge's value over the sum of the values around its
@@ -452,14 +451,14 @@ def coefficient_table(g, kind=UNION_PATH_SVD, encoding=Encoding.SVD_SUM):
         _table_work(ends, (degree[ends] + 1).prod(axis=1), MAX_CURVATURE_CELLS)
         values = np.array(curvature_values(g, g.edges, kind.alpha), dtype=float)
     else:
-        values = local_descriptor_values(g, g.edges, kind, encoding)
+        values = local_descriptor_values(g, g.edges, kind)
     center = np.arange(g.num_nodes).repeat(degree)
     # g.edges lists the pairs (v, u) with v < u, in pair order
     key = np.minimum(center, nbr) * g.num_nodes + np.maximum(center, nbr)
     raw = values[key[center < nbr].searchsorted(key)]
-    # np.add.reduceat may pair the terms otherwise, which moves the last bit
-    listed, bounds = raw.tolist(), indptr.tolist()
-    sums = np.array([sum(listed[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dtype=float)
+    # bincount adds in input order; np.add.reduceat may pair the terms and
+    # Python 3.12's sum() compensates them, either of which moves the last bit
+    sums = np.bincount(center, weights=raw, minlength=g.num_nodes)
     fallback = (np.abs(sums) < NORMALIZATION_ZERO_TOL) & (degree > 0)
     if fallback.any():
         nodes = fallback.nonzero()[0]

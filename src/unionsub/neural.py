@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import Encoding, UNION_PATH_SVD, coefficient_table
+from .descriptors import UNION_PATH_SVD, coefficient_table
 from .graphs import GraphError
 
 TRANS_HIDDEN = 16  # Trans is 1 -> 16 -> channels, one ReLU inside
@@ -422,16 +422,14 @@ class Classifier:
 
     spec: ModelSpec
     layers: list
-    head_w: np.ndarray
-    head_b: np.ndarray
+    head: Linear
     flat: np.ndarray | None = None
 
     def arrays(self):
         out = []
         for layer in self.layers:
             out += layer.arrays()
-        out += [self.head_w, self.head_b]
-        return out
+        return out + self.head.arrays()
 
 
 def _share_one_vector(model):
@@ -448,7 +446,7 @@ def _share_one_vector(model):
             layer.epsilon = next(views)
         for linear in (layer.linear, *(layer.trans or ())):
             linear.w, linear.b = next(views), next(views)
-    model.head_w, model.head_b = next(views), next(views)
+    model.head.w, model.head.b = next(views), next(views)
 
 
 def init_classifier(spec, in_dim, rng):
@@ -457,9 +455,8 @@ def init_classifier(spec, in_dim, rng):
         layer_params(dims[i], dims[i + 1], rng, spec.base == "gin", spec.use_coeffs)
         for i in range(2)
     ]
-    head_w = glorot_uniform(rng, spec.hidden, NUM_CLASSES)
-    head_b = np.zeros(NUM_CLASSES)
-    model = Classifier(spec, layers, head_w, head_b)
+    head = Linear(glorot_uniform(rng, spec.hidden, NUM_CLASSES), np.zeros(NUM_CLASSES))
+    model = Classifier(spec, layers, head)
     _share_one_vector(model)
     return model
 
@@ -473,15 +470,15 @@ def _batched_forward(model, batch):
         caches.append(cache)
     pooled = np.add.reduceat(h, batch.pool_starts, axis=0)
     pooled /= batch.node_sizes[:, None]
-    logits = pooled @ model.head_w + model.head_b
+    logits = pooled @ model.head.w + model.head.b
     return logits, (caches, pooled)
 
 
 def _batched_backward(model, batch, cache, dlogits):
     """Gradients aligned with ``model.arrays()``."""
     caches, pooled = cache
-    grads = [pooled.T @ dlogits, _column_sums(dlogits)]
-    dpooled = dlogits @ model.head_w.T
+    dpooled, head_grads = _linear_backward(model.head, pooled, dlogits, batch.work)
+    grads = head_grads.arrays()
     dh = np.repeat(dpooled / batch.node_sizes[:, None], batch.node_sizes, axis=0)
     for i in range(len(model.layers) - 1, -1, -1):
         dh, layer_grads = _layer_backward(model.layers[i], batch, caches[i], dh)
@@ -577,7 +574,7 @@ def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BA
     labels = np.array([label for split in splits.values() for _, label in split], dtype=int)
     tables = None
     if spec.use_coeffs:
-        tables = [coefficient_table(g, UNION_PATH_SVD, Encoding.SVD_SUM) for g in graphs]
+        tables = [coefficient_table(g, UNION_PATH_SVD) for g in graphs]
     whole = _Batch(graphs, tables)
     ends = np.cumsum([len(split) for split in splits.values()])
     scored = {  # split name -> (accuracy chunks, labels)

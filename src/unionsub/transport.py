@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -81,7 +82,8 @@ def _checked(supply, demand, cost):
         raise ValueError("supply and demand must be non-empty")
     if min(a) < -1e-12 or min(b) < -1e-12:
         raise ValueError("supplies and demands must be non-negative")
-    imbalance = sum(a) - sum(b)
+    # left to right; Python 3.12's sum() compensates, which moves the residual's last bit
+    imbalance = reduce(add, a, 0.0) - reduce(add, b, 0.0)
     if not math.isfinite(imbalance + sum(c)):  # a nan or inf makes its sum non-finite
         raise ValueError("masses and costs must be finite")
     if abs(imbalance) > 1e-9:

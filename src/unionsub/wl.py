@@ -120,7 +120,7 @@ def wl_distinguishable(g1, g2):
     return first.histogram() != second.histogram()
 
 
-def distinguish_pair(g1, g2, kind, encoding):
+def distinguish_pair(g1, g2, kind):
     """Full verdict for a graph pair under one descriptor kind.
 
     ``augmented_distinguishes`` is the coefficient-tagged joint refinement
@@ -128,7 +128,7 @@ def distinguish_pair(g1, g2, kind, encoding):
     ``raw_values_differ`` compares the graphs' multisets of quantized raw
     coefficients, a signal normalization removes.
     """
-    tables = [coefficient_table(g, kind, encoding) for g in (g1, g2)]
+    tables = [coefficient_table(g, kind) for g in (g1, g2)]
     plain = _refine([g1, g2])
     tagged = _refine([g1, g2], tables)
     h1, h2 = (assignment.histogram() for assignment in tagged)

@@ -8,19 +8,17 @@ import networkx as nx
 import numpy as np
 
 from unionsub import descriptors
-from unionsub.descriptors import (
-    Encoding, curvature_values, local_descriptor_values, ricci_curvature,
-)
+from unionsub.descriptors import curvature_values, local_descriptor_values, ricci_curvature
 from unionsub.graphs import Graph, GraphError, double_edge_swap
 
 
-def edge_descriptor_value(g, v, u, kind, encoding=Encoding.SVD_SUM):
+def edge_descriptor_value(g, v, u, kind):
     """Raw descriptor value of one edge, computed as coefficient_table does."""
     if kind.kind == "curvature":
         return ricci_curvature(g, v, u, kind.alpha)
     if not g.has_edge(v, u):
         raise GraphError(f"({v}, {u}) is not an edge")
-    return float(local_descriptor_values(g, [(v, u)], kind, encoding)[0])
+    return float(local_descriptor_values(g, [(v, u)], kind)[0])
 
 
 def local_index(sub, parent_id):
@@ -28,7 +26,7 @@ def local_index(sub, parent_id):
     return sub.parent_ids.index(parent_id)
 
 
-def reference_local_values(g, edges, kind, encoding):
+def reference_local_values(g, edges, kind):
     """local_descriptor_values by a per-edge loop over Python sets and dicts.
 
     Each edge's members are sorted and indexed one by one, and its local
@@ -67,27 +65,29 @@ def reference_local_values(g, edges, kind, encoding):
                     arcs = a.sum(axis=(1, 2))
                     values[at] = arcs / 2 / (size * (size - 1)) * size ** kind.lam
                 else:
-                    values[at] = descriptors._stack_values(
-                        a, np.array(local_ends), kind, encoding)
+                    values[at] = descriptors._stack_values(a, np.array(local_ends), kind)
             groups.clear()
             pending = 0
     return values
 
 
-def reference_table(g, kind, encoding):
+def reference_table(g, kind):
     """coefficient_table's ``raw`` and ``normalized`` as dicts of tuple keys,
-    normalized by a loop over each node's neighbours that weighs the pairs
-    of a node whose sum is near 0 uniformly, and warns once if any did."""
+    normalized by a loop over each node's neighbours that adds the values
+    left to right, weighs the pairs of a node whose sum is near 0 uniformly,
+    and warns once if any did."""
     if kind.kind == "curvature":
         values = curvature_values(g, g.edges, kind.alpha)
     else:
-        values = local_descriptor_values(g, g.edges, kind, encoding).tolist()
+        values = local_descriptor_values(g, g.edges, kind).tolist()
     raw = dict(zip(g.edges, values))
     normalized, fallback = {}, []
     for v, neighbors in enumerate(g.adjacency):
         if not neighbors:
             continue
-        denom = sum(raw[(v, u) if v < u else (u, v)] for u in neighbors)
+        denom = 0.0
+        for u in neighbors:
+            denom += raw[(v, u) if v < u else (u, v)]
         if abs(denom) < descriptors.NORMALIZATION_ZERO_TOL:
             fallback.append(v)
             for u in neighbors:

@@ -16,7 +16,7 @@ from collections import defaultdict
 import networkx as nx
 import pytest
 
-from unionsub.descriptors import Descriptor, Encoding
+from unionsub.descriptors import Descriptor
 from unionsub.graphs import Graph
 from unionsub.wl import distinguish_pair, wl_distinguishable
 
@@ -59,8 +59,7 @@ def separated():
         by_kind = {}
         for kind in KINDS:
             descriptor = Descriptor.parse(kind)
-            verdicts = [distinguish_pair(g1, g2, descriptor, Encoding.SVD_SUM)
-                        for g1, g2 in pairs]
+            verdicts = [distinguish_pair(g1, g2, descriptor) for g1, g2 in pairs]
             assert not any(v.wl_distinguishes for v in verdicts)
             by_kind[kind] = {i for i, v in enumerate(verdicts) if v.augmented_distinguishes}
         out[family] = (len(pairs), by_kind)

@@ -5,6 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 from unionsub import cli
 from unionsub.cli import main, run_bench
 from unionsub.datasets import read_corpus, read_dataset, write_dataset
+from unionsub.descriptors import Descriptor, Encoding, coefficient_table
 from unionsub.graphs import (
-    Graph, GraphParseError, complete_graph, parse_graph, path_graph, random_graph, star_graph,
+    Graph, GraphParseError, complete_graph, cycle_graph, parse_graph, path_graph, random_graph,
+    star_graph,
 )
 
 
@@ -91,6 +94,34 @@ class TestCoeffsCommand:
     def test_bad_kind_parameter_names_its_rule(self, k3_file, capsys):
         assert main(["coeffs", k3_file, "--kind", "count-ne:3"]) == 2
         assert "lambda must be 1 or 2" in capsys.readouterr().err
+
+    def test_kind_carries_the_encoding(self, tmp_path, capsys):
+        g = random_graph(14, 0.35, random.Random(2))
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_text(), encoding="ascii")
+        assert main(["coeffs", str(path), "--kind", "union-path:eigen-max"]) == 0
+        out = capsys.readouterr().out
+        kind = Descriptor("union-path", encoding=Encoding.EIGEN_MAX)
+        assert out == coefficient_table(g, kind).to_csv_text()
+        assert out != coefficient_table(g).to_csv_text()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("count-ne:eigen-max", "invalid parameter in 'count-ne:eigen-max'"),
+        ("union-path:bogus", "invalid parameter in 'union-path:bogus'"),
+        ("betweenness:svd-sum", "descriptor 'betweenness' takes no parameter"),
+    ])
+    def test_encoding_only_on_matrix_kinds(self, kind, message, k3_file, capsys):
+        assert main(["coeffs", k3_file, "--kind", kind]) == 2
+        assert capsys.readouterr().err == f"descriptor error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["coeffs", "distinguish"])
+    def test_enc_is_no_flag(self, command, k3_file, capsys):
+        argv = [command, k3_file] + [k3_file] * (command == "distinguish")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--enc", "svd-sum"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unrecognized arguments: --enc svd-sum" in err
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["coeffs", "/nonexistent/graph.txt"]) == 1
@@ -184,6 +215,12 @@ class TestDistinguishCommand:
         assert main(["distinguish", c6_file, two_triangles_file]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["wl"] is False and obj["augmented"] is False and obj["raw"] is True
+
+    def test_kind_with_encoding(self, c6_file, two_triangles_file, capsys):
+        assert main(["distinguish", c6_file, two_triangles_file,
+                     "--kind", "laplacian:eigen-max"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["wl"], obj["augmented"]) == (False, False)
 
     def test_identical(self, k3_file, capsys):
         assert main(["distinguish", k3_file, k3_file]) == 0
@@ -461,6 +498,33 @@ class TestBenchCommand:
         assert main(["bench", str(corpus), "--kinds", "count-ne,bogus"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not timed
+
+    def test_fallback_kind_writes_nothing_to_stderr(self, tmp_path):
+        # every node of a laplacian:matrix-sum table falls back to uniform
+        # weights; bench times it and does not report the warning
+        corpus = tmp_path / "corpus"
+        main(["gen", "er:10-14:3.0", "--count", "3", "--seed", "1", "--out", str(corpus)])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "unionsub.cli", "bench", str(corpus),
+             "--kinds", "laplacian:matrix-sum", "--repeats", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert list(json.loads(run.stdout)["kinds"]) == ["laplacian:matrix-sum"]
+
+    def test_only_the_fallback_warning_is_hidden(self, monkeypatch):
+        def call(g):
+            coefficient_table(g, Descriptor("laplacian", encoding=Encoding.MATRIX_SUM))
+            return np.float64(1.0) / 0.0
+
+        monkeypatch.setattr(cli, "_bench_call", lambda kind_text: call)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_bench([cycle_graph(5)], ["any"], repeats=1)
+        assert [str(w.message) for w in caught] == ["divide by zero encountered in scalar divide"]
 
     def test_corpus_without_edges_exit_1(self, tmp_path, capsys, monkeypatch):
         from unionsub import cli

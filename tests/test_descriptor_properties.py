@@ -20,7 +20,7 @@ import networkx as nx
 import pytest
 
 from unionsub.descriptors import (
-    COUNT_NE, LAPLACIAN_SVD, UNION_PATH_SVD, Encoding, coefficient_table,
+    COUNT_NE, LAPLACIAN_SVD, UNION_PATH_SVD, Descriptor, Encoding, coefficient_table,
     local_descriptor_values,
 )
 from unionsub.graphs import Graph, complete_graph, cycle_graph, random_graph, star_graph
@@ -37,7 +37,7 @@ def test_laplacian_svd_sum_is_twice_the_local_edge_count():
     # eigvalsh rounds the spectrum, so the sum is exact only as the verdict
     # quantizes it; unquantized it is within a few units in the last place
     for g in GRAPHS:
-        table = coefficient_table(g, LAPLACIAN_SVD, Encoding.SVD_SUM)
+        table = coefficient_table(g, LAPLACIAN_SVD)
         for (v, u), value in zip(g.edges, table.values.tolist()):
             twice = 2 * union_subgraph(g, v, u).num_edges
             assert round(value * COEFF_QUANT_SCALE) == twice * COEFF_QUANT_SCALE
@@ -48,7 +48,7 @@ def test_laplacian_matrix_sum_is_zero_and_every_node_falls_back():
     for g in GRAPHS:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            table = coefficient_table(g, LAPLACIAN_SVD, Encoding.MATRIX_SUM)
+            table = coefficient_table(g, Descriptor("laplacian", encoding=Encoding.MATRIX_SUM))
         assert table.values.tolist() == [0.0] * g.num_edges
         fallback = [v for v, row in enumerate(g.adjacency) if row]
         assert [(w.category, str(w.message)) for w in caught] == [
@@ -78,8 +78,8 @@ def union_subgraph_types():
 TYPES = union_subgraph_types()
 
 
-def quantized(g, edge, kind, encoding):
-    value = float(local_descriptor_values(g, [edge], kind, encoding)[0])
+def quantized(g, edge, kind):
+    value = float(local_descriptor_values(g, [edge], kind)[0])
     return round(value * COEFF_QUANT_SCALE)
 
 
@@ -87,18 +87,18 @@ def test_union_subgraph_types_per_size():
     assert Counter(g.num_nodes for g, _ in TYPES) == {2: 1, 3: 2, 4: 6, 5: 19, 6: 96, 7: 670}
 
 
-@pytest.mark.parametrize("kind, encoding, distinct, colliding, same_size", [
-    (UNION_PATH_SVD, Encoding.SVD_SUM, 764, 40, 13),
-    (UNION_PATH_SVD, Encoding.EIGEN_MAX, 759, 44, 24),
-    (UNION_PATH_SVD, Encoding.MATRIX_SUM, 40, 20_658, 12_641),
-    (COUNT_NE, Encoding.SVD_SUM, 41, 29_636, 29_636),
-    (LAPLACIAN_SVD, Encoding.SVD_SUM, 21, 35_140, 29_636),
+@pytest.mark.parametrize("kind, distinct, colliding, same_size", [
+    (UNION_PATH_SVD, 764, 40, 13),
+    (Descriptor("union-path", encoding=Encoding.EIGEN_MAX), 759, 44, 24),
+    (Descriptor("union-path", encoding=Encoding.MATRIX_SUM), 40, 20_658, 12_641),
+    (COUNT_NE, 41, 29_636, 29_636),
+    (LAPLACIAN_SVD, 21, 35_140, 29_636),
 ], ids=["path-svd-sum", "path-eigen-max", "path-matrix-sum", "count-ne", "laplacian-svd-sum"])
-def test_scalar_encodings_merge_types(kind, encoding, distinct, colliding, same_size):
+def test_scalar_encodings_merge_types(kind, distinct, colliding, same_size):
     # pairs of the 794 types whose values are equal after the verdict's
     # quantization, in all and among those with the same (nodes, edges);
     # 29,636 of the 314,821 pairs share (nodes, edges)
-    values = [quantized(g, edge, kind, encoding) for g, edge in TYPES]
+    values = [quantized(g, edge, kind) for g, edge in TYPES]
     keyed = [(x, g.num_nodes, g.num_edges) for x, (g, _) in zip(values, TYPES)]
 
     def pairs(keys):
@@ -111,7 +111,7 @@ def test_scalar_encodings_merge_types(kind, encoding, distinct, colliding, same_
 
 def test_svd_sum_witnesses_collide_only_after_quantization():
     def raw(g, edge):
-        return float(local_descriptor_values(g, [edge], UNION_PATH_SVD, Encoding.SVD_SUM)[0])
+        return float(local_descriptor_values(g, [edge], UNION_PATH_SVD)[0])
 
     # C4 and K5 both read 8: path-matrix eigenvalues 4, 0, -2, -2 and 4, -1, -1, -1, -1
     c4, k5 = raw(cycle_graph(4), (0, 1)), raw(complete_graph(5), (0, 1))

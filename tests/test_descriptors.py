@@ -349,7 +349,7 @@ class TestBatchedMatrixKinds:
         cases = [(kind, encoding) for kind in MATRIX_KINDS for encoding in Encoding]
         cases += [("betweenness", Encoding.SVD_SUM), ("count-ne", Encoding.SVD_SUM)]
         for kind, encoding in cases:
-            table = coefficient_table(g, Descriptor(kind), encoding)
+            table = coefficient_table(g, Descriptor(kind, encoding=encoding))
             assert set(table.raw) == set(g.edges)
             for (v, u), value in table.raw.items():
                 ref = _reference_value(g, v, u, kind, encoding)
@@ -359,11 +359,10 @@ class TestBatchedMatrixKinds:
     def test_single_edge_equals_table(self):
         g = REFERENCE_GRAPHS["random-3"]
         for kind in MATRIX_KINDS + ("betweenness", "count-ne"):
-            table = coefficient_table(g, Descriptor(kind), Encoding.EIGEN_MAX)
+            descriptor = Descriptor(kind, encoding=Encoding.EIGEN_MAX)
+            table = coefficient_table(g, descriptor)
             for (v, u), value in table.raw.items():
-                assert edge_descriptor_value(
-                    g, u, v, Descriptor(kind), Encoding.EIGEN_MAX
-                ) == pytest.approx(value, rel=1e-12)
+                assert edge_descriptor_value(g, u, v, descriptor) == pytest.approx(value, rel=1e-12)
 
     def test_single_edge_rejects_non_edge(self):
         with pytest.raises(GraphError, match="not an edge"):
@@ -402,7 +401,8 @@ class TestBatchedMatrixKinds:
         assert table.raw == {} and table.normalized == {}
 
 
-LOCAL_KINDS = tuple(Descriptor(kind) for kind in (*MATRIX_KINDS, "betweenness", "count-ne"))
+LOCAL_KINDS = tuple(Descriptor(kind, encoding=encoding)
+                    for kind in (*MATRIX_KINDS, "betweenness", "count-ne") for encoding in Encoding)
 
 
 @st.composite
@@ -453,10 +453,10 @@ class TestMemberKeyBuilder:
         g, edges = case
         for batch in (descriptors.BATCH_ENTRIES, 300, 1):
             with mock.patch.object(descriptors, "BATCH_ENTRIES", batch):
-                for kind, encoding in itertools.product(LOCAL_KINDS, Encoding):
-                    mine = local_descriptor_values(g, edges, kind, encoding)
-                    ref = reference_local_values(g, edges, kind, encoding)
-                    assert mine.tobytes() == ref.tobytes(), (kind.kind, encoding, batch)
+                for kind in LOCAL_KINDS:
+                    mine = local_descriptor_values(g, edges, kind)
+                    ref = reference_local_values(g, edges, kind)
+                    assert mine.tobytes() == ref.tobytes(), (kind, batch)
 
     @pytest.mark.parametrize("kind", [COUNT_NE, UNION_PATH_SVD])
     def test_chunks_bound_the_peak_memory(self, monkeypatch, kind):
@@ -468,7 +468,7 @@ class TestMemberKeyBuilder:
         monkeypatch.setattr(descriptors, "BATCH_ENTRIES", 1 << 12)
         tracemalloc.start()
         try:
-            local_descriptor_values(g, g.edges, kind, Encoding.SVD_SUM)
+            local_descriptor_values(g, g.edges, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1115,7 +1115,7 @@ class TestCoefficientTable:
                 perm = list(range(g.num_nodes))
                 rng.shuffle(perm)
                 relabeled = coefficient_table(g.relabel(perm), kind)
-                verdict = distinguish_pair(g, g.relabel(perm), kind, Encoding.SVD_SUM)
+                verdict = distinguish_pair(g, g.relabel(perm), kind)
                 assert not verdict.raw_values_differ
                 for (v, u), value in base.raw.items():
                     assert relabeled.raw_value(perm[v], perm[u]) == pytest.approx(
@@ -1133,16 +1133,13 @@ class TestCoefficientTable:
         g, perm = case
         relabeled = g.relabel(perm)
         assert cycle_count(relabeled, 6) == cycle_count(g, 6)
-        for name in Descriptor.KINDS:
-            kind = Descriptor(name)
-            matrix_kind = name.endswith(("path", "laplacian"))
-            for encoding in Encoding if matrix_kind else [Encoding.SVD_SUM]:
-                base = coefficient_table(g, kind, encoding).raw
-                moved = coefficient_table(relabeled, kind, encoding)
-                for (v, u), value in base.items():
-                    other = moved.raw_value(perm[v], perm[u])
-                    scale = max(abs(value), 1.0)
-                    assert abs(other - value) <= 1e-12 * scale, (name, encoding)
+        for kind in TABLE_CASES:
+            base = coefficient_table(g, kind).raw
+            moved = coefficient_table(relabeled, kind)
+            for (v, u), value in base.items():
+                other = moved.raw_value(perm[v], perm[u])
+                scale = max(abs(value), 1.0)
+                assert abs(other - value) <= 1e-12 * scale, kind
 
     def test_cycle_count_not_a_table_kind(self):
         # cycle-count is a per-graph count that only `bench` times
@@ -1184,7 +1181,7 @@ class TestCoefficientTable:
 
     def test_laplacian_kind(self):
         g = complete_graph(3)
-        table = coefficient_table(g, LAPLACIAN_SVD, Encoding.SVD_SUM)
+        table = coefficient_table(g, LAPLACIAN_SVD)
         lap = laplacian_matrix(union_subgraph(g, 0, 1))
         assert table.raw[(0, 1)] == pytest.approx(
             float(np.abs(np.linalg.eigvalsh(lap)).sum())
@@ -1200,8 +1197,9 @@ class TestCoefficientTable:
         assert len(obj["raw"]) == 3 and len(obj["normalized"]) == 6
 
 
+# every kind, and every encoding of the matrix kinds
 TABLE_CASES = tuple(
-    (Descriptor(name), encoding)
+    Descriptor(name, encoding=encoding)
     for name in Descriptor.KINDS
     for encoding in (Encoding if name.endswith(("path", "laplacian")) else [Encoding.SVD_SUM])
 )
@@ -1231,14 +1229,13 @@ class TestTableArrays:
         # 0, so every non-isolated node falls back
         pairs = [(v, u) for v, row in enumerate(g.adjacency) for u in row]
         tables, expected = [], []
-        for kind, encoding in TABLE_CASES:
+        for case in TABLE_CASES:
             with warnings.catch_warnings(record=True) as mine:
                 warnings.simplefilter("always")
-                table = coefficient_table(g, kind, encoding)
+                table = coefficient_table(g, case)
             with warnings.catch_warnings(record=True) as theirs:
                 warnings.simplefilter("always")
-                raw, normalized = reference_table(g, kind, encoding)
-            case = (kind.kind, encoding)
+                raw, normalized = reference_table(g, case)
             assert [(w.category, str(w.message)) for w in mine] == [
                 (w.category, str(w.message)) for w in theirs], case
             assert list(table.raw) == list(raw) == list(g.edges), case
@@ -1281,12 +1278,17 @@ class TestDescriptorParsing:
             ("count-ne:x", "invalid parameter"),
             ("cycle-count", "unknown descriptor kind"),
             ("bogus:3", "unknown descriptor kind"),
-            ("union-path:2", "takes no parameter"),
+            ("union-path:2", "invalid parameter in 'union-path:2'"),
+            ("betweenness:2", "takes no parameter"),
         ):
             with pytest.raises(DescriptorError, match=message):
                 Descriptor.parse(text)
 
     def test_encoding_parse(self):
-        assert Encoding.parse("svd-sum") is Encoding.SVD_SUM
-        with pytest.raises(DescriptorError):
-            Encoding.parse("nope")
+        # the four matrix kinds take an encoding, svd-sum by default
+        for name in Descriptor.KINDS[:4]:
+            assert Descriptor.parse(name).encoding is Encoding.SVD_SUM
+            for encoding in Encoding:
+                assert Descriptor.parse(f"{name}:{encoding.value}") == Descriptor(
+                    name, encoding=encoding)
+        assert Descriptor.parse("union-path:eigen-max") != UNION_PATH_SVD

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from unionsub.datasets import build_cycle_dataset
-from unionsub.descriptors import UNION_PATH_SVD, Encoding, coefficient_table
+from unionsub.descriptors import UNION_PATH_SVD, coefficient_table
 from unionsub.graphs import (
     Graph, GraphError, complete_graph, cycle_graph, parse_graph,
     random_graph, rook_graph_4x4, shrikhande_graph, two_triangles_graph,
@@ -104,7 +104,7 @@ def dense_logits(model, g, coeffs):
             h = np.maximum(agg @ layer.linear.w + layer.linear.b, 0.0)
         else:
             h = ((1.0 + float(layer.epsilon)) * h + agg) @ layer.linear.w + layer.linear.b
-    return h.mean(axis=0) @ model.head_w + model.head_b
+    return h.mean(axis=0) @ model.head.w + model.head.b
 
 
 def pooled_mse_head(forward, backward, target):
@@ -568,7 +568,7 @@ def refinement_pairs():
         graphs += [g1, g2]
         pairs.append((len(graphs) - 2, len(graphs) - 1))
     return graphs, [
-        (i, j, distinguish_pair(graphs[i], graphs[j], UNION_PATH_SVD, Encoding.SVD_SUM)
+        (i, j, distinguish_pair(graphs[i], graphs[j], UNION_PATH_SVD)
          .augmented_distinguishes)
         for i, j in pairs
     ]
@@ -604,7 +604,7 @@ class TestVerdictAndModelReadTheFeatures:
 
     @staticmethod
     def verdict_and_logit_gap(g1, g2, seed):
-        verdict = distinguish_pair(g1, g2, UNION_PATH_SVD, Encoding.SVD_SUM)
+        verdict = distinguish_pair(g1, g2, UNION_PATH_SVD)
         spec = nn.ModelSpec.parse("union-gin", hidden=8)
         model = nn.init_classifier(spec, 1, np.random.default_rng(seed))
         logits, _ = nn._batched_forward(model, make_batch([g1, g2]))

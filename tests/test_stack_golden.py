@@ -19,8 +19,9 @@ from unionsub.descriptors import Descriptor, Encoding, coefficient_table
 from unionsub.graphs import is_connected, random_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "stack_values.txt"
-CASES = [(kind, encoding) for kind in ("union-path", "overlap-path", "minus-path", "laplacian")
-         for encoding in Encoding] + [("betweenness", Encoding.SVD_SUM)]
+CASES = [Descriptor(kind, encoding=encoding)
+         for kind in ("union-path", "overlap-path", "minus-path", "laplacian")
+         for encoding in Encoding] + [Descriptor("betweenness")]
 
 
 def corpus():
@@ -34,17 +35,19 @@ def corpus():
     return graphs
 
 
+def golden_line(kind, graphs):
+    """The line of stack_values.txt for one descriptor."""
+    values, weights = hashlib.sha256(), hashlib.sha256()
+    for g in graphs:
+        table = coefficient_table(g, kind)
+        values.update(table.values.tobytes())
+        weights.update(table.weights.tobytes())
+    return f"{kind.kind} {kind.encoding.value} {values.hexdigest()} {weights.hexdigest()}\n"
+
+
 def golden_text():
     graphs = corpus()
-    lines = []
-    for kind, encoding in CASES:
-        values, weights = hashlib.sha256(), hashlib.sha256()
-        for g in graphs:
-            table = coefficient_table(g, Descriptor(kind), encoding)
-            values.update(table.values.tobytes())
-            weights.update(table.weights.tobytes())
-        lines.append(f"{kind} {encoding.value} {values.hexdigest()} {weights.hexdigest()}\n")
-    return "".join(lines)
+    return "".join(golden_line(kind, graphs) for kind in CASES)
 
 
 def test_local_tables_match_golden():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from unionsub.descriptors import Encoding, UNION_PATH_SVD, coefficient_table
+from unionsub.descriptors import UNION_PATH_SVD, coefficient_table
 from unionsub.graphs import (
     Graph,
     GraphError,
@@ -98,25 +98,19 @@ class TestVerdicts:
     # edge-transitive pairs: every normalized coefficient is 1/deg, so only
     # the raw values, which normalization removes, tell the graphs apart
     def test_c6_vs_triangles(self):
-        verdict = distinguish_pair(
-            cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD, Encoding.SVD_SUM
-        )
+        verdict = distinguish_pair(cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD)
         assert not verdict.wl_distinguishes
         assert not verdict.augmented_distinguishes
         assert verdict.raw_values_differ
 
     def test_rook_vs_shrikhande(self):
-        verdict = distinguish_pair(
-            rook_graph_4x4(), shrikhande_graph(), UNION_PATH_SVD, Encoding.SVD_SUM
-        )
+        verdict = distinguish_pair(rook_graph_4x4(), shrikhande_graph(), UNION_PATH_SVD)
         assert not verdict.wl_distinguishes
         assert not verdict.augmented_distinguishes
         assert verdict.raw_values_differ
 
     def test_identical_graphs(self):
-        verdict = distinguish_pair(
-            complete_graph(3), complete_graph(3), UNION_PATH_SVD, Encoding.SVD_SUM
-        )
+        verdict = distinguish_pair(complete_graph(3), complete_graph(3), UNION_PATH_SVD)
         assert not verdict.wl_distinguishes
         assert not verdict.augmented_distinguishes
         assert not verdict.raw_values_differ
@@ -127,7 +121,7 @@ class TestVerdicts:
         for _ in range(20):
             g1 = random_graph(6, 0.4, rng)
             g2 = random_graph(6, 0.4, rng)
-            verdict = distinguish_pair(g1, g2, UNION_PATH_SVD, Encoding.SVD_SUM)
+            verdict = distinguish_pair(g1, g2, UNION_PATH_SVD)
             if verdict.wl_distinguishes:
                 seen_wl += 1
                 assert verdict.augmented_distinguishes
@@ -137,22 +131,18 @@ class TestVerdicts:
         rng = random.Random(3)
         g1 = random_graph(7, 0.4, rng)
         g2 = random_graph(7, 0.4, rng)
-        base = distinguish_pair(g1, g2, UNION_PATH_SVD, Encoding.SVD_SUM)
+        base = distinguish_pair(g1, g2, UNION_PATH_SVD)
         for _ in range(5):
             perm = list(range(7))
             rng.shuffle(perm)
-            relabeled = distinguish_pair(
-                g1.relabel(perm), g2, UNION_PATH_SVD, Encoding.SVD_SUM
-            )
+            relabeled = distinguish_pair(g1.relabel(perm), g2, UNION_PATH_SVD)
             assert relabeled.wl_distinguishes == base.wl_distinguishes
             assert relabeled.augmented_distinguishes == base.augmented_distinguishes
             assert relabeled.raw_values_differ == base.raw_values_differ
             assert relabeled.histograms == base.histograms
 
     def test_verdict_json_shape(self):
-        verdict = distinguish_pair(
-            cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD, Encoding.SVD_SUM
-        )
+        verdict = distinguish_pair(cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD)
         obj = verdict.to_json_obj()
         assert set(obj) == {"wl", "augmented", "raw", "rounds", "hist1", "hist2"}
         assert obj["wl"] is False and obj["augmented"] is False and obj["raw"] is True
