@@ -51,7 +51,6 @@ from .descriptors import (
     encode_matrix,
     path_matrix,
     reconstruct_subgraph,
-    ricci_curvature,
 )
 from .wl import (
     ColorAssignment,

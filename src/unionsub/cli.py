@@ -162,12 +162,12 @@ BENCH_KINDS = ("count-ne", "union-path", "betweenness", "curvature", "cycle-coun
 def _bench_call(kind_text):
     """The per-graph call a bench kind times: a descriptor's coefficient_table,
     or for the bench-only cycle-count[:K] (K default 6) its simple K-cycles."""
-    name, _, param = kind_text.partition(":")
+    name, sep, param = kind_text.partition(":")
     if name != "cycle-count":
         kind = Descriptor.parse(kind_text)
         return lambda g: coefficient_table(g, kind)
     try:
-        k = int(param or 6)
+        k = int(param) if sep else 6
     except ValueError:
         raise DescriptorError(f"invalid parameter in {kind_text!r}") from None
     check_cycle_length(k)  # refused here, before any kind is timed
@@ -212,7 +212,7 @@ def run_bench(graphs, kinds, repeats):
 
 def cmd_bench(args):
     graphs = read_corpus(args.corpus)
-    kinds = args.kinds.split(",") if args.kinds else list(BENCH_KINDS)
+    kinds = args.kinds.split(",") if args.kinds is not None else list(BENCH_KINDS)
     report = run_bench(graphs, kinds, args.repeats)
     text = json.dumps(report, indent=2) + "\n"
     _write_output(text, args.out)

@@ -15,7 +15,6 @@ are.  Its dict views ``raw`` and ``normalized`` are built only when read.
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,13 +79,15 @@ class Descriptor:
             raise DescriptorError("count-ne lambda must be 1 or 2")
         if not 0.0 <= self.alpha < 1.0:
             raise DescriptorError("curvature alpha must lie in [0, 1)")
+        if not isinstance(self.encoding, Encoding):
+            raise DescriptorError(f"unknown encoding {self.encoding!r}")
 
     @classmethod
     def parse(cls, text):
         """Parse strings like "union-path", "union-path:eigen-max", "count-ne:1",
         "curvature:0.3"."""
-        kind, _, param = text.partition(":")
-        if not param:
+        kind, sep, param = text.partition(":")
+        if not sep:
             return cls(kind)
         fields = {"count-ne": ("lam", int), "curvature": ("alpha", float),
                   **dict.fromkeys(cls.KINDS[:4], ("encoding", Encoding))}
@@ -183,8 +184,8 @@ def _encode_stack(stack, encoding):
     raise DescriptorError(f"unknown encoding {encoding!r}")
 
 
-def local_descriptor_values(g, edges, kind):
-    """Values of every per-edge kind but curvature for ``edges`` of g, in order.
+def local_descriptor_values(g, ends, kind):
+    """Values of every per-edge kind but curvature for g's (E, 2) edge ends, in order.
 
     Local nodes are N[v] | N[u] (N[v] & N[u] for overlap); union-minus drops
     the edges between v's and u's exclusive neighbours.  Array ops give the
@@ -194,15 +195,14 @@ def local_descriptor_values(g, edges, kind):
     is bounded by a per-endpoint sum, 2 (deg x + 1)^2 for matrix entries plus
     the degrees summed over N[x] for member-neighbour pairs; each chunk of
     edges holds at most BATCH_ENTRIES of it, and edges summing past
-    MAX_TABLE_WORK are refused before any work.  In a whole table a node of
-    degree d adds at least 2 (d + 1)^2 to each of its d edges, so an accepted
-    table has d <= 231 and every k <= 464.
+    MAX_TABLE_WORK are refused before any work.  A node of degree d adds at
+    least 2 (d + 1)^2 to each of its d edges, so an accepted table has
+    d <= 231 and every k <= 464.
     """
     indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
     walks = np.concatenate(([0], degree[nbr].cumsum()))
     bound = 2 * (degree + 1) ** 2 + degree + walks[indptr[1:]] - walks[indptr[:-1]]
-    ends = _edge_ends(edges)
     total = _table_work(ends, bound[ends].sum(axis=1), MAX_TABLE_WORK)
     values, lo = np.empty(len(ends)), 0
     while lo < len(ends):
@@ -210,11 +210,6 @@ def local_descriptor_values(g, edges, kind):
         values[lo:hi] = _chunk_values(indptr, degree, nbr, ends[lo:hi], kind)
         lo = hi
     return values
-
-
-def _edge_ends(edges):
-    """The (E, 2) array of the endpoints of ``edges``."""
-    return np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
 
 
 def _table_work(ends, work, limit):
@@ -317,20 +312,19 @@ def _stack_values(a, ends, kind):
 # Rival descriptors
 # ---------------------------------------------------------------------------
 
-def curvature_values(g, edges, alpha):
-    """Ollivier-Ricci curvature 1 - W1(mu_v, mu_u) of ``edges`` of g, in order.
+def curvature_values(g, ends, alpha):
+    """Ollivier-Ricci curvature 1 - W1(mu_v, mu_u) of g's (E, 2) edge ends, in order.
 
     Each endpoint keeps mass alpha and spreads 1 - alpha evenly over its
     neighbours.  W1 depends only on mu_v - mu_u, so the mass both measures
     put on v, u and their common neighbours cancels before transport.  The
     points left (x of v, y of u, x != y) lie at distance 1 (x ~ y), 2 (a
     common neighbour anywhere in g, not only in the union subgraph) or 3.
-    Only the rows of the endpoints and their neighbours are read.
     """
     adj = g.adjacency
-    closed = {x: sorted((x, *adj[x])) for x in {x for edge in edges for x in edge}}
-    near = {y: set(adj[y]) for y in set(itertools.chain.from_iterable(closed.values()))}
-    spread = {x: (1.0 - alpha) / max(len(adj[x]), 1) for x in closed}
+    closed = [sorted((x, *row)) for x, row in enumerate(adj)]
+    near = [set(row) for row in adj]
+    spread = [(1.0 - alpha) / max(len(row), 1) for row in adj]
 
     def left(center, other):
         """Points of center's measure that keep mass after cancelling, and that mass."""
@@ -345,7 +339,7 @@ def curvature_values(g, edges, alpha):
         return points, mass
 
     values = []
-    for v, u in edges:
+    for v, u in ends.tolist():
         (rows, mu), (cols, nu) = left(v, u), left(u, v)
         w1 = 0.0  # if one side keeps no mass, the other holds only rounding residue
         if rows and cols:
@@ -361,15 +355,6 @@ def curvature_values(g, edges, alpha):
                 raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
         values.append(1.0 - w1)
     return values
-
-
-def ricci_curvature(g, v, u, alpha=0.5):
-    """Lazy-random-walk Ricci curvature of one edge, as coefficient_table has it."""
-    if not 0.0 <= alpha < 1.0:
-        raise DescriptorError("alpha must lie in [0, 1)")
-    if not g.has_edge(v, u):
-        raise DescriptorError(f"({v}, {u}) is not an edge")
-    return curvature_values(g, [(min(v, u), max(v, u))], alpha)[0]
 
 
 def cycle_count(g, k):
@@ -446,16 +431,16 @@ def coefficient_table(g, kind=UNION_PATH_SVD):
     """
     indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
-    if kind.kind == "curvature":
-        ends = _edge_ends(g.edges)
-        _table_work(ends, (degree[ends] + 1).prod(axis=1), MAX_CURVATURE_CELLS)
-        values = np.array(curvature_values(g, g.edges, kind.alpha), dtype=float)
-    else:
-        values = local_descriptor_values(g, g.edges, kind)
     center = np.arange(g.num_nodes).repeat(degree)
-    # g.edges lists the pairs (v, u) with v < u, in pair order
+    # the pairs (v, u) with v < u, in pair order, are the edges of g.edges
+    ends = np.column_stack((center, nbr))[center < nbr]
+    if kind.kind == "curvature":
+        _table_work(ends, (degree[ends] + 1).prod(axis=1), MAX_CURVATURE_CELLS)
+        values = np.array(curvature_values(g, ends, kind.alpha), dtype=float)
+    else:
+        values = local_descriptor_values(g, ends, kind)
     key = np.minimum(center, nbr) * g.num_nodes + np.maximum(center, nbr)
-    raw = values[key[center < nbr].searchsorted(key)]
+    raw = values[(ends[:, 0] * g.num_nodes + ends[:, 1]).searchsorted(key)]
     # bincount adds in input order; np.add.reduceat may pair the terms and
     # Python 3.12's sum() compensates them, either of which moves the last bit
     sums = np.bincount(center, weights=raw, minlength=g.num_nodes)

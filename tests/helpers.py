@@ -1,5 +1,6 @@
-"""Single-edge lookups, subgraph positions, the reference local-value and
-normalization loops, and the graph families that only the tests need."""
+"""Single-edge lookups, a table's edge ends, subgraph positions, the
+reference local-value and normalization loops, and the graph families that
+only the tests need."""
 
 import random
 import warnings
@@ -8,17 +9,22 @@ import networkx as nx
 import numpy as np
 
 from unionsub import descriptors
-from unionsub.descriptors import curvature_values, local_descriptor_values, ricci_curvature
+from unionsub.descriptors import coefficient_table, curvature_values, local_descriptor_values
 from unionsub.graphs import Graph, GraphError, double_edge_swap
 
 
 def edge_descriptor_value(g, v, u, kind):
-    """Raw descriptor value of one edge, computed as coefficient_table does."""
-    if kind.kind == "curvature":
-        return ricci_curvature(g, v, u, kind.alpha)
+    """Raw descriptor value of one edge, read off its graph's whole table."""
     if not g.has_edge(v, u):
         raise GraphError(f"({v}, {u}) is not an edge")
-    return float(local_descriptor_values(g, [(v, u)], kind)[0])
+    return coefficient_table(g, kind).raw_value(v, u)
+
+
+def table_ends(g):
+    """The (E, 2) array of g.edges that coefficient_table builds from g.csr."""
+    indptr, nbr = g.csr
+    center = np.arange(g.num_nodes).repeat(np.diff(indptr))
+    return np.column_stack((center, nbr))[center < nbr]
 
 
 def local_index(sub, parent_id):
@@ -26,14 +32,15 @@ def local_index(sub, parent_id):
     return sub.parent_ids.index(parent_id)
 
 
-def reference_local_values(g, edges, kind):
-    """local_descriptor_values by a per-edge loop over Python sets and dicts.
+def reference_local_values(g, kind):
+    """local_descriptor_values of g.edges by a per-edge loop over Python sets
+    and dicts.
 
     Each edge's members are sorted and indexed one by one, and its local
     edges found by a dict probe per neighbour of each member; matrices of
     one size are stacked until BATCH_ENTRIES entries are pending.
     """
-    adj = g.adjacency
+    adj, edges = g.adjacency, g.edges
     minus = kind.kind == "minus-path"
     values = np.empty(len(edges))
     # size k -> (positions in edges, flat indices of local edges, local (v, u))
@@ -77,9 +84,9 @@ def reference_table(g, kind):
     left to right, weighs the pairs of a node whose sum is near 0 uniformly,
     and warns once if any did."""
     if kind.kind == "curvature":
-        values = curvature_values(g, g.edges, kind.alpha)
+        values = curvature_values(g, table_ends(g), kind.alpha)
     else:
-        values = local_descriptor_values(g, g.edges, kind).tolist()
+        values = local_descriptor_values(g, table_ends(g), kind).tolist()
     raw = dict(zip(g.edges, values))
     normalized, fallback = {}, []
     for v, neighbors in enumerate(g.adjacency):

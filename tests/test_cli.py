@@ -109,6 +109,10 @@ class TestCoeffsCommand:
         ("count-ne:eigen-max", "invalid parameter in 'count-ne:eigen-max'"),
         ("union-path:bogus", "invalid parameter in 'union-path:bogus'"),
         ("betweenness:svd-sum", "descriptor 'betweenness' takes no parameter"),
+        ("union-path:", "invalid parameter in 'union-path:'"),
+        ("count-ne:", "invalid parameter in 'count-ne:'"),
+        ("curvature:", "invalid parameter in 'curvature:'"),
+        ("betweenness:", "descriptor 'betweenness' takes no parameter"),
     ])
     def test_encoding_only_on_matrix_kinds(self, kind, message, k3_file, capsys):
         assert main(["coeffs", k3_file, "--kind", kind]) == 2
@@ -460,6 +464,7 @@ class TestBenchCommand:
     @pytest.mark.parametrize("kind, message", [
         ("cycle-count:9", "cycle length must lie in 3..8"),
         ("cycle-count:x", "invalid parameter in 'cycle-count:x'"),
+        ("cycle-count:", "invalid parameter in 'cycle-count:'"),
     ])
     def test_bad_cycle_length_exit_2(self, kind, message, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -467,6 +472,14 @@ class TestBenchCommand:
         capsys.readouterr()
         assert main(["bench", str(corpus), "--kinds", kind, "--repeats", "1"]) == 2
         assert capsys.readouterr().err == f"descriptor error: {message}\n"
+
+    def test_empty_kinds_exit_2(self, tmp_path, capsys):
+        # an empty list names one empty kind; it does not fall back to the defaults
+        corpus = tmp_path / "corpus"
+        main(["gen", "cycle:6", "--out", str(corpus)])
+        capsys.readouterr()
+        assert main(["bench", str(corpus), "--kinds", "", "--repeats", "1"]) == 2
+        assert capsys.readouterr().err == "descriptor error: unknown descriptor kind ''\n"
 
     def test_cycle_length_checked_before_any_timing(self, tmp_path, capsys, monkeypatch):
         # cycle-count:9 is refused while the kinds are parsed, so the curvature

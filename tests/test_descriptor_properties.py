@@ -21,7 +21,6 @@ import pytest
 
 from unionsub.descriptors import (
     COUNT_NE, LAPLACIAN_SVD, UNION_PATH_SVD, Descriptor, Encoding, coefficient_table,
-    local_descriptor_values,
 )
 from unionsub.graphs import Graph, complete_graph, cycle_graph, random_graph, star_graph
 from unionsub.substructure import union_subgraph
@@ -79,8 +78,7 @@ TYPES = union_subgraph_types()
 
 
 def quantized(g, edge, kind):
-    value = float(local_descriptor_values(g, [edge], kind)[0])
-    return round(value * COEFF_QUANT_SCALE)
+    return round(coefficient_table(g, kind).raw_value(*edge) * COEFF_QUANT_SCALE)
 
 
 def test_union_subgraph_types_per_size():
@@ -111,7 +109,7 @@ def test_scalar_encodings_merge_types(kind, distinct, colliding, same_size):
 
 def test_svd_sum_witnesses_collide_only_after_quantization():
     def raw(g, edge):
-        return float(local_descriptor_values(g, [edge], UNION_PATH_SVD)[0])
+        return coefficient_table(g, UNION_PATH_SVD).raw_value(*edge)
 
     # C4 and K5 both read 8: path-matrix eigenvalues 4, 0, -2, -2 and 4, -1, -1, -1, -1
     c4, k5 = raw(cycle_graph(4), (0, 1)), raw(complete_graph(5), (0, 1))

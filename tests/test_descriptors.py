@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import tracemalloc
-import types
 import warnings
 from unittest import mock
 
@@ -25,13 +24,11 @@ from unionsub.descriptors import (
     DescriptorError,
     Encoding,
     coefficient_table,
-    curvature_values,
     cycle_count,
     encode_matrix,
     local_descriptor_values,
     path_matrix,
     reconstruct_subgraph,
-    ricci_curvature,
 )
 from unionsub.graphs import (
     Graph,
@@ -52,7 +49,13 @@ from unionsub.substructure import overlap_subgraph, union_minus_subgraph, union_
 from unionsub.transport import solve_transport, wasserstein_discrete
 from unionsub.wl import distinguish_pair
 
-from helpers import edge_descriptor_value, local_index, reference_local_values, reference_table
+from helpers import (
+    edge_descriptor_value,
+    local_index,
+    reference_local_values,
+    reference_table,
+    table_ends,
+)
 from test_benchmark_sites import load_tracer
 
 
@@ -359,10 +362,9 @@ class TestBatchedMatrixKinds:
     def test_single_edge_equals_table(self):
         g = REFERENCE_GRAPHS["random-3"]
         for kind in MATRIX_KINDS + ("betweenness", "count-ne"):
-            descriptor = Descriptor(kind, encoding=Encoding.EIGEN_MAX)
-            table = coefficient_table(g, descriptor)
-            for (v, u), value in table.raw.items():
-                assert edge_descriptor_value(g, u, v, descriptor) == pytest.approx(value, rel=1e-12)
+            table = coefficient_table(g, Descriptor(kind, encoding=Encoding.EIGEN_MAX))
+            for (v, u), value in zip(g.edges, table.values.tolist()):
+                assert table.raw_value(v, u) == table.raw_value(u, v) == value
 
     def test_single_edge_rejects_non_edge(self):
         with pytest.raises(GraphError, match="not an edge"):
@@ -407,11 +409,7 @@ LOCAL_KINDS = tuple(Descriptor(kind, encoding=encoding)
 
 @st.composite
 def local_value_cases(draw):
-    """A graph with isolated nodes, two components and maybe a hub, and edges of it.
-
-    The edge list is all edges, one edge, none, or a sample in either
-    orientation and any order.
-    """
+    """A graph with isolated nodes, two components and maybe a hub."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n, extra = draw(st.integers(2, 36)), draw(st.integers(2, 8))
     edges = set(random_graph(n, draw(st.floats(0.05, 0.6)), rng).edges)
@@ -419,16 +417,7 @@ def local_value_cases(draw):
         edges |= {(0, x) for x in range(1, n)}  # a hub of degree n - 1 >= 30
     second = random_graph(extra, 0.5, rng).edges  # a second component on fresh nodes
     edges |= {(n + i, n + i + 1) for i in range(extra - 1)} | {(n + a, n + b) for a, b in second}
-    g = Graph(n + extra + draw(st.integers(0, 3)), sorted(edges))
-    chosen = draw(st.sampled_from(["all", "one", "none", "sample"]))
-    if chosen == "all":
-        return g, list(g.edges)
-    if chosen == "one":
-        return g, [draw(st.sampled_from(g.edges))]
-    if chosen == "none":
-        return g, []
-    sample = draw(st.lists(st.sampled_from(g.edges), min_size=2))
-    return g, [(u, v) if (u + v) % 2 else (v, u) for v, u in sample]
+    return Graph(n + extra + draw(st.integers(0, 3)), sorted(edges))
 
 
 def gnm_graph(n, m, seed):
@@ -443,32 +432,31 @@ def gnm_graph(n, m, seed):
 
 
 class TestMemberKeyBuilder:
-    """local_descriptor_values against the per-edge reference loop in helpers."""
+    """Table values of the local kinds against the per-edge reference loop in helpers."""
 
     @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(case=local_value_cases())
-    def test_bytes_equal_the_reference_loop(self, case):
+    @given(g=local_value_cases())
+    def test_bytes_equal_the_reference_loop(self, g):
         # 300 entries split the size runs into several chunks; 1 gives every
         # matrix a chunk of its own
-        g, edges = case
-        for batch in (descriptors.BATCH_ENTRIES, 300, 1):
-            with mock.patch.object(descriptors, "BATCH_ENTRIES", batch):
-                for kind in LOCAL_KINDS:
-                    mine = local_descriptor_values(g, edges, kind)
-                    ref = reference_local_values(g, edges, kind)
-                    assert mine.tobytes() == ref.tobytes(), (kind, batch)
+        for kind in LOCAL_KINDS:
+            ref = reference_local_values(g, kind).tobytes()
+            for batch in (descriptors.BATCH_ENTRIES, 300, 1):
+                with mock.patch.object(descriptors, "BATCH_ENTRIES", batch):
+                    assert coefficient_table(g, kind).values.tobytes() == ref, (kind, batch)
 
     @pytest.mark.parametrize("kind", [COUNT_NE, UNION_PATH_SVD])
     def test_chunks_bound_the_peak_memory(self, monkeypatch, kind):
         # on this 10^4-edge graph with BATCH_ENTRIES = 2^12 the reference
-        # loop peaks at 0.2 MB and the builder at 0.9 MB, mostly its CSR and
-        # per-edge bound arrays; in one chunk, with every k^2 entry or every
-        # member-neighbour pair held at once, the builder peaks near 19 MB.
+        # loop peaks at 0.2 MB and the builder at 0.5 MB, its CSR arrays and
+        # edge ends built beforehand; in one chunk, with every k^2 entry or
+        # every member-neighbour pair held at once, it peaks near 19 MB.
         g = gnm_graph(5405, 10_000, 0)
+        ends = table_ends(g)
         monkeypatch.setattr(descriptors, "BATCH_ENTRIES", 1 << 12)
         tracemalloc.start()
         try:
-            local_descriptor_values(g, g.edges, kind)
+            local_descriptor_values(g, ends, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -569,15 +557,16 @@ def exact_ot_oracle(g, v, u, alpha=0.5):
 
 class TestRicciCurvature:
     def test_k3_value(self):
-        assert ricci_curvature(complete_graph(3), 0, 1, 0.5) == pytest.approx(0.75)
+        table = coefficient_table(complete_graph(3), RICCI_CURVATURE)
+        assert table.values.tolist() == pytest.approx([0.75] * 3)
 
     def test_k2_value(self):
         # identical endpoint distributions: zero transport cost
-        assert ricci_curvature(complete_graph(2), 0, 1, 0.5) == pytest.approx(1.0)
+        assert coefficient_table(complete_graph(2), RICCI_CURVATURE).values.tolist() == [1.0]
 
     def test_c6_matches_oracle(self):
         g = cycle_graph(6)
-        assert ricci_curvature(g, 0, 1, 0.5) == pytest.approx(
+        assert coefficient_table(g, RICCI_CURVATURE).raw_value(0, 1) == pytest.approx(
             exact_ot_oracle(g, 0, 1, 0.5), abs=1e-8
         )
 
@@ -589,29 +578,9 @@ class TestRicciCurvature:
             if not g.edges:
                 continue
             v, u = g.edges[rng.randrange(g.num_edges)]
-            mine = ricci_curvature(g, v, u, 0.5)
+            mine = coefficient_table(g, RICCI_CURVATURE).raw_value(v, u)
             assert abs(mine - exact_ot_oracle(g, v, u, 0.5)) < 1e-8
             checked += 1
-
-    def test_one_edge_reads_only_its_neighbourhoods(self):
-        class Rows(tuple):
-            """Adjacency rows that note each row read."""
-
-            def __getitem__(self, x):
-                self.read.add(x)
-                return super().__getitem__(x)
-
-            def __iter__(self):
-                self.read.update(range(len(self)))
-                return super().__iter__()
-
-        g = gnm_graph(600, 1110, 1)
-        for v, u in g.edges[::100]:
-            rows = Rows(g.adjacency)
-            rows.read = set()
-            value = curvature_values(types.SimpleNamespace(adjacency=rows), [(v, u)], 0.5)
-            assert value == [ricci_curvature(g, v, u)]
-            assert rows.read <= closed_neighborhood(g, v) | closed_neighborhood(g, u)
 
     def test_transport_size_bound(self):
         # edge (0, 1) joins two hubs with `leaves` private leaves each, so each
@@ -622,18 +591,15 @@ class TestRicciCurvature:
 
         assert descriptors.MAX_TRANSPORT_CELLS == 128 * 128
         # hub to hub carries 1/2 - 1/256 at cost 1, leaves to leaves 127/256 at cost 3
-        assert ricci_curvature(hubs(127), 0, 1) == pytest.approx(1.0 - (0.5 - 1 / 256 + 381 / 256))
+        table = coefficient_table(hubs(127), RICCI_CURVATURE)
+        assert table.raw_value(0, 1) == pytest.approx(1.0 - (0.5 - 1 / 256 + 381 / 256))
         with pytest.raises(DescriptorError, match=r"^edge \(0, 1\): 129 x 129 transport "
                                                   r"cells, above the bound of 16384$"):
-            ricci_curvature(hubs(128), 0, 1)
-
-    def test_alpha_validated(self):
-        with pytest.raises(DescriptorError):
-            ricci_curvature(complete_graph(3), 0, 1, 1.0)
+            coefficient_table(hubs(128), RICCI_CURVATURE)
 
     def test_edge_required(self):
-        with pytest.raises(DescriptorError):
-            ricci_curvature(path_graph(3), 0, 2)
+        with pytest.raises(GraphError, match="not an edge"):
+            edge_descriptor_value(path_graph(3), 0, 2, RICCI_CURVATURE)
 
 
 @st.composite
@@ -724,7 +690,7 @@ class TestCurvatureTable:
         assert descriptors.MAX_CURVATURE_CELLS == 600_000
         tabled = []
         monkeypatch.setattr(descriptors, "curvature_values",
-                            lambda g, edges, alpha: tabled.append(g) or [1.0] * len(edges))
+                            lambda g, ends, alpha: tabled.append(g) or [1.0] * len(ends))
         accepted = path_graph(66668)
         assert len(coefficient_table(accepted, RICCI_CURVATURE).values) == 66667
         with pytest.raises(DescriptorError, match=r"^edge \(66667, 66668\): the table's work "
@@ -738,14 +704,6 @@ class TestCurvatureTable:
         # cancellation leaves is rounding residue and must not raise
         table = coefficient_table(complete_graph(n), Descriptor("curvature", alpha=1.0 / n))
         assert all(value == pytest.approx(1.0, abs=1e-15) for value in table.raw.values())
-
-    def test_ricci_curvature_equals_the_table(self):
-        for alpha in (0.0, 0.2, 0.5):
-            for g in random_graphs(9, 10) + [rook_graph_4x4(), star_graph(7)]:
-                table = coefficient_table(g, Descriptor("curvature", alpha=alpha))
-                for (v, u), value in table.raw.items():
-                    assert ricci_curvature(g, v, u, alpha) == value
-                    assert ricci_curvature(g, u, v, alpha) == value
 
 
 def linprog_transport(supply, demand, cost):
@@ -1272,6 +1230,8 @@ class TestDescriptorParsing:
             Descriptor("curvature", alpha=-0.1)
         with pytest.raises(DescriptorError):
             Descriptor.parse("union-path:2")
+        with pytest.raises(DescriptorError, match="^unknown encoding 'svd-sum'$"):
+            Descriptor("union-path", encoding="svd-sum")
         for text, message in (
             ("count-ne:3", "lambda must be 1 or 2"),
             ("curvature:1.5", "alpha"),
@@ -1280,6 +1240,11 @@ class TestDescriptorParsing:
             ("bogus:3", "unknown descriptor kind"),
             ("union-path:2", "invalid parameter in 'union-path:2'"),
             ("betweenness:2", "takes no parameter"),
+            # an empty parameter is invalid, not the default
+            ("union-path:", "invalid parameter in 'union-path:'"),
+            ("count-ne:", "invalid parameter in 'count-ne:'"),
+            ("curvature:", "invalid parameter in 'curvature:'"),
+            ("betweenness:", "takes no parameter"),
         ):
             with pytest.raises(DescriptorError, match=message):
                 Descriptor.parse(text)

@@ -1,6 +1,7 @@
-"""Every library module uses each name it imports, every private
-module-level name and class member is read somewhere in the package, and
-every public top-level function and class is referenced by some file.
+"""Every library module uses each name it imports and imports nothing but
+numpy and the standard library, every private module-level name and class
+member is read somewhere in the package, and every public top-level
+function and class is referenced by some file.
 
 No linter ships with the project, so these checks live in the test suite.
 ``__init__.py`` is skipped by the import and reference checks: its imports
@@ -9,6 +10,7 @@ are the package's public names, which a re-export alone does not use.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,18 @@ def unused_imports(source):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def foreign_imports(source):
+    """Top-level modules imported anywhere in the source, nested imports too,
+    that are neither relative, numpy nor in the standard library."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.partition(".")[0])
+    return sorted(imported - {"numpy"} - sys.stdlib_module_names)
 
 
 def bound_names(node):
@@ -118,6 +132,17 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["field", "os"]
 
 
+def test_checker_finds_foreign_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy.linalg as la\nfrom . import graphs\n"
+        "from .graphs import Graph\nfrom numpy import ndarray\n"
+        "def solve():\n    from scipy.optimize import linprog\n"
+        "    import networkx as nx, json\n"
+    )
+    assert foreign_imports(source) == ["networkx", "scipy"]
+
+
 def test_checker_finds_unread_private_names():
     first = (
         "_LIMIT = 3\n_a, _b = 1, 2\n__all__ = []\n"
@@ -153,6 +178,11 @@ def test_checker_finds_unreferenced_public_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_the_only_runtime_dependency(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_private_name_is_read():

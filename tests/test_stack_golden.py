@@ -1,11 +1,12 @@
-"""Local matrix tables keep every byte on a seeded corpus of connected G(n, p).
+"""Local tables keep every byte on a seeded corpus of connected G(n, p).
 
 tests/golden/stack_values.txt holds, for each kind that builds local
-matrices and each encoding, the SHA-256 of the table's ``values`` and of
-its ``weights`` bytes.  The path lengths of a local subgraph are read off A
-and A^2 and then encoded, so a change in how they are formed, or in the
-order of the array ops, shows up as a new digest.  A change that alters a
-value must regenerate the file deliberately:
+matrices and each encoding, for betweenness and for count-ne with lambda 2
+and 1, the SHA-256 of the table's ``values`` and of its ``weights`` bytes.
+The path lengths of a local subgraph are read off A and A^2 and then
+encoded, so a change in how they are formed, or in the order of the array
+ops, shows up as a new digest.  A change that alters a value must
+regenerate the file deliberately:
 
     PYTHONPATH=src python tests/test_stack_golden.py > tests/golden/stack_values.txt
 """
@@ -21,7 +22,8 @@ from unionsub.graphs import is_connected, random_graph
 GOLDEN = Path(__file__).resolve().parent / "golden" / "stack_values.txt"
 CASES = [Descriptor(kind, encoding=encoding)
          for kind in ("union-path", "overlap-path", "minus-path", "laplacian")
-         for encoding in Encoding] + [Descriptor("betweenness")]
+         for encoding in Encoding] + [Descriptor("betweenness"), Descriptor("count-ne", lam=2),
+                                      Descriptor("count-ne", lam=1)]
 
 
 def corpus():
@@ -42,7 +44,8 @@ def golden_line(kind, graphs):
         table = coefficient_table(g, kind)
         values.update(table.values.tobytes())
         weights.update(table.weights.tobytes())
-    return f"{kind.kind} {kind.encoding.value} {values.hexdigest()} {weights.hexdigest()}\n"
+    param = kind.lam if kind.kind == "count-ne" else kind.encoding.value
+    return f"{kind.kind} {param} {values.hexdigest()} {weights.hexdigest()}\n"
 
 
 def golden_text():
