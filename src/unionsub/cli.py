@@ -10,11 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import random
 import sys
 import time
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from . import wl
 from .datasets import (
@@ -185,8 +189,21 @@ def _time_kind(call, graphs):
         return time.perf_counter() - start
 
 
+def _environment():
+    """What a bench report's times depend on beside the code: the python and
+    numpy versions, the BLAS numpy was built with, and the usable processors."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy before 1.25 has no mode
+        blas = {}
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}, "nproc": nproc}
+
+
 def run_bench(graphs, kinds, repeats):
-    """Median-of-repeats wall times per kind on the identical corpus."""
+    """Median-of-repeats wall times per kind on the identical corpus, with
+    the environment they were measured in."""
     if repeats < 1:
         raise GraphError(f"repeats must be at least 1, got {repeats}")
     total_edges = sum(g.num_edges for g in graphs)
@@ -196,6 +213,7 @@ def run_bench(graphs, kinds, repeats):
         "graphs": len(graphs),
         "edges": total_edges,
         "repeats": repeats,
+        "env": _environment(),
         "kinds": {},
     }
     calls = {kind_text: _bench_call(kind_text) for kind_text in kinds}  # all parsed first

@@ -225,7 +225,17 @@ def _table_work(ends, work, limit):
 
 
 def _chunk_values(indptr, degree, nbr, ends, kind):
-    """local_descriptor_values of the (B, 2) array ``ends``, from g's CSR arrays."""
+    """local_descriptor_values of the (B, 2) array ``ends``, from g's CSR arrays.
+
+    The edges' matrices lie in one flat array, sorted by size k, each
+    row-major from its start.  Every local node is v, u or adjacent to one of
+    them, and v ~ u, so the diameter is at most 3 and the path lengths are
+    read off A and A^2: 1 on edges, 2 where A^2 > 0, else 3.  A^2 is one
+    matmul per size group into a flat array of the same layout; the lengths
+    and the zero diagonal (member i of an edge at its start + i (k + 1)) are
+    then set once for the whole chunk.  Only the encoding and betweenness's
+    per-row gathers run per size group.
+    """
     batch, n = len(ends), len(degree)
     own = ends + np.arange(0, batch * n, n)[:, None]  # the endpoints' keys
     at, x = _rows(indptr, degree, nbr, ends.reshape(-1), (own - ends).reshape(-1))
@@ -239,8 +249,7 @@ def _chunk_values(indptr, degree, nbr, ends, kind):
     k = np.bincount(edge, minlength=batch)
     offset = k.cumsum() - k
     at, target = _rows(indptr, degree, nbr, members % n, edge * n)
-    pos = members.searchsorted(target)
-    hit = members.take(pos, mode="clip") == target
+    pos, hit = _find(members, target, batch * n)
     if kind.kind == "minus-path":  # drop edges joining an exclusive neighbour of v to one of u
         sides = np.where(np.append(~new[1:], False), 3, 1 + (tagged[1:] & 1))[new]
         hit &= (sides[at] & sides.take(pos, mode="clip")) != 0
@@ -251,18 +260,72 @@ def _chunk_values(indptr, degree, nbr, ends, kind):
     order = k.argsort(kind="stable")
     rank, size = order.argsort(), k[order]
     cells = (size * size).cumsum()
-    a = np.zeros(cells[-1])
     # members i, j of edge e meet at (i - offset[e]) k[e] + j - offset[e] in its matrix
     row = (cells[rank] - k * k - offset * (k + 1))[edge] + np.arange(len(members)) * k[edge]
-    a[row[at] + pos] = 1.0
-    local_ends = (members.searchsorted(own) - offset[:, None])[order]
+    local = row[at] + pos
+    a = np.zeros(cells[-1])
+    a[local] = 1.0
+    diag = row + np.arange(len(members))
+    cuts = [0, *((size[1:] != size[:-1]).nonzero()[0] + 1).tolist(), batch]
+    starts = np.append(cells - size * size, cells[-1])[cuts].tolist()
+    # (edges lo:hi, their matrices' cells, their size) of each size group
+    groups = [(lo, hi, slice(c0, c1), s) for lo, hi, c0, c1, s
+              in zip(cuts, cuts[1:], starts, starts[1:], size[cuts[:-1]].tolist())]
+    if kind.kind == "laplacian":
+        m = -a
+        m[diag] = np.bincount(at, minlength=len(members))  # each member's local degree
+    else:  # the path lengths, in place of A^2; arithmetic on a mask beats np.where
+        a2 = _group_products(a, a, groups)
+        far = a2 == 0
+        if kind.kind == "betweenness":
+            # the shortest-path counts are the entries of A, A^2 or A^3 at the
+            # same length (shortest walks are paths)
+            sigma = _group_products(a2, a, groups)
+            sigma *= far
+            sigma += a2
+            sigma[local] = 1.0
+            sigma[diag] = 1.0
+            local_ends = (members.searchsorted(own) - offset[:, None])[order]
+        m = np.add(far, 2.0, out=a2)
+        m[local] = 1.0
+        m[diag] = 0.0
     values = np.empty(batch)
-    cuts = ((size[1:] != size[:-1]).nonzero()[0] + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, batch]):
-        s = int(size[lo])
-        stack = a[cells[hi - 1] - (hi - lo) * s * s:cells[hi - 1]].reshape(-1, s, s)
-        values[lo:hi] = _stack_values(stack, local_ends[lo:hi], kind)
+    for lo, hi, cut, s in groups:
+        stack = m[cut].reshape(-1, s, s)
+        if kind.kind != "betweenness":
+            values[lo:hi] = _encode_stack(stack, kind.encoding)
+            continue
+        count = sigma[cut].reshape(-1, s, s)
+        # the ordered pair (x, y) counts its shortest paths x ... v - u ... y and
+        # (y, x) those through u - v, so each unordered pair sees both directions
+        rows, (v, u) = np.arange(hi - lo), local_ends[lo:hi].T
+        da, db, sa, sb = stack[rows, v], stack[rows, u], count[rows, v], count[rows, u]
+        on_path = da[:, :, None] + 1.0 + db[:, None, :] == stack
+        values[lo:hi] = (on_path * sa[:, :, None] * sb[:, None, :] / count).sum(axis=(1, 2))
     return values[rank]
+
+
+def _find(members, target, keys):
+    """The position of each target among the sorted member keys, all below
+    ``keys``, and whether it is a member; an index over every key beats a
+    binary search, and is built when at most BATCH_ENTRIES long."""
+    if keys > BATCH_ENTRIES:
+        pos = members.searchsorted(target)
+        return pos, members.take(pos, mode="clip") == target
+    index = np.full(keys, -1)
+    index[members] = np.arange(len(members))
+    pos = index[target]
+    return pos, pos >= 0
+
+
+def _group_products(a, b, groups):
+    """The matrix products a @ b of two flat arrays of matrices laid out as
+    ``groups``, one matmul per size group, in the same layout."""
+    out = np.empty_like(a)
+    for _, _, cut, s in groups:
+        np.matmul(a[cut].reshape(-1, s, s), b[cut].reshape(-1, s, s),
+                  out=out[cut].reshape(-1, s, s))
+    return out
 
 
 def _rows(indptr, degree, nbr, nodes, start):
@@ -274,38 +337,6 @@ def _rows(indptr, degree, nbr, nodes, start):
     index = nbr[index]
     index += start[at]
     return at, index
-
-
-def _stack_values(a, ends, kind):
-    """One value per matrix of a (B, k, k) local adjacency stack.
-
-    Row i of the (B, 2) array ``ends`` holds the local indices of matrix i's
-    edge endpoints v and u.  Every local node is v, u or adjacent to one of
-    them, and v ~ u, so the diameter is at most 3 and the path lengths are
-    read off A and A^2: 1 on edges, 2 where A^2 > 0, else 3.  The
-    shortest-path counts are the entries of A, A^2 or A^3 at the same
-    length (shortest walks are paths).
-    """
-    batch, k, _ = a.shape
-    diag = np.arange(k)
-    if kind.kind == "laplacian":
-        m = -a
-        m[:, diag, diag] = a.sum(axis=2)
-        return _encode_stack(m, kind.encoding)
-    a2 = a @ a
-    d = np.where(a > 0, a, np.where(a2 > 0, 2, 3))
-    d[:, diag, diag] = 0.0
-    if kind.kind != "betweenness":
-        return _encode_stack(d, kind.encoding)
-    sigma = np.where(a > 0, a, np.where(a2 > 0, a2, a2 @ a))
-    sigma[:, diag, diag] = 1.0
-    # the ordered pair (x, y) counts its shortest paths x ... v - u ... y and
-    # (y, x) those through u - v, so each unordered pair sees both directions
-    rows = np.arange(batch)
-    da, db = d[rows, ends[:, 0]], d[rows, ends[:, 1]]
-    sa, sb = sigma[rows, ends[:, 0]], sigma[rows, ends[:, 1]]
-    on_path = da[:, :, None] + 1.0 + db[:, None, :] == d
-    return (on_path * sa[:, :, None] * sb[:, None, :] / sigma).sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

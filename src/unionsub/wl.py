@@ -64,35 +64,49 @@ def _refine(graphs, tables=None):
 
     ``tables`` holds one CoefficientTable per graph, built for a graph with
     its edges; the message from u to v is then tagged by the quantized
-    weight of (v, u), and None leaves every message untagged.  Rounds run
-    until the partition is stable.  New color ids are assigned by sorted
-    signature, which keeps colors canonical under node relabeling.  Refining
-    past MAX_REFINE_STEPS raises GraphError (a path of N nodes takes about
-    N / 2 rounds).  Returns one ColorAssignment per graph.
+    weight of (v, u), and None leaves every message untagged.  A tagged
+    message is one int, color * span + tag, span being one more than the
+    tags' range over all graphs refined together: every tag lies within one
+    span, so the packing is injective and keeps the order of (color, tag),
+    and the colors are those the pairs would give.  Rounds run until the
+    partition is stable.  New color ids are assigned by sorted signature,
+    which keeps colors canonical under node relabeling.  Once a round gives
+    every node its own color, the next round would re-rank signatures whose
+    first field is already the rank; it is counted, and checked against the
+    bound, without being run.  Refining past MAX_REFINE_STEPS raises
+    GraphError (a path of N nodes takes about N / 2 rounds).  Returns one
+    ColorAssignment per graph.
     """
     pair_tags = [None] * len(graphs)
     if tables is not None:
         if any(table.graph.edges != g.edges for g, table in zip(graphs, tables)):
             raise GraphError("a coefficient table was built for a graph with other edges")
         pair_tags = [[round(x * COEFF_QUANT_SCALE) for x in t.weights.tolist()] for t in tables]
+        every = [tag for tags in pair_tags for tag in tags]
+        span = max(every, default=0) - min(every, default=0) + 1
     pairs = [[a.tolist() for a in g.csr] for g in graphs]
     per_round = sum(len(bounds) - 1 + len(nbr) for bounds, nbr in pairs)
     # equal feature rows get equal initial colors
     colors, num_colors = _number([[tuple(row) for row in g.features.tolist()] for g in graphs])
+    nodes = sum(g.num_nodes for g in graphs)
     rounds = 0
-    stable = num_colors == sum(g.num_nodes for g in graphs)
+    stable = num_colors == nodes
     while not stable:
         if (rounds + 1) * per_round > MAX_REFINE_STEPS:
             raise GraphError(f"1-WL refinement: over {MAX_REFINE_STEPS} nodes plus pairs to read")
+        rounds += 1
+        if num_colors == nodes:  # discrete: this round would change nothing
+            break
         signatures = []
         for (bounds, nbr), tags, cs in zip(pairs, pair_tags, colors):
-            messages = [cs[u] for u in nbr]  # one per pair (v, u), in the weights' order
-            if tags is not None:
-                messages = list(zip(messages, tags))
+            # one message per pair (v, u), in the weights' order
+            if tags is None:
+                messages = [cs[u] for u in nbr]
+            else:
+                messages = [cs[u] * span + tag for u, tag in zip(nbr, tags)]
             signatures.append([(c, tuple(sorted(messages[lo:hi])))
                                for c, lo, hi in zip(cs, bounds, bounds[1:])])
         colors, count = _number(signatures)
-        rounds += 1
         # refinement only splits classes: equal counts means a stable partition
         stable = count == num_colors
         num_colors = count

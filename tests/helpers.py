@@ -1,14 +1,15 @@
 """Single-edge lookups, a table's edge ends, subgraph positions, the
-reference local-value and normalization loops, and the graph families that
-only the tests need."""
+reference local-value, normalization and refinement loops, and the graph
+families that only the tests need."""
 
+import itertools
 import random
 import warnings
 
 import networkx as nx
 import numpy as np
 
-from unionsub import descriptors
+from unionsub import descriptors, wl
 from unionsub.descriptors import coefficient_table, curvature_values, local_descriptor_values
 from unionsub.graphs import Graph, GraphError, double_edge_swap
 
@@ -72,10 +73,36 @@ def reference_local_values(g, kind):
                     arcs = a.sum(axis=(1, 2))
                     values[at] = arcs / 2 / (size * (size - 1)) * size ** kind.lam
                 else:
-                    values[at] = descriptors._stack_values(a, np.array(local_ends), kind)
+                    values[at] = reference_stack_values(a, np.array(local_ends), kind)
             groups.clear()
             pending = 0
     return values
+
+
+def reference_stack_values(a, ends, kind):
+    """One value per matrix of a (B, k, k) local adjacency stack, each kind's
+    matrix built per stack: row i of the (B, 2) array ``ends`` holds the local
+    indices of matrix i's edge endpoints.  Path lengths are 1 on edges, 2
+    where A^2 > 0, else 3, and shortest-path counts the entries of A, A^2 or
+    A^3 at the same length."""
+    batch, k, _ = a.shape
+    diag = np.arange(k)
+    if kind.kind == "laplacian":
+        m = -a
+        m[:, diag, diag] = a.sum(axis=2)
+        return descriptors._encode_stack(m, kind.encoding)
+    a2 = a @ a
+    d = np.where(a > 0, a, np.where(a2 > 0, 2, 3))
+    d[:, diag, diag] = 0.0
+    if kind.kind != "betweenness":
+        return descriptors._encode_stack(d, kind.encoding)
+    sigma = np.where(a > 0, a, np.where(a2 > 0, a2, a2 @ a))
+    sigma[:, diag, diag] = 1.0
+    rows = np.arange(batch)
+    da, db = d[rows, ends[:, 0]], d[rows, ends[:, 1]]
+    sa, sb = sigma[rows, ends[:, 0]], sigma[rows, ends[:, 1]]
+    on_path = da[:, :, None] + 1.0 + db[:, None, :] == d
+    return (on_path * sa[:, :, None] * sb[:, None, :] / sigma).sum(axis=(1, 2))
 
 
 def reference_table(g, kind):
@@ -109,6 +136,69 @@ def reference_table(g, kind):
             RuntimeWarning,
         )
     return raw, normalized
+
+
+def reference_refine(graphs, tables=None):
+    """wl._refine's colors and rounds by a plain loop: one ColorAssignment per
+    graph.  A message is the neighbour's color, or with ``tables`` the tuple
+    (color, round(w * 1e9)), w the normalized weight of the pair read from
+    the table's dict view.  Signatures are ranked over all graphs, and every
+    round runs, the one that confirms a discrete partition too, until a round
+    leaves the number of colors unchanged; a partition discrete from the
+    features runs none."""
+    def number(keys):
+        rank = {key: i for i, key in enumerate(sorted({key for ks in keys for key in ks}))}
+        return [[rank[key] for key in ks] for ks in keys], len(rank)
+
+    colors, count = number([[tuple(row) for row in g.features.tolist()] for g in graphs])
+    rounds = 0
+    stable = count == sum(g.num_nodes for g in graphs)
+    while not stable:
+        signatures = []
+        for i, g in enumerate(graphs):
+            cs = colors[i]
+            signature = []
+            for v, neighbors in enumerate(g.adjacency):
+                if tables is None:
+                    messages = [cs[u] for u in neighbors]
+                else:
+                    weights = tables[i].normalized
+                    messages = [(cs[u], round(weights[(v, u)] * wl.COEFF_QUANT_SCALE))
+                                for u in neighbors]
+                signature.append((cs[v], tuple(sorted(messages))))
+            signatures.append(signature)
+        colors, new_count = number(signatures)
+        rounds += 1
+        stable = new_count == count
+        count = new_count
+    return [wl.ColorAssignment(tuple(cs), rounds) for cs in colors]
+
+
+def latin_square_graph(square):
+    """The graph on the n^2 cells of an n x n Latin square (rows of symbols):
+    cell (r, c) is node r n + c, and two cells are adjacent when they share a
+    row, a column or a symbol."""
+    n = len(square)
+    if any(sorted(line) != list(range(n)) for line in (*square, *zip(*square))):
+        raise ValueError("not a Latin square of the symbols 0..n-1")
+    cells = [(r, c, square[r][c]) for r in range(n) for c in range(n)]
+    return Graph(n * n, [(i, j) for i, j in itertools.combinations(range(n * n), 2)
+                         if any(a == b for a, b in zip(cells[i], cells[j]))])
+
+
+def latin_square_pairs():
+    """Pairs of non-isomorphic Latin square graphs of equal order: Z4 vs
+    Z2 x Z2, Z5 vs a square that is no group's table, and Z6 vs S3.  Each
+    graph is strongly regular, so 1-WL separates no pair."""
+    def cyclic(n):
+        return [[(r + c) % n for c in range(n)] for r in range(n)]
+
+    klein = [[r ^ c for c in range(4)] for r in range(4)]
+    non_group = [[int(x) for x in row] for row in ("01234", "10342", "24013", "32401", "43120")]
+    perms = list(itertools.permutations(range(3)))
+    s3 = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return [(latin_square_graph(a), latin_square_graph(b))
+            for a, b in ((cyclic(4), klein), (cyclic(5), non_group), (cyclic(6), s3))]
 
 
 def cubic_graphs_on_ten_nodes():

@@ -1,8 +1,9 @@
 """The paper's descriptor hierarchy as graph-pair counts.
 
-Two offline families of 1-WL-equivalent, non-isomorphic graph pairs:
+Three offline families of 1-WL-equivalent, non-isomorphic graph pairs:
 every such pair of networkx atlas graphs (at most 7 nodes, connected or
-not), and every pair of the 21 cubic graphs on 10 nodes.  For each
+not), every pair of the 21 cubic graphs on 10 nodes, and three pairs of
+Latin square graphs of orders 4, 5 and 6.  For each
 descriptor kind under svd-sum, a pair counts as separated when the
 coefficient-tagged refinement tells its graphs apart
 (``distinguish_pair(...).augmented_distinguishes``).  The counts are
@@ -20,7 +21,7 @@ from unionsub.descriptors import Descriptor
 from unionsub.graphs import Graph
 from unionsub.wl import distinguish_pair, wl_distinguishable
 
-from helpers import cubic_graphs_on_ten_nodes
+from helpers import cubic_graphs_on_ten_nodes, latin_square_pairs
 
 KINDS = (
     "union-path", "overlap-path", "minus-path", "count-ne", "betweenness",
@@ -30,6 +31,7 @@ KINDS = (
 COUNTS = {
     "atlas": (26, (23, 23, 23, 23, 23, 23, 23)),
     "cubic10": (210, (208, 187, 187, 208, 208, 209, 208)),
+    "latin": (3, (3, 3, 3, 3, 0, 0, 3)),
 }
 
 
@@ -55,7 +57,9 @@ def cubic_pairs():
 def separated():
     """family -> (pair count, kind -> set of the positions of separated pairs)"""
     out = {}
-    for family, pairs in (("atlas", atlas_pairs()), ("cubic10", cubic_pairs())):
+    families = (("atlas", atlas_pairs()), ("cubic10", cubic_pairs()),
+                ("latin", latin_square_pairs()))
+    for family, pairs in families:
         by_kind = {}
         for kind in KINDS:
             descriptor = Descriptor.parse(kind)
@@ -93,3 +97,18 @@ def test_cubic_hierarchy(separated):
         assert by_kind[kind] == union, kind
     assert union < by_kind["curvature"]
     assert len(by_kind["curvature"] - union) == 1
+
+
+def test_latin_squares_beat_curvature():
+    # strongly regular graphs of equal order: 1-WL and curvature separate none
+    # of the three pairs, betweenness none either, while union-path and count-ne
+    # separate each, in 2, 3 and 2 rounds; the reverse of the cubic order
+    pairs = latin_square_pairs()
+    assert [g.num_nodes for pair in pairs for g in pair] == [16, 16, 25, 25, 36, 36]
+    for kind in ("union-path", "count-ne"):
+        verdicts = [distinguish_pair(g1, g2, Descriptor.parse(kind)) for g1, g2 in pairs]
+        assert [(v.augmented_distinguishes, v.rounds_used) for v in verdicts] == [
+            (True, 2), (True, 3), (True, 2)], kind
+    for kind in ("betweenness", "curvature"):
+        verdicts = [distinguish_pair(g1, g2, Descriptor.parse(kind)) for g1, g2 in pairs]
+        assert not any(v.augmented_distinguishes or v.raw_values_differ for v in verdicts), kind

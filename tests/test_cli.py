@@ -398,6 +398,24 @@ class TestBenchCommand:
             assert stats["seconds"] >= 0
             assert stats["edges"] == obj["edges"]
 
+    def test_report_records_its_environment(self, tmp_path, capsys):
+        import platform
+
+        import numpy as np
+
+        corpus = tmp_path / "corpus"
+        main(["gen", "cycle:6", "--count", "1", "--out", str(corpus)])
+        capsys.readouterr()
+        assert main(["bench", str(corpus), "--kinds", "count-ne", "--repeats", "1"]) == 0
+        env = json.loads(capsys.readouterr().out)["env"]
+        assert set(env) == {"python", "numpy", "blas", "nproc"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+
     def test_run_bench_same_corpus_for_all_kinds(self, tmp_path):
         from unionsub.graphs import cycle_graph
 

@@ -386,10 +386,11 @@ class TestBatchedMatrixKinds:
         # with 230 leaves sums 230 x 107,421 = 24,706,830 and is accepted, its
         # hub edges' union subgraphs holding all 231 nodes; with 231 leaves
         # the sum passes the bound at the last edge, before any matrix
+        # union-path encodes each size group's (B, k, k) stack of path matrices
         shapes = []
-        stack_values = descriptors._stack_values
-        monkeypatch.setattr(descriptors, "_stack_values",
-                            lambda a, *args: shapes.append(a.shape) or stack_values(a, *args))
+        encode_stack = descriptors._encode_stack
+        monkeypatch.setattr(descriptors, "_encode_stack",
+                            lambda a, *args: shapes.append(a.shape) or encode_stack(a, *args))
         assert len(coefficient_table(star_graph(230), UNION_PATH_SVD).values) == 230
         assert max(shape[1:] for shape in shapes) == (231, 231)
         shapes.clear()

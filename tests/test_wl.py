@@ -1,8 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from unionsub.descriptors import UNION_PATH_SVD, coefficient_table
+from unionsub import wl
+from unionsub.descriptors import (
+    COUNT_NE,
+    RICCI_CURVATURE,
+    UNION_PATH_SVD,
+    CoefficientTable,
+    coefficient_table,
+)
 from unionsub.graphs import (
     Graph,
     GraphError,
@@ -17,11 +25,31 @@ from unionsub.graphs import (
     two_triangles_graph,
 )
 from unionsub.wl import (
+    _refine,
     augmented_refine,
     distinguish_pair,
     wl_distinguishable,
     wl_refine,
 )
+
+from helpers import reference_refine
+
+
+def refinement_cases():
+    """Seeded graphs, each with up to two isolated nodes; every third carries
+    features of three values."""
+    rng = random.Random(7)
+    cases = []
+    for i in range(45):
+        n, isolated = rng.randint(1, 14), rng.randint(0, 2)
+        edges = random_graph(n, rng.uniform(0.1, 0.6), rng).edges
+        features = [[float(rng.randint(0, 2))] for _ in range(n + isolated)] if i % 3 == 0 else None
+        cases.append(Graph(n + isolated, edges, features=features))
+    return cases
+
+
+CASES = refinement_cases()
+TAG_KINDS = (UNION_PATH_SVD, RICCI_CURVATURE, COUNT_NE)
 
 
 class TestPlainRefinement:
@@ -148,3 +176,70 @@ class TestVerdicts:
         assert obj["wl"] is False and obj["augmented"] is False and obj["raw"] is True
         assert isinstance(obj["rounds"], int)
         assert all(len(item) == 2 for item in obj["hist1"])
+
+
+class TestReferenceRefinement:
+    """Every refinement entry point against helpers.reference_refine, which
+    ranks tuple messages and runs the round that confirms a discrete
+    partition."""
+
+    def test_cases_cover_the_edge_cases(self):
+        assert sum(0 in map(len, g.adjacency) for g in CASES) >= 10  # isolated nodes
+        assert sum(len({tuple(row) for row in g.features.tolist()}) > 1 for g in CASES) >= 10
+        negative = [g for g in CASES if (coefficient_table(g, RICCI_CURVATURE).weights < 0).any()]
+        assert len(negative) >= 5  # negative tags
+        discrete = [g for g in CASES if len(set(wl_refine(g).colors)) == g.num_nodes]
+        assert sum(wl_refine(g).rounds > 0 for g in discrete) >= 5  # a round made it discrete
+
+    def test_single_graphs(self):
+        for g in CASES:
+            assert wl_refine(g) == reference_refine([g])[0]
+            for kind in TAG_KINDS:
+                table = coefficient_table(g, kind)
+                assert augmented_refine(g, table) == reference_refine([g], [table])[0], kind
+
+    def test_packing_keeps_adjacent_colors_apart(self):
+        # node 0 hears (color 1, the highest tag) and node 2 (color 2, the lowest):
+        # a span one short of the tags' range would pack both into one int
+        g = Graph(4, [(0, 1), (2, 3)], features=[[0.0], [1.0], [0.0], [2.0]])
+        table = CoefficientTable(g, np.zeros(2), np.array([0.75, 0.5, 0.25, 0.5]))
+        assignment = augmented_refine(g, table)
+        assert assignment == reference_refine([g], [table])[0]
+        assert assignment.colors[0] != assignment.colors[2]
+
+    def test_two_graph_refinements(self):
+        for pair in zip(CASES, CASES[1:]):
+            assert _refine(pair) == reference_refine(pair)
+            for kind in TAG_KINDS:
+                tables = [coefficient_table(g, kind) for g in pair]
+                assert _refine(pair, tables) == reference_refine(pair, tables), kind
+
+
+class TestRefinementBound:
+    """MAX_REFINE_STEPS admits exactly rounds x (nodes + pairs)."""
+
+    @pytest.mark.parametrize("graphs", [
+        [cycle_graph(6)],  # one round, not discrete
+        [path_graph(9)],  # five rounds, symmetric classes
+        # a spider with legs of 1, 2 and 3 edges has no automorphism: its partition
+        # turns discrete, and the round that would confirm it is checked unrun
+        [Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])],
+        [path_graph(7), cycle_graph(7)],
+    ])
+    def test_bound_at_its_edge(self, monkeypatch, graphs):
+        per_round = sum(g.num_nodes + 2 * g.num_edges for g in graphs)
+        expected = reference_refine(graphs)
+        rounds = expected[0].rounds
+        monkeypatch.setattr(wl, "MAX_REFINE_STEPS", rounds * per_round)
+        assert _refine(graphs) == expected
+        monkeypatch.setattr(wl, "MAX_REFINE_STEPS", rounds * per_round - 1)
+        message = f"^1-WL refinement: over {rounds * per_round - 1} nodes plus pairs to read$"
+        with pytest.raises(GraphError, match=message):
+            _refine(graphs)
+
+    def test_spider_turns_discrete(self):
+        # three rounds split the degree classes down to single nodes; the fourth
+        # is the confirming round, counted unrun
+        assignment = wl_refine(Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]))
+        assert sorted(assignment.colors) == list(range(7))
+        assert assignment.rounds == 4
