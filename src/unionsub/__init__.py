@@ -1,11 +1,10 @@
 """Union-subgraph structural coefficients for graph edges.
 
-Builds per-edge local substructures (overlap / union-minus / union
-subgraphs), encodes them through shortest-path matrices and singular-value
-sums, compares against rival descriptors, verifies expressiveness against
-1-WL color refinement, and injects the coefficients into toy message-passing
-layers, where Trans(coefficient) scales each message with no second
-normalization.  Injection into Transformer models is not reproduced.
+Per-edge union subgraphs and their overlap and union-minus rivals, encoded
+through shortest-path matrices into coefficient tables beside rival
+descriptors; 1-WL verdicts over the tables, and toy message-passing layers
+that scale each message by its coefficient.  Injection into Transformer
+models is not reproduced.
 """
 
 from .graphs import (
@@ -13,10 +12,8 @@ from .graphs import (
     GraphError,
     GraphParseError,
     Subgraph,
-    closed_neighborhood,
     complete_graph,
     cycle_graph,
-    induced_subgraph,
     is_isomorphic_small,
     parse_graph,
     path_graph,

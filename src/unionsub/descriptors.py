@@ -187,17 +187,14 @@ def _encode_stack(stack, encoding):
 def local_descriptor_values(g, ends, kind):
     """Values of every per-edge kind but curvature for g's (E, 2) edge ends, in order.
 
-    Local nodes are N[v] | N[u] (N[v] & N[u] for overlap); union-minus drops
-    the edges between v's and u's exclusive neighbours.  Array ops give the
-    i-th edge's local nodes as sorted member keys i*n + x and look each
-    member's neighbours up among the keys for the local edges; edges sorted
-    by size fill one flat array sliced into (B, k, k) stacks.  An edge's work
-    is bounded by a per-endpoint sum, 2 (deg x + 1)^2 for matrix entries plus
-    the degrees summed over N[x] for member-neighbour pairs; each chunk of
-    edges holds at most BATCH_ENTRIES of it, and edges summing past
-    MAX_TABLE_WORK are refused before any work.  A node of degree d adds at
-    least 2 (d + 1)^2 to each of its d edges, so an accepted table has
-    d <= 231 and every k <= 464.
+    local_members gives each edge's local nodes and edges with array ops;
+    edges sorted by size fill one flat array sliced into (B, k, k) stacks.
+    An edge's work is bounded by a per-endpoint sum, 2 (deg x + 1)^2 for
+    matrix entries plus the degrees summed over N[x] for member-neighbour
+    pairs; each chunk of edges holds at most BATCH_ENTRIES of it, and edges
+    summing past MAX_TABLE_WORK are refused before any work.  A node of
+    degree d adds at least 2 (d + 1)^2 to each of its d edges, so an
+    accepted table has d <= 231 and every k <= 464.
     """
     indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
@@ -237,24 +234,8 @@ def _chunk_values(indptr, degree, nbr, ends, kind):
     per-row gathers run per size group.
     """
     batch, n = len(ends), len(degree)
-    own = ends + np.arange(0, batch * n, n)[:, None]  # the endpoints' keys
-    at, x = _rows(indptr, degree, nbr, ends.reshape(-1), (own - ends).reshape(-1))
-    # keys of N[v] and N[u] shifted left, bit 0 naming the side (1 for u)
-    tagged = np.concatenate(([-2], (2 * own + [0, 1]).reshape(-1), 2 * x + (at & 1)))
-    tagged.sort()
-    keys = tagged >> 1
-    new = keys[1:] != keys[:-1]
-    members = keys[1:][~new if kind.kind == "overlap-path" else new]
-    edge = members // n
-    k = np.bincount(edge, minlength=batch)
+    members, edge, k, at, pos = local_members(indptr, degree, nbr, ends, kind)
     offset = k.cumsum() - k
-    at, target = _rows(indptr, degree, nbr, members % n, edge * n)
-    pos, hit = _find(members, target, batch * n)
-    if kind.kind == "minus-path":  # drop edges joining an exclusive neighbour of v to one of u
-        sides = np.where(np.append(~new[1:], False), 3, 1 + (tagged[1:] & 1))[new]
-        hit &= (sides[at] & sides.take(pos, mode="clip")) != 0
-    at, pos = at[hit], pos[hit]
-    del target, hit  # freed before the matrices are allocated
     if kind.kind == "count-ne":
         return np.bincount(edge[at], minlength=batch) / 2 / (k * (k - 1)) * k ** kind.lam
     order = k.argsort(kind="stable")
@@ -285,6 +266,7 @@ def _chunk_values(indptr, degree, nbr, ends, kind):
             sigma += a2
             sigma[local] = 1.0
             sigma[diag] = 1.0
+            own = ends + np.arange(0, batch * n, n)[:, None]  # the endpoints' keys
             local_ends = (members.searchsorted(own) - offset[:, None])[order]
         m = np.add(far, 2.0, out=a2)
         m[local] = 1.0
@@ -303,6 +285,36 @@ def _chunk_values(indptr, degree, nbr, ends, kind):
         on_path = da[:, :, None] + 1.0 + db[:, None, :] == stack
         values[lo:hi] = (on_path * sa[:, :, None] * sb[:, None, :] / count).sum(axis=(1, 2))
     return values[rank]
+
+
+def local_members(indptr, degree, nbr, ends, kind):
+    """The local nodes and local edges of the (B, 2) array ``ends`` for a
+    kind, from g's CSR arrays: (members, edge, k, at, pos).
+
+    The i-th edge's local nodes are N[v] | N[u] (N[v] & N[u] for overlap) as
+    sorted member keys i n + x; ``edge`` is each member's edge and ``k``
+    counts each edge's members.  Member at[j] is adjacent to member pos[j]
+    in its edge's local subgraph, every local edge appearing as both arcs
+    and the arcs ordered by at; union-minus drops the arcs that join an
+    exclusive neighbour of v to one of u.
+    """
+    batch, n = len(ends), len(degree)
+    own = ends + np.arange(0, batch * n, n)[:, None]  # the endpoints' keys
+    at, x = _rows(indptr, degree, nbr, ends.reshape(-1), (own - ends).reshape(-1))
+    # keys of N[v] and N[u] shifted left, bit 0 naming the side (1 for u)
+    tagged = np.concatenate(([-2], (2 * own + [0, 1]).reshape(-1), 2 * x + (at & 1)))
+    tagged.sort()
+    keys = tagged >> 1
+    new = keys[1:] != keys[:-1]
+    members = keys[1:][~new if kind.kind == "overlap-path" else new]
+    edge = members // n
+    k = np.bincount(edge, minlength=batch)
+    at, target = _rows(indptr, degree, nbr, members % n, edge * n)
+    pos, hit = _find(members, target, batch * n)
+    if kind.kind == "minus-path":  # a member's sides: 1 for N[v] only, 2 for N[u] only, 3 both
+        sides = np.where(np.append(~new[1:], False), 3, 1 + (tagged[1:] & 1))[new]
+        hit &= (sides[at] & sides.take(pos, mode="clip")) != 0
+    return members, edge, k, at[hit], pos[hit]
 
 
 def _find(members, target, keys):

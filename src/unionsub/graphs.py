@@ -321,27 +321,6 @@ def _parse_json(text):
 # Basic operations
 # ---------------------------------------------------------------------------
 
-def closed_neighborhood(g, v):
-    """N(v) ∪ {v} as a set of node ids."""
-    return set(g.neighbors(v)) | {v}
-
-
-def induced_subgraph(g, nodes):
-    """Induced subgraph on a node set, with parent ids sorted ascending."""
-    parent_ids = sorted(nodes)
-    for v in parent_ids:
-        g._check_node(v)
-    index = {p: i for i, p in enumerate(parent_ids)}
-    local_edges = [
-        (i, index[q])
-        for i, p in enumerate(parent_ids)
-        for q in g.adjacency[p]
-        if q > p and q in index
-    ]
-    local = Graph(len(parent_ids), local_edges, g.features[parent_ids])
-    return Subgraph(local, parent_ids)
-
-
 def is_connected(g):
     """Whether a flood fill from node 0 reaches every node; True with no nodes."""
     frontier = {0} if g.num_nodes else set()

@@ -4,53 +4,48 @@ For an edge (v, u): the overlap subgraph induces on the intersection of the
 two closed neighborhoods, the union subgraph on their union, and the
 union-minus subgraph is the union subgraph without its cross-exclusive edges
 (the graph union of the two closed-neighborhood subgraphs, which misses
-them).
+them).  Each is a view of the member routine every coefficient table uses,
+descriptors.local_members, on a one-edge chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    Graph,
-    GraphError,
-    Subgraph,
-    closed_neighborhood,
-    induced_subgraph,
-    is_isomorphic_small,
-)
+import numpy as np
+
+from .descriptors import MINUS_PATH_SVD, OVERLAP_PATH_SVD, UNION_PATH_SVD, local_members
+from .graphs import Graph, GraphError, Subgraph, is_isomorphic_small
 
 
-def _sides(g, v, u):
-    """N[v] and N[u] of the edge (v, u)."""
+def _view(g, v, u, kind):
+    """The local subgraph of the edge (v, u) that a table of ``kind`` reads,
+    with parent ids ascending and the parent's feature rows."""
     if not g.has_edge(v, u):
         raise GraphError(f"({v}, {u}) is not an edge")
-    return closed_neighborhood(g, v), closed_neighborhood(g, u)
+    indptr, nbr = g.csr
+    # a one-edge chunk: the member keys are the node ids, and at, pos local ids
+    ids, _, _, at, pos = local_members(indptr, np.diff(indptr), nbr, np.array([[v, u]]), kind)
+    arcs = np.column_stack((at, pos))[at < pos]
+    return Subgraph(Graph(len(ids), arcs.tolist(), g.features[ids]), ids.tolist())
 
 
 def union_subgraph(g, v, u):
     """Induced subgraph on the union of the closed neighborhoods of v and u."""
-    nv, nu = _sides(g, v, u)
-    return induced_subgraph(g, nv | nu)
+    return _view(g, v, u, UNION_PATH_SVD)
 
 
 def overlap_subgraph(g, v, u):
     """Induced subgraph on N[v] & N[u]: the graph intersection of the
     closed-neighborhood subgraphs of v and u."""
-    nv, nu = _sides(g, v, u)
-    return induced_subgraph(g, nv & nu)
+    return _view(g, v, u, OVERLAP_PATH_SVD)
 
 
 def union_minus_subgraph(g, v, u):
     """The union subgraph without its cross-exclusive (E3) edges: the graph
     union of the closed-neighborhood subgraphs of v and u, which keeps an
     edge only if both its ends lie in N[v] or both in N[u]."""
-    nv, nu = _sides(g, v, u)
-    s = induced_subgraph(g, nv | nu)
-    ids = s.parent_ids
-    kept = [(i, j) for i, j in s.local.edges
-            if {ids[i], ids[j]} <= nv or {ids[i], ids[j]} <= nu]
-    return Subgraph(Graph(s.num_nodes, kept, s.local.features), ids)
+    return _view(g, v, u, MINUS_PATH_SVD)
 
 
 @dataclass(frozen=True)
@@ -73,19 +68,21 @@ class EdgeTypePartition:
 
 
 def classify_edge_types(g, v, u):
-    """Partition the union subgraph's edges into E1..E4 plus spokes."""
-    nv, nu = _sides(g, v, u)
-    common = nv & nu
+    """Partition the union subgraph's edges into E1..E4 plus spokes: the
+    common nodes are the overlap subgraph's, and E3 is what union-minus drops."""
+    union = union_subgraph(g, v, u).parent_edges()
+    common = set(overlap_subgraph(g, v, u).parent_ids)
+    kept = set(union_minus_subgraph(g, v, u).parent_edges())
     e1, e2, e3, e4, spokes = set(), set(), set(), set(), set()
-    for a, b in induced_subgraph(g, nv | nu).parent_edges():
+    for a, b in union:
         if v in (a, b) or u in (a, b):
             spokes.add((a, b))
+        elif (a, b) not in kept:  # both exclusive, on opposite sides
+            e3.add((a, b))
         elif a in common and b in common:
             e1.add((a, b))
-        elif (a in common) != (b in common):
+        elif a in common or b in common:
             e2.add((a, b))
-        elif (a in nv) != (b in nv):  # both exclusive, on opposite sides
-            e3.add((a, b))
         else:
             e4.add((a, b))
     return EdgeTypePartition(
@@ -105,12 +102,11 @@ def _neighborhood_isomorphic(g1, i, g2, j, local_subgraph):
     the first unused isomorphic one of j finds such a bijection whenever one
     exists.  The only bound is is_isomorphic_small's on each local subgraph.
     """
-    ni = closed_neighborhood(g1, i)
-    nj = closed_neighborhood(g2, j)
+    ni, nj = g1.neighbors(i), g2.neighbors(j)
     if len(ni) != len(nj):
         return False
-    unused = [local_subgraph(g2, j, w) for w in sorted(nj - {j})]
-    for v in sorted(ni - {i}):
+    unused = [local_subgraph(g2, j, w) for w in nj]
+    for v in ni:
         sub = local_subgraph(g1, i, v)
         for k, other in enumerate(unused):
             if is_isomorphic_small(sub, other):

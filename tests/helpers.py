@@ -1,8 +1,10 @@
-"""Single-edge lookups, a table's edge ends, subgraph positions, the
-reference local-value, normalization and refinement loops, and the graph
-families that only the tests need."""
+"""Single-edge lookups, a table's edge ends, subgraph positions, local
+subgraphs and exact edge tags built by networkx, the reference local-value,
+normalization and refinement loops, and the graph families that only the
+tests need."""
 
 import itertools
+import operator
 import random
 import warnings
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from unionsub import descriptors, wl
 from unionsub.descriptors import coefficient_table, curvature_values, local_descriptor_values
-from unionsub.graphs import Graph, GraphError, double_edge_swap
+from unionsub.graphs import Graph, GraphError, Subgraph, double_edge_swap
 
 
 def edge_descriptor_value(g, v, u, kind):
@@ -31,6 +33,76 @@ def table_ends(g):
 def local_index(sub, parent_id):
     """Position of a parent node id among a Subgraph's local nodes."""
     return sub.parent_ids.index(parent_id)
+
+
+def nx_graph(g):
+    """g as a networkx graph on the same node ids."""
+    h = nx.empty_graph(g.num_nodes)
+    h.add_edges_from(g.edges)
+    return h
+
+
+def nx_local_graph(h, v, u, kind="union-path"):
+    """The local subgraph of the edge (v, u) of the networkx graph h that a
+    table of ``kind`` reads, built from N[v] and N[u]: induced on their union
+    (their intersection for overlap-path), or for minus-path the graph union
+    of the subgraphs induced on each."""
+    nv, nu = {v, *h[v]}, {u, *h[u]}
+    if kind == "overlap-path":
+        return h.subgraph(nv & nu)
+    if kind == "minus-path":
+        return nx.compose(h.subgraph(nv), h.subgraph(nu))
+    return h.subgraph(nv | nu)
+
+
+def nx_local_subgraph(g, v, u, kind="union-path"):
+    """nx_local_graph of g as a Subgraph: parent ids ascending, the parent's
+    feature rows."""
+    s = nx_local_graph(nx_graph(g), v, u, kind)
+    ids = sorted(s)
+    index = {p: i for i, p in enumerate(ids)}
+    edges = [(index[a], index[b]) for a, b in s.edges()]
+    return Subgraph(Graph(len(ids), edges, g.features[ids]), ids)
+
+
+def exact_tagger():
+    """A function from a graph g to its exact edge tags, a dict (v, u) -> tag
+    over both orders of each edge: the tag numbers the ``nx.is_isomorphic``
+    class of the edge's union subgraph, built by networkx with v and u
+    marked, in one id space for every graph the function tags."""
+    kept = {}  # (nodes, edges, marked degrees) -> [(tag, marked networkx graph)]
+    fresh = itertools.count()
+
+    def tags(g):
+        h = nx_graph(g)
+        out = {}
+        for v, u in g.edges:
+            s = nx.Graph(nx_local_graph(h, v, u))
+            nx.set_node_attributes(s, {x: x in (v, u) for x in s}, "end")
+            marked = tuple(sorted((d, x in (v, u)) for x, d in s.degree()))
+            same = kept.setdefault((len(s), s.number_of_edges(), marked), [])
+            tag = next((t for t, other in same
+                        if nx.is_isomorphic(s, other, node_match=operator.eq)), None)
+            if tag is None:
+                tag = next(fresh)
+                same.append((tag, s))
+            out[v, u] = out[u, v] = tag
+        return out
+
+    return tags
+
+
+def weight_tags(table):
+    """A table's tags for reference_refine: (v, u) -> round(w * 1e9), w the
+    pair's normalized weight; the tags augmented refinement uses."""
+    return {pair: round(w * wl.COEFF_QUANT_SCALE) for pair, w in table.normalized.items()}
+
+
+def raw_tags(table):
+    """A table's raw tags for reference_refine: (v, u) -> round(x * 1e9), x
+    the edge's raw value, in both orders."""
+    return {pair: round(table.raw_value(*pair) * wl.COEFF_QUANT_SCALE)
+            for pair in table.normalized}
 
 
 def reference_local_values(g, kind):
@@ -138,14 +210,14 @@ def reference_table(g, kind):
     return raw, normalized
 
 
-def reference_refine(graphs, tables=None):
+def reference_refine(graphs, tags=None):
     """wl._refine's colors and rounds by a plain loop: one ColorAssignment per
-    graph.  A message is the neighbour's color, or with ``tables`` the tuple
-    (color, round(w * 1e9)), w the normalized weight of the pair read from
-    the table's dict view.  Signatures are ranked over all graphs, and every
-    round runs, the one that confirms a discrete partition too, until a round
-    leaves the number of colors unchanged; a partition discrete from the
-    features runs none."""
+    graph.  A message is the neighbour's color, or with ``tags``, one dict
+    per graph from pairs (v, u) to ints, the tuple (color, tag of (v, u)):
+    weight_tags gives the tags of wl._refine's tables.  Signatures are
+    ranked over all graphs, and every round runs, the one that confirms a
+    discrete partition too, until a round leaves the number of colors
+    unchanged; a partition discrete from the features runs none."""
     def number(keys):
         rank = {key: i for i, key in enumerate(sorted({key for ks in keys for key in ks}))}
         return [[rank[key] for key in ks] for ks in keys], len(rank)
@@ -159,12 +231,10 @@ def reference_refine(graphs, tables=None):
             cs = colors[i]
             signature = []
             for v, neighbors in enumerate(g.adjacency):
-                if tables is None:
+                if tags is None:
                     messages = [cs[u] for u in neighbors]
                 else:
-                    weights = tables[i].normalized
-                    messages = [(cs[u], round(weights[(v, u)] * wl.COEFF_QUANT_SCALE))
-                                for u in neighbors]
+                    messages = [(cs[u], tags[i][v, u]) for u in neighbors]
                 signature.append((cs[v], tuple(sorted(messages))))
             signatures.append(signature)
         colors, new_count = number(signatures)

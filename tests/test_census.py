@@ -9,19 +9,29 @@ coefficient-tagged refinement tells its graphs apart
 (``distinguish_pair(...).augmented_distinguishes``).  The counts are
 measured ones: where they differ from the paper's ordering, the test pins
 the measurement.
+
+Two test-only tags say where a kind loses pairs.  An edge's exact tag is
+the isomorphism class of its union subgraph with both endpoints marked; its
+raw tag is round(x * 1e9) of its raw value x.  Either replaces the
+normalized weight in the reference refinement, and a kind loses a pair to
+its encoding when the exact tag separates it and the raw tag does not, to
+normalization when the raw tag does and the weight does not.
 """
 
+import functools
 import itertools
 from collections import defaultdict
 
 import networkx as nx
 import pytest
 
-from unionsub.descriptors import Descriptor
+from unionsub.descriptors import Descriptor, coefficient_table
 from unionsub.graphs import Graph
 from unionsub.wl import distinguish_pair, wl_distinguishable
 
-from helpers import cubic_graphs_on_ten_nodes, latin_square_pairs
+from helpers import (
+    cubic_graphs_on_ten_nodes, exact_tagger, latin_square_pairs, raw_tags, reference_refine,
+)
 
 KINDS = (
     "union-path", "overlap-path", "minus-path", "count-ne", "betweenness",
@@ -32,6 +42,13 @@ COUNTS = {
     "atlas": (26, (23, 23, 23, 23, 23, 23, 23)),
     "cubic10": (210, (208, 187, 187, 208, 208, 209, 208)),
     "latin": (3, (3, 3, 3, 3, 0, 0, 3)),
+}
+TAG_KINDS = ("union-path", "count-ne")
+# family -> (pairs the exact tag separates, pairs the raw tag separates per
+# kind in TAG_KINDS order)
+TAG_COUNTS = {
+    "atlas": (26, (26, 26)),
+    "cubic10": (209, (209, 209)),
 }
 
 
@@ -54,12 +71,15 @@ def cubic_pairs():
 
 
 @pytest.fixture(scope="module")
-def separated():
+def families():
+    return {"atlas": atlas_pairs(), "cubic10": cubic_pairs(), "latin": latin_square_pairs()}
+
+
+@pytest.fixture(scope="module")
+def separated(families):
     """family -> (pair count, kind -> set of the positions of separated pairs)"""
     out = {}
-    families = (("atlas", atlas_pairs()), ("cubic10", cubic_pairs()),
-                ("latin", latin_square_pairs()))
-    for family, pairs in families:
+    for family, pairs in families.items():
         by_kind = {}
         for kind in KINDS:
             descriptor = Descriptor.parse(kind)
@@ -67,6 +87,40 @@ def separated():
             assert not any(v.wl_distinguishes for v in verdicts)
             by_kind[kind] = {i for i, v in enumerate(verdicts) if v.augmented_distinguishes}
         out[family] = (len(pairs), by_kind)
+    return out
+
+
+def test_exact_tag_marks_the_edge():
+    # node 4 is adjacent to all others, so every edge at 4 has the whole graph
+    # as its union subgraph, and 0, 1, 2 and 5 all have degree 2; but the other
+    # neighbour of 0 (and 5) has degree 2, that of 1 (and 2) degree 3
+    g = Graph(6, [(0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)])
+    tags = exact_tagger()(g)
+    assert tags[0, 4] == tags[4, 0] == tags[4, 5] != tags[1, 4] == tags[2, 4]
+
+
+def separated_by(pairs, tags):
+    """The positions of the pairs whose graphs the reference refinement, its
+    messages tagged by ``tags(g)`` in graph g, tells apart."""
+    out = set()
+    for i, pair in enumerate(pairs):
+        first, second = reference_refine(pair, [tags(g) for g in pair])
+        if first.histogram() != second.histogram():
+            out.add(i)
+    return out
+
+
+@pytest.fixture(scope="module")
+def tag_separated(families):
+    """family -> (pairs the exact tag separates, kind -> pairs its raw tag separates)"""
+    out = {}
+    for family in TAG_COUNTS:
+        pairs = families[family]
+        exact = separated_by(pairs, functools.cache(exact_tagger()))
+        out[family] = (exact, {
+            kind: separated_by(pairs, lambda g, kind=kind: raw_tags(
+                coefficient_table(g, Descriptor.parse(kind))))
+            for kind in TAG_KINDS})
     return out
 
 
@@ -83,6 +137,24 @@ def test_union_contains_overlap_and_minus(separated, family):
     by_kind = separated[family][1]
     assert by_kind["overlap-path"] <= by_kind["union-path"]
     assert by_kind["minus-path"] <= by_kind["union-path"]
+
+
+@pytest.mark.parametrize("family", TAG_COUNTS)
+def test_tag_counts(tag_separated, family):
+    exact, raw = tag_separated[family]
+    expected_exact, expected_raw = TAG_COUNTS[family]
+    assert len(exact) == expected_exact
+    assert {kind: len(raw[kind]) for kind in TAG_KINDS} == dict(zip(TAG_KINDS, expected_raw))
+
+
+@pytest.mark.parametrize("family", TAG_COUNTS)
+def test_each_step_only_loses_pairs(separated, tag_separated, family):
+    # exact tag -> raw value -> normalized weight: each step reads only what
+    # the one before it keeps (up to rounding), so it can merge pairs, not split them
+    exact, raw = tag_separated[family]
+    for kind in TAG_KINDS:
+        assert raw[kind] <= exact, kind
+        assert separated[family][1][kind] <= raw[kind], kind
 
 
 def test_cubic_hierarchy(separated):

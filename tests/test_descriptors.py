@@ -33,10 +33,9 @@ from unionsub.descriptors import (
 from unionsub.graphs import (
     Graph,
     GraphError,
-    closed_neighborhood,
+    Subgraph,
     complete_graph,
     cycle_graph,
-    induced_subgraph,
     is_connected,
     path_graph,
     random_graph,
@@ -45,13 +44,15 @@ from unionsub.graphs import (
     star_graph,
     two_triangles_graph,
 )
-from unionsub.substructure import overlap_subgraph, union_minus_subgraph, union_subgraph
+from unionsub.substructure import union_subgraph
 from unionsub.transport import solve_transport, wasserstein_discrete
 from unionsub.wl import distinguish_pair
 
 from helpers import (
     edge_descriptor_value,
     local_index,
+    nx_graph,
+    nx_local_subgraph,
     reference_local_values,
     reference_table,
     table_ends,
@@ -60,7 +61,7 @@ from test_benchmark_sites import load_tracer
 
 
 def full_subgraph(g):
-    return induced_subgraph(g, range(g.num_nodes))
+    return Subgraph(g, range(g.num_nodes))
 
 
 def laplacian_matrix(s):
@@ -293,19 +294,7 @@ REFERENCE_GRAPHS = {
     "isolated-and-components": _graph_with_isolated_nodes(),
     **{f"random-{seed}": _random_reference_graph(seed) for seed in range(8)},
 }
-MATRIX_SUBGRAPHS = {
-    "union-path": union_subgraph,
-    "overlap-path": overlap_subgraph,
-    "minus-path": union_minus_subgraph,
-    "laplacian": union_subgraph,
-}
-MATRIX_KINDS = tuple(MATRIX_SUBGRAPHS)
-
-
-def nx_graph(g):
-    h = nx.empty_graph(g.num_nodes)
-    h.add_edges_from(g.edges)
-    return h
+MATRIX_KINDS = ("union-path", "overlap-path", "minus-path", "laplacian")
 
 
 def nx_path_matrix(s):
@@ -330,14 +319,13 @@ def betweenness_oracle(g, a, b):
 
 
 def _reference_value(g, v, u, kind, encoding):
+    # the local subgraph comes from networkx, not from the tables' member routine
+    sub = nx_local_subgraph(g, v, u, kind)
     if kind == "betweenness":
-        sub = union_subgraph(g, v, u)
         return betweenness_oracle(sub.local, local_index(sub, v), local_index(sub, u))
     if kind == "count-ne":
-        sub = union_subgraph(g, v, u)
         n = sub.num_nodes
         return sub.num_edges / (n * (n - 1)) * n ** COUNT_NE.lam
-    sub = MATRIX_SUBGRAPHS[kind](g, v, u)
     if kind == "laplacian":
         return encode_matrix(laplacian_matrix(sub), encoding)
     return encode_matrix(nx_path_matrix(sub), encoding)
@@ -494,7 +482,7 @@ class TestBetweenness:
             if not g.edges:
                 continue
             v, u = g.edges[rng.randrange(g.num_edges)]
-            sub = union_subgraph(g, v, u)
+            sub = nx_local_subgraph(g, v, u)
             expected = betweenness_oracle(
                 sub.local, local_index(sub, v), local_index(sub, u)
             )
@@ -529,11 +517,11 @@ def exact_ot_oracle(g, v, u, alpha=0.5):
     """Ricci curvature via scipy's LP solver (independent of our simplex)."""
     from scipy.optimize import linprog
 
-    sv = sorted(closed_neighborhood(g, v))
-    su = sorted(closed_neighborhood(g, u))
+    h = nx_graph(g)
+    sv, su = sorted({v, *h[v]}), sorted({u, *h[u]})
     mu = np.array([alpha if x == v else (1 - alpha) / g.degree(v) for x in sv])
     nu = np.array([alpha if y == u else (1 - alpha) / g.degree(u) for y in su])
-    lengths = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
     dist = np.array([[lengths[x][y] for y in su] for x in sv], dtype=float)
     m, n = dist.shape
     a_eq = []
@@ -931,8 +919,9 @@ class TestLocality:
         g, h, a, b = case
         for kind in (UNION_PATH_SVD, COUNT_NE, BETWEENNESS, OVERLAP_PATH_SVD):
             before, after = raw_values(g, kind), raw_values(h, kind)
+            graph = nx_graph(h)
             for (v, u), value in before.items():
-                nv, nu = closed_neighborhood(h, v), closed_neighborhood(h, u)
+                nv, nu = {v, *graph[v]}, {u, *graph[u]}
                 members = nv & nu if kind is OVERLAP_PATH_SVD else nv | nu
                 if not {a, b} <= members:
                     assert after[(v, u)] == value, (kind.kind, v, u)
@@ -948,7 +937,7 @@ class TestLocality:
         before, after = raw_values(g, kind), raw_values(h, kind)
         graph = nx_graph(g)
         for (v, u), value in before.items():
-            near = closed_neighborhood(g, v) | closed_neighborhood(g, u)
+            near = {v, u, *graph[v], *graph[u]}
             within_two = set(nx.single_source_shortest_path_length(graph, v, cutoff=2))
             within_two |= set(nx.single_source_shortest_path_length(graph, u, cutoff=2))
             if not ({a, b} & {v, u} or a in near and b in within_two
@@ -1141,7 +1130,7 @@ class TestCoefficientTable:
     def test_laplacian_kind(self):
         g = complete_graph(3)
         table = coefficient_table(g, LAPLACIAN_SVD)
-        lap = laplacian_matrix(union_subgraph(g, 0, 1))
+        lap = laplacian_matrix(nx_local_subgraph(g, 0, 1))
         assert table.raw[(0, 1)] == pytest.approx(
             float(np.abs(np.linalg.eigvalsh(lap)).sum())
         )

@@ -15,14 +15,12 @@ from unionsub.graphs import (
     GraphError,
     GraphParseError,
     Subgraph,
-    closed_neighborhood,
     complete_graph,
     count_simple_cycles,
     cycle_graph,
     double_edge_swap,
     four_cycle_pair,
     has_four_cycle,
-    induced_subgraph,
     is_isomorphic_small,
     parse_graph,
     path_graph,
@@ -32,6 +30,7 @@ from unionsub.graphs import (
     star_graph,
     two_triangles_graph,
 )
+from unionsub.substructure import overlap_subgraph, union_subgraph
 
 
 class TestGraphInvariants:
@@ -302,18 +301,20 @@ class TestParserFuzz:
 
 
 class TestNeighborhoods:
+    """Graph.neighbors, the neighbourhoods the isomorphism tests walk."""
+
     def test_complete_graph(self):
-        assert closed_neighborhood(complete_graph(3), 0) == {0, 1, 2}
+        assert complete_graph(3).neighbors(0) == (1, 2)
 
     def test_path_endpoint(self):
-        assert closed_neighborhood(path_graph(3), 0) == {0, 1}
+        assert path_graph(3).neighbors(0) == (1,)
 
     def test_isolated_node(self):
-        assert closed_neighborhood(Graph(3, []), 1) == {1}
+        assert Graph(3, []).neighbors(1) == ()
 
     def test_out_of_range(self):
         with pytest.raises(GraphError):
-            closed_neighborhood(complete_graph(3), 3)
+            complete_graph(3).neighbors(3)
 
 
 class TestIsConnected:
@@ -336,37 +337,42 @@ class TestIsConnected:
 
 
 class TestInducedSubgraph:
+    """The union and overlap views are induced subgraphs; Subgraph itself."""
+
     def test_c6_piece_is_path(self):
-        s = induced_subgraph(cycle_graph(6), {0, 1, 2})
-        assert s.parent_ids == (0, 1, 2)
-        assert s.local == path_graph(3)
+        s = union_subgraph(cycle_graph(6), 1, 2)
+        assert s.parent_ids == (0, 1, 2, 3)
+        assert s.local == path_graph(4)
 
     def test_k4_piece_is_k3(self):
-        s = induced_subgraph(complete_graph(4), {0, 1, 2})
+        # K4 without (2, 3): N[0] & N[2] = {0, 1, 2}
+        s = overlap_subgraph(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 0, 2)
+        assert s.parent_ids == (0, 1, 2)
         assert s.local == complete_graph(3)
 
     def test_empty_set(self):
-        s = induced_subgraph(complete_graph(4), set())
-        assert s.num_nodes == 0 and s.num_edges == 0
+        s = Subgraph(Graph(0, []), [])
+        assert s.num_nodes == 0 and s.num_edges == 0 and s.parent_edges() == ()
 
     def test_idempotent(self):
+        # the union subgraph of the focal edge within its union subgraph is all of it
         rng = random.Random(0)
         for _ in range(20):
             g = random_graph(8, 0.4, rng)
-            nodes = {v for v in range(8) if rng.random() < 0.6}
-            s = induced_subgraph(g, nodes)
-            again = induced_subgraph(s.local, range(s.num_nodes))
-            assert again.local == s.local
+            for v, u in g.edges:
+                s = union_subgraph(g, v, u)
+                again = union_subgraph(s.local, s.parent_ids.index(v), s.parent_ids.index(u))
+                assert again.local == s.local
 
     def test_induced_property(self):
         rng = random.Random(1)
         for _ in range(20):
             g = random_graph(9, 0.35, rng)
-            nodes = sorted(v for v in range(9) if rng.random() < 0.5)
-            s = induced_subgraph(g, nodes)
-            for i in range(len(nodes)):
-                for j in range(i + 1, len(nodes)):
-                    assert s.local.has_edge(i, j) == g.has_edge(nodes[i], nodes[j])
+            for v, u in g.edges:
+                for s in (union_subgraph(g, v, u), overlap_subgraph(g, v, u)):
+                    ids = s.parent_ids
+                    for i, j in itertools.combinations(range(s.num_nodes), 2):
+                        assert s.local.has_edge(i, j) == g.has_edge(ids[i], ids[j])
 
     def test_subgraph_rejects_duplicate_parent_ids(self):
         with pytest.raises(GraphError):
@@ -480,8 +486,6 @@ class TestNamedGenerators:
         assert rook.degree_sequence() == shr.degree_sequence()
         # independent non-isomorphism oracle: cycle content of the per-edge
         # union subgraphs (12/15 triangles/quads per rook edge vs 10/12)
-        from unionsub.substructure import union_subgraph
-
         def union_cycle_stats(g):
             stats = set()
             for v, u in g.edges:

@@ -1,7 +1,8 @@
 """Every library module uses each name it imports and imports nothing but
 numpy and the standard library, every private module-level name and class
-member is read somewhere in the package, and every public top-level
-function and class is referenced by some file.
+member is read somewhere in the package, every public top-level function
+and class is referenced by some file, and every name a demo imports from
+the package exists.
 
 No linter ships with the project, so these checks live in the test suite.
 ``__init__.py`` is skipped by the import and reference checks: its imports
@@ -9,6 +10,7 @@ are the package's public names, which a re-export alone does not use.
 """
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -120,6 +122,37 @@ def unreferenced_public_names(package_sources, other_sources):
                 words.discard(node.name)
             referenced |= words
     return sorted(defined - referenced)
+
+
+def package_imports(source):
+    """(module, name) of every ``from unionsub... import name`` in the source."""
+    return sorted({(node.module, a.name) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.ImportFrom) and node.module
+                   and node.module.partition(".")[0] == "unionsub" for a in node.names})
+
+
+def test_checker_finds_package_imports():
+    source = (
+        "import unionsub\nfrom unionsub import Graph, cli\n"
+        "from unionsub.graphs import (Subgraph,\n    is_connected)\n"
+        "from unionsubx import other\nfrom . import local\n"
+        "def f():\n    from unionsub.wl import wl_refine\n"
+    )
+    assert package_imports(source) == [
+        ("unionsub", "Graph"), ("unionsub", "cli"), ("unionsub.graphs", "Subgraph"),
+        ("unionsub.graphs", "is_connected"), ("unionsub.wl", "wl_refine"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    # demos without a golden test are never run by the suite, so a deleted
+    # public name would otherwise go unnoticed; the demo itself is not run
+    names = package_imports(path.read_text(encoding="utf-8"))
+    assert names
+    missing = [(module, name) for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_checker_finds_unused_names():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -23,7 +24,7 @@ from unionsub.substructure import (
     union_subgraph,
 )
 
-from helpers import local_index
+from helpers import local_index, nx_graph, nx_local_graph
 
 
 class TestUnionSubgraph:
@@ -68,18 +69,16 @@ class TestOverlapSubgraph:
 
     def test_oracle_set_intersection(self):
         rng = random.Random(1)
-        from unionsub.graphs import closed_neighborhood, induced_subgraph
-
         for _ in range(30):
             g = random_graph(8, 0.4, rng)
+            h = nx_graph(g)
             for v, u in g.edges:
                 s = overlap_subgraph(g, v, u)
-                nodes = closed_neighborhood(g, v) & closed_neighborhood(g, u)
-                assert set(s.parent_ids) == nodes
+                nv, nu = {v, *h[v]}, {u, *h[u]}
+                assert set(s.parent_ids) == nv & nu
                 # edges in both closed-neighborhood subgraphs
-                sv = set(induced_subgraph(g, closed_neighborhood(g, v)).parent_edges())
-                su = set(induced_subgraph(g, closed_neighborhood(g, u)).parent_edges())
-                assert set(s.parent_edges()) == sv & su
+                sv, su = set(h.subgraph(nv).edges()), set(h.subgraph(nu).edges())
+                assert set(s.parent_edges()) == {tuple(sorted(e)) for e in sv & su}
 
 
 class TestUnionMinusSubgraph:
@@ -97,16 +96,15 @@ class TestUnionMinusSubgraph:
 
     def test_oracle_graph_union(self):
         rng = random.Random(5)
-        from unionsub.graphs import closed_neighborhood, induced_subgraph
-
         for _ in range(30):
             g = random_graph(9, 0.4, rng)
+            h = nx_graph(g)
             for v, u in g.edges:
                 s = union_minus_subgraph(g, v, u)
-                sv = induced_subgraph(g, closed_neighborhood(g, v))
-                su = induced_subgraph(g, closed_neighborhood(g, u))
-                assert set(s.parent_ids) == set(sv.parent_ids) | set(su.parent_ids)
-                assert set(s.parent_edges()) == set(sv.parent_edges()) | set(su.parent_edges())
+                sv, su = h.subgraph({v, *h[v]}), h.subgraph({u, *h[u]})
+                assert set(s.parent_ids) == set(sv) | set(su)
+                edges = set(sv.edges()) | set(su.edges())
+                assert set(s.parent_edges()) == {tuple(sorted(e)) for e in edges}
 
     def test_nesting_chain(self):
         rng = random.Random(2)
@@ -217,6 +215,7 @@ class TestAgainstNetworkx:
             assert min(degrees) == 0 and degrees[-1] == max(degrees)
 
     def test_local_subgraphs(self, case):
+        # each edge in both orders: the member routine tags N[v] and N[u] apart
         h, g = case
         for v, u in self.edge_set(h):
             nv, nu = {v, *h[v]}, {u, *h[u]}
@@ -227,9 +226,10 @@ class TestAgainstNetworkx:
                     nv | nu, self.edge_set(nx.compose(h.subgraph(nv), h.subgraph(nu)))),
             }
             for build, (nodes, edges) in expected.items():
-                s = build(g, v, u)
-                assert s.parent_ids == tuple(sorted(nodes))
-                assert set(s.parent_edges()) == edges and s.num_edges == len(edges)
+                for ends in ((v, u), (u, v)):
+                    s = build(g, *ends)
+                    assert s.parent_ids == tuple(sorted(nodes))
+                    assert set(s.parent_edges()) == edges and s.num_edges == len(edges)
 
     def test_edge_types(self, case):
         h, g = case
@@ -245,16 +245,18 @@ class TestAgainstNetworkx:
                     expected["spokes"].add((a, b))
                 else:
                     expected[EDGE_CLASSES["".join(sorted(side(a) + side(b)))]].add((a, b))
-            part = classify_edge_types(g, v, u)
-            assert {name: getattr(part, name) for name in expected} == expected
+            for ends in ((v, u), (u, v)):
+                part = classify_edge_types(g, *ends)
+                assert {name: getattr(part, name) for name in expected} == expected
 
     def test_non_edge_raises(self, case):
         h, g = case
         v, u = next(e for e in itertools.combinations(h.nodes, 2) if not h.has_edge(*e))
         for build in (union_subgraph, overlap_subgraph, union_minus_subgraph,
                       classify_edge_types):
-            with pytest.raises(GraphError, match="is not an edge"):
-                build(g, v, u)
+            for ends in ((v, u), (u, v)):
+                with pytest.raises(GraphError, match="is not an edge"):
+                    build(g, *ends)
 
 
 class TestNeighborhoodIsomorphism:
@@ -348,6 +350,47 @@ class TestNeighborhoodIsomorphism:
                     assert test(g1, i, g2, j) == expected
                     outcomes[expected] += 1
         assert min(outcomes.values()) >= 100
+
+    @pytest.mark.parametrize("test, kind", [
+        (union_isomorphic, "union-path"), (overlap_isomorphic, "overlap-path"),
+    ], ids=["union", "overlap"])
+    def test_matches_class_multiset_oracle(self, test, kind):
+        # i and j match exactly when their degrees are equal and so are the
+        # multisets of the isomorphism classes of their per-neighbour
+        # subgraphs, each built by networkx; every node of g1 against every
+        # node of g2, isolated nodes too
+        rng = random.Random(13)
+        outcomes = Counter()
+        for trial in range(24):
+            g1 = random_graph(rng.randint(3, 8), rng.uniform(0.2, 0.6), rng)
+            if trial % 2:
+                perm = list(range(g1.num_nodes))
+                rng.shuffle(perm)
+                g2 = g1.relabel(perm)
+            else:
+                g2 = random_graph(rng.randint(3, 8), rng.uniform(0.2, 0.6), rng)
+            kept = []  # one networkx graph per class met in this pair
+
+            def class_of(local):
+                for c, other in enumerate(kept):
+                    if nx.is_isomorphic(local, other):
+                        return c
+                kept.append(local)
+                return len(kept) - 1
+
+            def signatures(g):
+                h = nx_graph(g)
+                return [Counter(class_of(nx_local_graph(h, i, w, kind)) for w in h[i])
+                        for i in h]
+
+            left, right = signatures(g1), signatures(g2)
+            for i, j in itertools.product(range(g1.num_nodes), range(g2.num_nodes)):
+                expected = g1.degree(i) == g2.degree(j) and left[i] == right[j]
+                assert test(g1, i, g2, j) == expected, (trial, i, j)
+                outcomes[expected, g1.degree(i) > 0] += 1
+        # matches and mismatches, both among nodes with neighbours and among isolated ones
+        assert min(outcomes.values()) >= 30, outcomes
+
 
 def star_graph_4(leaves=4):
     from unionsub.graphs import star_graph

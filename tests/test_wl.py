@@ -32,7 +32,7 @@ from unionsub.wl import (
     wl_refine,
 )
 
-from helpers import reference_refine
+from helpers import reference_refine, weight_tags
 
 
 def refinement_cases():
@@ -196,7 +196,8 @@ class TestReferenceRefinement:
             assert wl_refine(g) == reference_refine([g])[0]
             for kind in TAG_KINDS:
                 table = coefficient_table(g, kind)
-                assert augmented_refine(g, table) == reference_refine([g], [table])[0], kind
+                expected = reference_refine([g], [weight_tags(table)])[0]
+                assert augmented_refine(g, table) == expected, kind
 
     def test_packing_keeps_adjacent_colors_apart(self):
         # node 0 hears (color 1, the highest tag) and node 2 (color 2, the lowest):
@@ -204,7 +205,7 @@ class TestReferenceRefinement:
         g = Graph(4, [(0, 1), (2, 3)], features=[[0.0], [1.0], [0.0], [2.0]])
         table = CoefficientTable(g, np.zeros(2), np.array([0.75, 0.5, 0.25, 0.5]))
         assignment = augmented_refine(g, table)
-        assert assignment == reference_refine([g], [table])[0]
+        assert assignment == reference_refine([g], [weight_tags(table)])[0]
         assert assignment.colors[0] != assignment.colors[2]
 
     def test_two_graph_refinements(self):
@@ -212,7 +213,8 @@ class TestReferenceRefinement:
             assert _refine(pair) == reference_refine(pair)
             for kind in TAG_KINDS:
                 tables = [coefficient_table(g, kind) for g in pair]
-                assert _refine(pair, tables) == reference_refine(pair, tables), kind
+                expected = reference_refine(pair, [weight_tags(t) for t in tables])
+                assert _refine(pair, tables) == expected, kind
 
 
 class TestRefinementBound:
