@@ -9,11 +9,7 @@ descriptor kind.
 import numpy as np
 
 from unionsub import (
-    BETWEENNESS,
-    COUNT_NE,
-    LAPLACIAN_SVD,
-    RICCI_CURVATURE,
-    UNION_PATH_SVD,
+    Descriptor,
     Encoding,
     classify_edge_types,
     coefficient_table,
@@ -74,11 +70,11 @@ for gname, graph in (
     ("K4", complete_graph(4)),
 ):
     print(f"\n--- {gname} ---")
-    for kind in (UNION_PATH_SVD, BETWEENNESS, COUNT_NE, RICCI_CURVATURE, LAPLACIAN_SVD):
-        table = coefficient_table(graph, kind)
+    for kind in ("union-path", "betweenness", "count-ne", "curvature", "laplacian"):
+        table = coefficient_table(graph, Descriptor(kind))
         raws = sorted(set(round(v, 4) for v in table.raw.values()))
         norms = sorted(set(round(v, 4) for v in table.normalized.values()))
-        print(f"  {kind.kind:12s} raw values {raws}  normalized {norms}")
+        print(f"  {kind:12s} raw values {raws}  normalized {norms}")
 
 print()
 print("Note how every vertex-transitive graph collapses to one raw value per")

@@ -9,7 +9,7 @@ path-matrix round trip.
 """
 
 from unionsub import (
-    UNION_PATH_SVD,
+    Descriptor,
     coefficient_table,
     cycle_graph,
     distinguish_pair,
@@ -42,12 +42,12 @@ pairs = (
     ("K3 vs K3 (identical)", cycle_graph(3), cycle_graph(3)),
 )
 for name, g1, g2 in pairs:
-    verdict = distinguish_pair(g1, g2, UNION_PATH_SVD)
+    verdict = distinguish_pair(g1, g2, Descriptor("union-path"))
     print(f"  {name:24s} refinement={verdict.wl_distinguishes}  "
           f"tagged={verdict.augmented_distinguishes}  raw={verdict.raw_values_differ}")
 
-c1 = coefficient_table(rook_graph_4x4(), UNION_PATH_SVD)
-c2 = coefficient_table(shrikhande_graph(), UNION_PATH_SVD)
+c1 = coefficient_table(rook_graph_4x4(), Descriptor("union-path"))
+c2 = coefficient_table(shrikhande_graph(), Descriptor("union-path"))
 print(f"\n  rook edge coefficient      : {next(iter(c1.raw.values())):.6f}")
 print(f"  shrikhande edge coefficient: {next(iter(c2.raw.values())):.6f}")
 print("  (both graphs are edge-transitive: one value each, but they differ;")

@@ -3,8 +3,9 @@
 Per-edge union subgraphs and their overlap and union-minus rivals, encoded
 through shortest-path matrices into coefficient tables beside rival
 descriptors; 1-WL verdicts over the tables, and toy message-passing layers
-that scale each message by its coefficient.  Injection into Transformer
-models is not reproduced.
+that scale each message by its coefficient.  A ``Descriptor`` is a kind and
+its one parameter: ``Descriptor("count-ne", lam=1)``, ``.parse("count-ne:1")``.
+Injection into Transformer models is not reproduced.
 """
 
 from .graphs import (
@@ -32,13 +33,6 @@ from .substructure import (
     union_subgraph,
 )
 from .descriptors import (
-    BETWEENNESS,
-    COUNT_NE,
-    LAPLACIAN_SVD,
-    MINUS_PATH_SVD,
-    OVERLAP_PATH_SVD,
-    RICCI_CURVATURE,
-    UNION_PATH_SVD,
     CoefficientTable,
     Descriptor,
     DescriptorError,

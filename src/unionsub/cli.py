@@ -34,6 +34,7 @@ from .descriptors import (
     DescriptorError,
     check_cycle_length,
     coefficient_table,
+    convert_parameter,
     cycle_count,
 )
 from .graphs import (
@@ -166,14 +167,11 @@ BENCH_KINDS = ("count-ne", "union-path", "betweenness", "curvature", "cycle-coun
 def _bench_call(kind_text):
     """The per-graph call a bench kind times: a descriptor's coefficient_table,
     or for the bench-only cycle-count[:K] (K default 6) its simple K-cycles."""
-    name, sep, param = kind_text.partition(":")
+    name, sep, _ = kind_text.partition(":")
     if name != "cycle-count":
         kind = Descriptor.parse(kind_text)
         return lambda g: coefficient_table(g, kind)
-    try:
-        k = int(param) if sep else 6
-    except ValueError:
-        raise DescriptorError(f"invalid parameter in {kind_text!r}") from None
+    k = convert_parameter(kind_text, int) if sep else 6
     check_cycle_length(k)  # refused here, before any kind is timed
     return lambda g: cycle_count(g, k)
 

@@ -1,12 +1,12 @@
 """Per-edge structural descriptors, matrix encodings, and coefficient tables.
 
-A Descriptor is one value, a kind with its parameters.  The flagship,
-union-path, turns an edge's union subgraph into its shortest-path matrix and
-encodes it, by default as the singular-value sum (nuclear norm).  The rivals
-are node/edge count, edge betweenness, Laplacian spectrum and Ollivier-Ricci
-curvature with exact optimal transport; `bench` also times a whole-graph
-cycle count.  Every kind fills one table format: ``values``, the raw
-coefficient of each edge of ``g.edges``, and ``weights``, the normalized
+A Descriptor is one value, a kind with that kind's one parameter.  The
+flagship, union-path, turns an edge's union subgraph into its shortest-path
+matrix and encodes it, by default as the singular-value sum (nuclear norm).
+The rivals are node/edge count, edge betweenness, Laplacian spectrum and
+Ollivier-Ricci curvature with exact optimal transport; `bench` also times a
+whole-graph cycle count.  Every kind fills one table format: ``values``, the
+raw coefficient of each edge of ``g.edges``, and ``weights``, the normalized
 coefficient of each directed pair (v, u) in ``g.csr`` order (v ascending,
 then u ascending), which the 1-WL verdict and the layer engine read as they
 are.  Its dict views ``raw`` and ``normalized`` are built only when read.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -54,12 +54,13 @@ class Encoding(enum.Enum):
 
 @dataclass(frozen=True)
 class Descriptor:
-    """A per-edge descriptor kind, each a coefficient table, with its parameters.
+    """A per-edge descriptor kind, each a coefficient table, with its one parameter.
 
-    lam applies to count-ne (1 for node-level, 2 for graph-level use),
-    alpha to curvature (laziness of the random walk), and encoding to the
-    four matrix kinds (how their matrix becomes a scalar); every other kind
-    ignores the parameters that are not its own.
+    lam is count-ne's (1 for node-level, 2 for graph-level use), alpha
+    curvature's (laziness of the random walk), and encoding that of the four
+    matrix kinds (how their matrix becomes a scalar); betweenness takes none.
+    A kind refuses every field not its own that is off its default, so equal
+    descriptors build equal tables.
     """
 
     kind: str
@@ -67,48 +68,53 @@ class Descriptor:
     alpha: float = 0.5
     encoding: Encoding = Encoding.SVD_SUM
 
-    KINDS = (  # the first four are the matrix kinds, which take an encoding
-        "union-path", "overlap-path", "minus-path", "laplacian",
-        "betweenness", "count-ne", "curvature",
-    )
+    PARAMETERS = {  # each kind's one parameter: its field, and the type its text converts with
+        "union-path": ("encoding", Encoding), "overlap-path": ("encoding", Encoding),
+        "minus-path": ("encoding", Encoding), "laplacian": ("encoding", Encoding),
+        "betweenness": (None, None), "count-ne": ("lam", int), "curvature": ("alpha", float),
+    }
+    KINDS = tuple(PARAMETERS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DescriptorError(f"unknown descriptor kind {self.kind!r}")
-        if self.lam not in (1, 2):
+        own = self.PARAMETERS[self.kind][0]
+        for field in fields(self)[1:]:
+            if field.name != own and getattr(self, field.name) != field.default:
+                raise DescriptorError(f"descriptor {self.kind!r} takes no {field.name}")
+        if own == "lam" and (isinstance(self.lam, bool) or self.lam not in (1, 2)
+                             or not isinstance(self.lam, (int, np.integer))):
             raise DescriptorError("count-ne lambda must be 1 or 2")
-        if not 0.0 <= self.alpha < 1.0:
+        if own == "alpha" and (isinstance(self.alpha, bool) or not isinstance(
+                self.alpha, (int, float, np.integer, np.floating)) or not 0 <= self.alpha < 1):
             raise DescriptorError("curvature alpha must lie in [0, 1)")
-        if not isinstance(self.encoding, Encoding):
+        if own == "encoding" and not isinstance(self.encoding, Encoding):
             raise DescriptorError(f"unknown encoding {self.encoding!r}")
 
     @classmethod
     def parse(cls, text):
         """Parse strings like "union-path", "union-path:eigen-max", "count-ne:1",
         "curvature:0.3"."""
-        kind, sep, param = text.partition(":")
-        if not sep:
-            return cls(kind)
-        fields = {"count-ne": ("lam", int), "curvature": ("alpha", float),
-                  **dict.fromkeys(cls.KINDS[:4], ("encoding", Encoding))}
-        if kind not in fields:
-            cls(kind)  # an unknown kind is named as such
+        kind, sep, _ = text.partition(":")
+        if not sep or kind not in cls.KINDS:
+            return cls(kind)  # an unknown kind is named as such
+        name, convert = cls.PARAMETERS[kind]
+        if name is None:
             raise DescriptorError(f"descriptor {kind!r} takes no parameter")
-        name, convert = fields[kind]
+        return cls(kind, **{name: convert_parameter(text, convert)})
+
+
+def convert_parameter(text, convert):
+    """``convert`` of the parameter of the kind text ``text``, the part after
+    its colon; surrounding whitespace, which int and float would strip, or a
+    failed conversion makes it an invalid parameter."""
+    param = text.partition(":")[2]
+    if param == param.strip():
         try:
-            value = convert(param)
+            return convert(param)
         except ValueError:
-            raise DescriptorError(f"invalid parameter in {text!r}") from None
-        return cls(kind, **{name: value})
-
-
-UNION_PATH_SVD = Descriptor("union-path")
-OVERLAP_PATH_SVD = Descriptor("overlap-path")
-MINUS_PATH_SVD = Descriptor("minus-path")
-BETWEENNESS = Descriptor("betweenness")
-COUNT_NE = Descriptor("count-ne")
-RICCI_CURVATURE = Descriptor("curvature")
-LAPLACIAN_SVD = Descriptor("laplacian")
+            pass
+    raise DescriptorError(f"invalid parameter in {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +466,7 @@ class CoefficientTable:
         return "\n".join(lines) + "\n"
 
 
-def coefficient_table(g, kind=UNION_PATH_SVD):
+def coefficient_table(g, kind=Descriptor("union-path")):
     """Raw and normalized structural coefficients for every edge of g.
 
     A pair's weight is its edge's value over the sum of the values around its

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import UNION_PATH_SVD, coefficient_table
+from .descriptors import Descriptor, coefficient_table
 from .graphs import GraphError
 
 TRANS_HIDDEN = 16  # Trans is 1 -> 16 -> channels, one ReLU inside
@@ -574,7 +574,8 @@ def train_classifier(train, val, test, spec, epochs, seed, batch_size=DEFAULT_BA
     labels = np.array([label for split in splits.values() for _, label in split], dtype=int)
     tables = None
     if spec.use_coeffs:
-        tables = [coefficient_table(g, UNION_PATH_SVD) for g in graphs]
+        kind = Descriptor("union-path")
+        tables = [coefficient_table(g, kind) for g in graphs]
     whole = _Batch(graphs, tables)
     ends = np.cumsum([len(split) for split in splits.values()])
     scored = {  # split name -> (accuracy chunks, labels)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import MINUS_PATH_SVD, OVERLAP_PATH_SVD, UNION_PATH_SVD, local_members
+from .descriptors import Descriptor, local_members
 from .graphs import Graph, GraphError, Subgraph, is_isomorphic_small
 
 
@@ -32,20 +32,20 @@ def _view(g, v, u, kind):
 
 def union_subgraph(g, v, u):
     """Induced subgraph on the union of the closed neighborhoods of v and u."""
-    return _view(g, v, u, UNION_PATH_SVD)
+    return _view(g, v, u, Descriptor("union-path"))
 
 
 def overlap_subgraph(g, v, u):
     """Induced subgraph on N[v] & N[u]: the graph intersection of the
     closed-neighborhood subgraphs of v and u."""
-    return _view(g, v, u, OVERLAP_PATH_SVD)
+    return _view(g, v, u, Descriptor("overlap-path"))
 
 
 def union_minus_subgraph(g, v, u):
     """The union subgraph without its cross-exclusive (E3) edges: the graph
     union of the closed-neighborhood subgraphs of v and u, which keeps an
     edge only if both its ends lie in N[v] or both in N[u]."""
-    return _view(g, v, u, MINUS_PATH_SVD)
+    return _view(g, v, u, Descriptor("minus-path"))
 
 
 @dataclass(frozen=True)

@@ -256,19 +256,35 @@ def latin_square_graph(square):
                          if any(a == b for a, b in zip(cells[i], cells[j]))])
 
 
+def product_group_table(*orders):
+    """The table of the direct product Z_orders[0] x Z_orders[1] x ...: element
+    i is the tuple of its mixed-radix digits, most significant first, and the
+    product adds the digits modulo their orders."""
+    elements = list(itertools.product(*map(range, orders)))
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[tuple((a + b) % n for a, b, n in zip(x, y, orders))] for y in elements]
+            for x in elements]
+
+
 def latin_square_pairs():
     """Pairs of non-isomorphic Latin square graphs of equal order: Z4 vs
     Z2 x Z2, Z5 vs a square that is no group's table, and Z6 vs S3.  Each
     graph is strongly regular, so 1-WL separates no pair."""
-    def cyclic(n):
-        return [[(r + c) % n for c in range(n)] for r in range(n)]
-
-    klein = [[r ^ c for c in range(4)] for r in range(4)]
     non_group = [[int(x) for x in row] for row in ("01234", "10342", "24013", "32401", "43120")]
     perms = list(itertools.permutations(range(3)))
     s3 = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
-    return [(latin_square_graph(a), latin_square_graph(b))
-            for a, b in ((cyclic(4), klein), (cyclic(5), non_group), (cyclic(6), s3))]
+    return [(latin_square_graph(a), latin_square_graph(b)) for a, b in (
+        (product_group_table(4), product_group_table(2, 2)),
+        (product_group_table(5), non_group), (product_group_table(6), s3))]
+
+
+def order_eight_latin_pairs():
+    """The three pairs of Latin square graphs of the abelian groups of order
+    8, Z8, Z2 x Z4 and Z2 x Z2 x Z2, in that order: 64 nodes and 672 edges
+    each, strongly regular with equal parameters, so 1-WL separates no pair."""
+    graphs = [latin_square_graph(product_group_table(*orders))
+              for orders in ((8,), (2, 4), (2, 2, 2))]
+    return list(itertools.combinations(graphs, 2))
 
 
 def cubic_graphs_on_ten_nodes():

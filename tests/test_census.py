@@ -3,8 +3,9 @@
 Three offline families of 1-WL-equivalent, non-isomorphic graph pairs:
 every such pair of networkx atlas graphs (at most 7 nodes, connected or
 not), every pair of the 21 cubic graphs on 10 nodes, and three pairs of
-Latin square graphs of orders 4, 5 and 6.  For each
-descriptor kind under svd-sum, a pair counts as separated when the
+Latin square graphs of orders 4, 5 and 6.  A fourth row pairs the Latin
+square graphs of the three abelian groups of order 8.  For each descriptor
+kind at its default parameter, a pair counts as separated when the
 coefficient-tagged refinement tells its graphs apart
 (``distinguish_pair(...).augmented_distinguishes``).  The counts are
 measured ones: where they differ from the paper's ordering, the test pins
@@ -15,7 +16,9 @@ the isomorphism class of its union subgraph with both endpoints marked; its
 raw tag is round(x * 1e9) of its raw value x.  Either replaces the
 normalized weight in the reference refinement, and a kind loses a pair to
 its encoding when the exact tag separates it and the raw tag does not, to
-normalization when the raw tag does and the weight does not.
+normalization when the raw tag does and the weight does not.  The raw-tag
+and weight columns cover every table a kind builds: each encoding of the
+four matrix kinds and both lambdas of count-ne.
 """
 
 import functools
@@ -25,12 +28,13 @@ from collections import defaultdict
 import networkx as nx
 import pytest
 
-from unionsub.descriptors import Descriptor, coefficient_table
+from unionsub.descriptors import Descriptor, Encoding, coefficient_table
 from unionsub.graphs import Graph
 from unionsub.wl import distinguish_pair, wl_distinguishable
 
 from helpers import (
-    cubic_graphs_on_ten_nodes, exact_tagger, latin_square_pairs, raw_tags, reference_refine,
+    cubic_graphs_on_ten_nodes, exact_tagger, latin_square_pairs, order_eight_latin_pairs, raw_tags,
+    reference_refine, weight_tags,
 )
 
 KINDS = (
@@ -43,12 +47,32 @@ COUNTS = {
     "cubic10": (210, (208, 187, 187, 208, 208, 209, 208)),
     "latin": (3, (3, 3, 3, 3, 0, 0, 3)),
 }
-TAG_KINDS = ("union-path", "count-ne")
-# family -> (pairs the exact tag separates, pairs the raw tag separates per
-# kind in TAG_KINDS order)
+PATH_KINDS = ("union-path", "overlap-path", "minus-path")
+# every table the local kinds build: the matrix kinds under each encoding,
+# and count-ne under both lambdas; then curvature, which reads past the
+# union subgraph
+LOCAL_TAG_KINDS = (
+    *(f"{kind}:{encoding.value}" for kind in (*PATH_KINDS, "laplacian") for encoding in Encoding),
+    "betweenness", "count-ne", "count-ne:1",
+)
+TAG_KINDS = (*LOCAL_TAG_KINDS, "curvature")
+# family -> pairs the exact tag separates; on the order-6 Latin pair the
+# networkx isomorphism tests of the exact tag take 16 s, so it has none
+EXACT_COUNTS = {"atlas": 26, "cubic10": 209, "latin": None}
+# kind -> (pairs its raw tag separates, pairs its weight ã separates) on the
+# atlas, cubic10 and Latin families, in that order
 TAG_COUNTS = {
-    "atlas": (26, (26, 26)),
-    "cubic10": (209, (209, 209)),
+    **dict.fromkeys((f"union-path:{e.value}" for e in Encoding),
+                    ((26, 23), (209, 208), (3, 3))),
+    **dict.fromkeys((f"{kind}:{e.value}" for kind in PATH_KINDS[1:] for e in Encoding),
+                    ((26, 23), (193, 187), (3, 3))),
+    "laplacian:matrix-sum": ((0, 0), (0, 0), (0, 0)),  # each row of D - A sums to 0
+    "laplacian:eigen-max": ((26, 23), (209, 208), (3, 3)),
+    "laplacian:svd-sum": ((24, 23), (209, 208), (3, 3)),  # its trace, twice the local edges
+    "betweenness": ((26, 23), (209, 208), (0, 0)),
+    "count-ne": ((26, 23), (209, 208), (3, 3)),
+    "count-ne:1": ((25, 22), (209, 208), (3, 3)),
+    "curvature": ((26, 23), (210, 209), (0, 0)),
 }
 
 
@@ -112,15 +136,21 @@ def separated_by(pairs, tags):
 
 @pytest.fixture(scope="module")
 def tag_separated(families):
-    """family -> (pairs the exact tag separates, kind -> pairs its raw tag separates)"""
+    """family -> (pairs the exact tag separates, or None, and kind -> (pairs
+    its raw tag separates, pairs its weight separates)); each pair's tables
+    are built once for both tags"""
     out = {}
-    for family in TAG_COUNTS:
+    for family in EXACT_COUNTS:
         pairs = families[family]
-        exact = separated_by(pairs, functools.cache(exact_tagger()))
-        out[family] = (exact, {
-            kind: separated_by(pairs, lambda g, kind=kind: raw_tags(
-                coefficient_table(g, Descriptor.parse(kind))))
-            for kind in TAG_KINDS})
+        exact = (separated_by(pairs, functools.cache(exact_tagger()))
+                 if EXACT_COUNTS[family] is not None else None)
+        by_kind = {}
+        for kind in TAG_KINDS:
+            descriptor = Descriptor.parse(kind)
+            tables = {id(g): coefficient_table(g, descriptor) for pair in pairs for g in pair}
+            by_kind[kind] = tuple(separated_by(pairs, lambda g, tags=tags: tags(tables[id(g)]))
+                                  for tags in (raw_tags, weight_tags))
+        out[family] = (exact, by_kind)
     return out
 
 
@@ -139,22 +169,48 @@ def test_union_contains_overlap_and_minus(separated, family):
     assert by_kind["minus-path"] <= by_kind["union-path"]
 
 
-@pytest.mark.parametrize("family", TAG_COUNTS)
-def test_tag_counts(tag_separated, family):
-    exact, raw = tag_separated[family]
-    expected_exact, expected_raw = TAG_COUNTS[family]
-    assert len(exact) == expected_exact
-    assert {kind: len(raw[kind]) for kind in TAG_KINDS} == dict(zip(TAG_KINDS, expected_raw))
+@pytest.mark.parametrize("family", EXACT_COUNTS)
+def test_tag_counts(separated, tag_separated, family):
+    exact, by_kind = tag_separated[family]
+    assert (exact if exact is None else len(exact)) == EXACT_COUNTS[family]
+    column = list(EXACT_COUNTS).index(family)
+    assert {kind: tuple(map(len, by_kind[kind])) for kind in TAG_KINDS} == {
+        kind: counts[column] for kind, counts in TAG_COUNTS.items()}
+    # the weight tags are the verdict's: each kind at its default agrees with it
+    for kind in TAG_KINDS:
+        descriptor = Descriptor.parse(kind)
+        if descriptor == Descriptor(descriptor.kind):
+            assert by_kind[kind][1] == separated[family][1][descriptor.kind], kind
 
 
-@pytest.mark.parametrize("family", TAG_COUNTS)
-def test_each_step_only_loses_pairs(separated, tag_separated, family):
+@pytest.mark.parametrize("family", EXACT_COUNTS)
+def test_each_step_only_loses_pairs(tag_separated, family):
     # exact tag -> raw value -> normalized weight: each step reads only what
     # the one before it keeps (up to rounding), so it can merge pairs, not split them
-    exact, raw = tag_separated[family]
+    exact, by_kind = tag_separated[family]
     for kind in TAG_KINDS:
-        assert raw[kind] <= exact, kind
-        assert separated[family][1][kind] <= raw[kind], kind
+        raw, weight = by_kind[kind]
+        if kind in LOCAL_TAG_KINDS and exact is not None:
+            assert raw <= exact, kind
+        assert weight <= raw, kind
+
+
+def test_curvature_reads_past_the_union_subgraph(tag_separated):
+    # curvature's distances reach common neighbours outside the union
+    # subgraph, so its raw tag separates a cubic pair the exact tag does not
+    exact, by_kind = tag_separated["cubic10"]
+    assert len(by_kind["curvature"][0] - exact) == 1
+
+
+@pytest.mark.parametrize("family", EXACT_COUNTS)
+def test_encodings_of_a_path_kind_separate_the_same_pairs(tag_separated, family):
+    # no encoding of a path matrix gains or loses a pair against svd-sum, by
+    # raw tag or by weight, on any measured family
+    by_kind = tag_separated[family][1]
+    for kind in PATH_KINDS:
+        for encoding in Encoding:
+            assert by_kind[f"{kind}:{encoding.value}"] == by_kind[f"{kind}:svd-sum"], (
+                kind, encoding)
 
 
 def test_cubic_hierarchy(separated):
@@ -184,3 +240,21 @@ def test_latin_squares_beat_curvature():
     for kind in ("betweenness", "curvature"):
         verdicts = [distinguish_pair(g1, g2, Descriptor.parse(kind)) for g1, g2 in pairs]
         assert not any(v.augmented_distinguishes or v.raw_values_differ for v in verdicts), kind
+
+
+def test_order_eight_latin_squares():
+    # the three abelian groups of order 8 pairwise: union-path, overlap,
+    # minus, count-ne and laplacian separate each pair in 2 rounds, which
+    # also shows that the graphs are not isomorphic; betweenness and
+    # curvature separate none, and their raw multisets are equal
+    pairs = order_eight_latin_pairs()
+    assert [(g.num_nodes, len(g.edges)) for pair in pairs for g in pair] == [(64, 672)] * 6
+    for kind in KINDS:
+        verdicts = [distinguish_pair(g1, g2, Descriptor.parse(kind)) for g1, g2 in pairs]
+        assert not any(v.wl_distinguishes for v in verdicts)
+        if kind in ("betweenness", "curvature"):
+            assert not any(v.augmented_distinguishes or v.raw_values_differ
+                           for v in verdicts), kind
+        else:
+            assert [(v.augmented_distinguishes, v.rounds_used) for v in verdicts] == [
+                (True, 2)] * 3, kind

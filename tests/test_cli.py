@@ -483,6 +483,7 @@ class TestBenchCommand:
         ("cycle-count:9", "cycle length must lie in 3..8"),
         ("cycle-count:x", "invalid parameter in 'cycle-count:x'"),
         ("cycle-count:", "invalid parameter in 'cycle-count:'"),
+        ("cycle-count: 6", "invalid parameter in 'cycle-count: 6'"),
     ])
     def test_bad_cycle_length_exit_2(self, kind, message, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -19,9 +19,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from unionsub.descriptors import (
-    COUNT_NE, LAPLACIAN_SVD, UNION_PATH_SVD, Descriptor, Encoding, coefficient_table,
-)
+from unionsub.descriptors import Descriptor, Encoding, coefficient_table
 from unionsub.graphs import Graph, complete_graph, cycle_graph, random_graph, star_graph
 from unionsub.wl import COEFF_QUANT_SCALE
 
@@ -37,7 +35,7 @@ def test_laplacian_svd_sum_is_twice_the_local_edge_count():
     # eigvalsh rounds the spectrum, so the sum is exact only as the verdict
     # quantizes it; unquantized it is within a few units in the last place
     for g in GRAPHS:
-        table = coefficient_table(g, LAPLACIAN_SVD)
+        table = coefficient_table(g, Descriptor("laplacian"))
         h = nx_graph(g)  # the local edge count comes from networkx, not the tables' members
         for (v, u), value in zip(g.edges, table.values.tolist()):
             twice = 2 * h.subgraph({v, u, *h[v], *h[u]}).number_of_edges()
@@ -88,11 +86,11 @@ def test_union_subgraph_types_per_size():
 
 
 @pytest.mark.parametrize("kind, distinct, colliding, same_size", [
-    (UNION_PATH_SVD, 764, 40, 13),
+    (Descriptor("union-path"), 764, 40, 13),
     (Descriptor("union-path", encoding=Encoding.EIGEN_MAX), 759, 44, 24),
     (Descriptor("union-path", encoding=Encoding.MATRIX_SUM), 40, 20_658, 12_641),
-    (COUNT_NE, 41, 29_636, 29_636),
-    (LAPLACIAN_SVD, 21, 35_140, 29_636),
+    (Descriptor("count-ne"), 41, 29_636, 29_636),
+    (Descriptor("laplacian"), 21, 35_140, 29_636),
 ], ids=["path-svd-sum", "path-eigen-max", "path-matrix-sum", "count-ne", "laplacian-svd-sum"])
 def test_scalar_encodings_merge_types(kind, distinct, colliding, same_size):
     # pairs of the 794 types whose values are equal after the verdict's
@@ -111,7 +109,7 @@ def test_scalar_encodings_merge_types(kind, distinct, colliding, same_size):
 
 def test_svd_sum_witnesses_collide_only_after_quantization():
     def raw(g, edge):
-        return coefficient_table(g, UNION_PATH_SVD).raw_value(*edge)
+        return coefficient_table(g, Descriptor("union-path")).raw_value(*edge)
 
     # C4 and K5 both read 8: path-matrix eigenvalues 4, 0, -2, -2 and 4, -1, -1, -1, -1
     c4, k5 = raw(cycle_graph(4), (0, 1)), raw(complete_graph(5), (0, 1))

@@ -13,13 +13,6 @@ from hypothesis import strategies as st
 
 from unionsub import descriptors, neural, transport
 from unionsub.descriptors import (
-    BETWEENNESS,
-    COUNT_NE,
-    LAPLACIAN_SVD,
-    MINUS_PATH_SVD,
-    OVERLAP_PATH_SVD,
-    RICCI_CURVATURE,
-    UNION_PATH_SVD,
     Descriptor,
     DescriptorError,
     Encoding,
@@ -325,7 +318,7 @@ def _reference_value(g, v, u, kind, encoding):
         return betweenness_oracle(sub.local, local_index(sub, v), local_index(sub, u))
     if kind == "count-ne":
         n = sub.num_nodes
-        return sub.num_edges / (n * (n - 1)) * n ** COUNT_NE.lam
+        return sub.num_edges / (n * (n - 1)) * n ** Descriptor("count-ne").lam
     if kind == "laplacian":
         return encode_matrix(laplacian_matrix(sub), encoding)
     return encode_matrix(nx_path_matrix(sub), encoding)
@@ -349,20 +342,21 @@ class TestBatchedMatrixKinds:
 
     def test_single_edge_equals_table(self):
         g = REFERENCE_GRAPHS["random-3"]
-        for kind in MATRIX_KINDS + ("betweenness", "count-ne"):
-            table = coefficient_table(g, Descriptor(kind, encoding=Encoding.EIGEN_MAX))
+        kinds = [Descriptor(kind, encoding=Encoding.EIGEN_MAX) for kind in MATRIX_KINDS]
+        for kind in kinds + [Descriptor("betweenness"), Descriptor("count-ne")]:
+            table = coefficient_table(g, kind)
             for (v, u), value in zip(g.edges, table.values.tolist()):
                 assert table.raw_value(v, u) == table.raw_value(u, v) == value
 
     def test_single_edge_rejects_non_edge(self):
         with pytest.raises(GraphError, match="not an edge"):
-            edge_descriptor_value(path_graph(3), 0, 2, UNION_PATH_SVD)
+            edge_descriptor_value(path_graph(3), 0, 2, Descriptor("union-path"))
 
     def test_small_batches_match_one_batch(self, monkeypatch):
         cases = [
             (REFERENCE_GRAPHS[name], kind)
             for name in ("rook4x4", "random-3")
-            for kind in (MINUS_PATH_SVD, BETWEENNESS)
+            for kind in (Descriptor("minus-path"), Descriptor("betweenness"))
         ]
         whole = [coefficient_table(g, kind).raw for g, kind in cases]
         monkeypatch.setattr(descriptors, "BATCH_ENTRIES", 1)
@@ -379,21 +373,23 @@ class TestBatchedMatrixKinds:
         encode_stack = descriptors._encode_stack
         monkeypatch.setattr(descriptors, "_encode_stack",
                             lambda a, *args: shapes.append(a.shape) or encode_stack(a, *args))
-        assert len(coefficient_table(star_graph(230), UNION_PATH_SVD).values) == 230
+        assert len(coefficient_table(star_graph(230), Descriptor("union-path")).values) == 230
         assert max(shape[1:] for shape in shapes) == (231, 231)
         shapes.clear()
         with pytest.raises(DescriptorError, match=r"^edge \(0, 231\): the table's work "
                            r"estimate passes the bound of 25000000 at this edge$"):
-            coefficient_table(star_graph(231), UNION_PATH_SVD)
+            coefficient_table(star_graph(231), Descriptor("union-path"))
         assert not shapes
 
     def test_edgeless_graph(self):
-        table = coefficient_table(Graph(3, []), UNION_PATH_SVD)
+        table = coefficient_table(Graph(3, []), Descriptor("union-path"))
         assert table.raw == {} and table.normalized == {}
 
 
-LOCAL_KINDS = tuple(Descriptor(kind, encoding=encoding)
-                    for kind in (*MATRIX_KINDS, "betweenness", "count-ne") for encoding in Encoding)
+LOCAL_KINDS = (
+    *(Descriptor(kind, encoding=encoding) for kind in MATRIX_KINDS for encoding in Encoding),
+    Descriptor("betweenness"), Descriptor("count-ne"),
+)
 
 
 @st.composite
@@ -434,7 +430,7 @@ class TestMemberKeyBuilder:
                 with mock.patch.object(descriptors, "BATCH_ENTRIES", batch):
                     assert coefficient_table(g, kind).values.tobytes() == ref, (kind, batch)
 
-    @pytest.mark.parametrize("kind", [COUNT_NE, UNION_PATH_SVD])
+    @pytest.mark.parametrize("kind", [Descriptor("count-ne"), Descriptor("union-path")])
     def test_chunks_bound_the_peak_memory(self, monkeypatch, kind):
         # on this 10^4-edge graph with BATCH_ENTRIES = 2^12 the reference
         # loop peaks at 0.2 MB and the builder at 0.5 MB, its CSR arrays and
@@ -457,22 +453,22 @@ class TestBetweenness:
 
     def test_p3(self):
         assert edge_descriptor_value(
-            path_graph(3), 0, 1, BETWEENNESS
+            path_graph(3), 0, 1, Descriptor("betweenness")
         ) == pytest.approx(2.0)
 
     def test_k3(self):
         assert edge_descriptor_value(
-            complete_graph(3), 0, 1, BETWEENNESS
+            complete_graph(3), 0, 1, Descriptor("betweenness")
         ) == pytest.approx(1.0)
 
     def test_star(self):
         assert edge_descriptor_value(
-            star_graph(3), 0, 1, BETWEENNESS
+            star_graph(3), 0, 1, Descriptor("betweenness")
         ) == pytest.approx(3.0)
 
     def test_edge_absent(self):
         with pytest.raises(GraphError, match="not an edge"):
-            edge_descriptor_value(path_graph(3), 0, 2, BETWEENNESS)
+            edge_descriptor_value(path_graph(3), 0, 2, Descriptor("betweenness"))
 
     def test_against_path_enumeration_oracle(self):
         rng = random.Random(2)
@@ -486,25 +482,25 @@ class TestBetweenness:
             expected = betweenness_oracle(
                 sub.local, local_index(sub, v), local_index(sub, u)
             )
-            mine = edge_descriptor_value(g, v, u, BETWEENNESS)
+            mine = edge_descriptor_value(g, v, u, Descriptor("betweenness"))
             assert mine == pytest.approx(expected, rel=1e-12)
             checked += 1
 
 
 class TestCountNe:
     def test_k3_values(self):
-        assert edge_descriptor_value(complete_graph(3), 0, 1, COUNT_NE) == 4.5
+        assert edge_descriptor_value(complete_graph(3), 0, 1, Descriptor("count-ne")) == 4.5
         assert edge_descriptor_value(
             complete_graph(3), 0, 1, Descriptor("count-ne", lam=1)
         ) == 1.5
 
     def test_p3(self):
-        assert edge_descriptor_value(path_graph(3), 0, 1, COUNT_NE) == 3.0
+        assert edge_descriptor_value(path_graph(3), 0, 1, Descriptor("count-ne")) == 3.0
 
     def test_tiny_rejected(self):
         # a one-node graph has no edge, hence no union subgraph to count
         with pytest.raises(GraphError, match="not an edge"):
-            edge_descriptor_value(Graph(1, []), 0, 0, COUNT_NE)
+            edge_descriptor_value(Graph(1, []), 0, 0, Descriptor("count-ne"))
 
     def test_bad_lambda(self):
         with pytest.raises(DescriptorError, match="lambda must be 1 or 2"):
@@ -546,16 +542,17 @@ def exact_ot_oracle(g, v, u, alpha=0.5):
 
 class TestRicciCurvature:
     def test_k3_value(self):
-        table = coefficient_table(complete_graph(3), RICCI_CURVATURE)
+        table = coefficient_table(complete_graph(3), Descriptor("curvature"))
         assert table.values.tolist() == pytest.approx([0.75] * 3)
 
     def test_k2_value(self):
         # identical endpoint distributions: zero transport cost
-        assert coefficient_table(complete_graph(2), RICCI_CURVATURE).values.tolist() == [1.0]
+        table = coefficient_table(complete_graph(2), Descriptor("curvature"))
+        assert table.values.tolist() == [1.0]
 
     def test_c6_matches_oracle(self):
         g = cycle_graph(6)
-        assert coefficient_table(g, RICCI_CURVATURE).raw_value(0, 1) == pytest.approx(
+        assert coefficient_table(g, Descriptor("curvature")).raw_value(0, 1) == pytest.approx(
             exact_ot_oracle(g, 0, 1, 0.5), abs=1e-8
         )
 
@@ -567,7 +564,7 @@ class TestRicciCurvature:
             if not g.edges:
                 continue
             v, u = g.edges[rng.randrange(g.num_edges)]
-            mine = coefficient_table(g, RICCI_CURVATURE).raw_value(v, u)
+            mine = coefficient_table(g, Descriptor("curvature")).raw_value(v, u)
             assert abs(mine - exact_ot_oracle(g, v, u, 0.5)) < 1e-8
             checked += 1
 
@@ -580,15 +577,15 @@ class TestRicciCurvature:
 
         assert descriptors.MAX_TRANSPORT_CELLS == 128 * 128
         # hub to hub carries 1/2 - 1/256 at cost 1, leaves to leaves 127/256 at cost 3
-        table = coefficient_table(hubs(127), RICCI_CURVATURE)
+        table = coefficient_table(hubs(127), Descriptor("curvature"))
         assert table.raw_value(0, 1) == pytest.approx(1.0 - (0.5 - 1 / 256 + 381 / 256))
         with pytest.raises(DescriptorError, match=r"^edge \(0, 1\): 129 x 129 transport "
                                                   r"cells, above the bound of 16384$"):
-            coefficient_table(hubs(128), RICCI_CURVATURE)
+            coefficient_table(hubs(128), Descriptor("curvature"))
 
     def test_edge_required(self):
         with pytest.raises(GraphError, match="not an edge"):
-            edge_descriptor_value(path_graph(3), 0, 2, RICCI_CURVATURE)
+            edge_descriptor_value(path_graph(3), 0, 2, Descriptor("curvature"))
 
 
 @st.composite
@@ -681,10 +678,10 @@ class TestCurvatureTable:
         monkeypatch.setattr(descriptors, "curvature_values",
                             lambda g, ends, alpha: tabled.append(g) or [1.0] * len(ends))
         accepted = path_graph(66668)
-        assert len(coefficient_table(accepted, RICCI_CURVATURE).values) == 66667
+        assert len(coefficient_table(accepted, Descriptor("curvature")).values) == 66667
         with pytest.raises(DescriptorError, match=r"^edge \(66667, 66668\): the table's work "
                            r"estimate passes the bound of 600000 at this edge$"):
-            coefficient_table(path_graph(66669), RICCI_CURVATURE)
+            coefficient_table(path_graph(66669), Descriptor("curvature"))
         assert tabled == [accepted]
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -917,12 +914,12 @@ class TestLocality:
         # a value reads only the subgraph on its member set N[v] | N[u]
         # (N[v] & N[u] for overlap), so (a, b) must join two members
         g, h, a, b = case
-        for kind in (UNION_PATH_SVD, COUNT_NE, BETWEENNESS, OVERLAP_PATH_SVD):
+        for kind in map(Descriptor, ("union-path", "count-ne", "betweenness", "overlap-path")):
             before, after = raw_values(g, kind), raw_values(h, kind)
             graph = nx_graph(h)
             for (v, u), value in before.items():
                 nv, nu = {v, *graph[v]}, {u, *graph[u]}
-                members = nv & nu if kind is OVERLAP_PATH_SVD else nv | nu
+                members = nv & nu if kind.kind == "overlap-path" else nv | nu
                 if not {a, b} <= members:
                     assert after[(v, u)] == value, (kind.kind, v, u)
 
@@ -994,18 +991,18 @@ class TestCycleCountDescriptor:
 
 class TestCoefficientTable:
     def test_two_triangles_union_svd(self):
-        table = coefficient_table(two_triangles_graph(), UNION_PATH_SVD)
+        table = coefficient_table(two_triangles_graph(), Descriptor("union-path"))
         assert all(v == pytest.approx(4.0) for v in table.raw.values())
         assert all(v == pytest.approx(0.5) for v in table.normalized.values())
 
     def test_c6_union_svd_uniform(self):
-        table = coefficient_table(cycle_graph(6), UNION_PATH_SVD)
+        table = coefficient_table(cycle_graph(6), Descriptor("union-path"))
         values = set(round(v, 9) for v in table.raw.values())
         assert len(values) == 1
         assert all(v == pytest.approx(0.5) for v in table.normalized.values())
 
     def test_k2_analytic(self):
-        table = coefficient_table(complete_graph(2), UNION_PATH_SVD)
+        table = coefficient_table(complete_graph(2), Descriptor("union-path"))
         assert table.raw[(0, 1)] == pytest.approx(2.0)
         assert table.normalized[(0, 1)] == pytest.approx(1.0)
         assert table.normalized[(1, 0)] == pytest.approx(1.0)
@@ -1017,15 +1014,7 @@ class TestCoefficientTable:
 
         while not is_connected(g) or g.num_edges < 8:
             g = random_graph(9, 0.4, rng)
-        for kind in (
-            UNION_PATH_SVD,
-            OVERLAP_PATH_SVD,
-            MINUS_PATH_SVD,
-            BETWEENNESS,
-            COUNT_NE,
-            RICCI_CURVATURE,
-            LAPLACIAN_SVD,
-        ):
+        for kind in map(Descriptor, Descriptor.KINDS):
             table = coefficient_table(g, kind)
             for v in range(g.num_nodes):
                 if g.degree(v) == 0:
@@ -1039,7 +1028,7 @@ class TestCoefficientTable:
             g = random_graph(8, 0.4, rng)
             if not g.edges:
                 continue
-            for kind in (UNION_PATH_SVD, OVERLAP_PATH_SVD, MINUS_PATH_SVD):
+            for kind in map(Descriptor, ("union-path", "overlap-path", "minus-path")):
                 table = coefficient_table(g, kind)
                 assert all(v > 0 for v in table.raw.values())
 
@@ -1048,16 +1037,7 @@ class TestCoefficientTable:
         g = random_graph(8, 0.45, rng)
         while g.num_edges < 8:
             g = random_graph(8, 0.45, rng)
-        kinds = (
-            UNION_PATH_SVD,
-            OVERLAP_PATH_SVD,
-            MINUS_PATH_SVD,
-            BETWEENNESS,
-            COUNT_NE,
-            RICCI_CURVATURE,
-            LAPLACIAN_SVD,
-        )
-        for kind in kinds:
+        for kind in map(Descriptor, Descriptor.KINDS):
             base = coefficient_table(g, kind)
             for _ in range(3):
                 perm = list(range(g.num_nodes))
@@ -1101,7 +1081,7 @@ class TestCoefficientTable:
         # so its normalization falls back to uniform weights with a warning
         g = path_graph(5)
         with pytest.warns(RuntimeWarning, match=r"around 1 node\(s\) sum to ~0 \(first: node 2\)"):
-            table = coefficient_table(g, RICCI_CURVATURE)
+            table = coefficient_table(g, Descriptor("curvature"))
         assert table.normalized[(2, 1)] == pytest.approx(0.5)
         assert table.normalized[(2, 3)] == pytest.approx(0.5)
 
@@ -1110,7 +1090,7 @@ class TestCoefficientTable:
         # with two inner edges fall back, and the table warns once
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            coefficient_table(path_graph(4096), RICCI_CURVATURE)
+            coefficient_table(path_graph(4096), Descriptor("curvature"))
         assert [(w.category, str(w.message)) for w in caught] == [
             (RuntimeWarning, "coefficients around 4092 node(s) sum to ~0 (first: node 2); "
                              "falling back to uniform weights")
@@ -1125,18 +1105,18 @@ class TestCoefficientTable:
         # mass is cancelled, so that edge reaches the solver
         g = path_graph(4)
         with pytest.raises(DescriptorError, match=r"edge \(0, 1\): transport failed"):
-            coefficient_table(g, RICCI_CURVATURE)
+            coefficient_table(g, Descriptor("curvature"))
 
     def test_laplacian_kind(self):
         g = complete_graph(3)
-        table = coefficient_table(g, LAPLACIAN_SVD)
+        table = coefficient_table(g, Descriptor("laplacian"))
         lap = laplacian_matrix(nx_local_subgraph(g, 0, 1))
         assert table.raw[(0, 1)] == pytest.approx(
             float(np.abs(np.linalg.eigvalsh(lap)).sum())
         )
 
     def test_csv_and_json_serialization(self):
-        table = coefficient_table(complete_graph(3), UNION_PATH_SVD)
+        table = coefficient_table(complete_graph(3), Descriptor("union-path"))
         text = table.to_csv_text()
         lines = text.strip().split("\n")
         assert lines[0] == "v,u,raw,norm_vu,norm_uv"
@@ -1199,7 +1179,7 @@ class TestTableArrays:
         assert hex_floats(batch.coeff_rows[:, 0]) == hex_floats(expected)
 
     def test_arrays_are_read_only(self):
-        table = coefficient_table(cycle_graph(5), UNION_PATH_SVD)
+        table = coefficient_table(cycle_graph(5), Descriptor("union-path"))
         for array in (table.values, table.weights, *cycle_graph(5).csr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -1207,7 +1187,7 @@ class TestTableArrays:
 
 class TestDescriptorParsing:
     def test_parse_kinds(self):
-        assert Descriptor.parse("union-path") == UNION_PATH_SVD
+        assert Descriptor.parse("union-path") == Descriptor("union-path")
         assert Descriptor.parse("count-ne:1").lam == 1
         assert Descriptor.parse("curvature:0.3").alpha == 0.3
 
@@ -1222,6 +1202,22 @@ class TestDescriptorParsing:
             Descriptor.parse("union-path:2")
         with pytest.raises(DescriptorError, match="^unknown encoding 'svd-sum'$"):
             Descriptor("union-path", encoding="svd-sum")
+        # a kind's own parameter has its type: no text, None, bool or float lambda
+        for kind, value, message in (
+            ("curvature", {"alpha": "0.3"}, "^curvature alpha must lie in \\[0, 1\\)$"),
+            ("curvature", {"alpha": None}, "^curvature alpha must lie in \\[0, 1\\)$"),
+            ("count-ne", {"lam": True}, "^count-ne lambda must be 1 or 2$"),
+            ("count-ne", {"lam": 1.0}, "^count-ne lambda must be 1 or 2$"),
+            ("count-ne", {"lam": "1"}, "^count-ne lambda must be 1 or 2$"),
+            ("union-path", {"lam": 3}, "^descriptor 'union-path' takes no lam$"),
+        ):
+            with pytest.raises(DescriptorError, match=message):
+                Descriptor(kind, **value)
+        # numpy numbers are numbers, numpy bools are not
+        assert Descriptor("count-ne", lam=np.int64(1)) == Descriptor("count-ne", lam=1)
+        assert Descriptor("curvature", alpha=np.float64(0.3)) == Descriptor("curvature", alpha=0.3)
+        with pytest.raises(DescriptorError, match="^count-ne lambda must be 1 or 2$"):
+            Descriptor("count-ne", lam=np.bool_(True))
         for text, message in (
             ("count-ne:3", "lambda must be 1 or 2"),
             ("curvature:1.5", "alpha"),
@@ -1235,9 +1231,32 @@ class TestDescriptorParsing:
             ("count-ne:", "invalid parameter in 'count-ne:'"),
             ("curvature:", "invalid parameter in 'curvature:'"),
             ("betweenness:", "takes no parameter"),
+            # int and float strip whitespace; a parameter has one spelling
+            ("count-ne: 1", "invalid parameter in 'count-ne: 1'"),
+            ("curvature:0.3 ", "invalid parameter in 'curvature:0.3 '"),
+            ("union-path: svd-sum", "invalid parameter in 'union-path: svd-sum'"),
+            ("curvature:\t0.3", "invalid parameter in 'curvature:"),
         ):
             with pytest.raises(DescriptorError, match=message):
                 Descriptor.parse(text)
+
+    def test_kind_takes_only_its_own_parameter(self):
+        # every field off its default that is not the kind's own is refused,
+        # so equal descriptors build equal tables
+        own = {"union-path": "encoding", "overlap-path": "encoding", "minus-path": "encoding",
+               "laplacian": "encoding", "betweenness": None, "count-ne": "lam",
+               "curvature": "alpha"}
+        assert Descriptor.KINDS == tuple(own)
+        off_default = {"lam": 1, "alpha": 0.3, "encoding": Encoding.EIGEN_MAX}
+        for kind, name in itertools.product(own, off_default):
+            if name == own[kind]:
+                assert getattr(Descriptor(kind, **{name: off_default[name]}), name) == (
+                    off_default[name])
+                continue
+            with pytest.raises(DescriptorError, match=f"^descriptor '{kind}' takes no {name}$"):
+                Descriptor(kind, **{name: off_default[name]})
+            # a foreign field at its default sets nothing
+            assert Descriptor(kind, **{name: getattr(Descriptor(kind), name)}) == Descriptor(kind)
 
     def test_encoding_parse(self):
         # the four matrix kinds take an encoding, svd-sum by default
@@ -1246,4 +1265,4 @@ class TestDescriptorParsing:
             for encoding in Encoding:
                 assert Descriptor.parse(f"{name}:{encoding.value}") == Descriptor(
                     name, encoding=encoding)
-        assert Descriptor.parse("union-path:eigen-max") != UNION_PATH_SVD
+        assert Descriptor.parse("union-path:eigen-max") != Descriptor("union-path")

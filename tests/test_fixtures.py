@@ -6,8 +6,7 @@ import pytest
 
 from unionsub import fixtures
 from unionsub.descriptors import (
-    BETWEENNESS,
-    COUNT_NE,
+    Descriptor,
     Encoding,
     encode_matrix,
     path_matrix,
@@ -43,10 +42,9 @@ class TestSizeAwarenessWitness:
 
     def test_betweenness_blind_to_the_extra_edge(self):
         v, u = fixtures.FOCAL_EDGE
-        without = edge_descriptor_value(
-            fixtures.SIZE_AWARENESS_WITHOUT_E4, v, u, BETWEENNESS
-        )
-        with_e4 = edge_descriptor_value(fixtures.SIZE_AWARENESS_WITH_E4, v, u, BETWEENNESS)
+        kind = Descriptor("betweenness")
+        without = edge_descriptor_value(fixtures.SIZE_AWARENESS_WITHOUT_E4, v, u, kind)
+        with_e4 = edge_descriptor_value(fixtures.SIZE_AWARENESS_WITH_E4, v, u, kind)
         assert without == pytest.approx(6.0, abs=1e-12)
         assert with_e4 == pytest.approx(6.0, abs=1e-12)
 
@@ -68,8 +66,8 @@ class TestConnectivityAwarenessWitness:
 
     def test_count_ne_blind(self):
         v, u = fixtures.FOCAL_EDGE
-        a = edge_descriptor_value(fixtures.CONNECTIVITY_AWARENESS_A, v, u, COUNT_NE)
-        b = edge_descriptor_value(fixtures.CONNECTIVITY_AWARENESS_B, v, u, COUNT_NE)
+        a = edge_descriptor_value(fixtures.CONNECTIVITY_AWARENESS_A, v, u, Descriptor("count-ne"))
+        b = edge_descriptor_value(fixtures.CONNECTIVITY_AWARENESS_B, v, u, Descriptor("count-ne"))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_path_coefficient_separates(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from unionsub.datasets import build_cycle_dataset
-from unionsub.descriptors import UNION_PATH_SVD, coefficient_table
+from unionsub.descriptors import Descriptor, coefficient_table
 from unionsub.graphs import (
     Graph, GraphError, complete_graph, cycle_graph, parse_graph,
     random_graph, rook_graph_4x4, shrikhande_graph, two_triangles_graph,
@@ -30,7 +30,8 @@ def connected_random_graph(seed, n=6, p=0.5):
 
 
 def union_path_tables(graphs, with_coeffs=True):
-    return [coefficient_table(g, UNION_PATH_SVD) for g in graphs] if with_coeffs else None
+    kind = Descriptor("union-path")
+    return [coefficient_table(g, kind) for g in graphs] if with_coeffs else None
 
 
 def make_batch(graphs, with_coeffs=True):
@@ -520,7 +521,8 @@ class TestBatchedEngineConsistency:
                     layer.epsilon[...] = rng.normal()
             batched, _ = nn._batched_forward(model, make_batch(graphs, spec.use_coeffs))
             for i, g in enumerate(graphs):
-                coeffs = coefficient_table(g, UNION_PATH_SVD) if spec.use_coeffs else None
+                coeffs = (coefficient_table(g, Descriptor("union-path"))
+                          if spec.use_coeffs else None)
                 assert np.allclose(batched[i], dense_logits(model, g, coeffs), atol=1e-10)
 
 
@@ -568,7 +570,7 @@ def refinement_pairs():
         graphs += [g1, g2]
         pairs.append((len(graphs) - 2, len(graphs) - 1))
     return graphs, [
-        (i, j, distinguish_pair(graphs[i], graphs[j], UNION_PATH_SVD)
+        (i, j, distinguish_pair(graphs[i], graphs[j], Descriptor("union-path"))
          .augmented_distinguishes)
         for i, j in pairs
     ]
@@ -604,7 +606,7 @@ class TestVerdictAndModelReadTheFeatures:
 
     @staticmethod
     def verdict_and_logit_gap(g1, g2, seed):
-        verdict = distinguish_pair(g1, g2, UNION_PATH_SVD)
+        verdict = distinguish_pair(g1, g2, Descriptor("union-path"))
         spec = nn.ModelSpec.parse("union-gin", hidden=8)
         model = nn.init_classifier(spec, 1, np.random.default_rng(seed))
         logits, _ = nn._batched_forward(model, make_batch([g1, g2]))

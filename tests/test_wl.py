@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from unionsub import wl
-from unionsub.descriptors import (
-    COUNT_NE,
-    RICCI_CURVATURE,
-    UNION_PATH_SVD,
-    CoefficientTable,
-    coefficient_table,
-)
+from unionsub.descriptors import CoefficientTable, Descriptor, coefficient_table
 from unionsub.graphs import (
     Graph,
     GraphError,
@@ -49,7 +43,7 @@ def refinement_cases():
 
 
 CASES = refinement_cases()
-TAG_KINDS = (UNION_PATH_SVD, RICCI_CURVATURE, COUNT_NE)
+TAG_KINDS = (Descriptor("union-path"), Descriptor("curvature"), Descriptor("count-ne"))
 
 
 class TestPlainRefinement:
@@ -96,27 +90,27 @@ class TestDistinguishability:
 class TestAugmentedRefinement:
     def test_k3_single_color(self):
         g = complete_graph(3)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
+        coeffs = coefficient_table(g, Descriptor("union-path"))
         assignment = augmented_refine(g, coeffs)
         assert set(assignment.colors) == {0}
 
     def test_constant_tags_match_plain(self):
         # all normalized coefficients equal: augmentation adds nothing
         g = cycle_graph(6)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
+        coeffs = coefficient_table(g, Descriptor("union-path"))
         plain = wl_refine(g)
         augmented = augmented_refine(g, coeffs)
         assert plain.histogram() == augmented.histogram()
 
     def test_table_of_another_graph_raises(self):
         # K4's weights are 1/3 each, so path node 1's two pairs would sum to 2/3
-        coeffs = coefficient_table(complete_graph(4), UNION_PATH_SVD)
+        coeffs = coefficient_table(complete_graph(4), Descriptor("union-path"))
         with pytest.raises(GraphError, match="other edges"):
             augmented_refine(path_graph(4), coeffs)
 
     def test_refines_star_center_vs_leaves_consistently(self):
         g = star_graph(3)
-        coeffs = coefficient_table(g, UNION_PATH_SVD)
+        coeffs = coefficient_table(g, Descriptor("union-path"))
         assignment = augmented_refine(g, coeffs)
         assert assignment.colors[1] == assignment.colors[2] == assignment.colors[3]
         assert assignment.colors[0] != assignment.colors[1]
@@ -126,19 +120,19 @@ class TestVerdicts:
     # edge-transitive pairs: every normalized coefficient is 1/deg, so only
     # the raw values, which normalization removes, tell the graphs apart
     def test_c6_vs_triangles(self):
-        verdict = distinguish_pair(cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD)
+        verdict = distinguish_pair(cycle_graph(6), two_triangles_graph(), Descriptor("union-path"))
         assert not verdict.wl_distinguishes
         assert not verdict.augmented_distinguishes
         assert verdict.raw_values_differ
 
     def test_rook_vs_shrikhande(self):
-        verdict = distinguish_pair(rook_graph_4x4(), shrikhande_graph(), UNION_PATH_SVD)
+        verdict = distinguish_pair(rook_graph_4x4(), shrikhande_graph(), Descriptor("union-path"))
         assert not verdict.wl_distinguishes
         assert not verdict.augmented_distinguishes
         assert verdict.raw_values_differ
 
     def test_identical_graphs(self):
-        verdict = distinguish_pair(complete_graph(3), complete_graph(3), UNION_PATH_SVD)
+        verdict = distinguish_pair(complete_graph(3), complete_graph(3), Descriptor("union-path"))
         assert not verdict.wl_distinguishes
         assert not verdict.augmented_distinguishes
         assert not verdict.raw_values_differ
@@ -149,7 +143,7 @@ class TestVerdicts:
         for _ in range(20):
             g1 = random_graph(6, 0.4, rng)
             g2 = random_graph(6, 0.4, rng)
-            verdict = distinguish_pair(g1, g2, UNION_PATH_SVD)
+            verdict = distinguish_pair(g1, g2, Descriptor("union-path"))
             if verdict.wl_distinguishes:
                 seen_wl += 1
                 assert verdict.augmented_distinguishes
@@ -159,18 +153,18 @@ class TestVerdicts:
         rng = random.Random(3)
         g1 = random_graph(7, 0.4, rng)
         g2 = random_graph(7, 0.4, rng)
-        base = distinguish_pair(g1, g2, UNION_PATH_SVD)
+        base = distinguish_pair(g1, g2, Descriptor("union-path"))
         for _ in range(5):
             perm = list(range(7))
             rng.shuffle(perm)
-            relabeled = distinguish_pair(g1.relabel(perm), g2, UNION_PATH_SVD)
+            relabeled = distinguish_pair(g1.relabel(perm), g2, Descriptor("union-path"))
             assert relabeled.wl_distinguishes == base.wl_distinguishes
             assert relabeled.augmented_distinguishes == base.augmented_distinguishes
             assert relabeled.raw_values_differ == base.raw_values_differ
             assert relabeled.histograms == base.histograms
 
     def test_verdict_json_shape(self):
-        verdict = distinguish_pair(cycle_graph(6), two_triangles_graph(), UNION_PATH_SVD)
+        verdict = distinguish_pair(cycle_graph(6), two_triangles_graph(), Descriptor("union-path"))
         obj = verdict.to_json_obj()
         assert set(obj) == {"wl", "augmented", "raw", "rounds", "hist1", "hist2"}
         assert obj["wl"] is False and obj["augmented"] is False and obj["raw"] is True
@@ -186,7 +180,8 @@ class TestReferenceRefinement:
     def test_cases_cover_the_edge_cases(self):
         assert sum(0 in map(len, g.adjacency) for g in CASES) >= 10  # isolated nodes
         assert sum(len({tuple(row) for row in g.features.tolist()}) > 1 for g in CASES) >= 10
-        negative = [g for g in CASES if (coefficient_table(g, RICCI_CURVATURE).weights < 0).any()]
+        curvature = Descriptor("curvature")
+        negative = [g for g in CASES if (coefficient_table(g, curvature).weights < 0).any()]
         assert len(negative) >= 5  # negative tags
         discrete = [g for g in CASES if len(set(wl_refine(g).colors)) == g.num_nodes]
         assert sum(wl_refine(g).rounds > 0 for g in discrete) >= 5  # a round made it discrete
