@@ -328,7 +328,7 @@ def build_parser():
     p.add_argument("--model", default="union-gcn", choices=ModelSpec.NAMES)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=32)
+    p.add_argument("--hidden", type=int, default=ModelSpec.hidden)
     p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)

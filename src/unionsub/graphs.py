@@ -301,8 +301,6 @@ def _parse_json(text):
     for k, pair in enumerate(obj["edges"]):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphParseError(f"edge #{k} is not a pair")
-        if not (_is_json_int(pair[0]) and _is_json_int(pair[1])):
-            raise GraphParseError(f"edge #{k} node ids must be integers")
         edges.append((pair[0], pair[1]))
     features = obj.get("features")
     if features is not None and not (
@@ -315,20 +313,6 @@ def _parse_json(text):
     except GraphError as exc:
         where = "" if exc.edge is None else f"edge #{exc.edge}: "
         raise GraphParseError(where + str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# Basic operations
-# ---------------------------------------------------------------------------
-
-def is_connected(g):
-    """Whether a flood fill from node 0 reaches every node; True with no nodes."""
-    frontier = {0} if g.num_nodes else set()
-    seen = set(frontier)
-    while frontier:
-        frontier = {y for x in frontier for y in g.adjacency[x]} - seen
-        seen |= frontier
-    return len(seen) == g.num_nodes
 
 
 # ---------------------------------------------------------------------------

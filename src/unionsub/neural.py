@@ -186,14 +186,10 @@ class _Batch:
     )
 
     def __init__(self, graphs, tables=None):
-        self.node_sizes = np.array([g.num_nodes for g in graphs])
-        if not self.node_sizes.all():
+        node_sizes = np.array([g.num_nodes for g in graphs])
+        if not node_sizes.all():
             raise GraphError("a graph with no nodes has no mean-pooled embedding")
-        node_ends = np.cumsum(self.node_sizes)
-        self.pool_starts = node_ends - self.node_sizes
-        self.num_nodes = int(node_ends[-1])
-        self.pair_sizes = np.array([2 * g.num_edges for g in graphs])
-        self.pair_starts = np.cumsum(self.pair_sizes) - self.pair_sizes
+        self._lay_out(node_sizes, np.array([2 * g.num_edges for g in graphs]))
         csr = [g.csr for g in graphs]
         degs = np.concatenate([indptr[1:] - indptr[:-1] for indptr, _ in csr])
         self.center = np.repeat(np.arange(self.num_nodes), degs)
@@ -208,22 +204,25 @@ class _Batch:
             self.coeff_rows[:, 0] = np.concatenate([table.weights for table in tables])
         self.work = Workspace()
 
+    def _lay_out(self, node_sizes, pair_sizes):
+        """Set the graphs' node and pair counts, the starts of their runs
+        and the total node count."""
+        self.node_sizes, self.pair_sizes = node_sizes, pair_sizes
+        node_ends = np.cumsum(node_sizes)
+        self.pool_starts = node_ends - node_sizes
+        self.pair_starts = np.cumsum(pair_sizes) - pair_sizes
+        self.num_nodes = int(node_ends[-1])
+
     def take(self, idx):
         """The batch of graphs ``idx`` (positions in this batch, in that
         order), gathered from this batch's arrays."""
         sub = object.__new__(_Batch)
-        sub.node_sizes = self.node_sizes[idx]
-        sub.pair_sizes = self.pair_sizes[idx]
-        node_ends = np.cumsum(sub.node_sizes)
-        pair_ends = np.cumsum(sub.pair_sizes)
-        sub.pool_starts = node_ends - sub.node_sizes
-        sub.pair_starts = pair_ends - sub.pair_sizes
-        sub.num_nodes = int(node_ends[-1])
+        sub._lay_out(self.node_sizes[idx], self.pair_sizes[idx])
         # per graph, old position minus new position of its first node / pair
         node_shift = self.pool_starts[idx] - sub.pool_starts
         nodes = np.repeat(node_shift, sub.node_sizes) + np.arange(sub.num_nodes)
         pairs = (np.repeat(self.pair_starts[idx] - sub.pair_starts, sub.pair_sizes)
-                 + np.arange(pair_ends[-1]))
+                 + np.arange(sub.pair_starts[-1] + sub.pair_sizes[-1]))
         pair_shift = np.repeat(node_shift, sub.pair_sizes)
         sub.h0 = self.h0[nodes]
         sub.center = self.center[pairs] - pair_shift
@@ -410,7 +409,7 @@ class ModelSpec:
             )
 
     @classmethod
-    def parse(cls, name, hidden=16):
+    def parse(cls, name, hidden=hidden):  # the field's default
         if name not in cls._BY_NAME:
             raise GraphError(f"unknown model {name!r} (choose from {cls.NAMES})")
         return cls(*cls._BY_NAME[name], hidden)
@@ -628,16 +627,3 @@ def params_to_json_obj(model):
             for a in model.arrays()
         ],
     }
-
-
-def load_params_into(model, obj):
-    arrays = model.arrays()
-    stored = obj["arrays"]
-    if len(arrays) != len(stored):
-        raise GraphError("checkpoint does not match the model architecture")
-    for a, item in zip(arrays, stored):
-        data = np.array(item["data"]).reshape(item["shape"])
-        if tuple(a.shape) != tuple(data.shape):
-            raise GraphError("checkpoint array shape mismatch")
-        a[...] = data
-    return model

@@ -63,9 +63,6 @@ class EdgeTypePartition:
     e4: frozenset
     spokes: frozenset
 
-    def all_classified(self):
-        return self.e1 | self.e2 | self.e3 | self.e4 | self.spokes
-
 
 def classify_edge_types(g, v, u):
     """Partition the union subgraph's edges into E1..E4 plus spokes: the

@@ -42,6 +42,12 @@ def nx_graph(g):
     return h
 
 
+def is_connected(g):
+    """Whether g is connected, by networkx; True with no nodes, where
+    networkx declines to answer."""
+    return g.num_nodes == 0 or nx.is_connected(nx_graph(g))
+
+
 def nx_local_graph(h, v, u, kind="union-path"):
     """The local subgraph of the edge (v, u) of the networkx graph h that a
     table of ``kind`` reads, built from N[v] and N[u]: induced on their union
@@ -285,6 +291,12 @@ def order_eight_latin_pairs():
     graphs = [latin_square_graph(product_group_table(*orders))
               for orders in ((8,), (2, 4), (2, 2, 2))]
     return list(itertools.combinations(graphs, 2))
+
+
+def csl_graph(r):
+    """The circular skip link graph CSL(41, r): the cycle C41 plus the chords
+    i ~ i + r (mod 41), 4-regular for 1 < r < 20."""
+    return Graph(41, [(i, (i + step) % 41) for step in (1, r) for i in range(41)])
 
 
 def cubic_graphs_on_ten_nodes():

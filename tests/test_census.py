@@ -3,10 +3,11 @@
 Three offline families of 1-WL-equivalent, non-isomorphic graph pairs:
 every such pair of networkx atlas graphs (at most 7 nodes, connected or
 not), every pair of the 21 cubic graphs on 10 nodes, and three pairs of
-Latin square graphs of orders 4, 5 and 6.  A fourth row pairs the Latin
-square graphs of the three abelian groups of order 8.  For each descriptor
-kind at its default parameter, a pair counts as separated when the
-coefficient-tagged refinement tells its graphs apart
+Latin square graphs of orders 4, 5 and 6.  Further rows pair the Latin
+square graphs of the three abelian groups of order 8, those of Z9 and
+Z3 x Z3, and the ten classes of circular skip link graphs CSL(41, r).  For
+each descriptor kind at its default parameter, a pair counts as separated
+when the coefficient-tagged refinement tells its graphs apart
 (``distinguish_pair(...).augmented_distinguishes``).  The counts are
 measured ones: where they differ from the paper's ordering, the test pins
 the measurement.
@@ -28,13 +29,13 @@ from collections import defaultdict
 import networkx as nx
 import pytest
 
-from unionsub.descriptors import Descriptor, Encoding, coefficient_table
+from unionsub.descriptors import Descriptor, DescriptorError, Encoding, coefficient_table
 from unionsub.graphs import Graph
 from unionsub.wl import distinguish_pair, wl_distinguishable
 
 from helpers import (
-    cubic_graphs_on_ten_nodes, exact_tagger, latin_square_pairs, order_eight_latin_pairs, raw_tags,
-    reference_refine, weight_tags,
+    csl_graph, cubic_graphs_on_ten_nodes, exact_tagger, latin_square_graph, latin_square_pairs,
+    order_eight_latin_pairs, product_group_table, raw_tags, reference_refine, weight_tags,
 )
 
 KINDS = (
@@ -73,6 +74,20 @@ TAG_COUNTS = {
     "count-ne": ((26, 23), (209, 208), (3, 3)),
     "count-ne:1": ((25, 22), (209, 208), (3, 3)),
     "curvature": ((26, 23), (210, 209), (0, 0)),
+}
+# the skips r of the ten CSL(41, r) classes, and, per verdict, the blocks of
+# classes it cannot tell apart; a pair is separated iff its classes lie in
+# different blocks, so the blocks {2}, {3}, {the other 8} separate 17 pairs
+CSL_SKIPS = (2, 3, 4, 5, 6, 9, 11, 12, 13, 16)
+CSL_BLOCKS = {
+    "1-WL": (CSL_SKIPS,),  # 0 pairs; every class is 4-regular
+    **dict.fromkeys(
+        ("exact", "union-path", "count-ne", "betweenness", "laplacian",
+         "union-path:eigen-max", "count-ne:1"),
+        ((2,), (3,), (4, 5, 6, 9, 11, 12, 13, 16))),  # 17 pairs
+    **dict.fromkeys(("overlap-path", "minus-path"),
+                    ((2,), (3, 4, 5, 6, 9, 11, 12, 13, 16))),  # 9 pairs
+    "curvature": ((2, 3, 4, 13), (5, 6, 9, 11, 12, 16)),  # 24 pairs
 }
 
 
@@ -205,7 +220,8 @@ def test_curvature_reads_past_the_union_subgraph(tag_separated):
 @pytest.mark.parametrize("family", EXACT_COUNTS)
 def test_encodings_of_a_path_kind_separate_the_same_pairs(tag_separated, family):
     # no encoding of a path matrix gains or loses a pair against svd-sum, by
-    # raw tag or by weight, on any measured family
+    # raw tag or by weight, on the atlas, cubic10 and Latin 4-6 families; the
+    # order-9 Latin pair is where they part (test_order_nine_latin_squares)
     by_kind = tag_separated[family][1]
     for kind in PATH_KINDS:
         for encoding in Encoding:
@@ -258,3 +274,47 @@ def test_order_eight_latin_squares():
         else:
             assert [(v.augmented_distinguishes, v.rounds_used) for v in verdicts] == [
                 (True, 2)] * 3, kind
+
+
+def test_order_nine_latin_squares():
+    # Z9 vs Z3 x Z3, 81 nodes and 972 edges each: the first pair that
+    # union-path separates and count-ne and overlap-path do not, and the
+    # first on which the encodings of one path kind differ.  A table either
+    # separates the pair in 2 rounds, with differing raw multisets, or sees
+    # equal raw multisets
+    g1, g2 = (latin_square_graph(product_group_table(*orders)) for orders in ((9,), (3, 3)))
+    assert [(g.num_nodes, len(g.edges)) for g in (g1, g2)] == [(81, 972)] * 2
+    separating = {
+        "union-path:svd-sum", "union-path:eigen-max", "laplacian:eigen-max",
+        *(f"minus-path:{encoding.value}" for encoding in Encoding),
+    }
+    for kind in LOCAL_TAG_KINDS:
+        verdict = distinguish_pair(g1, g2, Descriptor.parse(kind))
+        assert not verdict.wl_distinguishes
+        if kind in separating:
+            assert (verdict.augmented_distinguishes, verdict.rounds_used,
+                    verdict.raw_values_differ) == (True, 2, True), kind
+        else:
+            assert not (verdict.augmented_distinguishes or verdict.raw_values_differ), kind
+    # degree 24: the cell estimate refuses curvature's table (ROADMAP item 10)
+    with pytest.raises(DescriptorError, match=r"^edge \(75, 79\): .* bound of 600000 "):
+        distinguish_pair(g1, g2, Descriptor("curvature"))
+
+
+@pytest.mark.parametrize("verdict", CSL_BLOCKS)
+def test_csl_classes(verdict):
+    graphs = {r: csl_graph(r) for r in CSL_SKIPS}
+    pairs = list(itertools.combinations(CSL_SKIPS, 2))
+    if verdict == "1-WL":
+        separated = {(a, b) for a, b in pairs if wl_distinguishable(graphs[a], graphs[b])}
+    elif verdict == "exact":  # so no union-subgraph descriptor can separate more
+        positions = separated_by([(graphs[a], graphs[b]) for a, b in pairs],
+                                 functools.cache(exact_tagger()))
+        separated = {pairs[i] for i in positions}
+    else:
+        descriptor = Descriptor.parse(verdict)
+        separated = {(a, b) for a, b in pairs if distinguish_pair(
+            graphs[a], graphs[b], descriptor).augmented_distinguishes}
+    block = {r: i for i, skips in enumerate(CSL_BLOCKS[verdict]) for r in skips}
+    assert sorted(block) == sorted(CSL_SKIPS)
+    assert separated == {(a, b) for a, b in pairs if block[a] != block[b]}

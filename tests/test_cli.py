@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import os
@@ -771,6 +772,21 @@ class TestTrainCommand:
         args = build_parser().parse_args(["train", "data"])
         default = inspect.signature(train_classifier).parameters["batch_size"].default
         assert args.batch_size == default == DEFAULT_BATCH_SIZE
+
+    def test_defaults_train_the_benchmark_model(self, monkeypatch):
+        # train's default model, width and batch size are the ones the
+        # benchmark's train-cycle workload trains
+        from unionsub.neural import DEFAULT_BATCH_SIZE, ModelSpec
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while the module runs
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        args = cli.build_parser().parse_args(["train", "d"])
+        assert ModelSpec.parse(args.model, hidden=args.hidden) == workloads.MODEL
+        assert args.batch_size == DEFAULT_BATCH_SIZE
 
     @staticmethod
     def train_small(tmp_path, capsys, model, epochs):

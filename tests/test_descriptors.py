@@ -29,7 +29,6 @@ from unionsub.graphs import (
     Subgraph,
     complete_graph,
     cycle_graph,
-    is_connected,
     path_graph,
     random_graph,
     rook_graph_4x4,
@@ -43,6 +42,7 @@ from unionsub.wl import distinguish_pair
 
 from helpers import (
     edge_descriptor_value,
+    is_connected,
     local_index,
     nx_graph,
     nx_local_subgraph,
@@ -1010,8 +1010,6 @@ class TestCoefficientTable:
     def test_row_normalization_all_kinds(self):
         rng = random.Random(5)
         g = random_graph(9, 0.4, rng)
-        from unionsub.graphs import is_connected
-
         while not is_connected(g) or g.num_edges < 8:
             g = random_graph(9, 0.4, rng)
         for kind in map(Descriptor, Descriptor.KINDS):

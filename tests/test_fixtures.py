@@ -11,10 +11,10 @@ from unionsub.descriptors import (
     encode_matrix,
     path_matrix,
 )
-from unionsub.graphs import Graph, Subgraph, is_connected, is_isomorphic_small
+from unionsub.graphs import Graph, Subgraph, is_isomorphic_small
 from unionsub.substructure import classify_edge_types
 
-from helpers import edge_descriptor_value
+from helpers import edge_descriptor_value, is_connected
 
 
 def nuclear(g):

@@ -16,13 +16,11 @@ from unionsub.graphs import (
 from unionsub import neural as nn
 from unionsub.wl import distinguish_pair
 
-from helpers import cubic_graphs_on_ten_nodes
+from helpers import cubic_graphs_on_ten_nodes, is_connected
 
 
 def connected_random_graph(seed, n=6, p=0.5):
     rng = random.Random(seed)
-    from unionsub.graphs import is_connected
-
     while True:
         g = random_graph(n, p, rng)
         if is_connected(g) and g.num_edges >= n - 1:
@@ -463,10 +461,6 @@ class TestFlatParameters:
         spec = nn.ModelSpec.parse(name, hidden=4)
         model = nn.init_classifier(spec, 1, np.random.default_rng(0))
         self.assert_one_vector(model)
-        restored = nn.init_classifier(spec, 1, np.random.default_rng(1))
-        nn.load_params_into(restored, nn.params_to_json_obj(model))
-        self.assert_one_vector(restored)
-        assert np.array_equal(restored.flat, model.flat)
 
     def test_adam_matches_per_array_reference(self):
         rng = np.random.default_rng(42)
@@ -689,16 +683,15 @@ class TestTraining:
             nn.train_classifier(graphs, [], [], spec, epochs=1, seed=0)
 
     def test_checkpoint_roundtrip(self):
-        rng = np.random.default_rng(25)
+        # every parameter of the checkpoint train writes survives JSON bit for bit
         spec = nn.ModelSpec.parse("union-gcn", hidden=4)
-        model = nn.init_classifier(spec, 1, rng)
-        obj = nn.params_to_json_obj(model)
+        model = nn.init_classifier(spec, 1, np.random.default_rng(25))
         import json
 
-        restored = nn.init_classifier(spec, 1, np.random.default_rng(99))
-        nn.load_params_into(restored, json.loads(json.dumps(obj)))
-        for a, b in zip(model.arrays(), restored.arrays()):
-            assert np.array_equal(a, b)
+        stored = json.loads(json.dumps(nn.params_to_json_obj(model)))["arrays"]
+        assert len(stored) == len(model.arrays())
+        for a, item in zip(model.arrays(), stored):
+            assert np.array_equal(np.array(item["data"]).reshape(item["shape"]), a)
 
     def test_model_spec_parse(self):
         assert nn.ModelSpec.parse("union-gcn").use_coeffs
@@ -724,21 +717,11 @@ class TestCheckpointLayout:
     }
 
     @staticmethod
-    def model(name, hidden=4):
-        spec = nn.ModelSpec.parse(name, hidden=hidden)
+    def model(name):
+        spec = nn.ModelSpec.parse(name, hidden=4)
         return nn.init_classifier(spec, 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_array_shapes_pinned(self, name):
         shapes = [list(a.shape) for a in self.model(name).arrays()]
         assert shapes == self.SHAPES[name]  # 6, 8, 14 and 16 arrays
-
-    def test_gcn_checkpoint_into_gin_rejected(self):
-        obj = nn.params_to_json_obj(self.model("gcn"))
-        with pytest.raises(GraphError, match="does not match the model architecture"):
-            nn.load_params_into(self.model("gin"), obj)
-
-    def test_wrong_hidden_width_rejected(self):
-        obj = nn.params_to_json_obj(self.model("union-gin", hidden=4))
-        with pytest.raises(GraphError, match="shape mismatch"):
-            nn.load_params_into(self.model("union-gin", hidden=5), obj)

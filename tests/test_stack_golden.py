@@ -17,7 +17,9 @@ import sys
 from pathlib import Path
 
 from unionsub.descriptors import Descriptor, Encoding, coefficient_table
-from unionsub.graphs import is_connected, random_graph
+from unionsub.graphs import random_graph
+
+from helpers import is_connected
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "stack_values.txt"
 CASES = [Descriptor(kind, encoding=encoding)
