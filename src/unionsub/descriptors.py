@@ -22,21 +22,28 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, GraphError, Subgraph, count_simple_cycles
-from .transport import wasserstein_discrete
+from .transport import cell_indices, least_cost_starts, wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
 # bound on the matrix entries plus member-neighbour pairs of one chunk of a
 # table's edges; bounds the memory of a table on a large graph
 BATCH_ENTRIES = 1 << 17
+# bound on the (deg v + 1)(deg u + 1) transport cells of one chunk of a curvature
+# table's edges, and on the neighbours one common-neighbour search reads; a
+# chunk's arrays peaked at 2.1 MB on two G(n, m) graphs of about 1,000 edges
+# (perfbench large-sparse), 4.1 MB at 1 << 15
+CURVATURE_ENTRIES = 1 << 14
 # bound on a table's summed per-edge work estimates; a unit took up to 96 ns
 # (path graphs) on a 2-vCPU host, so an accepted table takes about 2.5 s at most
 MAX_TABLE_WORK = 25 * 10**6
 # bound on the rows x cols of a curvature transport problem, whose time grows faster
-# than its size: 128 x 128 between two hubs took up to 0.13 s on a 2-vCPU host
+# than its size: 128 x 128 between two hubs, with distances 1, 2 and 3 and a start
+# that needs pivots, took up to 0.27 s on a 2-vCPU host
 MAX_TRANSPORT_CELLS = 1 << 14
 # bound on a curvature table's summed (deg v + 1)(deg u + 1), each edge's transport
-# cells before cancelling; a cell took up to 4 us (paths, random bipartite graphs)
-# on a 2-vCPU host, so an accepted table takes about 2.5 s at most
+# cells before cancelling; a cell took up to 2.2 us (random bipartite graphs, whose
+# starts mostly need pivots; 0.14 us on paths) on a 2-vCPU host, so an accepted
+# table takes about 1.3 s at most
 MAX_CURVATURE_CELLS = 6 * 10**5
 
 
@@ -207,12 +214,21 @@ def local_descriptor_values(g, ends, kind):
     walks = np.concatenate(([0], degree[nbr].cumsum()))
     bound = 2 * (degree + 1) ** 2 + degree + walks[indptr[1:]] - walks[indptr[:-1]]
     total = _table_work(ends, bound[ends].sum(axis=1), MAX_TABLE_WORK)
-    values, lo = np.empty(len(ends)), 0
-    while lo < len(ends):
-        hi = max(lo + 1, total.searchsorted(total[lo] + BATCH_ENTRIES, "right") - 1)
+    values = np.empty(len(ends))
+    for lo, hi in _chunks(total, BATCH_ENTRIES):
         values[lo:hi] = _chunk_values(indptr, degree, nbr, ends[lo:hi], kind)
-        lo = hi
     return values
+
+
+def _chunks(total, bound):
+    """(lo, hi) of each chunk of items, given the work summed over the items
+    before each item and over all of them: as many items as fit in ``bound``,
+    or one item alone."""
+    lo = 0
+    while lo < len(total) - 1:
+        hi = max(lo + 1, total.searchsorted(total[lo] + bound, "right") - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _table_work(ends, work, limit):
@@ -305,11 +321,7 @@ def local_members(indptr, degree, nbr, ends, kind):
     exclusive neighbour of v to one of u.
     """
     batch, n = len(ends), len(degree)
-    own = ends + np.arange(0, batch * n, n)[:, None]  # the endpoints' keys
-    at, x = _rows(indptr, degree, nbr, ends.reshape(-1), (own - ends).reshape(-1))
-    # keys of N[v] and N[u] shifted left, bit 0 naming the side (1 for u)
-    tagged = np.concatenate(([-2], (2 * own + [0, 1]).reshape(-1), 2 * x + (at & 1)))
-    tagged.sort()
+    tagged = _closed_sides(indptr, degree, nbr, ends)
     keys = tagged >> 1
     new = keys[1:] != keys[:-1]
     members = keys[1:][~new if kind.kind == "overlap-path" else new]
@@ -321,6 +333,17 @@ def local_members(indptr, degree, nbr, ends, kind):
         sides = np.where(np.append(~new[1:], False), 3, 1 + (tagged[1:] & 1))[new]
         hit &= (sides[at] & sides.take(pos, mode="clip")) != 0
     return members, edge, k, at[hit], pos[hit]
+
+
+def _closed_sides(indptr, degree, nbr, ends):
+    """The sorted keys i n + x of N[v] and of N[u] for the i-th edge (v, u) of
+    ``ends``, shifted left, bit 0 naming the side (1 for u), after a leading -2."""
+    n = len(degree)
+    own = ends + np.arange(0, len(ends) * n, n)[:, None]  # the endpoints' keys
+    at, x = _rows(indptr, degree, nbr, ends.reshape(-1), (own - ends).reshape(-1))
+    tagged = np.concatenate(([-2], (2 * own + [0, 1]).reshape(-1), 2 * x + (at & 1)))
+    tagged.sort()
+    return tagged
 
 
 def _find(members, target, keys):
@@ -369,41 +392,90 @@ def curvature_values(g, ends, alpha):
     put on v, u and their common neighbours cancels before transport.  The
     points left (x of v, y of u, x != y) lie at distance 1 (x ~ y), 2 (a
     common neighbour anywhere in g, not only in the union subgraph) or 3.
+    A chunk of edges builds its instances in arrays from g's CSR arrays and
+    settles their least-cost starts together (least_cost_starts); only an
+    instance whose start is not optimal reaches wasserstein_discrete.  Each
+    chunk holds at most CURVATURE_ENTRIES of its edges' (deg v + 1)(deg u + 1)
+    cells, and each common-neighbour search at most that many neighbours.
     """
-    adj = g.adjacency
-    closed = [sorted((x, *row)) for x, row in enumerate(adj)]
-    near = [set(row) for row in adj]
-    spread = [(1.0 - alpha) / max(len(row), 1) for row in adj]
-
-    def left(center, other):
-        """Points of center's measure that keep mass after cancelling, and that mass."""
-        points, mass = [], []
-        own, theirs, their_near = spread[center], spread[other], near[other]
-        for x in closed[center]:
-            m = alpha if x == center else own
-            shared = alpha if x == other else theirs if x in their_near else 0.0
-            if m > shared:
-                points.append(x)
-                mass.append(m - shared)
-        return points, mass
-
-    values = []
-    for v, u in ends.tolist():
-        (rows, mu), (cols, nu) = left(v, u), left(u, v)
-        w1 = 0.0  # if one side keeps no mass, the other holds only rounding residue
-        if rows and cols:
-            if len(rows) * len(cols) > MAX_TRANSPORT_CELLS:
-                raise DescriptorError(f"edge ({v}, {u}): {len(rows)} x {len(cols)} transport "
-                                      f"cells, above the bound of {MAX_TRANSPORT_CELLS}")
-            col_near = [(y, near[y]) for y in cols]
-            distances = [[1.0 if y in near_x else 3.0 if near_x.isdisjoint(near_y) else 2.0
-                          for y, near_y in col_near] for near_x in map(near.__getitem__, rows)]
-            try:
-                w1 = wasserstein_discrete(mu, nu, distances)
-            except (DescriptorError, RuntimeError) as exc:
-                raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
-        values.append(1.0 - w1)
+    indptr, nbr = g.csr
+    degree = indptr[1:] - indptr[:-1]
+    cells = (degree[ends] + 1).prod(axis=1)
+    arcs = np.arange(len(degree)).repeat(degree) * len(degree) + nbr  # sorted arc keys
+    values = np.empty(len(ends))
+    for lo, hi in _chunks(np.concatenate(([0], cells.cumsum())), CURVATURE_ENTRIES):
+        values[lo:hi] = _curvature_chunk(indptr, degree, nbr, arcs, ends[lo:hi], alpha)
     return values
+
+
+def _curvature_chunk(indptr, degree, nbr, arcs, ends, alpha):
+    """curvature_values of the (B, 2) array ``ends``, from g's CSR arrays and
+    arc keys v n + u.  An edge whose instance the array start does not settle
+    reaches the solver, in edge order, as the loop over edges did."""
+    batch, nodes = len(ends), len(degree)
+    tagged = _closed_sides(indptr, degree, nbr, ends)
+    keys = tagged >> 1
+    repeat = keys[1:] == keys[:-1]
+    both = repeat | np.append(repeat[1:], False)  # x lies in N[v] and in N[u]
+    keys, on_u = keys[1:], tagged[1:] & 1
+    edge, x = keys // nodes, keys % nodes
+    center, other = ends[edge, on_u], ends[edge, 1 - on_u]
+    # the points of each side's measure that keep mass after cancelling, and that mass
+    mass = np.where(x == center, alpha, (1.0 - alpha) / degree[center])
+    shared = np.where(both, np.where(x == other, alpha, (1.0 - alpha) / degree[other]), 0.0)
+    kept = mass > shared
+    mass -= shared
+    rows, cols = (kept & (on_u == 0)).nonzero()[0], (kept & (on_u == 1)).nonzero()[0]
+    sizes = np.bincount(edge[rows], minlength=batch), np.bincount(edge[cols], minlength=batch)
+    big = sizes[0] * sizes[1] > MAX_TRANSPORT_CELLS
+    # if one side keeps no mass, the other holds only rounding residue and W1 = 0
+    solve = (sizes[0] * sizes[1] > 0) & ~big
+    rows, cols = rows[solve[edge[rows]]], cols[solve[edge[cols]]]
+    m, n = sizes[0][solve], sizes[1][solve]
+    cost = _cell_distances(indptr, degree, nbr, arcs, x[rows], x[cols], m, n)
+    values, late = np.ones(batch), big.copy()
+    instances = solve.nonzero()[0]
+    mu, nu = mass[rows], mass[cols]
+    if len(instances):
+        _, w1, settled = least_cost_starts(mu, nu, cost, m, n)
+        values[instances[settled]] = 1.0 - w1[settled]
+        late[instances[~settled]] = True
+    row_at, col_at, cell_at = (np.concatenate(([0], a.cumsum())) for a in (m, n, m * n))
+    for e in late.nonzero()[0].tolist():
+        v, u = ends[e].tolist()
+        if big[e]:
+            raise DescriptorError(f"edge ({v}, {u}): {sizes[0][e]} x {sizes[1][e]} transport "
+                                  f"cells, above the bound of {MAX_TRANSPORT_CELLS}")
+        b = instances.searchsorted(e)
+        distances = cost[cell_at[b]:cell_at[b + 1]].reshape(m[b], n[b]).tolist()
+        try:
+            w1_e = wasserstein_discrete(mu[row_at[b]:row_at[b + 1]].tolist(),
+                                        nu[col_at[b]:col_at[b + 1]].tolist(), distances)
+        except (DescriptorError, RuntimeError) as exc:
+            raise DescriptorError(f"edge ({v}, {u}): {exc}") from exc
+        values[e] = 1.0 - w1_e
+    return values
+
+
+def _cell_distances(indptr, degree, nbr, arcs, row_x, col_x, m, n):
+    """The distance in g, 1, 2 or 3, of every cell of instances with m[b]
+    row nodes and n[b] column nodes, laid end to end in row_x and col_x; the
+    cells row-major, instance by instance.  Two distinct nodes of a cell must
+    lie within distance 3.  Each search for a common neighbour runs over the
+    neighbours of the end of lower degree, at most CURVATURE_ENTRIES at once."""
+    size = len(degree) ** 2
+    row, col = cell_indices(m, n)
+    xs, ys = row_x[row], col_x[col]
+    near = _find(arcs, xs * len(degree) + ys, size)[1]
+    cost = np.where(near, 1.0, 3.0)
+    far = (~near).nonzero()[0]
+    xs, ys = xs[far], ys[far]
+    low = degree[xs] <= degree[ys]
+    s, t = np.where(low, xs, ys), np.where(low, ys, xs) * len(degree)
+    for lo, hi in _chunks(np.concatenate(([0], degree[s].cumsum())), CURVATURE_ENTRIES):
+        at, key = _rows(indptr, degree, nbr, s[lo:hi], t[lo:hi])
+        cost[far[lo:hi][at[_find(arcs, key, size)[1]]]] = 2.0
+    return cost
 
 
 def cycle_count(g, k):
@@ -485,7 +557,7 @@ def coefficient_table(g, kind=Descriptor("union-path")):
     ends = np.column_stack((center, nbr))[center < nbr]
     if kind.kind == "curvature":
         _table_work(ends, (degree[ends] + 1).prod(axis=1), MAX_CURVATURE_CELLS)
-        values = np.array(curvature_values(g, ends, kind.alpha), dtype=float)
+        values = np.asarray(curvature_values(g, ends, kind.alpha), dtype=float)
     else:
         values = local_descriptor_values(g, ends, kind)
     key = np.minimum(center, nbr) * g.num_nodes + np.maximum(center, nbr)

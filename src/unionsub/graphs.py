@@ -136,14 +136,6 @@ class Graph:
         if not (0 <= v < self.num_nodes):
             raise GraphError(f"node id {v} out of range (num_nodes={self.num_nodes})")
 
-    def relabel(self, perm):
-        """Relabel nodes: node v becomes perm[v].  perm must be a permutation."""
-        if sorted(perm) != list(range(self.num_nodes)):
-            raise GraphError("perm is not a permutation of the node ids")
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        # row perm[v] of the new matrix is row v of this one
-        return Graph(self.num_nodes, edges, self.features[np.argsort(perm)])
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

@@ -14,6 +14,14 @@ lists changes no potential, parent or cycle.  Instances here are tiny:
 curvature cancels the mass its two measures share before it transports the
 rest, which leaves a few points a side.
 
+Curvature does not call the solver first.  least_cost_starts runs the same
+start for a whole chunk of instances in numpy arrays, one basic cell per
+instance a step, and prices every cell with integer potentials; an instance
+whose start is optimal takes its objective from there, and only the rest
+reach wasserstein_discrete.  The Python start serves solve_transport,
+wasserstein_discrete and those instances: for one instance a batch of one
+costs more than the whole Python solve.
+
 One check reads supply, demand and the chained cost rows into Python float
 lists, one ``map(float, ...)`` each; the simplex then holds the costs and
 the plan as flat row-major lists, cell (i, j) at i * n + j, so cells order
@@ -64,6 +72,108 @@ def wasserstein_discrete(mu, nu, distances):
     """
     a, b, c = _checked(mu, nu, distances)
     return _objective(_simplex(a, b, c), c)
+
+
+def least_cost_starts(supply, demand, cost, m, n):
+    """The least-cost starts of many instances at once, and which are optimal.
+
+    Instance b has m[b] supplies and n[b] demands, laid end to end in
+    ``supply`` and ``demand``, and m[b] x n[b] costs, row-major, laid end to
+    end in ``cost``.  There must be an instance, every m[b] and n[b] at
+    least 1 and every mass non-negative; costs must be small non-negative
+    integers, as curvature's 1, 2 and 3 are, so that every potential is
+    exact.  Each instance's residual is summed and folded as _checked does,
+    and each step of the start takes one basic cell of every unfinished
+    instance, the cell _simplex's start takes.  Integer potentials over each
+    basis tree then price every cell.  Returns (plan, w1, settled): the flat
+    plans in the layout of ``cost``; each instance's objective, with the bits
+    of wasserstein_discrete's where settled and 0 elsewhere; and whether the
+    instance balances within 1e-9 and no cell prices below -PIVOT_TOL, so
+    that _simplex would return its start unchanged.
+    """
+    count, size = len(m), m * n
+    supply, demand = np.array(supply, dtype=float), np.array(demand, dtype=float)
+    first_row, last_col = m.cumsum() - m, n.cumsum() - 1
+    # bincount adds each instance's masses left to right from 0, as _checked does
+    ids = np.arange(count)
+    imbalance = (np.bincount(ids.repeat(m), supply, count)
+                 - np.bincount(ids.repeat(n), demand, count))
+    demand[last_col] += imbalance
+    left = np.concatenate((supply, demand))  # row nodes first, then column nodes
+    row, col = cell_indices(m, n)
+    col += len(supply)
+    inst = ids.repeat(size)
+
+    # the start: each step, every instance's first live cell by (cost, i, j)
+    # becomes basic and crosses out its row or column as _simplex's does
+    plan = np.zeros(len(cost))
+    out = np.zeros(len(left), dtype=bool)  # crossed-out rows and columns
+    rows_left, cols_left = m.copy(), n.copy()
+    pending = np.argsort(inst * (cost.max() + 1) + cost, kind="stable")
+    basic = []
+    while True:
+        pending = pending[~(out[row[pending]] | out[col[pending]])]
+        if not len(pending):
+            break
+        e = inst[pending]
+        cell = pending[np.flatnonzero(np.concatenate(([True], e[1:] != e[:-1])))]
+        e, r, c = inst[cell], row[cell], col[cell]
+        a_r, b_c = left[r], left[c]
+        fills_row = a_r <= b_c
+        amount = plan[cell] = np.where(fills_row, a_r, b_c)
+        left[r], left[c] = a_r - amount, b_c - amount
+        cross_row = (rows_left[e] > 1) & (fills_row | (cols_left[e] == 1))
+        # a finished instance's last column goes out, and with it its last live cell
+        out[r], out[c] = cross_row, ~cross_row
+        rows_left[e] -= cross_row
+        cols_left[e] -= ~cross_row
+        basic.append(cell)
+
+    # potentials, u + v = cost on basic cells, spread from each first row
+    # along the basis tree one level a round
+    potential = np.zeros(len(left))
+    known = np.zeros(len(left), dtype=bool)
+    known[first_row] = True
+    tree = np.concatenate(basic)
+    while len(tree):
+        r, c = row[tree], col[tree]
+        kr, kc = known[r], known[c]
+        one = kr != kc
+        src, dst = np.where(kr, r, c)[one], np.where(kr, c, r)[one]
+        potential[dst] = cost[tree[one]] - potential[src]
+        known[dst] = True
+        tree = tree[~(kr | kc)]
+    reduced = cost - potential[row] - potential[col]
+    pivots = np.zeros(count, dtype=bool)
+    pivots[inst[reduced < -PIVOT_TOL]] = True
+    settled = ~pivots & (np.abs(imbalance) <= 1e-9)  # False on a nan or inf too
+
+    # numpy sums each settled plan's products over its m x n cells in one run,
+    # as _objective does; the runs of one length are summed as one matrix
+    which = np.flatnonzero(settled)
+    which = which[np.argsort(size[which], kind="stable")]
+    length = size[which]
+    offset = np.concatenate(([0], length.cumsum()))
+    first_cell = size.cumsum() - size
+    product = (plan * cost)[np.arange(offset[-1])
+                            + (first_cell[which] - offset[:-1]).repeat(length)]
+    w1 = np.zeros(count)
+    cuts = np.flatnonzero(np.diff(length, prepend=-1, append=-1))
+    for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()):
+        runs = product[offset[lo]:offset[hi]].reshape(hi - lo, -1)
+        w1[which[lo:hi]] = runs.sum(axis=1)
+    return plan, w1, settled
+
+
+def cell_indices(m, n):
+    """(row, col): the supply and the demand index of every cell of instances
+    with m[b] supplies and n[b] demands, laid end to end; the cells row-major,
+    instance by instance."""
+    per_row = n.repeat(m)
+    row = np.arange(len(per_row)).repeat(per_row)
+    col = ((n.cumsum() - n).repeat(m) - per_row.cumsum() + per_row)[row]
+    col += np.arange(len(row))
+    return row, col
 
 
 def _checked(supply, demand, cost):

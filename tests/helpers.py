@@ -1,6 +1,6 @@
-"""Single-edge lookups, a table's edge ends, subgraph positions, local
-subgraphs and exact edge tags built by networkx, the reference local-value,
-normalization and refinement loops, and the graph families that only the
+"""Relabelling, single-edge lookups, a table's edge ends, subgraph positions, local
+subgraphs and exact edge tags built by networkx, the reference curvature,
+local-value, normalization and refinement loops, and the graph families that only the
 tests need."""
 
 import itertools
@@ -14,6 +14,16 @@ import numpy as np
 from unionsub import descriptors, wl
 from unionsub.descriptors import coefficient_table, curvature_values, local_descriptor_values
 from unionsub.graphs import Graph, GraphError, Subgraph, double_edge_swap
+from unionsub.transport import wasserstein_discrete
+
+
+def relabel(g, perm):
+    """g with node v renamed perm[v]; perm must be a permutation of its nodes."""
+    if sorted(perm) != list(range(g.num_nodes)):
+        raise GraphError("perm is not a permutation of the node ids")
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    # row perm[v] of the new feature matrix is row v of g's
+    return Graph(g.num_nodes, edges, g.features[np.argsort(perm)])
 
 
 def edge_descriptor_value(g, v, u, kind):
@@ -111,6 +121,35 @@ def raw_tags(table):
             for pair in table.normalized}
 
 
+def reference_curvature_values(g, ends, alpha):
+    """curvature_values by a loop over the edges: each endpoint's points that
+    keep mass after cancelling, from neighbour sets, and one
+    wasserstein_discrete call per edge that keeps mass on both sides."""
+    near = [set(row) for row in g.adjacency]
+    spread = [(1.0 - alpha) / max(len(row), 1) for row in g.adjacency]
+
+    def left(center, other):
+        points, mass = [], []
+        for x in sorted((center, *near[center])):
+            m = alpha if x == center else spread[center]
+            shared = alpha if x == other else spread[other] if x in near[other] else 0.0
+            if m > shared:
+                points.append(x)
+                mass.append(m - shared)
+        return points, mass
+
+    values = []
+    for v, u in ends.tolist():
+        (rows, mu), (cols, nu) = left(v, u), left(u, v)
+        w1 = 0.0
+        if rows and cols:
+            distances = [[1.0 if y in near[x] else 2.0 if near[x] & near[y] else 3.0
+                          for y in cols] for x in rows]
+            w1 = wasserstein_discrete(mu, nu, distances)
+        values.append(1.0 - w1)
+    return values
+
+
 def reference_local_values(g, kind):
     """local_descriptor_values of g.edges by a per-edge loop over Python sets
     and dicts.
@@ -189,7 +228,7 @@ def reference_table(g, kind):
     left to right, weighs the pairs of a node whose sum is near 0 uniformly,
     and warns once if any did."""
     if kind.kind == "curvature":
-        values = curvature_values(g, table_ends(g), kind.alpha)
+        values = curvature_values(g, table_ends(g), kind.alpha).tolist()
     else:
         values = local_descriptor_values(g, table_ends(g), kind).tolist()
     raw = dict(zip(g.edges, values))

@@ -21,8 +21,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unionsub"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = PACKAGE.parent.parent
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-# public package names that no demo, benchmark or library code reads, only tests
+# public package names and methods that no demo, benchmark or library code
+# reads, only tests
 TEST_FACING = {
+    "CoefficientTable.raw_value": "one edge's value, in either orientation, as the README reads it",
     "grad_check": "the engine's finite-difference gradient oracle",
     "solve_transport": "the transport plan that the linprog test checks",
     "star_graph": "the hub inputs of the bound tests",
@@ -113,15 +115,20 @@ def unread_private_members(sources):
     return sorted(n for n in defined - read if is_private(n))
 
 
+def docstring_ids(tree):
+    """The ids of the docstring constants of a module and its definitions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, *DEFS)) and node.body
+            and isinstance(node.body[0], ast.Expr)}
+
+
 def unreferenced_public_names(package_sources, other_sources):
     """Public top-level functions and classes of the package sources that no
     source references outside their own definition; docstrings name, not use."""
     defined, referenced = set(), set()
     for i, source in enumerate([*package_sources, *other_sources]):
         tree = ast.parse(source)
-        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                      if isinstance(node, (ast.Module, *DEFS)) and node.body
-                      and isinstance(node.body[0], ast.Expr)}
+        docstrings = docstring_ids(tree)
         for node in tree.body:
             words = reads(node, docstrings)
             if i < len(package_sources) and isinstance(node, DEFS) and not is_private(node.name):
@@ -129,6 +136,21 @@ def unreferenced_public_names(package_sources, other_sources):
                 words.discard(node.name)
             referenced |= words
     return sorted(defined - referenced)
+
+
+def unreferenced_public_methods(package_sources, other_sources):
+    """Public methods of the package sources' classes, as Class.name, whose
+    name no source reads; docstrings name, not use."""
+    defined, referenced = set(), set()
+    for i, source in enumerate([*package_sources, *other_sources]):
+        tree = ast.parse(source)
+        referenced |= reads(tree, docstring_ids(tree))
+        if i < len(package_sources):
+            defined |= {(cls.name, node.name) for cls in ast.walk(tree)
+                        if isinstance(cls, ast.ClassDef) for node in cls.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")}
+    return sorted(f"{cls}.{name}" for cls, name in defined if name not in referenced)
 
 
 def package_imports(source):
@@ -215,6 +237,17 @@ def test_checker_finds_unreferenced_public_names():
     assert unreferenced_public_names([package], [other]) == ["recursive", "shadow"]
 
 
+def test_checker_finds_unreferenced_public_methods():
+    package = (
+        "class A:\n    def read(self):\n        pass\n"
+        "    def named(self):\n        'Docstrings name, not use: named.'\n"
+        "    def _private(self):\n        pass\n    def __len__(self):\n        return 0\n"
+        "    @property\n    def size(self):\n        return 1\n"
+    )
+    other = "A().read()\nprint('size')\n"
+    assert unreferenced_public_methods([package], [other]) == ["A.named"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -246,7 +279,9 @@ def test_every_public_name_is_referenced():
 
 
 def test_names_only_tests_read_are_listed():
-    # a new public name that only the tests read is deleted or listed here
+    # a new public name or method that only the tests read is deleted, moved
+    # to the tests' helpers or listed here
     package = [p.read_text(encoding="utf-8") for p in MODULES]
-    assert unreferenced_public_names(package, sources_in("demos", "perfbench")) == sorted(
-        TEST_FACING)
+    others = sources_in("demos", "perfbench")
+    assert sorted(unreferenced_public_names(package, others)
+                  + unreferenced_public_methods(package, others)) == sorted(TEST_FACING)

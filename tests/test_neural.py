@@ -16,7 +16,7 @@ from unionsub.graphs import (
 from unionsub import neural as nn
 from unionsub.wl import distinguish_pair
 
-from helpers import cubic_graphs_on_ten_nodes, is_connected
+from helpers import cubic_graphs_on_ten_nodes, is_connected, relabel
 
 
 def connected_random_graph(seed, n=6, p=0.5):
@@ -224,7 +224,7 @@ class TestUnionLayer:
         h2 = np.empty_like(h)
         for v in range(7):
             h2[perm[v]] = h[v]
-        out2, _ = nn._layer_forward(params, make_batch([g.relabel(perm)]), h2)
+        out2, _ = nn._layer_forward(params, make_batch([relabel(g, perm)]), h2)
         for v in range(7):
             assert np.allclose(out2[perm[v]], out[v], atol=1e-9)
 

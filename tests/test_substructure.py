@@ -24,7 +24,7 @@ from unionsub.substructure import (
     union_subgraph,
 )
 
-from helpers import is_connected, local_index, nx_graph, nx_local_graph
+from helpers import is_connected, local_index, nx_graph, nx_local_graph, relabel
 
 
 class TestUnionSubgraph:
@@ -337,7 +337,7 @@ class TestNeighborhoodIsomorphism:
             if trial % 2:
                 perm = list(range(g1.num_nodes))
                 rng.shuffle(perm)
-                g2 = g1.relabel(perm)
+                g2 = relabel(g1, perm)
             else:
                 g2 = random_graph(rng.randint(4, 8), rng.uniform(0.3, 0.6), rng)
             for i in range(g1.num_nodes):
@@ -364,7 +364,7 @@ class TestNeighborhoodIsomorphism:
             if trial % 2:
                 perm = list(range(g1.num_nodes))
                 rng.shuffle(perm)
-                g2 = g1.relabel(perm)
+                g2 = relabel(g1, perm)
             else:
                 g2 = random_graph(rng.randint(3, 8), rng.uniform(0.2, 0.6), rng)
             kept = []  # one networkx graph per class met in this pair
