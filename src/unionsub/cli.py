@@ -189,14 +189,20 @@ def _time_kind(call, graphs):
 
 def _environment():
     """What a bench report's times depend on beside the code: the python and
-    numpy versions, the BLAS numpy was built with, and the usable processors."""
+    numpy versions, the BLAS numpy was built with and its thread cap, and the
+    usable processors.  The cap is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
+    as an int; null when neither is set, BLAS's default of one thread per
+    processor."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # numpy before 1.25 has no mode
         blas = {}
+    threads = next((int(os.environ[name]) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                    if os.environ.get(name, "").strip().isdigit()), None)
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": {"name": blas.get("name"), "version": blas.get("version")}, "nproc": nproc}
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "threads": threads}, "nproc": nproc}
 
 
 def run_bench(graphs, kinds, repeats):

@@ -26,12 +26,14 @@ from .transport import cell_indices, least_cost_starts, wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
 # bound on the matrix entries plus member-neighbour pairs of one chunk of a
-# table's edges; bounds the memory of a table on a large graph
+# table's edges, and at 8 bytes an entry on its dense member index (_indexed);
+# bounds the memory of a table on a large graph: count-ne and union-path
+# tables peaked at 1.7 MB on G(600, 1110), the index 0.8 MB of it
 BATCH_ENTRIES = 1 << 17
 # bound on the (deg v + 1)(deg u + 1) transport cells of one chunk of a curvature
-# table's edges, and on the neighbours one common-neighbour search reads; a
-# chunk's arrays peaked at 2.1 MB on two G(n, m) graphs of about 1,000 edges
-# (perfbench large-sparse), 4.1 MB at 1 << 15
+# table's edges, on the neighbours one common-neighbour search reads, and at 8
+# bytes a cell on the table's arc bitmap; a chunk's arrays peaked at 2.1 MB on
+# two G(n, m) graphs of about 1,000 edges (perfbench large-sparse), 4.1 MB at 1 << 15
 CURVATURE_ENTRIES = 1 << 14
 # bound on a table's summed per-edge work estimates; a unit took up to 96 ns
 # (path graphs) on a 2-vCPU host, so an accepted table takes about 2.5 s at most
@@ -318,7 +320,10 @@ def local_members(indptr, degree, nbr, ends, kind):
     counts each edge's members.  Member at[j] is adjacent to member pos[j]
     in its edge's local subgraph, every local edge appearing as both arcs
     and the arcs ordered by at; union-minus drops the arcs that join an
-    exclusive neighbour of v to one of u.
+    exclusive neighbour of v to one of u.  A member's neighbours are found
+    by a gather from every key's uint16 rank among its edge's members when
+    _indexed allows its 2 B n bytes and every k < 0xFFFF (a table's k <= 464;
+    a view's may not be), else by a binary search of the member keys.
     """
     batch, n = len(ends), len(degree)
     tagged = _closed_sides(indptr, degree, nbr, ends)
@@ -328,10 +333,21 @@ def local_members(indptr, degree, nbr, ends, kind):
     edge = members // n
     k = np.bincount(edge, minlength=batch)
     at, target = _rows(indptr, degree, nbr, members % n, edge * n)
-    pos, hit = _find(members, target, batch * n)
+    if k.max() < 0xFFFF and _indexed(2 * batch * n, BATCH_ENTRIES):
+        start = (k.cumsum() - k)[edge]  # the first member of each member's edge
+        rank = np.full(batch * n, 0xFFFF, np.uint16)
+        rank[members] = np.arange(len(members)) - start
+        pos = rank[target]
+        del rank, target  # freed before the positions' int64 array
+        hit = pos != 0xFFFF
+        pos = start[at] + pos
+    else:
+        pos = members.searchsorted(target)
+        hit = members.take(pos, mode="clip") == target
     if kind.kind == "minus-path":  # a member's sides: 1 for N[v] only, 2 for N[u] only, 3 both
         sides = np.where(np.append(~new[1:], False), 3, 1 + (tagged[1:] & 1))[new]
         hit &= (sides[at] & sides.take(pos, mode="clip")) != 0
+    hit = hit.nonzero()[0]  # gathering the hits beats a boolean mask on both arrays
     return members, edge, k, at[hit], pos[hit]
 
 
@@ -346,17 +362,12 @@ def _closed_sides(indptr, degree, nbr, ends):
     return tagged
 
 
-def _find(members, target, keys):
-    """The position of each target among the sorted member keys, all below
-    ``keys``, and whether it is a member; an index over every key beats a
-    binary search, and is built when at most BATCH_ENTRIES long."""
-    if keys > BATCH_ENTRIES:
-        pos = members.searchsorted(target)
-        return pos, members.take(pos, mode="clip") == target
-    index = np.full(keys, -1)
-    index[members] = np.arange(len(members))
-    pos = index[target]
-    return pos, pos >= 0
+def _indexed(index_bytes, entries):
+    """Whether a lookup gathers from a dense index of ``index_bytes`` rather
+    than binary-searching sorted keys: when the index takes at most 8 bytes,
+    one float, per entry of a chunk holding ``entries``, so the chunk bounds
+    bound it too."""
+    return index_bytes <= 8 * entries
 
 
 def _group_products(a, b, groups):
@@ -401,16 +412,31 @@ def curvature_values(g, ends, alpha):
     indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
     cells = (degree[ends] + 1).prod(axis=1)
-    arcs = np.arange(len(degree)).repeat(degree) * len(degree) + nbr  # sorted arc keys
+    is_arc = _arc_test(degree, nbr)
     values = np.empty(len(ends))
     for lo, hi in _chunks(np.concatenate(([0], cells.cumsum())), CURVATURE_ENTRIES):
-        values[lo:hi] = _curvature_chunk(indptr, degree, nbr, arcs, ends[lo:hi], alpha)
+        values[lo:hi] = _curvature_chunk(indptr, degree, nbr, is_arc, ends[lo:hi], alpha)
     return values
 
 
-def _curvature_chunk(indptr, degree, nbr, arcs, ends, alpha):
+def _arc_test(degree, nbr):
+    """The test of which keys x n + y of node pairs are arcs of g, from its
+    CSR arrays: a gather from a bitmap of all n^2 keys when _indexed lets it
+    sit beside a chunk of CURVATURE_ENTRIES cells, else a binary search of
+    the sorted arc keys."""
+    n = len(degree)
+    arcs = np.arange(n).repeat(degree) * n + nbr  # sorted arc keys
+    size = -(-n * n // 8)
+    if not _indexed(size, CURVATURE_ENTRIES):
+        return lambda keys: arcs.take(arcs.searchsorted(keys), mode="clip") == keys
+    bits = np.zeros(size, np.uint8)
+    np.bitwise_or.at(bits, arcs >> 3, (1 << (arcs & 7)).astype(np.uint8))
+    return lambda keys: (bits[keys >> 3] >> (keys & 7).astype(np.uint8) & 1).view(bool)
+
+
+def _curvature_chunk(indptr, degree, nbr, is_arc, ends, alpha):
     """curvature_values of the (B, 2) array ``ends``, from g's CSR arrays and
-    arc keys v n + u.  An edge whose instance the array start does not settle
+    its arc test.  An edge whose instance the array start does not settle
     reaches the solver, in edge order, as the loop over edges did."""
     batch, nodes = len(ends), len(degree)
     tagged = _closed_sides(indptr, degree, nbr, ends)
@@ -432,7 +458,7 @@ def _curvature_chunk(indptr, degree, nbr, arcs, ends, alpha):
     solve = (sizes[0] * sizes[1] > 0) & ~big
     rows, cols = rows[solve[edge[rows]]], cols[solve[edge[cols]]]
     m, n = sizes[0][solve], sizes[1][solve]
-    cost = _cell_distances(indptr, degree, nbr, arcs, x[rows], x[cols], m, n)
+    cost = _cell_distances(indptr, degree, nbr, is_arc, x[rows], x[cols], m, n)
     values, late = np.ones(batch), big.copy()
     instances = solve.nonzero()[0]
     mu, nu = mass[rows], mass[cols]
@@ -457,16 +483,15 @@ def _curvature_chunk(indptr, degree, nbr, arcs, ends, alpha):
     return values
 
 
-def _cell_distances(indptr, degree, nbr, arcs, row_x, col_x, m, n):
+def _cell_distances(indptr, degree, nbr, is_arc, row_x, col_x, m, n):
     """The distance in g, 1, 2 or 3, of every cell of instances with m[b]
     row nodes and n[b] column nodes, laid end to end in row_x and col_x; the
     cells row-major, instance by instance.  Two distinct nodes of a cell must
     lie within distance 3.  Each search for a common neighbour runs over the
     neighbours of the end of lower degree, at most CURVATURE_ENTRIES at once."""
-    size = len(degree) ** 2
     row, col = cell_indices(m, n)
     xs, ys = row_x[row], col_x[col]
-    near = _find(arcs, xs * len(degree) + ys, size)[1]
+    near = is_arc(xs * len(degree) + ys)
     cost = np.where(near, 1.0, 3.0)
     far = (~near).nonzero()[0]
     xs, ys = xs[far], ys[far]
@@ -474,7 +499,7 @@ def _cell_distances(indptr, degree, nbr, arcs, row_x, col_x, m, n):
     s, t = np.where(low, xs, ys), np.where(low, ys, xs) * len(degree)
     for lo, hi in _chunks(np.concatenate(([0], degree[s].cumsum())), CURVATURE_ENTRIES):
         at, key = _rows(indptr, degree, nbr, s[lo:hi], t[lo:hi])
-        cost[far[lo:hi][at[_find(arcs, key, size)[1]]]] = 2.0
+        cost[far[lo:hi][at[is_arc(key)]]] = 2.0
     return cost
 
 

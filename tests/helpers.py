@@ -289,6 +289,43 @@ def reference_refine(graphs, tags=None):
     return [wl.ColorAssignment(tuple(cs), rounds) for cs in colors]
 
 
+def fwl2_separates(g1, g2):
+    """Whether 2-FWL, as strong as 3-WL, tells g1 and g2 apart.
+
+    The ordered pairs of both graphs share one colouring, first by type
+    (diagonal, edge, non-edge).  Each round a pair (x, y) keeps its colour
+    and adds the multiset of (c(x, z), c(z, y)) over all z, a sorted row of
+    n codes.  The graphs are told apart once their colour histograms differ,
+    and not when the number of colours holds with equal histograms.
+    """
+    if g1.num_nodes != g2.num_nodes:
+        return True
+    n = g1.num_nodes
+    colors = np.full((2, n, n), 2)
+    for c, g in zip(colors, (g1, g2)):
+        for v, u in g.edges:
+            c[v, u] = c[u, v] = 1
+        np.fill_diagonal(c, 0)
+    count = None
+    while True:
+        rows = colors.reshape(2 * n * n, -1)
+        order = np.lexsort(rows.T)  # both graphs' distinct rows numbered from 0
+        colors = np.empty(len(rows), dtype=int)
+        step = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+        colors[order] = np.concatenate(([0], step.cumsum()))
+        colors = colors.reshape(2, n, n)
+        histograms = [np.bincount(c.reshape(-1), minlength=colors.max(initial=0) + 1)
+                      for c in colors]
+        if not np.array_equal(*histograms):
+            return True  # refining keeps histograms apart
+        if len(histograms[0]) == count:
+            return False
+        count = len(histograms[0])
+        # [graph, x, y, z]: the code of (c(x, z), c(z, y)), sorted over z
+        codes = np.sort(colors[:, :, None, :] * count + colors.transpose(0, 2, 1)[:, None], axis=3)
+        colors = np.concatenate((colors[..., None], codes), axis=3)
+
+
 def latin_square_graph(square):
     """The graph on the n^2 cells of an n x n Latin square (rows of symbols):
     cell (r, c) is node r n + c, and two cells are adjacent when they share a

@@ -24,18 +24,20 @@ four matrix kinds and both lambdas of count-ne.
 
 import functools
 import itertools
+import random
 from collections import defaultdict
 
 import networkx as nx
 import pytest
 
 from unionsub.descriptors import Descriptor, DescriptorError, Encoding, coefficient_table
-from unionsub.graphs import Graph
+from unionsub.graphs import Graph, rook_graph_4x4, shrikhande_graph
 from unionsub.wl import distinguish_pair, wl_distinguishable
 
 from helpers import (
-    csl_graph, cubic_graphs_on_ten_nodes, exact_tagger, latin_square_graph, latin_square_pairs,
-    order_eight_latin_pairs, product_group_table, raw_tags, reference_refine, weight_tags,
+    csl_graph, cubic_graphs_on_ten_nodes, exact_tagger, fwl2_separates, latin_square_graph,
+    latin_square_pairs, order_eight_latin_pairs, product_group_table, raw_tags, reference_refine,
+    relabel, weight_tags,
 )
 
 KINDS = (
@@ -89,6 +91,9 @@ CSL_BLOCKS = {
                     ((2,), (3, 4, 5, 6, 9, 11, 12, 13, 16))),  # 9 pairs
     "curvature": ((2, 3, 4, 13), (5, 6, 9, 11, 12, 16)),  # 24 pairs
 }
+# family -> (pairs, pairs 2-FWL separates); the Latin row holds the orders
+# 4-6, the three of order 8 and Z9 vs Z3 x Z3
+FWL2_COUNTS = {"atlas": (26, 26), "cubic10": (210, 210), "csl": (45, 45), "latin": (7, 0)}
 
 
 def atlas_pairs():
@@ -318,3 +323,28 @@ def test_csl_classes(verdict):
     block = {r: i for i, skips in enumerate(CSL_BLOCKS[verdict]) for r in skips}
     assert sorted(block) == sorted(CSL_SKIPS)
     assert separated == {(a, b) for a, b in pairs if block[a] != block[b]}
+
+
+def test_fwl2_reference(families):
+    # the 2-FWL helper separates every atlas pair and no pair of relabelled
+    # copies, and not the rook's graph from the Shrikhande graph, both SRG(16, 6, 2, 2)
+    rng = random.Random(0)
+    assert all(fwl2_separates(g1, g2) for g1, g2 in families["atlas"])
+    for g in itertools.chain.from_iterable(families["atlas"] + families["cubic10"][:20]):
+        assert not fwl2_separates(g, relabel(g, rng.sample(range(g.num_nodes), g.num_nodes)))
+    assert not fwl2_separates(rook_graph_4x4(), shrikhande_graph())
+
+
+def test_fwl2_column(families):
+    # 2-FWL separates every atlas, cubic and CSL pair, and no Latin pair:
+    # strongly regular graphs with equal parameters look alike to it.
+    # union-path separates all 7 Latin pairs (test_latin_squares_beat_curvature
+    # and the two tests after it) and misses 2 cubic and 28 CSL pairs
+    # (COUNTS, CSL_BLOCKS), so it and 2-FWL, as strong as 3-WL, are incomparable
+    latin = [*families["latin"], *order_eight_latin_pairs(), tuple(
+        latin_square_graph(product_group_table(*orders)) for orders in ((9,), (3, 3)))]
+    pairs = {"atlas": families["atlas"], "cubic10": families["cubic10"], "latin": latin,
+             "csl": [(csl_graph(a), csl_graph(b))
+                     for a, b in itertools.combinations(CSL_SKIPS, 2)]}
+    assert {family: (len(pairs[family]), sum(fwl2_separates(*pair) for pair in pairs[family]))
+            for family in FWL2_COUNTS} == FWL2_COUNTS

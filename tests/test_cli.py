@@ -399,7 +399,7 @@ class TestBenchCommand:
             assert stats["seconds"] >= 0
             assert stats["edges"] == obj["edges"]
 
-    def test_report_records_its_environment(self, tmp_path, capsys):
+    def test_report_records_its_environment(self, tmp_path, capsys, monkeypatch):
         import platform
 
         import numpy as np
@@ -407,15 +407,29 @@ class TestBenchCommand:
         corpus = tmp_path / "corpus"
         main(["gen", "cycle:6", "--count", "1", "--out", str(corpus)])
         capsys.readouterr()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         assert main(["bench", str(corpus), "--kinds", "count-ne", "--repeats", "1"]) == 0
         env = json.loads(capsys.readouterr().out)["env"]
         assert set(env) == {"python", "numpy", "blas", "nproc"}
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
-        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["blas"]) == {"name", "version", "threads"}
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"], "threads": 3}
         assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+
+    def test_blas_thread_cap(self, monkeypatch):
+        # OPENBLAS_NUM_THREADS wins over OMP_NUM_THREADS; with neither set the
+        # cap is null, BLAS's default of one thread per processor
+        from unionsub.cli import _environment
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert _environment()["blas"]["threads"] == 1
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert _environment()["blas"]["threads"] == 2
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert _environment()["blas"]["threads"] is None
 
     def test_run_bench_same_corpus_for_all_kinds(self, tmp_path):
         from unionsub.graphs import cycle_graph

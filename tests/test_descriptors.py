@@ -36,7 +36,7 @@ from unionsub.graphs import (
     star_graph,
     two_triangles_graph,
 )
-from unionsub.substructure import union_subgraph
+from unionsub.substructure import overlap_subgraph, union_minus_subgraph, union_subgraph
 from unionsub.transport import least_cost_starts, solve_transport, wasserstein_discrete
 from unionsub.wl import distinguish_pair
 
@@ -734,6 +734,112 @@ class TestCurvatureTable:
         # cancellation leaves is rounding residue and must not raise
         table = coefficient_table(complete_graph(n), Descriptor("curvature", alpha=1.0 / n))
         assert all(value == pytest.approx(1.0, abs=1e-15) for value in table.raw.values())
+
+
+def _straddling_graph():
+    """A hub of degree 40 and 300 random edges on 240 nodes, among 6,000
+    nodes, most of them isolated: the hub's edges share chunks whose
+    member-key space edges x nodes is below _indexed's bound, and the
+    other edges one far above it."""
+    rng = random.Random(5)
+    edges = {(0, x) for x in range(1, 41)}
+    while len(edges) < 340:
+        v, u = sorted(rng.sample(range(1, 240), 2))
+        edges.add((v, u))
+    return Graph(6000, sorted(edges))
+
+
+class TestDenseAndSearchedLookups:
+    """descriptors._indexed picks, per chunk, a gather from a dense member
+    index or a binary search of the member keys, and per curvature table a
+    gather from an arc bitmap or a binary search of the arc keys; both give
+    the same bytes."""
+
+    GRAPHS = [_straddling_graph(), _two_hubs(40), _adjacent_hubs(), _graph_with_isolated_nodes(),
+              star_graph(30), *random_graphs(21, 6)]
+    RULES = {"dense": lambda *args: True, "search": lambda *args: False,
+             "rule": descriptors._indexed}
+
+    def _tables(self, kind, rule, chosen):
+        def spy(index_bytes, entries):
+            dense = self.RULES[rule](index_bytes, entries)
+            chosen.add((entries, dense))
+            return dense
+
+        with mock.patch.object(descriptors, "_indexed", spy):
+            return [coefficient_table(g, kind).values.tobytes() for g in self.GRAPHS]
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_local_kinds_equal_the_reference_loop(self, rule):
+        chosen = set()
+        for kind in LOCAL_KINDS:
+            expected = [reference_local_values(g, kind).tobytes() for g in self.GRAPHS]
+            assert self._tables(kind, rule, chosen) == expected, kind
+        # the hub's chunks sit below the bound and the rest of its graph above
+        expected = {True, False} if rule == "rule" else {rule == "dense"}
+        assert {dense for entries, dense in chosen} == expected
+        assert {entries for entries, _ in chosen} == {descriptors.BATCH_ENTRIES}
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_curvature_equals_the_reference_loop(self, rule):
+        chosen = set()
+        for alpha in (0.0, 1 / 3, 0.5):
+            expected = [np.array(reference_curvature_values(g, table_ends(g), alpha)).tobytes()
+                        for g in self.GRAPHS]
+            assert self._tables(Descriptor("curvature", alpha=alpha), rule, chosen) == expected
+        # a bitmap of 6,000^2 bits is above the bound, and those of small graphs below
+        expected = {True, False} if rule == "rule" else {rule == "dense"}
+        assert {dense for entries, dense in chosen} == expected
+        assert {entries for entries, _ in chosen} == {descriptors.CURVATURE_ENTRIES}
+
+    def test_views_above_the_rule(self, monkeypatch):
+        # a one-edge chunk's member keys are the node ids: 2 bytes each for
+        # 600,000 nodes is above the bound; a star of 70,000 leaves is below
+        # it, but its union subgraph has more members than a uint16 rank counts
+        views = (union_subgraph, overlap_subgraph, union_minus_subgraph)
+        g = Graph(600_000, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 599_999), (2, 599_998)])
+        star = Graph(70_001, [(0, x) for x in range(1, 70_001)] + [(1, 2)])
+        assert not descriptors._indexed(2 * g.num_nodes, descriptors.BATCH_ENTRIES)
+        assert descriptors._indexed(2 * star.num_nodes, descriptors.BATCH_ENTRIES)
+        searched = [view(g, 0, 1) for view in views]
+        assert searched[0].parent_ids == (0, 1, 2, 3)
+        assert searched[0].local.edges == ((0, 1), (0, 2), (1, 2), (1, 3))
+        monkeypatch.setattr(descriptors, "_indexed", lambda *args: True)
+        for view, s in zip(views, searched):
+            dense = view(g, 0, 1)
+            assert (dense.parent_ids, dense.local.edges) == (s.parent_ids, s.local.edges)
+        # ranks past a byte: the hub edge of a 300-leaf star has 301 members
+        s = union_subgraph(star_graph(300), 0, 1)
+        assert s.local.edges == tuple((0, x) for x in range(1, 301))
+        s = union_subgraph(star, 0, 1)
+        assert len(s.parent_ids) == 70_001
+        assert s.local.edges[-2:] == ((0, 70_000), (1, 2))
+        assert len(s.local.edges) == 70_001
+
+    @pytest.mark.parametrize("kind", [Descriptor("count-ne"), Descriptor("union-path"),
+                                      Descriptor("curvature")])
+    def test_indexes_bound_the_peak_memory(self, kind):
+        # large-sparse's shape: a chunk's member keys span up to 400,000 keys,
+        # and an index at most 8 bytes an entry of a chunk holds its uint16
+        # ranks.  Measured on one host: the local kinds peak at 1.7 MB (12.9
+        # bytes an entry of BATCH_ENTRIES, 0.8 MB of it the index; int32
+        # ranks would add 0.8 MB), curvature at 2.1 MB (128 bytes an entry of
+        # CURVATURE_ENTRIES), its bitmap 45 kB of it.
+        g = gnm_graph(600, 1110, 0)
+        ends = table_ends(g)
+        tracemalloc.start()
+        try:
+            if kind.kind == "curvature":
+                descriptors.curvature_values(g, ends, kind.alpha)
+            else:
+                local_descriptor_values(g, ends, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if kind.kind == "curvature":
+            assert peak < 144 * descriptors.CURVATURE_ENTRIES
+        else:
+            assert peak < 16 * descriptors.BATCH_ENTRIES
 
 
 def linprog_transport(supply, demand, cost):
