@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, GraphError, Subgraph, count_simple_cycles
+from .graphs import Graph, GraphError, Subgraph, arc_test, chunks, count_simple_cycles
 from .transport import cell_indices, least_cost_starts, wasserstein_discrete
 
 NORMALIZATION_ZERO_TOL = 1e-12
@@ -31,9 +31,9 @@ NORMALIZATION_ZERO_TOL = 1e-12
 # tables peaked at 1.7 MB on G(600, 1110), the index 0.8 MB of it
 BATCH_ENTRIES = 1 << 17
 # bound on the (deg v + 1)(deg u + 1) transport cells of one chunk of a curvature
-# table's edges, on the neighbours one common-neighbour search reads, and at 8
-# bytes a cell on the table's arc bitmap; a chunk's arrays peaked at 2.1 MB on
-# two G(n, m) graphs of about 1,000 edges (perfbench large-sparse), 4.1 MB at 1 << 15
+# table's edges and on the neighbours one common-neighbour search reads; a
+# chunk's arrays peaked at 2.1 MB on two G(n, m) graphs of about 1,000 edges
+# (perfbench large-sparse), 4.1 MB at 1 << 15, beside the graphs.arc_test bitmap
 CURVATURE_ENTRIES = 1 << 14
 # bound on a table's summed per-edge work estimates; a unit took up to 96 ns
 # (path graphs) on a 2-vCPU host, so an accepted table takes about 2.5 s at most
@@ -217,20 +217,9 @@ def local_descriptor_values(g, ends, kind):
     bound = 2 * (degree + 1) ** 2 + degree + walks[indptr[1:]] - walks[indptr[:-1]]
     total = _table_work(ends, bound[ends].sum(axis=1), MAX_TABLE_WORK)
     values = np.empty(len(ends))
-    for lo, hi in _chunks(total, BATCH_ENTRIES):
+    for lo, hi in chunks(total, BATCH_ENTRIES):
         values[lo:hi] = _chunk_values(indptr, degree, nbr, ends[lo:hi], kind)
     return values
-
-
-def _chunks(total, bound):
-    """(lo, hi) of each chunk of items, given the work summed over the items
-    before each item and over all of them: as many items as fit in ``bound``,
-    or one item alone."""
-    lo = 0
-    while lo < len(total) - 1:
-        hi = max(lo + 1, total.searchsorted(total[lo] + bound, "right") - 1)
-        yield lo, hi
-        lo = hi
 
 
 def _table_work(ends, work, limit):
@@ -412,26 +401,11 @@ def curvature_values(g, ends, alpha):
     indptr, nbr = g.csr
     degree = indptr[1:] - indptr[:-1]
     cells = (degree[ends] + 1).prod(axis=1)
-    is_arc = _arc_test(degree, nbr)
+    is_arc = arc_test(degree, nbr)
     values = np.empty(len(ends))
-    for lo, hi in _chunks(np.concatenate(([0], cells.cumsum())), CURVATURE_ENTRIES):
+    for lo, hi in chunks(np.concatenate(([0], cells.cumsum())), CURVATURE_ENTRIES):
         values[lo:hi] = _curvature_chunk(indptr, degree, nbr, is_arc, ends[lo:hi], alpha)
     return values
-
-
-def _arc_test(degree, nbr):
-    """The test of which keys x n + y of node pairs are arcs of g, from its
-    CSR arrays: a gather from a bitmap of all n^2 keys when _indexed lets it
-    sit beside a chunk of CURVATURE_ENTRIES cells, else a binary search of
-    the sorted arc keys."""
-    n = len(degree)
-    arcs = np.arange(n).repeat(degree) * n + nbr  # sorted arc keys
-    size = -(-n * n // 8)
-    if not _indexed(size, CURVATURE_ENTRIES):
-        return lambda keys: arcs.take(arcs.searchsorted(keys), mode="clip") == keys
-    bits = np.zeros(size, np.uint8)
-    np.bitwise_or.at(bits, arcs >> 3, (1 << (arcs & 7)).astype(np.uint8))
-    return lambda keys: (bits[keys >> 3] >> (keys & 7).astype(np.uint8) & 1).view(bool)
 
 
 def _curvature_chunk(indptr, degree, nbr, is_arc, ends, alpha):
@@ -497,7 +471,7 @@ def _cell_distances(indptr, degree, nbr, is_arc, row_x, col_x, m, n):
     xs, ys = xs[far], ys[far]
     low = degree[xs] <= degree[ys]
     s, t = np.where(low, xs, ys), np.where(low, ys, xs) * len(degree)
-    for lo, hi in _chunks(np.concatenate(([0], degree[s].cumsum())), CURVATURE_ENTRIES):
+    for lo, hi in chunks(np.concatenate(([0], degree[s].cumsum())), CURVATURE_ENTRIES):
         at, key = _rows(indptr, degree, nbr, s[lo:hi], t[lo:hi])
         cost[far[lo:hi][at[is_arc(key)]]] = 2.0
     return cost

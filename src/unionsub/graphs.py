@@ -359,56 +359,107 @@ def is_isomorphic_small(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Simple-cycle counting (DFS with canonical starts)
+# Array helpers over Graph.csr
+# ---------------------------------------------------------------------------
+
+# an arc test gathers from a bitmap of all n^2 node pairs when the bitmap takes
+# at most this many bytes (n <= 1,024), else binary-searches the sorted arc keys
+ARC_BITMAP_BYTES = 1 << 17
+
+
+def chunks(total, bound):
+    """(lo, hi) of each chunk of items, given the work summed over the items
+    before each item and over all of them: as many items as fit in ``bound``,
+    or one item alone."""
+    lo = 0
+    while lo < len(total) - 1:
+        hi = max(lo + 1, total.searchsorted(total[lo] + bound, "right") - 1)
+        yield lo, hi
+        lo = hi
+
+
+def arc_test(degree, nbr):
+    """The test of which keys x n + y of node pairs are arcs of a graph, from
+    its CSR arrays: a gather from a bitmap of all n^2 keys when it takes at
+    most ARC_BITMAP_BYTES, else a binary search of the sorted arc keys."""
+    n = len(degree)
+    arcs = np.arange(n).repeat(degree) * n + nbr  # sorted arc keys
+    size = -(-n * n // 8)
+    if size > ARC_BITMAP_BYTES:
+        return lambda keys: arcs.take(arcs.searchsorted(keys), mode="clip") == keys
+    bits = np.zeros(size, np.uint8)
+    np.bitwise_or.at(bits, arcs >> 3, (1 << (arcs & 7)).astype(np.uint8))
+    return lambda keys: (bits[keys >> 3] >> (keys & 7).astype(np.uint8) & 1).view(bool)
+
+
+# ---------------------------------------------------------------------------
+# Simple-cycle counting (paths level by level, from canonical roots)
 # ---------------------------------------------------------------------------
 
 # bound on the work of one cycle search: the adjacency entries it reads, plus
-# one per read.  A step took 60 to 260 ns on a 2-vCPU host, so an accepted
-# search takes about 2.5 s at most
+# one per read.  In searches of 1e6 steps and more a step took 15 to 27 ns on a
+# 2-vCPU host, so an accepted search takes about 0.3 s at most
 MAX_CYCLE_STEPS = 10**7
+# bound on the adjacency entries one block of paths reads at once (or one
+# path end's row alone); the search holds at most one block of each length.
+# K11 at k = 8 peaked at 0.7 MB (1.2 MB at 1 << 13, 100 MB with each length
+# whole); on perfbench's corpus-rivals graphs 1 << 13 was 4% faster
+CYCLE_BLOCK = 1 << 12
 
 
 def count_simple_cycles(g, k):
     """Number of simple cycles of length exactly k, each counted once.
 
     Paths are rooted at their smallest node, so later nodes must exceed the
-    root, and each cycle is found once in each direction.  The last node is
-    counted, not visited: the neighbours of each path end of k - 1 nodes are
-    read in its parent's loop, and each one off the path that neighbours the
-    root closes a cycle.  A search that would read more than MAX_CYCLE_STEPS
-    adjacency entries plus reads raises GraphError.
+    root, and each cycle is found once in each direction.  A block of paths
+    of L nodes is held as L integer columns, root first.  Reading the rows
+    of its ends extends it to the paths of L + 1 nodes: each neighbour above
+    the root and off the path.  Blocks are taken depth-first, each reading
+    at most CYCLE_BLOCK adjacency entries.  The last node is counted, not
+    kept: each neighbour of the end of a path of k - 1 nodes that is off the
+    path, above the root and adjacent to it closes a cycle.  A search that
+    would read more than MAX_CYCLE_STEPS adjacency entries plus reads raises
+    GraphError before it reads them.
     """
     if k < 3:
         raise GraphError("cycle length must be at least 3")
-    adj = g.adjacency
+    indptr, nbr = g.csr
+    degree = indptr[1:] - indptr[:-1]
+    is_arc = arc_test(degree, nbr)
     count = steps = 0
-    on_path = set()  # the path's nodes after the root
+    stack = []
 
-    def read(node):
-        nonlocal steps
-        steps += len(adj[node]) + 1
+    def push(path):
+        total = np.concatenate(([0], degree[path[-1]].cumsum()))
+        stack.append((path, total, chunks(total, CYCLE_BLOCK)))
+
+    push([np.arange(g.num_nodes)])
+    while stack:
+        path, total, blocks = stack[-1]
+        block = next(blocks, None)
+        if block is None:
+            stack.pop()
+            continue
+        lo, hi = block
+        steps += int(total[hi] - total[lo]) + hi - lo
         if steps > MAX_CYCLE_STEPS:
             raise GraphError(f"{k}-cycle search: more than {MAX_CYCLE_STEPS} steps "
                              f"(adjacency entries read, plus one per read)")
-        return adj[node]
-
-    def extend(current, depth):
-        # current ends a path of depth nodes
-        nonlocal count
-        for nxt in read(current):
-            if nxt > root and nxt not in on_path:
-                if depth < k - 2:
-                    on_path.add(nxt)
-                    extend(nxt, depth + 1)
-                    on_path.discard(nxt)
-                else:
-                    for last in read(nxt):
-                        if last in closing and last not in on_path:
-                            count += 1
-
-    for root, row in enumerate(adj):
-        closing = set(row[bisect.bisect(row, root):])  # the root's larger neighbours
-        extend(root, 1)
+        path = [column[lo:hi] for column in path]
+        at = np.arange(hi - lo).repeat(degree[path[-1]])
+        x = (indptr[path[-1]] - total[lo:hi])[at]
+        x += np.arange(total[lo], total[hi])
+        x = nbr[x]
+        root = path[0][at]
+        keep = x > root
+        for column in path[1:]:
+            keep &= column[at] != x
+        keep = keep.nonzero()[0]
+        if len(path) == k - 1:
+            count += int(np.count_nonzero(is_arc(root[keep] * g.num_nodes + x[keep])))
+        elif len(keep):
+            at = at[keep]
+            push([column[at] for column in path] + [x[keep]])
     return count // 2
 
 

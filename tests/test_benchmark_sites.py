@@ -65,3 +65,6 @@ def test_no_dead_tick_site_resolves():
 
 def test_cycle_span_sites_resolve():
     check_sites(load_tracer().SITES, CYCLE_SPAN_SITES)
+    # both spans time the one search: no stale copy or shadowing name
+    assert resolve("unionsub.descriptors", "count_simple_cycles") is resolve(
+        "unionsub.graphs", "count_simple_cycles")

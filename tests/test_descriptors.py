@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unionsub import descriptors, neural, transport
+from unionsub import descriptors, graphs, neural, transport
 from unionsub.descriptors import (
     Descriptor,
     DescriptorError,
@@ -24,9 +24,11 @@ from unionsub.descriptors import (
     reconstruct_subgraph,
 )
 from unionsub.graphs import (
+    ARC_BITMAP_BYTES,
     Graph,
     GraphError,
     Subgraph,
+    arc_test,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -751,9 +753,9 @@ def _straddling_graph():
 
 class TestDenseAndSearchedLookups:
     """descriptors._indexed picks, per chunk, a gather from a dense member
-    index or a binary search of the member keys, and per curvature table a
-    gather from an arc bitmap or a binary search of the arc keys; both give
-    the same bytes."""
+    index or a binary search of the member keys, and graphs.arc_test, per
+    curvature table, a gather from an arc bitmap or a binary search of the
+    arc keys; both give the same bytes."""
 
     GRAPHS = [_straddling_graph(), _two_hubs(40), _adjacent_hubs(), _graph_with_isolated_nodes(),
               star_graph(30), *random_graphs(21, 6)]
@@ -780,17 +782,26 @@ class TestDenseAndSearchedLookups:
         assert {dense for entries, dense in chosen} == expected
         assert {entries for entries, _ in chosen} == {descriptors.BATCH_ENTRIES}
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_curvature_equals_the_reference_loop(self, rule):
+    BITMAP_BYTES = {"dense": 1 << 62, "search": -1, "rule": ARC_BITMAP_BYTES}
+
+    @pytest.mark.parametrize("rule", BITMAP_BYTES)
+    def test_curvature_equals_the_reference_loop(self, rule, monkeypatch):
         chosen = set()
+
+        def spy(degree, nbr):
+            is_arc = arc_test(degree, nbr)
+            chosen.add("bits" in is_arc.__code__.co_freevars)  # the bitmap's gather
+            return is_arc
+
+        monkeypatch.setattr("unionsub.graphs.ARC_BITMAP_BYTES", self.BITMAP_BYTES[rule])
+        monkeypatch.setattr(descriptors, "arc_test", spy)
         for alpha in (0.0, 1 / 3, 0.5):
             expected = [np.array(reference_curvature_values(g, table_ends(g), alpha)).tobytes()
                         for g in self.GRAPHS]
-            assert self._tables(Descriptor("curvature", alpha=alpha), rule, chosen) == expected
+            kind = Descriptor("curvature", alpha=alpha)
+            assert [coefficient_table(g, kind).values.tobytes() for g in self.GRAPHS] == expected
         # a bitmap of 6,000^2 bits is above the bound, and those of small graphs below
-        expected = {True, False} if rule == "rule" else {rule == "dense"}
-        assert {dense for entries, dense in chosen} == expected
-        assert {entries for entries, _ in chosen} == {descriptors.CURVATURE_ENTRIES}
+        assert chosen == ({True, False} if rule == "rule" else {rule == "dense"})
 
     def test_views_above_the_rule(self, monkeypatch):
         # a one-edge chunk's member keys are the node ids: 2 bytes each for
@@ -1166,7 +1177,8 @@ class TestCycleCountDescriptor:
     @pytest.mark.parametrize("seed", range(12))
     def test_step_bound_counts_path_end_reads(self, seed, monkeypatch):
         # the search reads the row of each root and of the end of each simple
-        # path of 1 to k - 2 nodes above its root, one step per entry and per row
+        # path of 2 to k - 1 nodes above its root, one step per entry and per
+        # row; blocks of 1 and 3 entries split every length into many blocks
         rng = random.Random(seed)
         g = random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.9), rng)
         k = rng.randint(3, 8)
@@ -1176,19 +1188,44 @@ class TestCycleCountDescriptor:
             paths = [p + [x] for p in paths for x in g.adjacency[p[-1]]
                      if x > p[0] and x not in p]
             steps += sum(len(g.adjacency[p[-1]]) + 1 for p in paths)
-        monkeypatch.setattr("unionsub.graphs.MAX_CYCLE_STEPS", steps)
-        count = cycle_count(g, k)
-        monkeypatch.setattr("unionsub.graphs.MAX_CYCLE_STEPS", steps - 1)
-        with pytest.raises(DescriptorError, match=rf"^{k}-cycle search: more than {steps - 1} "
-                                                  r"steps \(adjacency entries read, plus one "
-                                                  r"per read\)$"):
-            cycle_count(g, k)
-        assert count == sum(1 for c in nx.simple_cycles(nx_graph(g), length_bound=k)
-                            if len(c) == k)
+        expected = sum(1 for c in nx.simple_cycles(nx_graph(g), length_bound=k) if len(c) == k)
+        for block in (graphs.CYCLE_BLOCK, 1, 3):
+            monkeypatch.setattr(graphs, "CYCLE_BLOCK", block)
+            monkeypatch.setattr(graphs, "MAX_CYCLE_STEPS", steps)
+            assert cycle_count(g, k) == expected, block
+            monkeypatch.setattr(graphs, "MAX_CYCLE_STEPS", steps - 1)
+            with pytest.raises(DescriptorError, match=rf"^{k}-cycle search: more than "
+                                                      rf"{steps - 1} steps \(adjacency entries "
+                                                      r"read, plus one per read\)$"):
+                cycle_count(g, k)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_empty_and_edgeless_graphs(self, k, monkeypatch):
+        # an edgeless graph reads each root's empty row once
+        monkeypatch.setattr(graphs, "MAX_CYCLE_STEPS", 5)
+        assert cycle_count(Graph(0, []), k) == cycle_count(Graph(5, []), k) == 0
+        monkeypatch.setattr(graphs, "MAX_CYCLE_STEPS", 4)
+        with pytest.raises(DescriptorError, match="more than 4 steps"):
+            cycle_count(Graph(5, []), k)
+        assert cycle_count(Graph(0, []), k) == 0
 
     def test_search_bound(self):
-        # K11 at k = 8 takes 3.4e6 steps, a third of MAX_CYCLE_STEPS
-        assert cycle_count(complete_graph(11), 8) == 415800
+        # K11 at k = 8 takes 3.4e6 steps, a third of MAX_CYCLE_STEPS.  The
+        # search holds one block of paths of each length 2 to k - 1, each of
+        # at most CYCLE_BLOCK paths, beside one block's gathers.  Measured on
+        # one host: the peak was 0.7 MB, 2.5 bytes per CYCLE_BLOCK k^2, and
+        # 100 MB with each length held whole
+        k = 8
+        g = complete_graph(11)
+        g.csr
+        tracemalloc.start()
+        try:
+            count = cycle_count(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 415800
+        assert peak < 4 * k * k * graphs.CYCLE_BLOCK
 
 
 class TestCoefficientTable:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -413,6 +414,14 @@ class TestIsomorphism:
                 assert is_isomorphic_small(a, c)
 
 
+@st.composite
+def small_graphs(draw):
+    """G(n, p) graphs of up to 12 nodes, p <= 1/2, isolated nodes allowed."""
+    n, p = draw(st.integers(0, 12)), draw(st.floats(0.0, 0.5))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
 class TestCycleCounting:
     def test_c6_has_one_hexagon(self):
         assert count_simple_cycles(cycle_graph(6), 6) == 1
@@ -442,7 +451,20 @@ class TestCycleCounting:
         for _ in range(10):
             g = random_graph(8, 0.5, rng)
             for k in range(3, 9):
-                assert count_simple_cycles(g, k) == oracle(g, k)
+                expected = oracle(g, k)
+                # blocks of 1 and 3 entries split every path length into many blocks
+                for block in (graphs.CYCLE_BLOCK, 1, 3):
+                    with mock.patch.object(graphs, "CYCLE_BLOCK", block):
+                        assert count_simple_cycles(g, k) == expected, (k, block)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(g=small_graphs())
+    def test_against_networkx(self, g):
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.num_nodes))
+        lengths = [len(c) for c in nx.simple_cycles(h, length_bound=8)]
+        assert [count_simple_cycles(g, k) for k in range(3, 9)] == [
+            lengths.count(k) for k in range(3, 9)]
 
 
 class TestNamedGenerators:
