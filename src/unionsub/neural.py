@@ -20,7 +20,8 @@ freeing them at the end of each step would hand the heap top back to the
 OS, and the next step would fault it in again.  Logits, pooled embeddings
 and gradients stay freshly allocated.  A classifier's parameter arrays are
 views of one flat vector, so Adam updates them all in a handful of vector
-operations.
+operations.  The backward pass forms no gradient for the first layer's
+input, the batch's features, which nothing trains.
 Everything is plain numpy; the engine's gradients are verified against
 central finite differences (see grad_check).
 """
@@ -63,10 +64,11 @@ class Workspace:
     shared by name.  A key always names arrays of one dtype.
     """
 
-    __slots__ = ("_views",)
+    __slots__ = ("_views", "_key_tables")
 
     def __init__(self):
         self._views = {}  # key -> the last view handed out; its base is the buffer
+        self._key_tables = {}  # width -> its key table
 
     def array(self, key, shape, dtype=np.float64):
         view = self._views.get(key)
@@ -77,6 +79,15 @@ class Workspace:
                 buf = np.empty(size, dtype)
             view = self._views[key] = buf[:size].reshape(shape)
         return view
+
+    def key_table(self, rows, width):
+        """arange(n * width).reshape(n, width) with n >= rows: row r holds
+        the keys r * width + channel of node r.  One table per width serves
+        every batch; it is rebuilt only for a batch with more rows."""
+        table = self._key_tables.get(width)
+        if table is None or len(table) < rows:
+            table = self._key_tables[width] = np.arange(rows * width).reshape(rows, width)
+        return table
 
 
 def _relu_grad(d, z, work, key):
@@ -236,10 +247,12 @@ class _Batch:
 def _scatter_rows(values, index, num_rows, work):
     """out[index[p]] += values[p] row by row: one bincount over the keys
     index * channels + channel, which sums each cell in pair order.  The
-    keys are written into ``work``; the result is a new array."""
+    keys are rows of ``work``'s key table gathered into ``work``; that table
+    must have at least ``num_rows`` rows, or the clipped gather would
+    repeat its last row.  The result is a new array."""
     channels = values.shape[1]
-    keys = np.add((index * channels)[:, None], np.arange(channels),
-                  out=work.array("scatter_keys", values.shape, np.intp))
+    keys = np.take(work.key_table(num_rows, channels), index, axis=0, mode="clip",
+                   out=work.array("scatter_keys", values.shape, np.intp))
     out = np.bincount(keys.ravel(), weights=values.ravel(), minlength=num_rows * channels)
     # with no pairs bincount returns int64 zeros
     return out.astype(float, copy=False).reshape(num_rows, channels)
@@ -297,8 +310,10 @@ def _layer_forward(layer, batch, h):
     return out, (h, h_nbr, t, tcache, agg, z)
 
 
-def _layer_backward(layer, batch, cache, dout):
-    """Returns (dh, grads as LayerParams shaped like ``layer``)."""
+def _layer_backward(layer, batch, cache, dout, input_grad=True):
+    """Returns (dh, grads as LayerParams shaped like ``layer``).  With
+    ``input_grad`` false, dh is None and is not formed: the first layer's
+    input is the batch's features, which nothing trains."""
     h, h_nbr, t, tcache, agg, z = cache
     work = batch.work
     gcn = layer.epsilon is None
@@ -309,16 +324,17 @@ def _layer_backward(layer, batch, cache, dout):
                     out=work.array("d_msg", (len(batch.center), d_agg.shape[1])))
     if gcn:
         d_msg *= batch.norm[:, None]
-    d_nbr, trans_grads = d_msg, None
+    trans_grads = d_eps = dh = None
     if t is not None:
-        d_nbr = np.multiply(t, d_msg, out=work.array("d_nbr", d_msg.shape))
         dt = np.multiply(d_msg, h_nbr, out=work.array("dt", d_msg.shape))
         trans_grads = _trans_backward(layer.trans, batch.coeff_rows, tcache, dt, work)
-    dh = _scatter_rows(d_nbr, batch.nbr, batch.num_nodes, work)
-    d_eps = None
     if not gcn:
         d_eps = np.array(float(np.multiply(d_agg, h, out=work.array("d_self", h.shape)).sum()))
-        dh += np.multiply(d_agg, 1.0 + float(layer.epsilon), out=work.array("d_self", h.shape))
+    if input_grad:
+        d_nbr = d_msg if t is None else np.multiply(t, d_msg, out=work.array("d_nbr", d_msg.shape))
+        dh = _scatter_rows(d_nbr, batch.nbr, batch.num_nodes, work)
+        if not gcn:
+            dh += np.multiply(d_agg, 1.0 + float(layer.epsilon), out=work.array("d_self", h.shape))
     return dh, LayerParams(d_eps, linear_grads, trans_grads)
 
 
@@ -474,13 +490,14 @@ def _batched_forward(model, batch):
 
 
 def _batched_backward(model, batch, cache, dlogits):
-    """Gradients aligned with ``model.arrays()``."""
+    """Gradients aligned with ``model.arrays()``; the first layer forms no
+    input gradient."""
     caches, pooled = cache
     dpooled, head_grads = _linear_backward(model.head, pooled, dlogits, batch.work)
     grads = head_grads.arrays()
     dh = np.repeat(dpooled / batch.node_sizes[:, None], batch.node_sizes, axis=0)
     for i in range(len(model.layers) - 1, -1, -1):
-        dh, layer_grads = _layer_backward(model.layers[i], batch, caches[i], dh)
+        dh, layer_grads = _layer_backward(model.layers[i], batch, caches[i], dh, input_grad=i > 0)
         grads[:0] = layer_grads.arrays()
     return grads
 

@@ -303,6 +303,33 @@ class TestGradients:
         for seed in range(5):
             assert self._check(kind, seed) < 1e-4
 
+    @pytest.mark.parametrize("name", ["gcn", "gin", "union-gcn", "union-gin"])
+    def test_first_layer_input_gradient_skip_changes_nothing(self, name):
+        # mixed_graphs holds a graph with an isolated node and an edgeless one
+        rng = np.random.default_rng(44)
+        spec = nn.ModelSpec.parse(name, hidden=4)
+        graphs = mixed_graphs(rng)
+        batch = make_batch(graphs, spec.use_coeffs)
+        model = nn.init_classifier(spec, 3, rng)
+        for layer in model.layers:
+            if layer.epsilon is not None:
+                layer.epsilon[...] = rng.normal()
+        logits, cache = nn._batched_forward(model, batch)
+        _, dlogits = nn._batched_cross_entropy(logits, rng.integers(0, 2, size=len(graphs)))
+        got = nn._batched_backward(model, batch, cache, dlogits)
+        # reference: every layer, the first included, forms its input gradient
+        caches, pooled = cache
+        dpooled, head_grads = nn._linear_backward(model.head, pooled, dlogits, batch.work)
+        expected = head_grads.arrays()
+        dh = np.repeat(dpooled / batch.node_sizes[:, None], batch.node_sizes, axis=0)
+        for layer, layer_cache in reversed(list(zip(model.layers, caches))):
+            dh, layer_grads = nn._layer_backward(layer, batch, layer_cache, dh)
+            expected[:0] = layer_grads.arrays()
+        assert dh.shape == batch.h0.shape
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
     def test_identity_linear_configuration_is_exact(self):
         params = identity_layer(2)
         batch = make_batch([complete_graph(2)], False)
@@ -372,17 +399,29 @@ class TestSlicedBatches:
             assert_same_batch(sub, nn._Batch([graphs[i] for i in idx], sub_tables))
             assert sub.work is whole.work
 
-    @pytest.mark.parametrize("pairs, channels", [(40, 1), (40, 5), (0, 1), (0, 3)])
-    def test_scatter_matches_per_channel_bincount(self, pairs, channels):
+    @pytest.mark.parametrize("requests", [
+        pytest.param([(pairs, channels, 7)], id=f"{pairs}-{channels}")
+        for pairs, channels in [(40, 1), (40, 5), (0, 1), (0, 3)]
+    ] + [
+        # (pairs, channels, rows) on one workspace: per width, the rows grow
+        # past every earlier request, then shrink
+        pytest.param([
+            (40, 16, 7), (30, 3, 12), (0, 1, 20), (90, 16, 33), (60, 1, 40),
+            (120, 3, 50), (0, 16, 60), (10, 16, 5), (0, 3, 2), (45, 1, 9), (20, 3, 4),
+        ], id="one-workspace"),
+    ])
+    def test_scatter_matches_per_channel_bincount(self, requests):
         rng = np.random.default_rng(41)
-        values = rng.normal(size=(pairs, channels))
-        index = rng.integers(0, 7, size=pairs)
-        expected = np.zeros((7, channels))
-        for c in range(channels):
-            expected[:, c] = np.bincount(index, weights=values[:, c], minlength=7)
-        got = nn._scatter_rows(values, index, 7, nn.Workspace())
-        assert got.dtype == np.float64
-        assert np.array_equal(got, expected)  # same summation order, bit for bit
+        work = nn.Workspace()
+        for pairs, channels, rows in requests:
+            values = rng.normal(size=(pairs, channels))
+            index = rng.integers(0, rows, size=pairs)
+            expected = np.zeros((rows, channels))
+            for c in range(channels):
+                expected[:, c] = np.bincount(index, weights=values[:, c], minlength=rows)
+            got = nn._scatter_rows(values, index, rows, work)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected)  # same summation order, bit for bit
 
 
 class TestWorkspace:
@@ -398,7 +437,8 @@ class TestWorkspace:
         # the heap top back to the OS, and the next step faults it in again
         graphs, labels = self.cycle_data()
         spec = nn.ModelSpec.parse("union-gcn")
-        batch = make_batch(graphs).take(np.arange(32))
+        whole = make_batch(graphs)
+        batch = whole.take(np.arange(32))
         model = nn.init_classifier(spec, 1, np.random.default_rng(0))
         adam = nn.Adam(model.flat)
         loss_and_grads = classifier_loss(model, batch, labels[:32])
@@ -406,15 +446,25 @@ class TestWorkspace:
         def step():
             adam.step(np.concatenate(loss_and_grads()[1], axis=None))
 
+        def step_peak():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                step()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
         step()  # sizes the workspace's buffers
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 4 * len(batch.center) * spec.hidden * 8
+        assert step_peak() <= 4 * len(batch.center) * spec.hidden * 8
+        # a larger accuracy forward grows the buffers and key tables; the
+        # smaller step after it reuses them
+        nn._batched_forward(model, whole)
+        widths = (1, spec.hidden)
+        tables = [batch.work.key_table(whole.num_nodes, width) for width in widths]
+        assert step_peak() <= 4 * len(batch.center) * spec.hidden * 8
+        for width, table in zip(widths, tables):
+            assert batch.work.key_table(whole.num_nodes, width) is table
 
     @pytest.mark.parametrize("name", ["gcn", "gin", "union-gcn", "union-gin"])
     def test_shared_workspace_gives_fresh_batch_gradients(self, name):
